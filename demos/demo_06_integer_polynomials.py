@@ -1,10 +1,11 @@
 """Counting integer polynomials of sup norm at most 1 on the unit circle.
 
 The coefficient sandwich max|a_k| <= ||p|| <= sum|a_k| confines candidates
-to coefficients in {-1, 0, 1}; certified grid bounds with a derivative
-certificate reject almost everything else, and any survivor near the
-boundary is settled by exact evaluation at roots of unity.  The count is
-2n + 3: zero and the signed monomials only.
+to coefficients in {-1, 0, 1}; sum|a_k| <= 1 accepts a candidate, and
+Parseval, ||p||^2 >= sum a_k^2 >= 2, rejects every other one, so each
+decision is an integer test.  The count is 2n + 3: zero and the signed
+monomials only.  Single norms are certified on integer fixed-point grids
+with a derivative certificate.
 """
 
 from fractions import Fraction
@@ -26,4 +27,4 @@ for n in range(5):
 
 print("\nwhy nothing besides monomials survives: any two nonzero integer")
 print("coefficients force a mean square >= 2 on the circle, so the norm is")
-print("at least sqrt(2); exact evaluation at roots of unity certifies it.")
+print("at least sqrt(2) by Parseval; an integer test certifies it.")

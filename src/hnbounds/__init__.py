@@ -40,7 +40,6 @@ from .lattices import (
     random_gram,
 )
 from .bounds import (
-    BoundaryResolutionError,
     CheckReport,
     IntPolynomial,
     PrecisionBudgetError,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineFunction",
-    "BoundaryResolutionError",
     "CertificationError",
     "CheckReport",
     "CurveContext",

@@ -18,11 +18,10 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import ceil, factorial, floor
 
 from .lattices import EuclideanLattice, NumberFieldData, RATIONAL_FIELD, gillet_soule_constant
 from .scalars import (
-    CertificationError,
     PI,
     Scalar,
     cos_2pi,
@@ -38,7 +37,6 @@ from .towers import Tower, TowerData, epsilon
 __all__ = [
     "CheckReport",
     "IntPolynomial",
-    "BoundaryResolutionError",
     "PrecisionBudgetError",
     "geometric_hs_bound",
     "check_toric_family",
@@ -55,10 +53,6 @@ __all__ = [
     "reports_to_json",
     "reports_to_csv",
 ]
-
-
-class BoundaryResolutionError(RuntimeError):
-    """A norm-boundary case could not be resolved exactly (never a guess)."""
 
 
 class PrecisionBudgetError(RuntimeError):
@@ -401,6 +395,8 @@ def arithmetic_error_G(
 
 MAX_CIRCLE_DEGREE = 64
 _MAX_GRID = 1 << 15
+_FIXED_BITS = 128  # fixed-point scale of the cos table, above the 120-bit interval precision
+_FIXED_ONE = 1 << _FIXED_BITS
 
 
 @dataclass(frozen=True)
@@ -430,6 +426,10 @@ class IntPolynomial:
     def max_abs(self) -> int:
         return max(abs(c) for c in self.coefficients)
 
+    def sum_squares(self) -> int:
+        """sum a_k^2, the squared L2 norm on the circle (Parseval)."""
+        return sum(c * c for c in self.coefficients)
+
     def autocorrelation(self) -> list[int]:
         """c_m = sum_k a_k a_{k+m}; |p(e^{i t})|^2 = c_0 + 2 sum_m c_m cos(m t)."""
         a = self.coefficients
@@ -438,18 +438,25 @@ class IntPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _cos_table(n_grid: int):
-    return [cos_2pi(Fraction(k, n_grid)) for k in range(n_grid)]
+def _cos_table(n_grid: int) -> tuple[tuple[int, int], ...]:
+    """Integer brackets (floor(lo 2^B), ceil(hi 2^B)) of 2^B cos(2 pi k / N)
+    for 0 <= k <= N/2, B = ``_FIXED_BITS``, from the certified ``cos_2pi``."""
+    table = []
+    for k in range(n_grid // 2 + 1):
+        lo, hi = cos_2pi(Fraction(k, n_grid)).bounds()
+        table.append((floor(lo * _FIXED_ONE), ceil(hi * _FIXED_ONE)))
+    return tuple(table)
 
 
 def circle_sup_norm(p: IntPolynomial, precision: Fraction) -> Scalar:
     """Certified interval around max |p(z)| over |z| = 1, width <= precision.
 
     Uses the coefficient sandwich max|a_k| <= norm <= sum|a_k| for early
-    acceptance, then uniform grids of N points: the grid maximum is a lower
-    bound, and the Bernstein derivative bound ||p'|| <= deg ||p|| certifies
-    norm <= grid_max / (1 - pi deg / N) between grid points.  N doubles until
-    the width target is met; an unreachable target raises
+    acceptance, then uniform grids of N points on which |p|^2 is bracketed
+    in exact fixed-point integers (:func:`_grid_squares`): the grid maximum
+    is a lower bound, and the Bernstein derivative bound ||p'|| <= deg ||p||
+    certifies norm <= grid_max / (1 - pi deg / N) between grid points.  N
+    doubles until the width target is met; an unreachable target raises
     :class:`PrecisionBudgetError`.
     """
     precision = Fraction(precision)
@@ -479,20 +486,16 @@ def circle_sup_norm(p: IntPolynomial, precision: Fraction) -> Scalar:
 
 
 def _grid_bounds(corr, deg, n_grid) -> tuple[Fraction, Fraction]:
-    """(lower, upper) bounds for the sup norm from an N-point grid."""
-    table = _cos_table(n_grid)
-    sq_lo = Fraction(0)
-    sq_hi = Fraction(0)
-    c0 = Scalar.exact(corr[0])
-    for j in range(n_grid):
-        acc = c0
-        for m in range(1, len(corr)):
-            if corr[m]:
-                acc = acc + Scalar.exact(2 * corr[m]) * table[(j * m) % n_grid]
-        lo, hi = acc.bounds()
-        sq_lo = max(sq_lo, lo)
-        sq_hi = max(sq_hi, hi)
-    grid_max = sqrt_interval(Scalar.from_fraction_bounds(max(sq_lo, Fraction(0)), sq_hi))
+    """(lower, upper) bounds for the sup norm from an N-point grid.
+
+    The square root of the integer bracket of :func:`_grid_squares` encloses
+    the grid maximum, a lower bound for the norm; the Bernstein certificate
+    divides its upper end by 1 - pi deg / N.
+    """
+    sq_lo, sq_hi = _grid_squares(corr, n_grid)
+    grid_max = sqrt_interval(
+        Scalar.from_fraction_bounds(Fraction(sq_lo, _FIXED_ONE), Fraction(sq_hi, _FIXED_ONE))
+    )
     # ||p|| <= grid_max / (1 - pi deg / N), certified with an interval pi
     denom = Scalar.exact(1) - PI * Scalar.exact(Fraction(deg, n_grid))
     if not denom.bounds()[0] > 0:
@@ -501,95 +504,49 @@ def _grid_bounds(corr, deg, n_grid) -> tuple[Fraction, Fraction]:
     return grid_max.bounds()[0], upper.bounds()[1]
 
 
-# -- exact boundary resolution via cyclotomic arithmetic ---------------------
+def _grid_squares(corr, n_grid) -> tuple[int, int]:
+    """Integers lo <= 2^B max_j |p(e^{2 pi i j/N})|^2 <= hi, B = ``_FIXED_BITS``.
 
-
-@lru_cache(maxsize=None)
-def _cyclotomic(d: int) -> tuple[int, ...]:
-    """Coefficients of the d-th cyclotomic polynomial (exact, recursive)."""
-    num = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            num = _poly_div_exact(num, list(_cyclotomic(e)))
-    return tuple(num)
-
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(num[i + len(den) - 1], den[-1])
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        out[i] = q
-        for k, dk in enumerate(den):
-            num[i + k] -= q * dk
-    if any(num):
-        raise ArithmeticError("nonzero remainder in polynomial division")
-    return out
-
-
-def _poly_mod(num: list[int], den: tuple[int, ...]) -> list[int]:
-    num = list(num)
-    dn = len(den) - 1
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            for k in range(dn + 1):
-                num[i - dn + k] -= c * den[k]
-    return num[:dn]
-
-
-def _exceeds_one_at_root(p: IntPolynomial, j: int, n_roots: int) -> bool:
-    """Exactly decide |p(w)|^2 > 1 at w = exp(2 pi i j / n_roots).
-
-    The squared modulus minus one is an algebraic integer in the cyclotomic
-    field; it is tested for zero by exact division by the relevant cyclotomic
-    polynomial and, when nonzero, its sign is certified by interval
-    arithmetic (the fixed working precision is far below the conjugate-norm
-    gap of these small elements).
+    |p(e^{2 pi i j/N})|^2 = c_0 + sum_m 2 c_m cos(2 pi j m / N) is bracketed
+    in exact integers: each term takes the low end of the ``_cos_table``
+    bracket when 2 c_m > 0 and the high end otherwise (and the reverse for
+    the upper sum), so nothing is rounded.  Real coefficients give
+    |p(conj z)| = |p(z)|, so only j <= N/2 is visited.
     """
-    a = p.coefficients
-    n = len(a)
-    coeffs = [0] * n_roots
-    for k in range(n):
-        for l in range(n):
-            if a[k] and a[l]:
-                coeffs[(k - l) % n_roots] += a[k] * a[l]
-    coeffs[0] -= 1
-    g = gcd(j, n_roots)
-    d = n_roots // g
-    j_red = (j // g) % d
-    folded = [0] * d
-    for r, c in enumerate(coeffs):
-        if c:
-            folded[(r * j_red) % d] += c
-    reduced = _poly_mod(folded, _cyclotomic(d))
-    if not any(reduced):
-        return False  # the value equals 1 exactly: not above the threshold
-    value = Scalar.exact(0)
-    for r, c in enumerate(reduced):
-        if c:
-            value = value + Scalar.exact(c) * cos_2pi(Fraction(r, d))
-    lo, hi = value.bounds()
-    if lo > 0:
-        return True
-    if hi < 0:
-        return False
-    raise CertificationError("working precision too small for an exact sign")
+    table = _cos_table(n_grid)
+    half = n_grid // 2
+    c0 = corr[0] * _FIXED_ONE
+    positive = [(m, 2 * c) for m, c in enumerate(corr) if m and c > 0]
+    negative = [(m, 2 * c) for m, c in enumerate(corr) if m and c < 0]
+    sq_lo = sq_hi = 0
+    for j in range(half + 1):
+        acc_lo = acc_hi = c0
+        for m, c in positive:
+            k = j * m % n_grid
+            t_lo, t_hi = table[k if k <= half else n_grid - k]
+            acc_lo += c * t_lo
+            acc_hi += c * t_hi
+        for m, c in negative:
+            k = j * m % n_grid
+            t_lo, t_hi = table[k if k <= half else n_grid - k]
+            acc_lo += c * t_hi
+            acc_hi += c * t_lo
+        if acc_lo > sq_lo:
+            sq_lo = acc_lo
+        if acc_hi > sq_hi:
+            sq_hi = acc_hi
+    return sq_lo, sq_hi
 
 
 def p1z_h0(n: int) -> tuple[int, CheckReport]:
     """Count integer polynomials of degree <= n with circle sup norm <= 1.
 
-    The coefficient sandwich confines candidates to {-1, 0, 1}^(n+1).  Each
-    candidate is decided by, in order: exact sandwich acceptance
-    (sum|a_k| <= 1), the certified grid norm at increasing precision, and
-    exact evaluation at the 2(n+1)-th roots of unity.  The discrete mean of
-    |p|^2 over those roots equals sum a_k^2 (no aliasing at this order), so
-    any multi-term candidate is provably rejected by the exact stage; an
-    unresolved candidate raises :class:`BoundaryResolutionError` rather than
-    guessing.
+    The coefficient sandwich confines candidates to {-1, 0, 1}^(n+1), and two
+    integer tests decide each one exactly: sum|a_k| <= 1 accepts it (the
+    norm is at most sum|a_k|), and sum a_k^2 >= 2 rejects it by Parseval,
+    ||p||^2 >= (1/2 pi) int |p|^2 = sum a_k^2.  For integer coefficients
+    a_k^2 >= |a_k|, so every candidate meets one of the two tests and no norm
+    is ever approximated.
 
     Returns the count and a report checking ln(count) against the minima
     bound of the coefficient lattice, whose log minima all vanish: every
@@ -601,30 +558,11 @@ def p1z_h0(n: int) -> tuple[int, CheckReport]:
     if n > 6:
         raise ValueError("degree bound exceeds the enumeration budget (6)")
     count = 0
-    n_roots = 2 * (n + 1)
     for p in _coefficient_box(n):
         if p.sum_abs() <= 1:
             count += 1
-            continue
-        decided = None
-        for precision in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
-            norm = circle_sup_norm(p, precision)
-            lo, hi = norm.bounds()
-            if lo > 1:
-                decided = False
-                break
-            if hi <= 1:
-                decided = True
-                break
-        if decided is None:
-            if any(_exceeds_one_at_root(p, j, n_roots) for j in range(n_roots)):
-                decided = False
-            else:
-                raise BoundaryResolutionError(
-                    f"norm of {p.coefficients} vs 1 unresolved by exact evaluation"
-                )
-        if decided:
-            count += 1
+        elif p.sum_squares() < 2:
+            raise AssertionError(f"no exact test decides {p.coefficients}")
 
     r = n + 1
     lhs = log_scalar(count)

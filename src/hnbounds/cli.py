@@ -9,8 +9,11 @@ Subcommands:
 * ``p1z --degree <n>`` -- the integer-polynomial count testbed.
 
 Exit status: 0 when every check passes, 1 on any failed check, 2 on invalid
-configuration.  Randomized suites take a seed and print it, so every failure
-is replayable; identical config and seed produce byte-identical JSON output.
+input or when a result cannot be certified within its budget
+(``EnumerationBudgetError``, ``CertificationError``, ``PrecisionBudgetError``),
+with a one-line message on stderr.  Randomized suites take a seed and print
+it, so every failure is replayable; identical config and seed produce
+byte-identical JSON output.
 ``HNBOUNDS_JOBS`` controls how many worker processes evaluate checks (the
 report list is assembled in a fixed order either way).
 """
@@ -29,8 +32,8 @@ import jsonschema
 
 from . import bounds
 from .hn import hn_from_json
-from .lattices import EuclideanLattice, random_gram
-from .scalars import Scalar
+from .lattices import EnumerationBudgetError, EuclideanLattice, random_gram
+from .scalars import CertificationError, Scalar
 from .series import FiberedSeries
 from .towers import epsilon, epsilon_tilde, rescale, tower_from_json, AffineFunction
 from .bounds import CheckReport, reports_to_csv, reports_to_json
@@ -397,7 +400,13 @@ def main(argv=None) -> int:
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (
+        ValueError,
+        KeyError,
+        EnumerationBudgetError,
+        CertificationError,
+        bounds.PrecisionBudgetError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

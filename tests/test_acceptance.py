@@ -223,7 +223,7 @@ def test_criterion_9_integer_polynomial_testbed():
     ok = True
     counts = {}
     for n in range(5):
-        count, rep = p1z_h0(n)  # raises on any unresolved boundary case
+        count, rep = p1z_h0(n)  # every candidate decided by an integer test
         counts[n] = count
         ok = ok and rep.passed
     ok = ok and counts[0] == 3 and counts[1] == 5 and counts[2] == 7

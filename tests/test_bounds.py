@@ -23,9 +23,11 @@ from hnbounds import (
     random_gram,
 )
 from hnbounds.bounds import (
+    _FIXED_BITS,
     CheckReport,
-    _cyclotomic,
-    _exceeds_one_at_root,
+    _cos_table,
+    _grid_bounds,
+    _grid_squares,
     reports_to_csv,
     reports_to_json,
 )
@@ -293,28 +295,44 @@ def test_int_polynomial_normalization():
     assert p.coefficients == (1,) and p.degree == 0
     assert IntPolynomial([0]).degree == -1
     assert IntPolynomial([2, 0, 5]).autocorrelation() == [29, 0, 10]
+    assert IntPolynomial([2, 0, -5]).sum_squares() == 29
 
 
-# -- exact root-of-unity stage ----------------------------------------------------------
+def test_fixed_point_grid_against_mpmath():
+    # independent oracle: 50-digit mpmath cosines and |p| on the full N-point grid
+    import mpmath
 
-
-def test_cyclotomic_polynomials():
-    assert _cyclotomic(1) == (-1, 1)
-    assert _cyclotomic(2) == (1, 1)
-    assert _cyclotomic(4) == (1, 0, 1)
-    assert _cyclotomic(6) == (1, -1, 1)
-    assert _cyclotomic(12) == (1, 0, -1, 0, 1)
-
-
-def test_exact_root_evaluation():
-    # |1 + x| at z = 1 is 2: exceeded
-    assert _exceeds_one_at_root(IntPolynomial([1, 1]), 0, 4)
-    # |1 + x| at z = -1 is 0: not exceeded
-    assert not _exceeds_one_at_root(IntPolynomial([1, 1]), 2, 4)
-    # |x^2| is exactly 1 at every root: never exceeded (equality is not >)
-    assert not any(_exceeds_one_at_root(IntPolynomial([0, 0, 1]), j, 6) for j in range(6))
-    # |1 + x| at the primitive 4th root: |1 + i| = sqrt(2) > 1
-    assert _exceeds_one_at_root(IntPolynomial([1, 1]), 1, 4)
+    scale = 2**_FIXED_BITS
+    polys = [
+        (1, 2, -1),
+        (2, 1, 2, -1),
+        (-2, 0, 1, 2),
+        (1, -1, 1, -1, 1),
+        (0, 2, -2, 1, 0, -1),
+        (-1, -1, -1, 0, 0, -1, 2, -1, -1),
+        (2, 1, 0, -2, 1, 1, -1, 2, -2),
+    ]
+    unit = mpmath.mpf("1e-3")  # 50 digits resolve 2^B |p|^2 far below one unit
+    with mpmath.workdps(50):
+        for n_grid in (64, 256):
+            table = _cos_table(n_grid)
+            assert len(table) == n_grid // 2 + 1
+            for k, (lo, hi) in enumerate(table):
+                exact = scale * mpmath.cos(2 * mpmath.pi * k / n_grid)
+                assert lo <= exact + unit and exact - unit <= hi
+                assert hi - lo <= 2**12  # 2^-116 after scaling back
+            for coeffs in polys:
+                p = IntPolynomial(coeffs)
+                top = max(
+                    abs(mpmath.polyval(list(reversed(coeffs)), mpmath.expjpi(mpmath.mpf(2 * j) / n_grid)))
+                    for j in range(n_grid)
+                )
+                sq_lo, sq_hi = _grid_squares(p.autocorrelation(), n_grid)
+                square = scale * top**2
+                assert sq_lo <= square + unit and square - unit <= sq_hi
+                low, high = _grid_bounds(p.autocorrelation(), p.degree, n_grid)
+                assert mpmath.mpf(low.numerator) / low.denominator <= top + mpmath.mpf("1e-30")
+                assert top <= mpmath.mpf(high.numerator) / high.denominator
 
 
 # -- the integer-polynomial testbed -------------------------------------------------------
@@ -330,12 +348,13 @@ def test_p1z_counts():
 
 def test_p1z_monotone_and_no_unresolved():
     counts = []
-    for n in range(5):
+    for n in range(7):
         count, report = p1z_h0(n)
         counts.append(count)
         assert report.passed
     assert counts == sorted(counts)
-    assert counts == [2 * n + 3 for n in range(5)]
+    assert counts == [2 * n + 3 for n in range(7)]
+    assert counts[5:] == [13, 15]
 
 
 def test_p1z_validation():

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from hnbounds.bounds import PrecisionBudgetError
 from hnbounds.cli import run_config, validate_config, ConfigError
+from hnbounds.scalars import CertificationError
 
 
 def run_cli(args, env_extra=None):
@@ -150,6 +152,27 @@ def test_run_exits_one_on_failing_check(monkeypatch):
     monkeypatch.setitem(cli.SUITE_RUNNERS, "polygon", failing_suite)
     status, reports = run_config({"suite": "polygon", "parameters": {"hn": [[1, "0"]]}})
     assert status == 1 and not reports[0].passed
+
+
+def test_cli_budget_errors_exit_two():
+    # rank 9 exceeds the enumeration budget: exit 2 with one line, no traceback
+    gram = [["1" if i == j else "0" for j in range(9)] for i in range(9)]
+    r = run_cli(["lattice", "--gram", json.dumps(gram)])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and len(r.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("error", [CertificationError, PrecisionBudgetError])
+def test_cli_uncertified_exit_two(monkeypatch, capsys, error):
+    from hnbounds import cli
+
+    def raising_suite(params, rng):
+        raise error("cannot certify")
+
+    monkeypatch.setitem(cli.SUITE_RUNNERS, "polygon", raising_suite)
+    assert cli.main(["polygon", "--hn", '[[1,"0"]]']) == 2
+    assert capsys.readouterr().err == "error: cannot certify\n"
 
 
 def test_cli_summary_line_format():

@@ -11,6 +11,7 @@ from hnbounds import (
     NumberFieldData,
     Scalar,
     gillet_soule_constant,
+    log_scalar,
     random_gram,
 )
 
@@ -283,16 +284,16 @@ def test_gillet_soule_imaginary_quadratic():
 
 
 def test_gillet_soule_growth_law():
-    # C(Q,n) = (1/2) n ln n + O(n): the ratio drifts toward 1 from above
-    n = 10**4
-    c = gillet_soule_constant(RATIONAL_FIELD, n)
-    ratio = c.midpoint() / (0.5 * n * math.log(n))
-    assert 1.07 < ratio < 1.09  # frozen true value ~ 1.0811 at n = 10^4
-    n2 = 10**6
-    c2 = gillet_soule_constant(RATIONAL_FIELD, n2)
-    ratio2 = c2.midpoint() / (0.5 * n2 * math.log(n2))
-    assert ratio2 < ratio
-    assert 1.0 < ratio2 < 1.06
+    # C(Q,n) = (1/2) n ln n + O(n): the ratio drifts toward 1 from above,
+    # decided on the exact endpoints of certified intervals
+    def ratio(n):
+        return gillet_soule_constant(RATIONAL_FIELD, n) / (Scalar.exact(Fraction(n, 2)) * log_scalar(n))
+
+    lo, hi = ratio(10**4).bounds()
+    assert Fraction(107, 100) < lo and hi < Fraction(109, 100)  # true value ~ 1.0811
+    lo2, hi2 = ratio(10**6).bounds()
+    assert hi2 < lo
+    assert Fraction(1) < lo2 and hi2 < Fraction(106, 100)
 
 
 def test_gillet_soule_width_tolerance():
