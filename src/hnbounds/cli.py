@@ -14,8 +14,9 @@ input or when a result cannot be certified within its budget
 with a one-line message on stderr.  Randomized suites take a seed and print
 it, so every failure is replayable; identical config and seed produce
 byte-identical JSON output.
-``HNBOUNDS_JOBS`` controls how many worker processes evaluate checks (the
-report list is assembled in a fixed order either way).
+``HNBOUNDS_JOBS`` controls how many worker processes evaluate checks; it is
+clamped to the CPU count and to the number of tasks (the report list is
+assembled in a fixed order either way).
 """
 
 from __future__ import annotations
@@ -59,25 +60,19 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+HIRZEBRUCH_GRID_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "a_max": {"type": "integer", "minimum": 1},
+        "b_max": {"type": "integer", "minimum": 1},
+        "e_max": {"type": "integer", "minimum": 0},
+    },
+    "additionalProperties": False,
+}
+
 PARAMETER_SCHEMAS = {
-    "geometric": {
-        "type": "object",
-        "properties": {
-            "a_max": {"type": "integer", "minimum": 1},
-            "b_max": {"type": "integer", "minimum": 1},
-            "e_max": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "filtered": {
-        "type": "object",
-        "properties": {
-            "a_max": {"type": "integer", "minimum": 1},
-            "b_max": {"type": "integer", "minimum": 1},
-            "e_max": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
+    "geometric": HIRZEBRUCH_GRID_SCHEMA,
+    "filtered": HIRZEBRUCH_GRID_SCHEMA,
     "lattice": {
         "type": "object",
         "properties": {
@@ -126,11 +121,13 @@ def validate_config(config: dict) -> dict:
     return config
 
 
-def _jobs() -> int:
+def _jobs(tasks: int) -> int:
+    """Worker count: ``HNBOUNDS_JOBS``, at most the CPU count and ``tasks``."""
     try:
-        return max(1, int(os.environ.get("HNBOUNDS_JOBS", "1")))
+        jobs = int(os.environ.get("HNBOUNDS_JOBS", "1"))
     except ValueError:
-        return 1
+        jobs = 1
+    return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
 def _run_checks(tasks):
@@ -139,8 +136,8 @@ def _run_checks(tasks):
     Results keep submission order, so the final report list is stable no
     matter how many workers run.
     """
-    jobs = _jobs()
-    if jobs <= 1 or len(tasks) < 2:
+    jobs = _jobs(len(tasks))
+    if jobs == 1:
         return [func(arg) for func, arg in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(func, arg) for func, arg in tasks]
@@ -184,12 +181,7 @@ def suite_lattice(params, rng) -> list[CheckReport]:
     rank = params.get("rank", 3)
     trials = params.get("trials", 50)
     grams = [random_gram(rank, rng).to_json() for _ in range(trials)]
-    jobs = _jobs()
-    if jobs <= 1:
-        nested = [_lattice_checks(g) for g in grams]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            nested = list(pool.map(_lattice_checks, grams))
+    nested = _run_checks([(_lattice_checks, g) for g in grams])
     out = []
     for i, triple in enumerate(nested):
         for rep in triple:
@@ -385,12 +377,7 @@ def main(argv=None) -> int:
             print(json.dumps({"epsilon": value.to_json()}))
             return 0
         if args.command == "lattice":
-            L = EuclideanLattice.from_json(json.loads(args.gram))
-            reports = [
-                bounds.check_minkowski(L),
-                bounds.check_blichfeldt(L),
-                bounds.h0_minima_bound(L),
-            ]
+            reports = _lattice_checks(json.loads(args.gram))
             print(json.dumps(reports_to_json(reports), indent=2, sort_keys=True))
             return 0 if all(r.passed for r in reports) else 1
         if args.command == "p1z":

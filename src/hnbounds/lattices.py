@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import ceil, floor, isqrt, prod
 
+from ._exact import det, rank
 from .hn import HNType, make_hn_type
 from .scalars import (
     Scalar,
@@ -72,13 +73,13 @@ class EuclideanLattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        # positive definiteness via leading principal minors
-        minor = [[rows[i][j] for j in range(r)] for i in range(r)]
-        for k in range(1, r + 1):
-            if _det([row[:k] for row in minor[:k]]) <= 0:
-                raise ValueError("Gram matrix must be positive definite")
+        # Sylvester: the leading minors are the partial products of the LDL
+        # pivots, so all of them are > 0 iff every pivot is.
+        d, u = _ldl(rows)
+        if len(d) < r:
+            raise ValueError("Gram matrix must be positive definite")
         object.__setattr__(self, "gram", rows)
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_memo", {"ldl": (d, u)})
 
     # -- basic invariants --------------------------------------------------
 
@@ -87,7 +88,7 @@ class EuclideanLattice:
         return len(self.gram)
 
     def determinant(self) -> Fraction:
-        return _det([list(row) for row in self.gram])
+        return prod(self._memo["ldl"][0])
 
     def norm2(self, v) -> Fraction:
         """The quadratic form v^T G v, exact."""
@@ -153,11 +154,11 @@ class EuclideanLattice:
             (q, v) for q, v in reduced._short_vectors(bound) if any(v)
         )
         out: list[Fraction] = []
-        basis: list[list[Fraction]] = []
+        basis: list[tuple[int, ...]] = []
         for q, v in vectors:
-            if _extends_rank(basis, v):
+            if rank(basis + [v]) > len(basis):
                 out.append(q)
-                basis.append([Fraction(x) for x in v])
+                basis.append(v)
                 if len(out) == self.rank:
                     self._memo["minima"] = tuple(out)
                     return out
@@ -217,22 +218,6 @@ class EuclideanLattice:
                 f"rank {self.rank} exceeds the enumeration budget ({MAX_RANK})"
             )
 
-    def _ldl(self):
-        """G = U^T D U with U unit upper triangular, D positive diagonal."""
-        r = self.rank
-        g = [[self.gram[i][j] for j in range(r)] for i in range(r)]
-        d = [Fraction(0)] * r
-        u = [[Fraction(0)] * r for _ in range(r)]
-        for i in range(r):
-            u[i][i] = Fraction(1)
-        for i in range(r):
-            d[i] = g[i][i] - sum(d[k] * u[k][i] ** 2 for k in range(i))
-            for j in range(i + 1, r):
-                u[i][j] = (
-                    g[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))
-                ) / d[i]
-        return d, u
-
     def _short_vectors(self, bound: Fraction):
         """Yield (norm2, coords) over all v with v^T G v <= bound.
 
@@ -240,7 +225,7 @@ class EuclideanLattice:
         lattice's own basis, plus the zero vector.  Exact throughout.
         """
         r = self.rank
-        d, u = self._ldl()
+        d, u = self._memo["ldl"]
         yield (Fraction(0), tuple([0] * r))
         coords = [0] * r
         nodes = 0
@@ -287,23 +272,6 @@ class EuclideanLattice:
         basis = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
         gram = [[self.gram[i][j] for j in range(r)] for i in range(r)]
 
-        def inner(i, j):
-            return gram[i][j]
-
-        def recompute():
-            # Gram-Schmidt data over Fractions
-            mu = [[Fraction(0)] * r for _ in range(r)]
-            bstar2 = [Fraction(0)] * r
-            for i in range(r):
-                bstar2[i] = inner(i, i) - sum(
-                    mu[i][k] ** 2 * bstar2[k] for k in range(i)
-                )
-                for j in range(i + 1, r):
-                    mu[j][i] = (
-                        inner(j, i) - sum(mu[j][k] * mu[i][k] * bstar2[k] for k in range(i))
-                    ) / bstar2[i]
-            return mu, bstar2
-
         def swap(k):
             basis[k], basis[k - 1] = basis[k - 1], basis[k]
             gram[k], gram[k - 1] = gram[k - 1], gram[k]
@@ -319,7 +287,8 @@ class EuclideanLattice:
             for t in range(r):
                 gram[t][k] -= q * gram[t][j]
 
-        mu, bstar2 = recompute()
+        # Gram-Schmidt data: |b*_i|^2 = d[i] and mu_ki = u[i][k] (i < k)
+        d, u = _ldl(gram)
         k = 1
         steps = 0
         while k < r:
@@ -327,15 +296,17 @@ class EuclideanLattice:
             if steps > 10_000:
                 break  # heuristic step cap; correctness is unaffected
             for j in range(k - 1, -1, -1):
-                q = round(mu[k][j])
+                q = round(u[j][k])
                 if q:
                     translate(k, j, q)
-            mu, bstar2 = recompute()
-            if bstar2[k] >= (delta - mu[k][k - 1] ** 2) * bstar2[k - 1]:
+                    for i in range(j):  # mu_ki -= q mu_ji for the i still to visit
+                        u[i][k] -= q * u[i][j]
+            d, u = _ldl(gram)
+            if d[k] >= (delta - u[k - 1][k] ** 2) * d[k - 1]:
                 k += 1
             else:
                 swap(k)
-                mu, bstar2 = recompute()
+                d, u = _ldl(gram)
                 k = max(k - 1, 1)
         reduced = EuclideanLattice(gram)
         return reduced, basis
@@ -350,43 +321,23 @@ class EuclideanLattice:
         return cls([[Fraction(x) for x in row] for row in data])
 
 
-def _det(rows) -> Fraction:
-    rows = [list(map(Fraction, r)) for r in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col] / rows[col][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return det
+def _ldl(g):
+    """G = U^T D U with U unit upper triangular and D diagonal, exact.
 
-
-def _extends_rank(basis: list[list[Fraction]], v) -> bool:
-    """True iff v is outside the span of the current basis (exact)."""
-    if not basis:
-        return any(v)
-    rows = [row[:] for row in basis] + [[Fraction(x) for x in v]]
-    n = len(rows[0])
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / rows[rank][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank == len(basis) + 1
+    Stops at the first pivot <= 0, so len(d) == len(g) iff G is positive
+    definite; u is then fully computed.
+    """
+    r = len(g)
+    d: list[Fraction] = []
+    u = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    for i in range(r):
+        di = g[i][i] - sum(d[k] * u[k][i] ** 2 for k in range(i))
+        if di <= 0:
+            break
+        d.append(di)
+        for j in range(i + 1, r):
+            u[i][j] = (g[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))) / di
+    return d, u
 
 
 @dataclass(frozen=True)
@@ -449,7 +400,7 @@ def random_gram(rank: int, rng) -> EuclideanLattice:
     """
     while True:
         b = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
-        if _det(b) == 0:
+        if det(b) == 0:
             continue
         gram = [
             [sum(b[k][i] * b[k][j] for k in range(rank)) for j in range(rank)]

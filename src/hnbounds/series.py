@@ -20,54 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
+from ._exact import det, rank
 from .curves import SplitBundle
 from .scalars import Scalar
 
 __all__ = ["ToricSeries", "FiberedSeries"]
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra helpers (small dimension, Fraction entries)
-# ---------------------------------------------------------------------------
-
-
-def _matrix_rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col] / rows[col][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return det
 
 
 def _normal_through(points: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...] | None:
@@ -83,7 +40,7 @@ def _normal_through(points: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...] 
     for i in range(d):
         minor = [[row[j] for j in range(d) if j != i] for row in diffs]
         sign = -1 if i % 2 else 1
-        normal.append(sign * (_det(minor) if minor else Fraction(1)))
+        normal.append(sign * det(minor))
     if all(x == 0 for x in normal):
         return None
     return tuple(normal)
@@ -181,7 +138,7 @@ class ToricSeries:
         if d > 3:
             raise ValueError("dimensions above 3 are outside the enumeration budget")
         diffs = [[v[j] - verts[0][j] for j in range(d)] for v in verts[1:]]
-        if not diffs or _matrix_rank(diffs) < d:
+        if rank(diffs) < d:
             raise ValueError("polytope must be full-dimensional")
         object.__setattr__(self, "vertices", verts)
 
@@ -269,14 +226,14 @@ class ToricSeries:
             ring = _facet_cycle(on_facet, normal)
             p0 = ring[0]
             for p1, p2 in zip(ring[1:], ring[2:]):
-                det = _det(
+                signed = det(
                     [
                         [x - y for x, y in zip(p1, p0)],
                         [x - y for x, y in zip(p2, p0)],
                         [x - y for x, y in zip(apex, p0)],
                     ]
                 )
-                total += abs(det)
+                total += abs(signed)
         return total / 6
 
     def to_json(self):

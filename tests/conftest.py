@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,3 +25,16 @@ def random_split_bundle(rng, max_rank=10, twist_range=10):
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+def leibniz_det(m):
+    """Determinant by the permutation expansion: an oracle free of elimination."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total

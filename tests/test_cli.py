@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from hnbounds import cli
 from hnbounds.bounds import PrecisionBudgetError
 from hnbounds.cli import run_config, validate_config, ConfigError
 from hnbounds.scalars import CertificationError
@@ -98,6 +99,22 @@ def test_parallel_matches_serial(tmp_path):
     r2 = run_cli(["run", str(cfg_file2)], env_extra={"HNBOUNDS_JOBS": "3"})
     assert r2.returncode == 0, r2.stderr
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("HNBOUNDS_JOBS", "10000")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert [cli._jobs(n) for n in (0, 1, 3, 4, 100)] == [1, 1, 3, 4, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._jobs(100) == 1
+    assert cli._run_checks([(abs, -1), (abs, -2)]) == [1, 2]
+    for value in ("0", "-3", "many"):
+        monkeypatch.setenv("HNBOUNDS_JOBS", value)
+        assert cli._jobs(100) == 1
 
 
 def test_arithmetic_suite():

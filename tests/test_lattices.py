@@ -1,9 +1,11 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import leibniz_det
 from hnbounds import (
     EnumerationBudgetError,
     EuclideanLattice,
@@ -14,6 +16,7 @@ from hnbounds import (
     log_scalar,
     random_gram,
 )
+from hnbounds.lattices import _ldl
 
 
 def diagonal(*entries):
@@ -306,3 +309,76 @@ def test_random_gram_properties(rng):
         L = random_gram(3, rng)
         assert L.determinant() > 0
         assert all(L.gram[i][j] == L.gram[j][i] for i in range(3) for j in range(3))
+
+
+# -- the memoized LDL and LLL ----------------------------------------------------------
+
+
+def _random_symmetric(rng, r):
+    """Seeded symmetric matrices: definite, semidefinite and indefinite ones."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(r)] for _ in range(r)]
+        return [[m[i][j] if i <= j else m[j][i] for j in range(r)] for i in range(r)]
+    # B^T B, with a zero row of B when semidefinite
+    b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+    if kind == 1:
+        b[rng.randrange(r)] = [0] * r
+    return [[sum(b[k][i] * b[k][j] for k in range(r)) for j in range(r)] for i in range(r)]
+
+
+def test_definiteness_matches_leading_minors():
+    rng = random.Random(4103)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        g = _random_symmetric(rng, rng.randint(1, 5))
+        definite = all(
+            leibniz_det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1)
+        )
+        try:
+            L = EuclideanLattice(g)
+        except ValueError:
+            assert not definite
+        else:
+            assert definite
+            assert L.determinant() == leibniz_det(g)
+        verdicts[definite] += 1
+    assert min(verdicts.values()) >= 50
+    with pytest.raises(ValueError):
+        EuclideanLattice([[1, 1], [1, 1]])  # semidefinite, pivots 1 and 0
+    with pytest.raises(ValueError):
+        EuclideanLattice([[1, 0], [0, -1]])  # indefinite
+
+
+def test_ldl_reconstructs_gram(rng):
+    lattices = [random_gram(r, rng) for r in range(1, 7) for _ in range(5)]
+    lattices.append(diagonal(Fraction(1, 4), 3, Fraction(7, 2)))
+    for L in lattices:
+        d, u = L._memo["ldl"]
+        r = L.rank
+        assert len(d) == r and all(x > 0 for x in d)
+        assert all(u[i][i] == 1 and not any(u[i][:i]) for i in range(r))
+        for i in range(r):
+            for j in range(r):
+                assert sum(u[k][i] * d[k] * u[k][j] for k in range(r)) == L.gram[i][j]
+
+
+def test_lll_output_is_size_reduced_and_lovasz():
+    rng = random.Random(4104)
+    half, delta = Fraction(1, 2), Fraction(3, 4)
+    for r in range(2, 9):
+        for _ in range(40 if r <= 6 else 10):
+            L = random_gram(r, rng)
+            reduced, t = L._lll()
+            g = reduced.gram
+            tg = [[sum(t[i][a] * L.gram[a][b] for a in range(r)) for b in range(r)] for i in range(r)]
+            assert all(
+                g[i][j] == sum(tg[i][b] * t[j][b] for b in range(r))
+                for i in range(r)
+                for j in range(r)
+            )
+            assert reduced.determinant() == L.determinant()  # T is unimodular
+            # G = U^T D U determines the Gram-Schmidt data: |b*_i|^2 = d_i, mu_ij = u_ji
+            d, u = _ldl(g)
+            assert all(abs(u[j][i]) <= half for i in range(r) for j in range(i))
+            assert all(d[k] >= (delta - u[k - 1][k] ** 2) * d[k - 1] for k in range(1, r))

@@ -1,8 +1,12 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import leibniz_det
 from hnbounds import FiberedSeries, ToricSeries
+from hnbounds._exact import det, rank
 
 
 UNIT_SQUARE = ToricSeries([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -285,3 +289,54 @@ def test_fibered_validation_and_json():
     assert FiberedSeries.from_json(F.to_json()) == F
     with pytest.raises(ValueError):
         FiberedSeries(1, 2, 1).trapezoid()  # a < e*b is degenerate
+
+
+# -- the exact row reduction behind volumes, normals and ranks ------------------
+
+
+def _random_matrix(rng, rows, cols):
+    """Small rationals, many zeros; often one row is a combination of two others."""
+    entries = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    m = [[Fraction(rng.choice(entries)) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and rng.random() < 0.4:
+        i, j, k = rng.sample(range(rows), 3)
+        a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-2, 2)
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def test_det_matches_leibniz_expansion():
+    rng = random.Random(4101)
+    singular = 0
+    for n in range(1, 6):
+        for _ in range(40):
+            m = _random_matrix(rng, n, n)
+            expected = leibniz_det(m)
+            assert det(m) == expected
+            singular += expected == 0
+    assert 20 <= singular <= 150  # both kinds are exercised
+    assert det([]) == 1
+
+
+def _largest_nonzero_minor(m):
+    rows, cols = len(m), len(m[0])
+    for k in range(min(rows, cols), 0, -1):
+        for ri in itertools.combinations(range(rows), k):
+            for ci in itertools.combinations(range(cols), k):
+                if leibniz_det([[m[i][j] for j in ci] for i in ri]):
+                    return k
+    return 0
+
+
+def test_rank_matches_largest_nonzero_minor():
+    rng = random.Random(4102)
+    seen = set()
+    for rows in range(1, 5):
+        for cols in range(1, 5):
+            for _ in range(12):
+                m = _random_matrix(rng, rows, cols)
+                expected = _largest_nonzero_minor(m)
+                assert rank(m) == expected
+                seen.add((expected, min(rows, cols)))
+    # full and deficient ranks, including the zero matrix, are all exercised
+    assert {(0, 1), (1, 2), (2, 3), (3, 4), (4, 4)} <= seen
