@@ -81,8 +81,7 @@ class CheckReport:
 
     @classmethod
     def compare(cls, name: str, lhs: Scalar, rhs: Scalar, context=None) -> "CheckReport":
-        margin = rhs - lhs
-        return cls(name, lhs, rhs, margin, margin.certified_nonneg(), dict(context or {}))
+        return cls.with_margin(name, lhs, rhs, rhs - lhs, context)
 
     @classmethod
     def with_margin(cls, name, lhs, rhs, margin, context=None) -> "CheckReport":

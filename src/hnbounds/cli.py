@@ -22,6 +22,8 @@ assembled in a fixed order either way).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import os
 import random
@@ -36,7 +38,7 @@ from .hn import hn_from_json
 from .lattices import EnumerationBudgetError, EuclideanLattice, random_gram
 from .scalars import CertificationError, Scalar
 from .series import FiberedSeries
-from .towers import epsilon, epsilon_tilde, rescale, tower_from_json, AffineFunction
+from .towers import Tower, TowerData, epsilon, epsilon_tilde, rescale, tower_from_json, AffineFunction
 from .bounds import CheckReport, reports_to_csv, reports_to_json
 
 SUITES = ("geometric", "filtered", "lattice", "arithmetic", "epsilon", "polygon")
@@ -182,28 +184,17 @@ def suite_lattice(params, rng) -> list[CheckReport]:
     trials = params.get("trials", 50)
     grams = [random_gram(rank, rng).to_json() for _ in range(trials)]
     nested = _run_checks([(_lattice_checks, g) for g in grams])
-    out = []
-    for i, triple in enumerate(nested):
-        for rep in triple:
-            out.append(
-                CheckReport(
-                    f"{rep.name} trial={i:04d}",
-                    rep.lhs,
-                    rep.rhs,
-                    rep.margin,
-                    rep.passed,
-                    rep.context,
-                )
-            )
-    return out
+    return [
+        dataclasses.replace(rep, name=f"{rep.name} trial={i:04d}")
+        for i, triple in enumerate(nested)
+        for rep in triple
+    ]
 
 
 def suite_arithmetic(params, rng) -> list[CheckReport]:
     max_rank = params.get("max_rank", 4)
     entries = [Fraction(e) for e in params.get("entries", ["1/4", "1", "4"])]
     reports = []
-    import itertools
-
     for rank in range(1, max_rank + 1):
         for diag in itertools.product(entries, repeat=rank):
             gram = [
@@ -215,8 +206,6 @@ def suite_arithmetic(params, rng) -> list[CheckReport]:
 
 
 def _random_tower(rng):
-    from .towers import Tower, TowerData
-
     depth = rng.randint(0, 3)
     genera = tuple(rng.randint(0, 4) for _ in range(depth + 1))
     mu = tuple(Scalar.exact(Fraction(rng.randint(0, 12), rng.randint(1, 4))) for _ in range(depth + 1))
@@ -225,8 +214,6 @@ def _random_tower(rng):
 
 
 def suite_epsilon(params, rng) -> list[CheckReport]:
-    from .towers import Tower, TowerData
-
     trials = params.get("trials", 100)
     p_max = params.get("p_max", 5)
     reports = []

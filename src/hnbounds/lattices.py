@@ -265,30 +265,19 @@ class EuclideanLattice:
         """Exact-rational LLL; returns (reduced lattice, transform rows).
 
         transform[i] is the coordinate vector of the i-th reduced basis
-        vector in the original basis.  Heuristic only: callers use the
-        reduced Gram to shrink enumeration regions, never to certify.
+        vector in the original basis.  The only other state is the
+        Gram-Schmidt data |b*_i|^2 = d[i] and mu[i][j] (j < i), copied from
+        the memoized LDL and updated in place, never recomputed: size
+        reduction leaves d unchanged and a swap is Cohen's rational update
+        (Alg. 2.6.3).  b_k is size-reduced against every j < k before the
+        Lovasz test.  Heuristic only: callers use the reduced Gram to shrink
+        enumeration regions, never to certify.
         """
         r = self.rank
-        basis = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-        gram = [[self.gram[i][j] for j in range(r)] for i in range(r)]
-
-        def swap(k):
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            gram[k], gram[k - 1] = gram[k - 1], gram[k]
-            for row in gram:
-                row[k], row[k - 1] = row[k - 1], row[k]
-
-        def translate(k, j, q):
-            # b_k -= q b_j
-            for t in range(r):
-                basis[k][t] -= q * basis[j][t]
-            for t in range(r):
-                gram[k][t] -= q * gram[j][t]
-            for t in range(r):
-                gram[t][k] -= q * gram[t][j]
-
-        # Gram-Schmidt data: |b*_i|^2 = d[i] and mu_ki = u[i][k] (i < k)
-        d, u = _ldl(gram)
+        d, u = self._memo["ldl"]
+        d = list(d)
+        mu = [[u[j][i] for j in range(i)] for i in range(r)]
+        basis = [[int(i == j) for j in range(r)] for i in range(r)]
         k = 1
         steps = 0
         while k < r:
@@ -296,19 +285,32 @@ class EuclideanLattice:
             if steps > 10_000:
                 break  # heuristic step cap; correctness is unaffected
             for j in range(k - 1, -1, -1):
-                q = round(u[j][k])
-                if q:
-                    translate(k, j, q)
-                    for i in range(j):  # mu_ki -= q mu_ji for the i still to visit
-                        u[i][k] -= q * u[i][j]
-            d, u = _ldl(gram)
-            if d[k] >= (delta - u[k - 1][k] ** 2) * d[k - 1]:
+                q = round(mu[k][j])
+                if q:  # b_k -= q b_j
+                    basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
+                    mu[k][j] -= q
+                    for i in range(j):
+                        mu[k][i] -= q * mu[j][i]
+            m = mu[k][k - 1]
+            if d[k] >= (delta - m**2) * d[k - 1]:
                 k += 1
-            else:
-                swap(k)
-                d, u = _ldl(gram)
-                k = max(k - 1, 1)
-        reduced = EuclideanLattice(gram)
+                continue
+            # swap b_(k-1) and b_k
+            big = d[k] + m**2 * d[k - 1]
+            new = m * d[k - 1] / big
+            d[k - 1], d[k] = big, d[k - 1] * d[k] / big
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
+            mu[k - 1], mu[k] = mu[k][: k - 1], mu[k - 1] + [new]
+            for i in range(k + 1, r):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + new * mu[i][k]
+            k = max(k - 1, 1)
+        g = self.gram
+        gb = [[sum(x * y for x, y in zip(row, b)) for row in g] for b in basis]
+        reduced = EuclideanLattice(
+            [[sum(x * y for x, y in zip(a, c)) for c in gb] for a in basis]
+        )
         return reduced, basis
 
     # -- serialization ---------------------------------------------------------

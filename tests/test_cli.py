@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import hnbounds
 from hnbounds import cli
 from hnbounds.bounds import PrecisionBudgetError
 from hnbounds.cli import run_config, validate_config, ConfigError
@@ -12,7 +13,10 @@ from hnbounds.scalars import CertificationError
 
 
 def run_cli(args, env_extra=None):
+    # the child imports the same hnbounds as this process, installed or not
+    src = os.path.dirname(os.path.dirname(hnbounds.__file__))
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -103,6 +103,11 @@ def brute_minima_squared(L):
         for v in itertools.product(*[range(-b, b + 1) for b in box])
         if any(v)
     )
+    return _greedy_minima(vecs, r)
+
+
+def _greedy_minima(vecs, r):
+    """Norms of the first r independent vectors of a norm-sorted list."""
     out, basis = [], []
     for q, v in vecs:
         cand = basis + [[Fraction(x) for x in v]]
@@ -137,12 +142,22 @@ def test_minima_against_box_sweep(rng):
             assert L.minima_norms_squared() == brute_minima_squared(L)
 
 
+def test_minima_against_unreduced_enumeration(rng):
+    # the bound max G_ii of the successive_minima docstring, in the original basis
+    for rank in (4, 5):
+        for _ in range(8):
+            L = random_gram(rank, rng)
+            bound = max(L.gram[i][i] for i in range(rank))
+            vecs = sorted((q, v) for q, v in L._short_vectors(bound) if any(v))
+            assert L.minima_norms_squared() == _greedy_minima(vecs, rank)
+
+
 def test_minima_sorted_decreasing(rng):
+    # lambda_i = -(1/2) ln q_i decreases as the exact squared norms q_i grow
     for _ in range(30):
         L = random_gram(3, rng)
-        lams = L.successive_minima()
-        mids = [l.midpoint() for l in lams]
-        assert all(a >= b - 1e-12 for a, b in zip(mids, mids[1:]))
+        squares = L.minima_norms_squared()
+        assert squares == sorted(squares)
 
 
 # -- slope invariants -----------------------------------------------------------------
@@ -191,7 +206,7 @@ def test_orthogonal_minima_match_slopes():
         lams = L.successive_minima()
         assert len(slopes) == len(lams)
         for s, lam in zip(slopes, lams):
-            assert s.midpoint() == pytest.approx(lam.midpoint(), abs=1e-25)
+            assert s.bounds() == lam.bounds()
 
 
 def test_rank2_mu_max_examples():
@@ -207,10 +222,12 @@ def test_rank2_mu_max_examples():
 def test_rank2_mu_max_dominates_both_branches(rng):
     for _ in range(30):
         L = random_gram(2, rng)
-        mu = L.rank2_mu_max()
+        mu_lo, mu_hi = L.rank2_mu_max().bounds()
         shortest = L.minima_norms_squared()[0]
-        assert mu.midpoint() >= -0.5 * math.log(float(shortest)) - 1e-12
-        assert mu.midpoint() >= L.arakelov_degree().midpoint() / 2 - 1e-12
+        lam1 = Scalar.exact(0) - Scalar.exact(Fraction(1, 2)) * log_scalar(shortest)
+        for branch in (lam1, L.arakelov_degree() / Scalar.exact(2)):
+            lo, hi = branch.bounds()
+            assert mu_lo >= lo and mu_hi >= hi
 
 
 # -- budget and validation ----------------------------------------------------------
@@ -366,19 +383,22 @@ def test_ldl_reconstructs_gram(rng):
 def test_lll_output_is_size_reduced_and_lovasz():
     rng = random.Random(4104)
     half, delta = Fraction(1, 2), Fraction(3, 4)
-    for r in range(2, 9):
-        for _ in range(40 if r <= 6 else 10):
-            L = random_gram(r, rng)
-            reduced, t = L._lll()
-            g = reduced.gram
-            tg = [[sum(t[i][a] * L.gram[a][b] for a in range(r)) for b in range(r)] for i in range(r)]
-            assert all(
-                g[i][j] == sum(tg[i][b] * t[j][b] for b in range(r))
-                for i in range(r)
-                for j in range(r)
-            )
-            assert reduced.determinant() == L.determinant()  # T is unimodular
-            # G = U^T D U determines the Gram-Schmidt data: |b*_i|^2 = d_i, mu_ij = u_ji
-            d, u = _ldl(g)
-            assert all(abs(u[j][i]) <= half for i in range(r) for j in range(i))
-            assert all(d[k] >= (delta - u[k - 1][k] ** 2) * d[k - 1] for k in range(1, r))
+    lattices = [random_gram(r, rng) for r in range(2, 9) for _ in range(40 if r <= 6 else 10)]
+    # rational Grams, so the swap divides non-integer pivots
+    lattices += [random_gram(r, rng).scale(Fraction(1, k)) for r in range(2, 7) for k in (2, 3, 5)]
+    for L in lattices:
+        r = L.rank
+        reduced, t = L._lll()
+        g = reduced.gram
+        tg = [[sum(t[i][a] * L.gram[a][b] for a in range(r)) for b in range(r)] for i in range(r)]
+        assert all(
+            g[i][j] == sum(tg[i][b] * t[j][b] for b in range(r))
+            for i in range(r)
+            for j in range(r)
+        )
+        assert reduced.determinant() == L.determinant()  # T is unimodular
+        assert reduced.h0_count() == L.h0_count()
+        # G = U^T D U determines the Gram-Schmidt data: |b*_i|^2 = d_i, mu_ij = u_ji
+        d, u = _ldl(g)
+        assert all(abs(u[j][i]) <= half for i in range(r) for j in range(i))
+        assert all(d[k] >= (delta - u[k - 1][k] ** 2) * d[k - 1] for k in range(1, r))
