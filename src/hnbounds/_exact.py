@@ -1,54 +1,95 @@
-"""The package's one exact row reduction over the rationals.
+"""The package's one exact row reduction: Bareiss's fraction-free elimination.
 
-``det`` and ``rank`` are two views of the same forward elimination, so every
-determinant and rank in :mod:`hnbounds.series` and :mod:`hnbounds.lattices`
-comes from one routine.  Entries are ints or ``Fraction``s.
+Rows enter one at a time (:class:`Echelon`).  Each is reduced against the
+pivot rows before it by ``row <- (p_k row - row[c_k] P_k) // p_(k-1)``, where
+``P_k`` is the k-th pivot row, ``c_k`` its pivot column and ``p_k`` its
+pivot entry.  By Sylvester's identity every entry of the reduced row is a
+minor of the input, so each ``//`` is exact and every number stays an
+integer (Bareiss 1968).  ``det`` and ``rank`` are views of that routine, and
+so are the leading minors of a Gram matrix in :mod:`hnbounds.lattices` and
+the independence test of its successive minima.  Entries are ints or
+``Fraction``s; rational rows are scaled to integer rows first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm
 
-__all__ = ["det", "rank"]
+__all__ = ["Echelon", "det", "rank"]
 
 
-def _eliminate(rows) -> tuple[list[Fraction], int]:
-    """Forward-eliminate a copy of ``rows``: (pivots, sign of the row swaps).
+class Echelon:
+    """A fraction-free row echelon form, grown one row at a time.
 
-    len(pivots) is the rank; for a square matrix of full rank, the sign
-    times the product of the pivots is the determinant.
+    ``rows[k]`` is the k-th pivot row, reduced against the pivot rows before
+    it, with pivot column ``cols[k]`` (its first nonzero entry).  Its entry
+    in column j is the minor of the input on the rows of pivots 0..k and the
+    columns ``cols[0..k-1]`` and j.  For a Gram matrix whose leading minors
+    are all nonzero, pivot k sits in column k, ``rows[k][k]`` is the
+    (k+1)-th leading minor and ``rows[k][j]`` (j > k) is lambda_jk.
     """
-    rows = [list(row) for row in rows]
-    cols = len(rows[0]) if rows else 0
-    pivots: list[Fraction] = []
-    sign = 1
-    for col in range(cols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            sign = -sign
-        top = rows[r]
-        p = Fraction(top[col])  # int entries stay exact: int / Fraction is a Fraction
-        pivots.append(p)
-        for i in range(r + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / p
-                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
-    return pivots, sign
+
+    def __init__(self):
+        self.rows: list[list[int]] = []
+        self.cols: list[int] = []
+
+    def reduce(self, row) -> list[int]:
+        """The integer row reduced against every pivot row, as a new list."""
+        row = list(row)
+        prev = 1
+        for top, c in zip(self.rows, self.cols):
+            f = row[c]
+            p = top[c]
+            if f:
+                row = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif prev != p:
+                row = [p * x // prev for x in row]
+            prev = p
+        return row
+
+    def add(self, row) -> bool:
+        """Reduce an integer row and keep it if it is independent of the
+        pivot rows; return whether it was kept."""
+        row = self.reduce(row)
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            return False
+        self.rows.append(row)
+        self.cols.append(col)
+        return True
+
+
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those
+    multipliers."""
+    out = []
+    scale = 1
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
+        scale *= m
+    return out, scale
 
 
 def det(rows) -> Fraction:
     """Determinant of a square matrix (1 for the empty matrix), exact."""
-    pivots, sign = _eliminate(rows)
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    return sign * prod(pivots, start=Fraction(1))
+    ints, scale = _integer_rows(rows)
+    e = Echelon()
+    for row in ints:
+        if not e.add(row):
+            return Fraction(0)
+    if not e.rows:
+        return Fraction(1)
+    # the last pivot is the determinant with the columns taken in pivot order
+    cols = e.cols
+    sign = -1 if sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :]) % 2 else 1
+    return Fraction(sign * e.rows[-1][cols[-1]], scale)
 
 
 def rank(rows) -> int:
     """Rank of a (possibly non-square) matrix, exact."""
-    return len(_eliminate(rows)[0])
+    e = Echelon()
+    for row in _integer_rows(rows)[0]:
+        e.add(row)
+    return len(e.rows)

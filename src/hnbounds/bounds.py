@@ -456,7 +456,10 @@ def circle_sup_norm(p: IntPolynomial, precision: Fraction) -> Scalar:
     is a lower bound, and the Bernstein derivative bound ||p'|| <= deg ||p||
     certifies norm <= grid_max / (1 - pi deg / N) between grid points.  N
     doubles until the width target is met; an unreachable target raises
-    :class:`PrecisionBudgetError`.
+    :class:`PrecisionBudgetError`.  The first grid with N > 4 deg is
+    evaluated in full; a doubled grid keeps the bracket of the points it
+    shares with the coarser one (``_cos_table(2N)[2k]`` is the bracket of
+    ``cos_2pi(k / N)``) and evaluates only the odd j.
     """
     precision = Fraction(precision)
     if precision <= 0:
@@ -471,27 +474,33 @@ def circle_sup_norm(p: IntPolynomial, precision: Fraction) -> Scalar:
 
     corr = p.autocorrelation()
     n_grid = 64
-    while n_grid <= _MAX_GRID:
-        if n_grid > 4 * deg:
-            low, high = _grid_bounds(corr, deg, n_grid)
-            low = max(low, lo_frac)
-            high = min(high, hi_frac)
-            if high - low <= precision:
-                return Scalar.from_fraction_bounds(low, high)
+    while n_grid <= 4 * deg:
         n_grid *= 2
-    raise PrecisionBudgetError(
-        f"cannot certify the circle norm to width {precision} within the grid budget"
-    )
+    squares = _grid_squares(corr, n_grid, range(n_grid // 2 + 1))
+    while True:
+        low, high = _grid_bounds(squares, deg, n_grid)
+        low = max(low, lo_frac)
+        high = min(high, hi_frac)
+        if high - low <= precision:
+            return Scalar.from_fraction_bounds(low, high)
+        n_grid *= 2
+        if n_grid > _MAX_GRID:
+            raise PrecisionBudgetError(
+                f"cannot certify the circle norm to width {precision} within the grid budget"
+            )
+        odd = _grid_squares(corr, n_grid, range(1, n_grid // 2, 2))
+        squares = (max(squares[0], odd[0]), max(squares[1], odd[1]))
 
 
-def _grid_bounds(corr, deg, n_grid) -> tuple[Fraction, Fraction]:
+def _grid_bounds(squares, deg, n_grid) -> tuple[Fraction, Fraction]:
     """(lower, upper) bounds for the sup norm from an N-point grid.
 
-    The square root of the integer bracket of :func:`_grid_squares` encloses
-    the grid maximum, a lower bound for the norm; the Bernstein certificate
-    divides its upper end by 1 - pi deg / N.
+    The square root of the integer bracket ``squares`` of the grid maximum
+    of |p|^2 (from :func:`_grid_squares`) encloses the grid maximum, a lower
+    bound for the norm; the Bernstein certificate divides its upper end by
+    1 - pi deg / N.
     """
-    sq_lo, sq_hi = _grid_squares(corr, n_grid)
+    sq_lo, sq_hi = squares
     grid_max = sqrt_interval(
         Scalar.from_fraction_bounds(Fraction(sq_lo, _FIXED_ONE), Fraction(sq_hi, _FIXED_ONE))
     )
@@ -503,14 +512,14 @@ def _grid_bounds(corr, deg, n_grid) -> tuple[Fraction, Fraction]:
     return grid_max.bounds()[0], upper.bounds()[1]
 
 
-def _grid_squares(corr, n_grid) -> tuple[int, int]:
-    """Integers lo <= 2^B max_j |p(e^{2 pi i j/N})|^2 <= hi, B = ``_FIXED_BITS``.
+def _grid_squares(corr, n_grid, js) -> tuple[int, int]:
+    """Integers lo <= 2^B max_(j in js) |p(e^{2 pi i j/N})|^2 <= hi, B = ``_FIXED_BITS``.
 
     |p(e^{2 pi i j/N})|^2 = c_0 + sum_m 2 c_m cos(2 pi j m / N) is bracketed
     in exact integers: each term takes the low end of the ``_cos_table``
     bracket when 2 c_m > 0 and the high end otherwise (and the reverse for
     the upper sum), so nothing is rounded.  Real coefficients give
-    |p(conj z)| = |p(z)|, so only j <= N/2 is visited.
+    |p(conj z)| = |p(z)|, so js need hold only j <= N/2.
     """
     table = _cos_table(n_grid)
     half = n_grid // 2
@@ -518,7 +527,7 @@ def _grid_squares(corr, n_grid) -> tuple[int, int]:
     positive = [(m, 2 * c) for m, c in enumerate(corr) if m and c > 0]
     negative = [(m, 2 * c) for m, c in enumerate(corr) if m and c < 0]
     sq_lo = sq_hi = 0
-    for j in range(half + 1):
+    for j in js:
         acc_lo = acc_hi = c0
         for m, c in positive:
             k = j * m % n_grid

@@ -1,11 +1,16 @@
 """Euclidean lattices over Z with exact enumeration-backed invariants.
 
 A lattice is Z^r equipped with a symmetric positive-definite rational Gram
-matrix.  Short-vector counts and successive minima are computed by exact
-Fincke-Pohst enumeration over a rational LDL decomposition, so every count is
-a theorem, not a float.  An exact-arithmetic LLL reduction is applied first
-as a heuristic to shrink the search region; it never enters the certification
-path (the enumeration bound is taken from whichever basis is in use).
+matrix G.  The constructor clears denominators once, A = den G with den the
+lcm of the entry denominators, and keeps A's Gram-Schmidt data in integers:
+the leading minors Delta_0 = 1, ..., Delta_r and lambda_ij = Delta_(j+1) mu_ij,
+read off the pivot rows of the package's one fraction-free (Bareiss)
+elimination.  Short-vector counts and successive minima come from an integer
+Fincke-Pohst enumeration over that data, so every count is a theorem, not a
+float.  Each lattice is reduced once by the integral LLL of Cohen (Alg.
+2.6.7), memoized and shared by the count and the minima; the reduction only
+shrinks the search region and never enters the certification path (the
+enumeration bound is taken from whichever basis is in use).
 
 Logarithmic invariants (log-counts, Euler characteristic, Arakelov degree,
 the rank-n comparison constant of Gillet-Soule type) are certified intervals.
@@ -21,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isqrt, prod
+from math import isqrt, lcm
 
-from ._exact import det, rank
+from ._exact import Echelon, det
 from .hn import HNType, make_hn_type
 from .scalars import (
     Scalar,
@@ -50,14 +55,6 @@ class EnumerationBudgetError(RuntimeError):
     """The exact enumeration would exceed the configured budget."""
 
 
-def _frac_isqrt_floor(x: Fraction) -> int:
-    """floor(sqrt(x)) for a nonnegative rational, exact."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    # floor(sqrt(p/q)) = floor(sqrt(p*q)/q)
-    return isqrt(x.numerator * x.denominator) // x.denominator
-
-
 @dataclass(frozen=True)
 class EuclideanLattice:
     """Z^r with a symmetric positive-definite rational Gram matrix."""
@@ -73,13 +70,28 @@ class EuclideanLattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        # Sylvester: the leading minors are the partial products of the LDL
-        # pivots, so all of them are > 0 iff every pivot is.
-        d, u = _ldl(rows)
-        if len(d) < r:
-            raise ValueError("Gram matrix must be positive definite")
+        # A = den G in integers; its pivot rows give the leading minors
+        # Delta_i and lambda.  Sylvester: G is definite iff every Delta_i > 0,
+        # and then pivot i sits in column i.
+        den = lcm(*(x.denominator for row in rows for x in row))
+        a = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        e = Echelon()
+        for i, row in enumerate(a):
+            if not (e.add(row) and e.cols[i] == i and e.rows[i][i] > 0):
+                raise ValueError("Gram matrix must be positive definite")
+        delta = [1] + [e.rows[i][i] for i in range(r)]
+        lam = [[e.rows[j][i] for j in range(i)] for i in range(r)]
         object.__setattr__(self, "gram", rows)
-        object.__setattr__(self, "_memo", {"ldl": (d, u)})
+        object.__setattr__(self, "_memo", {"gso": (den, a, delta, lam)})
+
+    @classmethod
+    def _from_gso(cls, den, a, delta, lam) -> "EuclideanLattice":
+        """The lattice of Gram a / den whose minors and lambda are known."""
+        self = object.__new__(cls)
+        gram = tuple(tuple(Fraction(x, den) for x in row) for row in a)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_memo", {"gso": (den, a, delta, lam)})
+        return self
 
     # -- basic invariants --------------------------------------------------
 
@@ -88,18 +100,17 @@ class EuclideanLattice:
         return len(self.gram)
 
     def determinant(self) -> Fraction:
-        return prod(self._memo["ldl"][0])
+        den, _, delta, _ = self._memo["gso"]
+        return Fraction(delta[-1], den**self.rank)
 
     def norm2(self, v) -> Fraction:
         """The quadratic form v^T G v, exact."""
-        g = self.gram
-        r = self.rank
-        total = Fraction(0)
-        for i in range(r):
-            if v[i]:
-                row = g[i]
-                total += v[i] * sum(row[j] * v[j] for j in range(r))
-        return total
+        den, a, _, _ = self._memo["gso"]
+        total = 0
+        for x, row in zip(v, a):
+            if x:
+                total += x * sum(y * z for y, z in zip(row, v))
+        return Fraction(total, den)
 
     def is_diagonal(self) -> bool:
         return all(
@@ -120,8 +131,9 @@ class EuclideanLattice:
         """Number of lattice vectors with norm <= 1 (the origin included)."""
         if "h0_count" not in self._memo:
             self._check_budget()
+            reduced, _ = self._lll()
             count = 0
-            for _, v in self._short_vectors(Fraction(1)):
+            for _, v in reduced._short_vectors(Fraction(1)):
                 count += 2 if any(v) else 1  # enumeration yields one of each +-v pair
             self._memo["h0_count"] = count
         return self._memo["h0_count"]
@@ -139,30 +151,37 @@ class EuclideanLattice:
         realized inside that ball (the LLL-reduced basis usually gives a much
         smaller one).
         """
-        squares = self.minima_norms_squared()
-        half = Scalar.exact(Fraction(1, 2))
-        return [Scalar.exact(0) - half * log_scalar(q) for q in squares]
+        if "log_minima" not in self._memo:
+            half = Scalar.exact(Fraction(1, 2))
+            self._memo["log_minima"] = tuple(
+                Scalar.exact(0) - half * log_scalar(q) for q in self.minima_norms_squared()
+            )
+        return list(self._memo["log_minima"])
 
     def minima_norms_squared(self) -> list[Fraction]:
-        """Squared norms of the successive minima, exact rationals."""
-        if "minima" in self._memo:
-            return list(self._memo["minima"])
-        self._check_budget()
-        reduced, _ = self._lll()
-        bound = max(reduced.gram[i][i] for i in range(self.rank))
-        vectors = sorted(
-            (q, v) for q, v in reduced._short_vectors(bound) if any(v)
-        )
-        out: list[Fraction] = []
-        basis: list[tuple[int, ...]] = []
-        for q, v in vectors:
-            if rank(basis + [v]) > len(basis):
-                out.append(q)
-                basis.append(v)
-                if len(out) == self.rank:
-                    self._memo["minima"] = tuple(out)
-                    return out
-        raise AssertionError("enumeration ball failed to span; bound too small")
+        """Squared norms of the successive minima, exact rationals.
+
+        Candidates are taken in order of norm and kept when independent of
+        those kept before, tested against their fraction-free echelon form.
+        """
+        if "minima" not in self._memo:
+            self._check_budget()
+            reduced, _ = self._lll()
+            bound = max(reduced.gram[i][i] for i in range(self.rank))
+            vectors = sorted(
+                (q, v) for q, v in reduced._short_vectors(bound) if any(v)
+            )
+            kept = Echelon()
+            out = []
+            for q, v in vectors:
+                if kept.add(v):
+                    out.append(q)
+                    if len(out) == self.rank:
+                        break
+            else:
+                raise AssertionError("enumeration ball failed to span; bound too small")
+            self._memo["minima"] = tuple(out)
+        return list(self._memo["minima"])
 
     # -- slope-theoretic invariants -----------------------------------------
 
@@ -221,62 +240,84 @@ class EuclideanLattice:
     def _short_vectors(self, bound: Fraction):
         """Yield (norm2, coords) over all v with v^T G v <= bound.
 
-        One representative per +-v pair is yielded, with coordinates in the
-        lattice's own basis, plus the zero vector.  Exact throughout.
+        One representative per +-v pair is yielded (its last nonzero
+        coordinate is negative), with coordinates in the lattice's own basis,
+        plus the zero vector.  Integer Fincke-Pohst: with s_l = Delta_(l+1)
+        x_l + sum_(j>l) lambda_jl x_j, the form is den v^T G v = sum_l
+        s_l^2 / (Delta_l Delta_(l+1)).  Scaled by M = lcm(Delta_l Delta_(l+1)),
+        every term is w_l s_l^2 with w_l = M / (Delta_l Delta_(l+1)) an
+        integer, so v^T G v <= bound iff the terms sum to at most
+        floor(den M bound).  Each level's range of x_l is then exact,
+        |s_l| <= isqrt(remaining // w_l), and no per-x test is made.  One
+        Fraction is built per yielded vector, for its norm.
         """
         r = self.rank
-        d, u = self._memo["ldl"]
+        den, _, delta, lam = self._memo["gso"]
+        bound = Fraction(bound)
+        m = lcm(*(delta[l] * delta[l + 1] for l in range(r)))
+        weights = [m // (delta[l] * delta[l + 1]) for l in range(r)]
+        scale = den * m
+        total = bound.numerator * scale // bound.denominator
         yield (Fraction(0), tuple([0] * r))
         coords = [0] * r
+        tops = [0] * r  # the last x to visit at each level
+        centers = [0] * r  # sum_(j>l) lambda_jl x_j
+        remaining = [0] * r + [total]  # remaining[l + 1]: budget for levels <= l
         nodes = 0
-
-        def centers(level):
-            return sum(u[level][j] * coords[j] for j in range(level + 1, r))
-
-        def descend(level, remaining):
-            nonlocal nodes
+        level = r
+        while True:
+            if level < r and coords[level] < tops[level]:  # next x at this level
+                x = coords[level] = coords[level] + 1
+                s = delta[level + 1] * x + centers[level]
+                left = remaining[level + 1] - weights[level] * s * s
+                if level:
+                    remaining[level] = left
+                else:
+                    yield (Fraction(total - left, scale), tuple(coords))
+                    continue
+            elif level < r:  # level done: back up
+                coords[level] = 0
+                level += 1
+                if level == r:
+                    return
+                continue
+            # enter the level below
             nodes += 1
             if nodes > MAX_NODES:
                 raise EnumerationBudgetError("enumeration node budget exceeded")
-            c = centers(level)
-            radius2 = remaining / d[level]
-            root = _frac_isqrt_floor(radius2)
-            lo = ceil(-c) - root - 1
-            hi = floor(-c) + root + 1
-            for x in range(lo, hi + 1):
-                step = d[level] * (x + c) ** 2
-                if step > remaining:
-                    continue
-                coords[level] = x
-                if level == 0:
-                    v = tuple(coords)
-                    if any(v):
-                        neg = tuple(-y for y in v)
-                        if v > neg:
-                            continue
-                        yield (bound - remaining + step, v)
-                else:
-                    yield from descend(level - 1, remaining - step)
-            coords[level] = 0
+            level -= 1
+            c = sum(lam[j][level] * coords[j] for j in range(level + 1, r))
+            t = isqrt(remaining[level + 1] // weights[level])
+            dl = delta[level + 1]
+            centers[level] = c
+            coords[level] = -((t + c) // dl) - 1
+            if c == 0 and not any(coords[level + 1 :]):
+                tops[level] = 0 if level else -1  # -v is counted with v; skip 0
+            else:
+                tops[level] = (t - c) // dl
 
-        yield from descend(r - 1, bound)
-
-    def _lll(self, delta: Fraction = Fraction(3, 4)):
-        """Exact-rational LLL; returns (reduced lattice, transform rows).
+    def _lll(self):
+        """Integral LLL (Cohen, Alg. 2.6.7); returns (reduced lattice,
+        transform rows), memoized.
 
         transform[i] is the coordinate vector of the i-th reduced basis
-        vector in the original basis.  The only other state is the
-        Gram-Schmidt data |b*_i|^2 = d[i] and mu[i][j] (j < i), copied from
-        the memoized LDL and updated in place, never recomputed: size
-        reduction leaves d unchanged and a swap is Cohen's rational update
-        (Alg. 2.6.3).  b_k is size-reduced against every j < k before the
-        Lovasz test.  Heuristic only: callers use the reduced Gram to shrink
-        enumeration regions, never to certify.
+        vector in the original basis.  The only other state is the integer
+        Gram-Schmidt data Delta and lambda, copied from the lattice and
+        updated in place, never recomputed: size reduction b_k -= q b_j, with
+        q = round(lambda_kj / Delta_(j+1)) (ties to even), leaves Delta
+        unchanged, and a swap is Cohen's SWAPI with exact integer division.
+        b_k is size-reduced against every j < k before the Lovasz test
+        4 (Delta_(k+1) Delta_(k-1) + lambda^2) >= 3 Delta_k^2 (delta = 3/4).
+        The reduced lattice takes its data from here.  Heuristic only:
+        callers use the reduced Gram to shrink enumeration regions, never to
+        certify.
         """
+        if "lll" in self._memo:
+            return self._memo["lll"]
         r = self.rank
-        d, u = self._memo["ldl"]
-        d = list(d)
-        mu = [[u[j][i] for j in range(i)] for i in range(r)]
+        den, a, delta, lam = self._memo["gso"]
+        delta = list(delta)
+        lam = [list(row) for row in lam]
         basis = [[int(i == j) for j in range(r)] for i in range(r)]
         k = 1
         steps = 0
@@ -284,33 +325,36 @@ class EuclideanLattice:
             steps += 1
             if steps > 10_000:
                 break  # heuristic step cap; correctness is unaffected
+            lk = lam[k]
             for j in range(k - 1, -1, -1):
-                q = round(mu[k][j])
-                if q:  # b_k -= q b_j
+                if 2 * abs(lk[j]) > delta[j + 1]:  # else round(lambda/Delta) == 0
+                    q = round(Fraction(lk[j], delta[j + 1]))
                     basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
-                    mu[k][j] -= q
+                    lk[j] -= q * delta[j + 1]
+                    lj = lam[j]
                     for i in range(j):
-                        mu[k][i] -= q * mu[j][i]
-            m = mu[k][k - 1]
-            if d[k] >= (delta - m**2) * d[k - 1]:
+                        lk[i] -= q * lj[i]
+            l = lk[k - 1]
+            if 4 * (delta[k + 1] * delta[k - 1] + l * l) >= 3 * delta[k] ** 2:
                 k += 1
                 continue
             # swap b_(k-1) and b_k
-            big = d[k] + m**2 * d[k - 1]
-            new = m * d[k - 1] / big
-            d[k - 1], d[k] = big, d[k - 1] * d[k] / big
             basis[k - 1], basis[k] = basis[k], basis[k - 1]
-            mu[k - 1], mu[k] = mu[k][: k - 1], mu[k - 1] + [new]
+            lam[k - 1], lam[k] = lk[: k - 1], lam[k - 1] + [l]
+            dk, dk1 = delta[k], delta[k + 1]
+            big = (delta[k - 1] * dk1 + l * l) // dk
             for i in range(k + 1, r):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + new * mu[i][k]
+                li = lam[i]
+                t = li[k]
+                li[k] = (dk1 * li[k - 1] - l * t) // dk
+                li[k - 1] = (big * t + l * li[k]) // dk1
+            delta[k] = big
             k = max(k - 1, 1)
-        g = self.gram
-        gb = [[sum(x * y for x, y in zip(row, b)) for row in g] for b in basis]
-        reduced = EuclideanLattice(
-            [[sum(x * y for x, y in zip(a, c)) for c in gb] for a in basis]
+        ab = [[sum(x * y for x, y in zip(row, b)) for row in a] for b in basis]
+        reduced = EuclideanLattice._from_gso(
+            den, [[sum(x * y for x, y in zip(u, w)) for w in ab] for u in basis], delta, lam
         )
+        self._memo["lll"] = reduced, basis
         return reduced, basis
 
     # -- serialization ---------------------------------------------------------
@@ -321,25 +365,6 @@ class EuclideanLattice:
     @classmethod
     def from_json(cls, data) -> "EuclideanLattice":
         return cls([[Fraction(x) for x in row] for row in data])
-
-
-def _ldl(g):
-    """G = U^T D U with U unit upper triangular and D diagonal, exact.
-
-    Stops at the first pivot <= 0, so len(d) == len(g) iff G is positive
-    definite; u is then fully computed.
-    """
-    r = len(g)
-    d: list[Fraction] = []
-    u = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
-    for i in range(r):
-        di = g[i][i] - sum(d[k] * u[k][i] ** 2 for k in range(i))
-        if di <= 0:
-            break
-        d.append(di)
-        for j in range(i + 1, r):
-            u[i][j] = (g[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))) / di
-    return d, u
 
 
 @dataclass(frozen=True)

@@ -327,12 +327,43 @@ def test_fixed_point_grid_against_mpmath():
                     abs(mpmath.polyval(list(reversed(coeffs)), mpmath.expjpi(mpmath.mpf(2 * j) / n_grid)))
                     for j in range(n_grid)
                 )
-                sq_lo, sq_hi = _grid_squares(p.autocorrelation(), n_grid)
+                sq_lo, sq_hi = _grid_squares(p.autocorrelation(), n_grid, range(n_grid // 2 + 1))
                 square = scale * top**2
                 assert sq_lo <= square + unit and square - unit <= sq_hi
-                low, high = _grid_bounds(p.autocorrelation(), p.degree, n_grid)
+                low, high = _grid_bounds((sq_lo, sq_hi), p.degree, n_grid)
                 assert mpmath.mpf(low.numerator) / low.denominator <= top + mpmath.mpf("1e-30")
                 assert top <= mpmath.mpf(high.numerator) / high.denominator
+
+
+def test_doubled_grids_match_full_evaluation():
+    # a doubled grid reuses the coarser bracket and visits only the odd j; the
+    # reference evaluates every grid in full, and the intervals must be equal
+    import random
+
+    def full_grids(p, precision):
+        corr = p.autocorrelation()
+        lo_frac, hi_frac = Fraction(p.max_abs()), Fraction(p.sum_abs())
+        n_grid = 64
+        while True:
+            if n_grid > 4 * p.degree:
+                squares = _grid_squares(corr, n_grid, range(n_grid // 2 + 1))
+                low, high = _grid_bounds(squares, p.degree, n_grid)
+                low, high = max(low, lo_frac), min(high, hi_frac)
+                if high - low <= precision:
+                    return (low, high), n_grid
+            n_grid *= 2
+
+    rng = random.Random(4105)
+    grids = set()
+    for _ in range(24):
+        p = IntPolynomial([rng.randint(-2, 2) for _ in range(rng.randint(3, 9))])
+        precision = Fraction(1, rng.choice([2, 4, 16]))
+        if p.sum_abs() - p.max_abs() <= precision:
+            continue
+        expected, n_grid = full_grids(p, precision)
+        assert circle_sup_norm(p, precision).bounds() == expected
+        grids.add(n_grid)
+    assert len(grids) >= 3  # one, two and more doublings are exercised
 
 
 # -- the integer-polynomial testbed -------------------------------------------------------

@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import leibniz_det
 from hnbounds import (
@@ -16,7 +18,8 @@ from hnbounds import (
     log_scalar,
     random_gram,
 )
-from hnbounds.lattices import _ldl
+from hnbounds import cli, lattices
+from hnbounds._exact import det
 
 
 def diagonal(*entries):
@@ -349,9 +352,8 @@ def test_definiteness_matches_leading_minors():
     verdicts = {True: 0, False: 0}
     for _ in range(300):
         g = _random_symmetric(rng, rng.randint(1, 5))
-        definite = all(
-            leibniz_det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1)
-        )
+        minors = [leibniz_det([row[:k] for row in g[:k]]) for k in range(len(g) + 1)]
+        definite = all(m > 0 for m in minors)
         try:
             L = EuclideanLattice(g)
         except ValueError:
@@ -359,6 +361,8 @@ def test_definiteness_matches_leading_minors():
         else:
             assert definite
             assert L.determinant() == leibniz_det(g)
+            den, _, delta, _ = L._memo["gso"]
+            assert delta == [den**k * m for k, m in enumerate(minors)]
         verdicts[definite] += 1
     assert min(verdicts.values()) >= 50
     with pytest.raises(ValueError):
@@ -367,17 +371,86 @@ def test_definiteness_matches_leading_minors():
         EuclideanLattice([[1, 0], [0, -1]])  # indefinite
 
 
+def _ldl(g):
+    """G = U^T D U with U unit upper triangular and D diagonal, in rationals.
+
+    Stops at the first pivot <= 0, so len(d) == len(g) iff G is positive
+    definite; u is then fully computed.  The oracle for the integer data.
+    """
+    r = len(g)
+    d: list[Fraction] = []
+    u = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    for i in range(r):
+        di = g[i][i] - sum(d[k] * u[k][i] ** 2 for k in range(i))
+        if di <= 0:
+            break
+        d.append(di)
+        for j in range(i + 1, r):
+            u[i][j] = (g[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))) / di
+    return d, u
+
+
 def test_ldl_reconstructs_gram(rng):
+    # the integer Gram-Schmidt data: A = den G, leading minors Delta and
+    # lambda_ij = Delta_(j+1) mu_ij, for original and LLL-reduced lattices
     lattices = [random_gram(r, rng) for r in range(1, 7) for _ in range(5)]
     lattices.append(diagonal(Fraction(1, 4), 3, Fraction(7, 2)))
-    for L in lattices:
-        d, u = L._memo["ldl"]
+    lattices += [random_gram(r, rng).scale(Fraction(1, k)) for r in (3, 4, 5) for k in (2, 3)]
+    reduced = [L._lll()[0] for L in lattices]
+    for L in lattices + reduced:
+        den, a, delta, lam = L._memo["gso"]
+        g = L.gram
         r = L.rank
-        assert len(d) == r and all(x > 0 for x in d)
-        assert all(u[i][i] == 1 and not any(u[i][:i]) for i in range(r))
+        assert den == math.lcm(*(x.denominator for row in g for x in row))
+        assert a == [[x * den for x in row] for row in g]
+        assert all(type(x) is int for row in a for x in row)
+        assert delta == [den**k * leibniz_det([row[:k] for row in g[:k]]) for k in range(r + 1)]
+        # A = sum_l lambda_il lambda_jl / (Delta_l Delta_(l+1)), with lambda_ll = Delta_(l+1)
+        full = [lam[i] + [delta[i + 1]] for i in range(r)]
         for i in range(r):
             for j in range(r):
-                assert sum(u[k][i] * d[k] * u[k][j] for k in range(r)) == L.gram[i][j]
+                terms = range(min(i, j) + 1)
+                rebuilt = sum(Fraction(full[i][l] * full[j][l], delta[l] * delta[l + 1]) for l in terms)
+                assert rebuilt == a[i][j]
+    for R in reduced:
+        # the data LLL hands over is what a fresh elimination of the Gram gives
+        assert EuclideanLattice(R.gram)._memo["gso"] == R._memo["gso"]
+
+
+def _rational_lll(g):
+    """Transform rows of LLL (delta = 3/4) run on the rational LDL data
+    d, mu with Cohen's rational swap (Alg. 2.6.3): the reference for the
+    decisions of the integral _lll."""
+    r = len(g)
+    d, u = _ldl(g)
+    mu = [[u[j][i] for j in range(i)] for i in range(r)]
+    basis = [[int(i == j) for j in range(r)] for i in range(r)]
+    k = 1
+    steps = 0
+    while k < r and steps < 10_000:
+        steps += 1
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
+                mu[k][j] -= q
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+        m = mu[k][k - 1]
+        if d[k] >= (Fraction(3, 4) - m**2) * d[k - 1]:
+            k += 1
+            continue
+        big = d[k] + m**2 * d[k - 1]
+        new = m * d[k - 1] / big
+        d[k - 1], d[k] = big, d[k - 1] * d[k] / big
+        basis[k - 1], basis[k] = basis[k], basis[k - 1]
+        mu[k - 1], mu[k] = mu[k][: k - 1], mu[k - 1] + [new]
+        for i in range(k + 1, r):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + new * mu[i][k]
+        k = max(k - 1, 1)
+    return basis
 
 
 def test_lll_output_is_size_reduced_and_lovasz():
@@ -389,6 +462,7 @@ def test_lll_output_is_size_reduced_and_lovasz():
     for L in lattices:
         r = L.rank
         reduced, t = L._lll()
+        assert t == _rational_lll(L.gram)  # the same decisions as in rationals
         g = reduced.gram
         tg = [[sum(t[i][a] * L.gram[a][b] for a in range(r)) for b in range(r)] for i in range(r)]
         assert all(
@@ -402,3 +476,99 @@ def test_lll_output_is_size_reduced_and_lovasz():
         d, u = _ldl(g)
         assert all(abs(u[j][i]) <= half for i in range(r) for j in range(i))
         assert all(d[k] >= (delta - u[k - 1][k] ** 2) * d[k - 1] for k in range(1, r))
+
+
+# -- the integer enumeration against a rational one -------------------------------------
+
+
+def _rational_short_vectors(g, bound):
+    """Fincke-Pohst over the rational LDL, testing every x against the bound;
+    yields the representative whose last nonzero coordinate is negative."""
+    r = len(g)
+    d, u = _ldl(g)
+    coords = [0] * r
+
+    def descend(level, remaining):
+        c = sum(u[level][j] * coords[j] for j in range(level + 1, r))
+        root = math.isqrt(math.floor(remaining / d[level]))
+        for x in range(math.floor(-c) - root - 1, math.ceil(-c) + root + 2):
+            step = d[level] * (x + c) ** 2
+            if step > remaining:
+                continue
+            coords[level] = x
+            if level:
+                yield from descend(level - 1, remaining - step)
+            else:
+                yield bound - remaining + step, tuple(coords)
+        coords[level] = 0
+
+    for q, v in descend(r - 1, bound):
+        nonzero = [x for x in v if x]
+        if not nonzero or nonzero[-1] < 0:
+            yield q, v
+
+
+@st.composite
+def grams(draw):
+    """Positive definite Grams B^T B of rank 1-6, divided by k^2 (k = 1 keeps
+    them integral)."""
+    r = draw(st.integers(1, 6))
+    entry = st.integers(-2, 2)
+    b = draw(
+        st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r).filter(
+            lambda m: det(m) != 0
+        )
+    )
+    k = draw(st.sampled_from([1, 2, 3]))
+    g = [[Fraction(sum(b[t][i] * b[t][j] for t in range(r)), k * k) for j in range(r)] for i in range(r)]
+    return EuclideanLattice(g)
+
+
+PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@PROPERTIES
+@given(grams())
+def test_short_vectors_match_rational_enumeration(L):
+    reduced, _ = L._lll()
+    top = max(reduced.gram[i][i] for i in range(L.rank))  # all minima lie in this ball
+    for M in (L, reduced):
+        for bound in (Fraction(1), Fraction(5, 2), top):
+            got = sorted(M._short_vectors(bound))
+            assert got == sorted(_rational_short_vectors(M.gram, bound))
+            assert all(M.norm2(v) == q for q, v in got)
+
+
+@PROPERTIES
+@given(grams())
+def test_lll_keeps_determinant_and_count(L):
+    reduced, t = L._lll()
+    assert reduced.determinant() == L.determinant()
+    assert reduced.h0_count() == L.h0_count()
+    assert abs(det(t)) == 1
+
+
+@PROPERTIES
+@given(grams())
+def test_count_same_in_original_and_reduced_basis(L):
+    reduced, _ = L._lll()
+    for M in (L, reduced):
+        vectors = list(M._short_vectors(Fraction(1)))
+        assert 2 * len(vectors) - 1 == L.h0_count()
+
+
+# -- the node budget ----------------------------------------------------------------------
+
+
+def test_node_budget_raises(monkeypatch, capsys):
+    gram = [[Fraction(1, 9) if i == j else Fraction(0) for j in range(3)] for i in range(3)]
+    L = EuclideanLattice(gram)
+    assert L.h0_count() == brute_count_norm_le(L, Fraction(1)) == 123
+    monkeypatch.setattr(lattices, "MAX_NODES", 5)
+    with pytest.raises(EnumerationBudgetError):
+        EuclideanLattice(gram).h0_count()
+    # the CLI reports it as a one-line error with exit status 2
+    assert cli.main(["lattice", "--gram", json.dumps([[str(x) for x in row] for row in gram])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumeration node budget exceeded\n"
