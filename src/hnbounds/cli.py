@@ -109,17 +109,35 @@ PARAMETER_SCHEMAS = {
 }
 
 
+GRAM_SCHEMA = {
+    "type": "array",
+    "items": {"type": "array", "items": {"type": ["string", "integer"]}},
+}
+
+ELL_SCHEMA = {
+    "type": "array",
+    "items": {"type": ["string", "number"]},
+    "minItems": 2,
+    "maxItems": 2,
+}
+
+
 class ConfigError(ValueError):
     pass
 
 
-def validate_config(config: dict) -> dict:
+def _validate(value, schema, what: str):
+    """``value`` if it matches ``schema``; otherwise a one-line ConfigError."""
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-        params = config.get("parameters", {})
-        jsonschema.validate(params, PARAMETER_SCHEMAS[config["suite"]])
+        jsonschema.validate(value, schema)
     except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message}") from exc
+        raise ConfigError(f"invalid {what}: {exc.message}") from exc
+    return value
+
+
+def validate_config(config: dict) -> dict:
+    _validate(config, CONFIG_SCHEMA, "config")
+    _validate(config.get("parameters", {}), PARAMETER_SCHEMAS[config["suite"]], "config")
     return config
 
 
@@ -132,18 +150,25 @@ def _jobs(tasks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
+def _call(task):
+    func, arg = task
+    return func(arg)
+
+
 def _run_checks(tasks):
     """Evaluate (func, arg) pairs, optionally in worker processes.
 
-    Results keep submission order, so the final report list is stable no
-    matter how many workers run.
+    Workers receive the tasks in contiguous batches, about four per worker,
+    so that a cheap check does not cost a round trip of its own.  Results
+    keep submission order and the first error in that order is raised, so
+    the final report list is stable no matter how many workers run.
     """
     jobs = _jobs(len(tasks))
     if jobs == 1:
-        return [func(arg) for func, arg in tasks]
+        return [_call(task) for task in tasks]
+    chunksize = -(-len(tasks) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(func, arg) for func, arg in tasks]
-        return [f.result() for f in futures]
+        return list(pool.map(_call, tasks, chunksize=chunksize))
 
 
 # -- suites -------------------------------------------------------------------
@@ -359,12 +384,12 @@ def main(argv=None) -> int:
             if args.ell is None:
                 value = epsilon(tower, data)
             else:
-                c, s = json.loads(args.ell)
+                c, s = _validate(json.loads(args.ell), ELL_SCHEMA, "--ell")
                 value = epsilon_tilde(tower, data, AffineFunction(Fraction(str(c)), Fraction(str(s))))
             print(json.dumps({"epsilon": value.to_json()}))
             return 0
         if args.command == "lattice":
-            reports = _lattice_checks(json.loads(args.gram))
+            reports = _lattice_checks(_validate(json.loads(args.gram), GRAM_SCHEMA, "--gram"))
             print(json.dumps(reports_to_json(reports), indent=2, sort_keys=True))
             return 0 if all(r.passed for r in reports) else 1
         if args.command == "p1z":

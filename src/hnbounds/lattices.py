@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 
 from ._exact import Echelon, det
@@ -393,6 +394,7 @@ class NumberFieldData:
 RATIONAL_FIELD = NumberFieldData(1, 1, 0, 1)
 
 
+@lru_cache(maxsize=256)
 def gillet_soule_constant(field: NumberFieldData, n: int) -> Scalar:
     """Comparison constant C(K, n) between log-section-counts and degrees.
 
@@ -403,7 +405,9 @@ def gillet_soule_constant(field: NumberFieldData, n: int) -> Scalar:
     ln Gamma(m + 1), so the cost does not grow with n.  C(K, n) grows like
     (d/2) n ln n, and its ratio to that term falls toward 1 from above,
     slowly: for K = Q it is 1.081 at n = 10^4 and stays within 5 % only
-    from n ~ 3 x 10^6 on.
+    from n ~ 3 x 10^6 on.  Memoized per (field, n): the field data are
+    frozen and the result is an immutable Scalar, so a repeated call returns
+    the interval a fresh evaluation would compute.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -7,21 +7,55 @@ the true real value).  Geometric quantities (slopes, degrees, volumes,
 error terms) stay rational; logarithmic quantities (log-counts, Arakelov
 degrees, Stirling-type constants) live in interval mode.
 
+An interval is held as the raw endpoint pair ``(lo, hi)`` of mpmath's
+``libmpf`` tuples ``(sign, man, exp, bc)``, and every interval operation
+calls ``mpmath.libmp``'s ``mpi_*`` functions directly at ``PREC`` = 120
+bits, rounding the lower end down and the upper end up.  Those are the
+functions mpmath's ``MPIntervalContext`` runs underneath its ``ivmpf``
+objects, so the endpoints are the ones that context computes; the tests keep
+it as the reference.  A rational enters interval arithmetic as the quotient
+of its numerator and denominator, each rounded outward to ``PREC`` bits.
+
 Interval endpoints are dyadic rationals, so mixed rational/interval
 comparisons are exact.  A comparison whose outcome is not determined by the
 endpoints raises :class:`CertificationError` instead of guessing.
+
+Scalars are immutable, so constants are computed once: ``PI`` and ``LOG_PI``
+at import, and :func:`log_ball_volume` once per dimension (memoized).  A
+memoized value is the very interval a fresh call would compute, so sharing
+it changes no bound.
+
+mpmath is imported by this module only; the rest of the package sees
+:class:`Scalar`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
-from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpf_pi,
+    mpi_add,
+    mpi_cos,
+    mpi_div,
+    mpi_exp,
+    mpi_log,
+    mpi_loggamma,
+    mpi_mul,
+    mpi_neg,
+    mpi_sqrt,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+)
 
-_iv = MPIntervalContext()
-_iv.prec = 120
+PREC = 120
 
 RationalLike = Union[int, Fraction, str, "Scalar"]
 
@@ -33,17 +67,27 @@ class CertificationError(ArithmeticError):
 def _raw_to_fraction(raw) -> Fraction:
     """Exact value of a raw mpf endpoint tuple (endpoints are dyadic)."""
     sign, man, exp, _ = raw
-    if man == 0 and exp != 0:
+    if man == 0 and exp != 0:  # mpmath's encoding of +-inf and nan
         raise CertificationError("interval endpoint is not finite")
-    value = Fraction(int(man), 1) * (Fraction(2) ** exp)
-    return -value if sign else value
+    man = -int(man) if sign else int(man)
+    if exp >= 0:
+        return Fraction(man << exp)
+    return Fraction(man, 1 << -exp)
 
 
-def _fraction_to_iv(f: Fraction):
-    """An interval guaranteed to contain the exact rational f."""
+def _int_to_raw(n: int):
+    """Raw interval of the integer n, each end rounded outward to PREC bits."""
+    lo = from_int(n, PREC, round_floor)
+    if n.bit_length() <= PREC:  # exactly representable: both ends agree
+        return (lo, lo)
+    return (lo, from_int(n, PREC, round_ceiling))
+
+
+def _fraction_to_raw(f: Fraction):
+    """Raw interval guaranteed to contain the exact rational f."""
     if f.denominator == 1:
-        return _iv.mpf(f.numerator)
-    return _iv.mpf(f.numerator) / _iv.mpf(f.denominator)
+        return _int_to_raw(f.numerator)
+    return mpi_div(_int_to_raw(f.numerator), _int_to_raw(f.denominator), PREC)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -82,17 +126,11 @@ class Scalar:
         raise TypeError(f"cannot build an exact Scalar from {type(value).__name__}")
 
     @classmethod
-    def from_interval(cls, ivl) -> "Scalar":
-        return cls(ivl=_iv.convert(ivl))
-
-    @classmethod
     def from_fraction_bounds(cls, lo: Fraction, hi: Fraction) -> "Scalar":
         """Interval-mode scalar containing [lo, hi] (outward rounding)."""
         if lo > hi:
             raise ValueError("lower bound exceeds upper bound")
-        lo_raw = _fraction_to_iv(lo)._mpi_[0]
-        hi_raw = _fraction_to_iv(hi)._mpi_[1]
-        return cls(ivl=_iv.make_mpf((lo_raw, hi_raw)))
+        return cls(ivl=(_fraction_to_raw(lo)[0], _fraction_to_raw(hi)[1]))
 
     # -- mode and bounds -----------------------------------------------
 
@@ -109,7 +147,7 @@ class Scalar:
         """Exact lower and upper bounds (equal in rational mode)."""
         if self._rat is not None:
             return (self._rat, self._rat)
-        a_raw, b_raw = self._ivl._mpi_
+        a_raw, b_raw = self._ivl
         return (_raw_to_fraction(a_raw), _raw_to_fraction(b_raw))
 
     def width(self) -> Fraction:
@@ -120,11 +158,11 @@ class Scalar:
         lo, hi = self.bounds()
         return float(lo + hi) / 2 if lo != hi else float(lo)
 
-    def interval(self):
-        """The value as an mpmath interval (promoting rationals soundly)."""
+    def _raw(self):
+        """The raw interval (a rational is promoted with outward rounding)."""
         if self._ivl is not None:
             return self._ivl
-        return _fraction_to_iv(self._rat)
+        return _fraction_to_raw(self._rat)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -142,22 +180,22 @@ class Scalar:
             return NotImplemented
         if self._rat is not None and other._rat is not None:
             return Scalar(rat=ratop(self._rat, other._rat))
-        return Scalar(ivl=ivop(self.interval(), other.interval()))
+        return Scalar(ivl=ivop(self._raw(), other._raw(), PREC))
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b, lambda a, b: a + b)
+        return self._binop(other, operator.add, mpi_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b, lambda a, b: a - b)
+        return self._binop(other, operator.sub, mpi_sub)
 
     def __rsub__(self, other):
         other = Scalar._coerce(other)
         return other.__sub__(self) if other is not NotImplemented else NotImplemented
 
     def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b, lambda a, b: a * b)
+        return self._binop(other, operator.mul, mpi_mul)
 
     __rmul__ = __mul__
 
@@ -168,7 +206,7 @@ class Scalar:
         lo, hi = other.bounds()
         if lo <= 0 <= hi:
             raise CertificationError("division by a scalar whose bounds straddle zero")
-        return self._binop(other, lambda a, b: a / b, lambda a, b: a / b)
+        return self._binop(other, operator.truediv, mpi_div)
 
     def __rtruediv__(self, other):
         other = Scalar._coerce(other)
@@ -177,7 +215,7 @@ class Scalar:
     def __neg__(self):
         if self._rat is not None:
             return Scalar(rat=-self._rat)
-        return Scalar(ivl=-self._ivl)
+        return Scalar(ivl=mpi_neg(self._ivl, PREC))
 
     def __pos__(self):
         return self
@@ -249,12 +287,7 @@ class Scalar:
         return hash(self.bounds())
 
     def __reduce__(self):
-        if self._rat is not None:
-            return (_rebuild_rational, (self._rat,))
-        a, b = self._ivl._mpi_
-        a = (int(a[0]), int(a[1]), int(a[2]), int(a[3]))
-        b = (int(b[0]), int(b[1]), int(b[2]), int(b[3]))
-        return (_rebuild_interval, (a, b))
+        return (Scalar, (self._rat, self._ivl))
 
     def certified_nonneg(self) -> bool:
         """True iff the lower bound is >= 0 (the certifiable direction)."""
@@ -285,15 +318,9 @@ class Scalar:
         raise ValueError(f"cannot parse Scalar from {data!r}")
 
 
-def _rebuild_rational(rat: Fraction) -> Scalar:
-    return Scalar(rat=rat)
-
-
-def _rebuild_interval(a_raw, b_raw) -> Scalar:
-    return Scalar(ivl=_iv.make_mpf((a_raw, b_raw)))
-
-
-PI = Scalar.from_interval(_iv.pi)
+PI = Scalar(ivl=(mpf_pi(PREC, round_floor), mpf_pi(PREC, round_ceiling)))
+LOG_PI = Scalar(ivl=mpi_log(PI._ivl, PREC))
+_TWO_PI = mpi_mul(_int_to_raw(2), PI._ivl, PREC)
 
 
 def scalar_max(a: Scalar, b: Scalar) -> Scalar:
@@ -318,28 +345,28 @@ def log_scalar(x: RationalLike) -> Scalar:
     x = Scalar.exact(x).as_fraction()
     if x <= 0:
         raise ValueError("log of a non-positive rational")
-    return Scalar.from_interval(_iv.log(_fraction_to_iv(x)))
+    return Scalar(ivl=mpi_log(_fraction_to_raw(x), PREC))
 
 
 def log_interval(x: Scalar) -> Scalar:
     """Certified ln of any positive scalar."""
     if x.bounds()[0] <= 0:
         raise CertificationError("log requires certified positive bounds")
-    return Scalar.from_interval(_iv.log(x.interval()))
+    return Scalar(ivl=mpi_log(x._raw(), PREC))
 
 
 def sqrt_interval(x: Scalar) -> Scalar:
     if x.bounds()[0] < 0:
         raise CertificationError("sqrt requires certified nonnegative bounds")
-    return Scalar.from_interval(_iv.sqrt(x.interval()))
+    return Scalar(ivl=mpi_sqrt(x._raw(), PREC))
 
 
 def exp_interval(x: Scalar) -> Scalar:
-    return Scalar.from_interval(_iv.exp(x.interval()))
+    return Scalar(ivl=mpi_exp(x._raw(), PREC))
 
 
 def log_pi() -> Scalar:
-    return Scalar.from_interval(_iv.log(_iv.pi))
+    return LOG_PI
 
 
 def log_factorial(n: int) -> Scalar:
@@ -347,8 +374,8 @@ def log_factorial(n: int) -> Scalar:
     if n < 0:
         raise ValueError("factorial of a negative integer")
     if n <= 1:
-        return Scalar.from_interval(_iv.mpf(0))
-    return Scalar.from_interval(_iv.log(_iv.mpf(math.factorial(n))))
+        return Scalar(ivl=(fzero, fzero))
+    return Scalar(ivl=mpi_log(_int_to_raw(math.factorial(n)), PREC))
 
 
 def log_gamma(x: RationalLike) -> Scalar:
@@ -356,9 +383,10 @@ def log_gamma(x: RationalLike) -> Scalar:
     x = Scalar.exact(x).as_fraction()
     if x <= 0:
         raise ValueError("log_gamma requires a positive argument")
-    return Scalar.from_interval(_iv.loggamma(_fraction_to_iv(x)))
+    return Scalar(ivl=mpi_loggamma(_fraction_to_raw(x), PREC))
 
 
+@lru_cache(maxsize=256)
 def log_ball_volume(n: int) -> Scalar:
     """ln of the Lebesgue volume of the unit ball in R^n.
 
@@ -367,10 +395,10 @@ def log_ball_volume(n: int) -> Scalar:
     if n < 1:
         raise ValueError("ball dimension must be >= 1")
     half_n = Fraction(n, 2)
-    return Scalar.exact(half_n) * log_pi() - log_gamma(half_n + 1)
+    return Scalar.exact(half_n) * LOG_PI - log_gamma(half_n + 1)
 
 
 def cos_2pi(frac: Fraction) -> Scalar:
     """Certified cos(2*pi*frac)."""
-    angle = 2 * _iv.pi * _fraction_to_iv(Fraction(frac))
-    return Scalar.from_interval(_iv.cos(angle))
+    angle = mpi_mul(_TWO_PI, _fraction_to_raw(Fraction(frac)), PREC)
+    return Scalar(ivl=mpi_cos(angle, PREC))

@@ -121,6 +121,19 @@ def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
         assert cli._jobs(100) == 1
 
 
+def test_pool_batches_keep_order_and_first_error(monkeypatch):
+    monkeypatch.setenv("HNBOUNDS_JOBS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tasks = [(abs, -i) for i in range(50)]
+    assert cli._run_checks(tasks) == list(range(50))
+    # the error of task 30 is raised, not the later one of task 45
+    tasks = [(int, str(i)) for i in range(50)]
+    tasks[30] = (int, "first")
+    tasks[45] = (int, "second")
+    with pytest.raises(ValueError, match="first"):
+        cli._run_checks(tasks)
+
+
 def test_arithmetic_suite():
     status, reports = run_config({"suite": "arithmetic", "parameters": {"max_rank": 3}})
     assert status == 0
@@ -240,6 +253,21 @@ def test_lattice_subcommand():
     assert r.returncode == 0
     data = json.loads(r.stdout)
     assert len(data) == 3 and all(rep["pass"] for rep in data)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "--gram", "5"],
+        ["lattice", "--gram", "[[null]]"],
+        ["epsilon", "--tower", '{"genera":[0],"mu":["1"],"vol":["1"]}', "--ell", "5"],
+    ],
+)
+def test_cli_malformed_input_exits_two(capsys, argv):
+    # malformed JSON shapes are input errors (exit 2, one line), not failed checks
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid --") and len(err.strip().splitlines()) == 1
 
 
 def test_p1z_subcommand():

@@ -1,15 +1,24 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import to_rational
 
+import hnbounds
 from hnbounds import CertificationError, Scalar, log_scalar
 from hnbounds.scalars import (
+    PI,
+    cos_2pi,
     exp_interval,
     log_ball_volume,
     log_factorial,
     log_gamma,
+    log_interval,
     log_pi,
     scalar_max,
     scalar_min,
@@ -128,3 +137,160 @@ def test_pickle_round_trip():
     for s in (Scalar.exact(Fraction(2, 7)), log_scalar(5)):
         t = pickle.loads(pickle.dumps(s))
         assert t.bounds() == s.bounds()
+
+
+# -- the interval layer against mpmath's interval context ----------------------
+#
+# ``scalars`` calls mpmath's libmpi directly on raw endpoint pairs.  The
+# reference below runs the same quantities through ``MPIntervalContext`` at
+# 120 bits, as the package once did, and the endpoints must agree bit for bit.
+
+PROPERTIES = settings(deadline=None, derandomize=True)
+
+_ref = MPIntervalContext()
+_ref.prec = 120
+
+wide_fractions = st.fractions(max_denominator=10**45).filter(lambda q: abs(q) < 10**45)
+positive_fractions = st.fractions(min_value=Fraction(1, 10**40), max_value=10**40, max_denominator=10**45)
+
+
+def _ref_rational(q: Fraction):
+    if q.denominator == 1:
+        return _ref.mpf(q.numerator)
+    return _ref.mpf(q.numerator) / _ref.mpf(q.denominator)
+
+
+def _ref_bounds(x):
+    return tuple(Fraction(*to_rational(end)) for end in x._mpi_)
+
+
+def _operands(q, p):
+    """(Scalar, reference) pairs: two rationals and two intervals from logs."""
+    return [
+        (Scalar.exact(q), _ref_rational(q)),
+        (Scalar.exact(p), _ref_rational(p)),
+        (log_scalar(p), _ref.log(_ref_rational(p))),
+        (Scalar.exact(q) - log_scalar(p), _ref_rational(q) - _ref.log(_ref_rational(p))),
+    ]
+
+
+@PROPERTIES
+@given(wide_fractions, positive_fractions)
+def test_interval_ops_match_mpmath_interval_context(q, p):
+    operands = _operands(q, p)
+    for x, rx in operands:
+        if not x.is_rational:
+            assert (-x).bounds() == _ref_bounds(-rx)
+        for y, ry in operands:
+            if x.is_rational and y.is_rational:
+                continue
+            assert (x + y).bounds() == _ref_bounds(rx + ry)
+            assert (x - y).bounds() == _ref_bounds(rx - ry)
+            assert (x * y).bounds() == _ref_bounds(rx * ry)
+            lo, hi = y.bounds()
+            if not lo <= 0 <= hi:
+                assert (x / y).bounds() == _ref_bounds(rx / ry)
+        if x.bounds()[0] > 0:
+            assert log_interval(x).bounds() == _ref_bounds(_ref.log(rx))
+            assert sqrt_interval(x).bounds() == _ref_bounds(_ref.sqrt(rx))
+        if abs(x.midpoint()) < 1000:
+            assert exp_interval(x).bounds() == _ref_bounds(_ref.exp(rx))
+
+
+@PROPERTIES
+@given(wide_fractions, positive_fractions)
+def test_functions_of_rationals_match_mpmath_interval_context(q, p):
+    rp = _ref_rational(p)
+    assert log_scalar(p).bounds() == _ref_bounds(_ref.log(rp))
+    assert log_gamma(p).bounds() == _ref_bounds(_ref.loggamma(rp))
+    assert cos_2pi(q).bounds() == _ref_bounds(_ref.cos(2 * _ref.pi * _ref_rational(q)))
+    lo, hi = sorted((q, p))
+    expected = (_ref_bounds(_ref_rational(lo))[0], _ref_bounds(_ref_rational(hi))[1])
+    assert Scalar.from_fraction_bounds(lo, hi).bounds() == expected
+
+
+def test_constants_match_mpmath_interval_context():
+    assert PI.bounds() == _ref_bounds(+_ref.pi)
+    assert log_pi().bounds() == _ref_bounds(_ref.log(_ref.pi))
+    for n in (0, 1, 2, 30, 200):
+        assert log_factorial(n).bounds() == _ref_bounds(_ref.log(_ref.mpf(math.factorial(n))))
+    for n in (1, 2, 7, 10**6):
+        expected = _ref_rational(Fraction(n, 2)) * _ref.log(_ref.pi) - _ref.loggamma(
+            _ref_rational(Fraction(n, 2) + 1)
+        )
+        assert log_ball_volume(n).bounds() == _ref_bounds(expected)
+
+
+# -- containment: every interval op brackets the exact value -------------------
+
+
+def _points(s):
+    """Exact rationals inside s: its endpoints and their midpoint."""
+    lo, hi = s.bounds()
+    return (lo, (lo + hi) / 2, hi)
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _brackets(s, value, digits=45):
+    """True when s contains the 50-digit value up to 10^-digits relative slack."""
+    lo, hi = s.bounds()
+    slack = mpmath.mpf(10) ** -digits * max(1, abs(value))
+    return _mp(lo) <= value + slack and value - slack <= _mp(hi)
+
+
+@PROPERTIES
+@given(wide_fractions, positive_fractions)
+def test_interval_ops_contain_exact_results(q, p):
+    x = Scalar.exact(q) - log_scalar(p)  # interval operands with dyadic ends
+    y = log_scalar(p + 2)  # bounded away from zero, so a divisor
+    for a in (x, y, Scalar.exact(q)):
+        for b in (y, x):
+            for u in _points(a):
+                for v in _points(b):
+                    results = [(a + b, u + v), (a - b, u - v), (a * b, u * v)]
+                    if b is y:
+                        results.append((a / b, u / v))
+                    for result, exact in results:
+                        lo, hi = result.bounds()
+                        assert lo <= exact <= hi
+    for u in _points(x):
+        lo, hi = (-x).bounds()
+        assert lo <= -u <= hi
+
+
+@PROPERTIES
+@given(positive_fractions, st.fractions(min_value=-200, max_value=200, max_denominator=10**12))
+def test_transcendental_ops_contain_50_digit_values(p, t):
+    with mpmath.workdps(50):
+        assert _brackets(log_scalar(p), mpmath.log(_mp(p)))
+        x = log_scalar(p + 2)  # positive interval operand
+        for u in _points(x):
+            assert _brackets(log_interval(x), mpmath.log(_mp(u)))
+            assert _brackets(sqrt_interval(x), mpmath.sqrt(_mp(u)))
+        e = Scalar.exact(t) + log_scalar(p)
+        for u in _points(e):
+            assert _brackets(exp_interval(e), mpmath.exp(_mp(u)))
+
+
+# -- mpmath stays behind this module --------------------------------------------
+
+
+def test_only_scalars_imports_mpmath():
+    offenders = []
+    for path in sorted(Path(hnbounds.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] == "mpmath" and (
+                    path.name != "scalars.py" or module.startswith("mpmath.ctx_iv")
+                ):
+                    offenders.append(f"{path.name}: {module}")
+    assert offenders == []
