@@ -145,33 +145,24 @@ def geometric_hs_bound(vol: Scalar, dim: int, eps: Scalar) -> Scalar:
     return vol / Scalar.exact(factorial(dim)) + eps
 
 
-def _hirzebruch_tower_data(F: FiberedSeries) -> tuple[Tower, TowerData]:
-    """Genus (0,0) tower with the honest slope/volume vectors of the family.
-
-    mu = (a, b): base slope a, fiber-level asymptotic slope b.
-    vol = (surface volume, fiber volume b); only v_1 enters the recursion.
-    """
-    tower = Tower((0, 0))
-    data = TowerData(
-        mu=(Scalar.exact(F.a), Scalar.exact(F.b)),
-        vol=(F.volume_via_fibers(), Scalar.exact(F.b)),
-    )
-    return tower, data
-
-
 def check_toric_family(F: FiberedSeries) -> CheckReport:
     """Degree-one rank of the Hirzebruch family vs the recursive bound.
 
     lhs: exact section count of the pushforward at n = 1.
-    rhs: (normalized polytope volume) / 2! + eps of the genus-(0,0) tower.
+    rhs: volume / 2! + eps of the genus-(0,0) tower with mu = (a, b) and
+    vol = (volume, b), where volume = 2ab - eb^2, the normalized area of the
+    trapezoid, is the closed form ``volume_via_fibers``.
     The margin works out to exactly e*b/2, so the bound is tight on P1 x P1.
     """
     if F.a < F.e * F.b:
         raise ValueError("family requires a >= e*b")
     lhs = Scalar.exact(F.pushforward(1).h0())
-    volume = F.trapezoid().volume() if F.a >= 1 else F.volume_via_fibers()
-    tower, data = _hirzebruch_tower_data(F)
-    eps = epsilon(tower, data)
+    volume = F.volume_via_fibers()
+    data = TowerData(
+        mu=(Scalar.exact(F.a), Scalar.exact(F.b)),
+        vol=(volume, Scalar.exact(F.b)),
+    )
+    eps = epsilon(Tower((0, 0)), data)
     rhs = geometric_hs_bound(volume, 2, eps)
     return CheckReport.compare(
         f"geometric a={F.a} b={F.b} e={F.e}",
@@ -189,19 +180,20 @@ def check_filtered(F: FiberedSeries) -> CheckReport:
     """Filtered version: integral of the degree-one filtered ranks vs the
     integrated filtered volumes plus the asymptotic-slope error term.
 
-    lhs: exact piecewise integral of rank F^t(E_1) over t >= 0 (this equals
-    the positive degree of the pushforward; recorded in context).
+    lhs: exact piecewise integral of rank F^t(E_1) over t >= 0, read off the
+    HN type of E_1 like the positive degree it equals (recorded in context).
     rhs: integral of filtered volumes / 1! + mu_max_asy * eps(fiber tower).
     """
     if F.a < F.e * F.b:
         raise ValueError("family requires a >= e*b")
-    lhs = F.filtered_rank_integral(1)
+    hn = F.pushforward(1).hn_type()
+    lhs = hn.positive_rank_integral()
     fiber_tower = Tower((0,))
     fiber_data = TowerData(mu=(Scalar.exact(F.b),), vol=(Scalar.exact(F.b),))
     eps = epsilon(fiber_tower, fiber_data)
     volume_integral = F.volume_via_fibers() / Scalar.exact(2)
     rhs = volume_integral + F.mu_max_asy() * eps
-    deg_plus = F.pushforward(1).hn_type().deg_plus()
+    deg_plus = hn.deg_plus()
     return CheckReport.compare(
         f"filtered a={F.a} b={F.b} e={F.e}",
         lhs,
@@ -549,12 +541,11 @@ def _grid_squares(corr, n_grid, js) -> tuple[int, int]:
 def p1z_h0(n: int) -> tuple[int, CheckReport]:
     """Count integer polynomials of degree <= n with circle sup norm <= 1.
 
-    The coefficient sandwich confines candidates to {-1, 0, 1}^(n+1), and two
-    integer tests decide each one exactly: sum|a_k| <= 1 accepts it (the
-    norm is at most sum|a_k|), and sum a_k^2 >= 2 rejects it by Parseval,
-    ||p||^2 >= (1/2 pi) int |p|^2 = sum a_k^2.  For integer coefficients
-    a_k^2 >= |a_k|, so every candidate meets one of the two tests and no norm
-    is ever approximated.
+    The count is 2n + 3, zero and the monomials +-x^k: the coefficient
+    sandwich max|a_k| <= norm <= sum|a_k| confines them to {-1, 0, 1}^(n+1)
+    and accepts those with sum|a_k| <= 1, and Parseval, ||p||^2 >= (1/2 pi)
+    int |p|^2 = sum a_k^2 >= 2, rejects every other one.  The degree budget
+    is the circle norm's, ``MAX_CIRCLE_DEGREE``.
 
     Returns the count and a report checking ln(count) against the minima
     bound of the coefficient lattice, whose log minima all vanish: every
@@ -563,14 +554,9 @@ def p1z_h0(n: int) -> tuple[int, CheckReport]:
     """
     if n < 0:
         raise ValueError("degree bound must be >= 0")
-    if n > 6:
-        raise ValueError("degree bound exceeds the enumeration budget (6)")
-    count = 0
-    for p in _coefficient_box(n):
-        if p.sum_abs() <= 1:
-            count += 1
-        elif p.sum_squares() < 2:
-            raise AssertionError(f"no exact test decides {p.coefficients}")
+    if n > MAX_CIRCLE_DEGREE:
+        raise ValueError(f"degree bound {n} exceeds the budget ({MAX_CIRCLE_DEGREE})")
+    count = 2 * n + 3
 
     r = n + 1
     lhs = log_scalar(count)
@@ -586,12 +572,3 @@ def p1z_h0(n: int) -> tuple[int, CheckReport]:
         },
     )
     return count, report
-
-
-def _coefficient_box(n: int):
-    coeffs = [-1, 0, 1]
-    stack = [()]
-    for _ in range(n + 1):
-        stack = [t + (c,) for t in stack for c in coeffs]
-    for tup in stack:
-        yield IntPolynomial(tup)

@@ -62,6 +62,21 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+_RATIONAL = {"type": ["string", "integer"]}
+_INTERVAL = {"type": "object", "required": ["lo", "hi"], "properties": {"lo": _RATIONAL, "hi": _RATIONAL}}
+_SCALAR = {"anyOf": [_RATIONAL, _INTERVAL]}  # what Scalar.from_json reads
+_HN_PAIR = {"type": "array", "prefixItems": [{"type": "integer"}, _SCALAR], "minItems": 2, "maxItems": 2}
+
+TOWER_SCHEMA = {
+    "type": "object",
+    "required": ["genera", "mu", "vol"],
+    "properties": {
+        "genera": {"type": "array", "items": {"type": "integer"}},
+        "mu": {"type": "array", "items": _SCALAR},
+        "vol": {"type": "array", "items": _SCALAR},
+    },
+}
+
 HIRZEBRUCH_GRID_SCHEMA = {
     "type": "object",
     "properties": {
@@ -103,7 +118,7 @@ PARAMETER_SCHEMAS = {
     "polygon": {
         "type": "object",
         "required": ["hn"],
-        "properties": {"hn": {"type": "array"}},
+        "properties": {"hn": {"type": "array", "items": _HN_PAIR}},
         "additionalProperties": False,
     },
 }
@@ -111,7 +126,7 @@ PARAMETER_SCHEMAS = {
 
 GRAM_SCHEMA = {
     "type": "array",
-    "items": {"type": "array", "items": {"type": ["string", "integer"]}},
+    "items": {"type": "array", "items": _RATIONAL},
 }
 
 ELL_SCHEMA = {
@@ -380,7 +395,8 @@ def main(argv=None) -> int:
             print(json.dumps(reports_to_json(reports), indent=2, sort_keys=True))
             return status
         if args.command == "epsilon":
-            tower, data = tower_from_json(json.loads(args.tower))
+            tower_json = _validate(json.loads(args.tower), TOWER_SCHEMA, "--tower")
+            tower, data = tower_from_json(tower_json)
             if args.ell is None:
                 value = epsilon(tower, data)
             else:

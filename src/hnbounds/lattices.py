@@ -296,6 +296,10 @@ class EuclideanLattice:
                 tops[level] = 0 if level else -1  # -v is counted with v; skip 0
             else:
                 tops[level] = (t - c) // dl
+            if not level:  # the leaves count too: charge level 0's whole range
+                nodes += tops[0] - coords[0]
+                if nodes > MAX_NODES:
+                    raise EnumerationBudgetError("enumeration node budget exceeded")
 
     def _lll(self):
         """Integral LLL (Cohen, Alg. 2.6.7); returns (reduced lattice,

@@ -313,13 +313,10 @@ class FiberedSeries:
         return Scalar.exact(self.a)
 
     def filtered_rank(self, t, n: int) -> int:
-        """Rank of the slope->=t piece of pushforward(n), threshold n*t."""
-        if n < 1:
-            raise ValueError("tensor power must be >= 1")
+        """Rank of the slope->=t piece of pushforward(n): its HN filtration
+        at the threshold n*t."""
         t = (t if isinstance(t, Scalar) else Scalar.exact(t)).as_fraction()
-        return sum(
-            1 for j in range(n * self.b + 1) if n * self.a - self.e * j >= n * t
-        )
+        return self.pushforward(n).hn_type().filtration_rank(n * t)
 
     def filtered_volume(self, t) -> Scalar:
         """Normalized limit of filtered_rank(t, n)/n: min(b, (a-t)/e) on
@@ -334,27 +331,14 @@ class FiberedSeries:
         return Scalar.exact(max(value, Fraction(0)))
 
     def filtered_rank_integral(self, n: int = 1) -> Scalar:
-        """Exact integral over t in [0, oo) of filtered_rank(t, n)/1.
+        """Exact integral over t in [0, oo) of filtered_rank(t, n).
 
-        Piecewise evaluation over the step function's knots; for n = 1 this
-        is the positive degree of the pushforward.
+        The filtration is the HN filtration of pushforward(n) rescaled by 1/n,
+        so this is its positive-rank integral over n; for n = 1 it is the
+        positive degree of the pushforward.
         """
-        if n < 1:
-            raise ValueError("tensor power must be >= 1")
-        values = sorted(
-            {Fraction(n * self.a - self.e * j, n) for j in range(n * self.b + 1)},
-            reverse=True,
-        )
-        total = Fraction(0)
-        for i, v in enumerate(values):
-            if v <= 0:
-                break
-            count = sum(
-                1 for j in range(n * self.b + 1) if Fraction(n * self.a - self.e * j, n) >= v
-            )
-            lower = max(values[i + 1], Fraction(0)) if i + 1 < len(values) else Fraction(0)
-            total += count * (v - lower)
-        return Scalar.exact(total)
+        integral = self.pushforward(n).hn_type().positive_rank_integral()
+        return integral / Scalar.exact(n)
 
     def volume_via_fibers(self) -> Scalar:
         """(d+1) * integral of filtered_volume over [0, mu_max_asy], d+1 = 2.

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -90,9 +91,12 @@ def test_check_toric_family_margin_law():
         for a in range(1, 7):
             for b in range(1, 7):
                 if a >= e * b:
-                    rep = check_toric_family(FiberedSeries(a, b, e))
+                    F = FiberedSeries(a, b, e)
+                    rep = check_toric_family(F)
                     assert rep.passed
                     assert rep.margin.as_fraction() == Fraction(e * b, 2)
+                    # the closed-form volume is the trapezoid's hull area
+                    assert rep.context["volume"] == F.trapezoid().volume()
 
 
 def test_check_filtered_examples():
@@ -369,6 +373,11 @@ def test_doubled_grids_match_full_evaluation():
 # -- the integer-polynomial testbed -------------------------------------------------------
 
 
+def _coefficient_box(n):
+    """All 3^(n+1) polynomials with coefficients in {-1, 0, 1}."""
+    return [IntPolynomial(c) for c in itertools.product((-1, 0, 1), repeat=n + 1)]
+
+
 def test_p1z_counts():
     for n, expected in [(0, 3), (1, 5), (2, 7)]:
         count, report = p1z_h0(n)
@@ -383,6 +392,13 @@ def test_p1z_monotone_and_no_unresolved():
         count, report = p1z_h0(n)
         counts.append(count)
         assert report.passed
+        # oracle: every candidate of the sandwich box is decided by one integer
+        # test, sum|a_k| <= 1 accepting it or sum a_k^2 >= 2 rejecting it (Parseval)
+        accepted = 0
+        for p in _coefficient_box(n):
+            assert p.sum_abs() <= 1 or p.sum_squares() >= 2, p.coefficients
+            accepted += p.sum_abs() <= 1
+        assert accepted == count
     assert counts == sorted(counts)
     assert counts == [2 * n + 3 for n in range(7)]
     assert counts[5:] == [13, 15]
@@ -391,5 +407,8 @@ def test_p1z_monotone_and_no_unresolved():
 def test_p1z_validation():
     with pytest.raises(ValueError):
         p1z_h0(-1)
+    # the degree budget is the circle norm's, MAX_CIRCLE_DEGREE = 64
+    count, report = p1z_h0(64)
+    assert count == 131 and report.passed
     with pytest.raises(ValueError):
-        p1z_h0(7)
+        p1z_h0(65)

@@ -195,6 +195,10 @@ def test_cli_budget_errors_exit_two():
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ") and len(r.stderr.strip().splitlines()) == 1
+    # the level-0 range of this rank-1 lattice alone holds about 6.3e10 leaves
+    r = run_cli(["lattice", "--gram", '[["1/1000000000000000000000"]]'])
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: enumeration node budget exceeded\n"
 
 
 @pytest.mark.parametrize("error", [CertificationError, PrecisionBudgetError])
@@ -261,13 +265,18 @@ def test_lattice_subcommand():
         ["lattice", "--gram", "5"],
         ["lattice", "--gram", "[[null]]"],
         ["epsilon", "--tower", '{"genera":[0],"mu":["1"],"vol":["1"]}', "--ell", "5"],
+        ["epsilon", "--tower", "5"],
+        ["epsilon", "--tower", '{"genera":5,"mu":["1"],"vol":["1"]}'],
+        ["polygon", "--hn", "[5]"],
     ],
 )
 def test_cli_malformed_input_exits_two(capsys, argv):
-    # malformed JSON shapes are input errors (exit 2, one line), not failed checks
+    # malformed JSON shapes are input errors (exit 2, one line), not failed checks;
+    # the message names the flag, or the config for polygon's --hn
+    what = "config" if argv[0] == "polygon" else argv[-2]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: invalid --") and len(err.strip().splitlines()) == 1
+    assert err.startswith(f"config error: invalid {what}: ") and len(err.strip().splitlines()) == 1
 
 
 def test_p1z_subcommand():

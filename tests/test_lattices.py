@@ -560,6 +560,16 @@ def test_count_same_in_original_and_reduced_basis(L):
 # -- the node budget ----------------------------------------------------------------------
 
 
+def test_node_budget_counts_leaves():
+    # one level, about 6.3e10 vectors of norm <= 1: the level-0 range alone
+    # exceeds MAX_NODES, so the count is refused instead of run
+    L = EuclideanLattice([[Fraction(1, 10**21)]])
+    with pytest.raises(EnumerationBudgetError):
+        L.h0_count()
+    # a range inside the budget is still enumerated
+    assert EuclideanLattice([[Fraction(1, 10**10)]]).h0_count() == 2 * 10**5 + 1
+
+
 def test_node_budget_raises(monkeypatch, capsys):
     gram = [[Fraction(1, 9) if i == j else Fraction(0) for j in range(3)] for i in range(3)]
     L = EuclideanLattice(gram)

@@ -214,6 +214,45 @@ def test_mu_max_superadditivity_is_equality():
             assert mu(n + m) == mu(n) + mu(m)
 
 
+# References that re-derive the filtration of pushforward(n) from its twists
+# n a - e j, without the HN type.
+
+
+def direct_filtered_rank(F, t, n):
+    """#{j <= n b : n a - e j >= n t}, counted term by term."""
+    return sum(1 for j in range(n * F.b + 1) if n * F.a - F.e * j >= n * t)
+
+
+def piecewise_rank_integral(F, n):
+    """Integral over t >= 0 of direct_filtered_rank(F, t, n), summed over
+    the knots (n a - e j) / n of the step function."""
+    values = sorted({Fraction(n * F.a - F.e * j, n) for j in range(n * F.b + 1)}, reverse=True)
+    total = Fraction(0)
+    for i, v in enumerate(values):
+        if v <= 0:
+            break
+        lower = max(values[i + 1], Fraction(0)) if i + 1 < len(values) else Fraction(0)
+        total += direct_filtered_rank(F, v, n) * (v - lower)
+    return total
+
+
+def hirzebruch_grid():
+    """a, b <= 20, e <= 3 with a >= e b."""
+    return [
+        FiberedSeries(a, b, e)
+        for e in range(4)
+        for a in range(1, 21)
+        for b in range(1, 21)
+        if a >= e * b
+    ]
+
+
+def test_filtered_rank_integral_matches_piecewise_reference():
+    for F in hirzebruch_grid():
+        for n in (1, 2, 3):
+            assert F.filtered_rank_integral(n).as_fraction() == piecewise_rank_integral(F, n), (F, n)
+
+
 def test_filtered_rank_examples():
     assert FiberedSeries(2, 3, 0).filtered_rank(0, 1) == 4
     assert FiberedSeries(2, 3, 0).filtered_rank(3, 5) == 0
@@ -221,11 +260,20 @@ def test_filtered_rank_examples():
 
 
 def test_filtered_rank_matches_hn_filtration():
+    # filtered_rank reads the HN filtration; the reference counts twists
     F = FiberedSeries(3, 2, 1)
     for n in (1, 2, 5):
-        h = F.pushforward(n).hn_type()
         for t in [Fraction(k, 2) for k in range(-2, 9)]:
-            assert F.filtered_rank(t, n) == h.filtration_rank(n * t)
+            assert F.filtered_rank(t, n) == direct_filtered_rank(F, t, n)
+    # on the grid: about three of the jumps (n a - e j) / n, just above
+    # each, and -1, 0
+    for F in hirzebruch_grid():
+        for n in (1, 2, 3):
+            knots = sorted({Fraction(n * F.a - F.e * j, n) for j in range(n * F.b + 1)})
+            picks = knots[:: max(1, len(knots) // 2)]
+            above = [k + Fraction(1, 2 * n) for k in picks]
+            for t in [Fraction(-1), Fraction(0), *picks, *above]:
+                assert F.filtered_rank(t, n) == direct_filtered_rank(F, t, n), (F, t, n)
 
 
 def test_filtered_volume_examples():
