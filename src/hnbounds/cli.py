@@ -16,12 +16,18 @@ it, so every failure is replayable; identical config and seed produce
 byte-identical JSON output.
 ``HNBOUNDS_JOBS`` controls how many worker processes evaluate checks; it is
 clamped to the CPU count and to the number of tasks (the report list is
-assembled in a fixed order either way).
+assembled in a fixed order either way).  Workers receive plain data (a
+``FiberedSeries``, which is three integers, or a lattice trial's number and
+integer Gram matrix) and return finished reports.
+
+JSON schemas are compiled on first use, once per schema; ``jsonschema`` is
+imported only then, so a subcommand that validates nothing never loads it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -31,11 +37,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-import jsonschema
-
 from . import bounds
 from .hn import hn_from_json
-from .lattices import EnumerationBudgetError, EuclideanLattice, random_gram
+from .lattices import EnumerationBudgetError, EuclideanLattice, _random_int_gram
 from .scalars import CertificationError, Scalar
 from .series import FiberedSeries
 from .towers import Tower, TowerData, epsilon, epsilon_tilde, rescale, tower_from_json, AffineFunction
@@ -141,13 +145,38 @@ class ConfigError(ValueError):
     pass
 
 
+_VALIDATORS = {}  # id(schema) -> (schema, its compiled validator)
+
+
 def _validate(value, schema, what: str):
-    """``value`` if it matches ``schema``; otherwise a one-line ConfigError."""
-    try:
-        jsonschema.validate(value, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid {what}: {exc.message}") from exc
+    """``value`` if it matches ``schema``; otherwise a one-line ConfigError.
+
+    The message is that of ``jsonschema.validate``: the best match among
+    the errors.  Each schema is checked against its meta-schema and compiled
+    once; the entry keeps the schema alive, so its id is not reused.
+    """
+    entry = _VALIDATORS.get(id(schema))
+    if entry is None:
+        from jsonschema.validators import validator_for
+
+        cls = validator_for(schema)
+        cls.check_schema(schema)
+        entry = _VALIDATORS[id(schema)] = (schema, cls(schema))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(entry[1].iter_errors(value))
+    if error is not None:
+        raise ConfigError(f"invalid {what}: {error.message}") from error
     return value
+
+
+@contextlib.contextmanager
+def _parsing(what: str):
+    """Report a zero denominator in a JSON rational as invalid ``what``."""
+    try:
+        yield
+    except ZeroDivisionError as exc:
+        raise ConfigError(f"invalid {what}: a rational has a zero denominator") from exc
 
 
 def validate_config(config: dict) -> dict:
@@ -210,8 +239,7 @@ def suite_filtered(params, rng) -> list[CheckReport]:
     return _run_checks(tasks)
 
 
-def _lattice_checks(gram_json):
-    L = EuclideanLattice.from_json(gram_json)
+def _lattice_checks(L: EuclideanLattice) -> list[CheckReport]:
     return [
         bounds.check_minkowski(L),
         bounds.check_blichfeldt(L),
@@ -219,21 +247,33 @@ def _lattice_checks(gram_json):
     ]
 
 
+def _lattice_trial(task) -> list[CheckReport]:
+    """The named reports of one suite trial, ``task = (trial, integer Gram)``."""
+    trial, gram = task
+    return [
+        dataclasses.replace(rep, name=f"{rep.name} trial={trial:04d}")
+        for rep in _lattice_checks(EuclideanLattice(gram))
+    ]
+
+
 def suite_lattice(params, rng) -> list[CheckReport]:
+    """Three checks on each of ``trials`` seeded ``random_gram`` lattices.
+
+    The parent draws the integer Gram matrices (the same draws as
+    ``random_gram``) and sends each worker ``(trial, Gram)``; the worker
+    builds the lattice and returns its three reports already named.
+    """
     rank = params.get("rank", 3)
     trials = params.get("trials", 50)
-    grams = [random_gram(rank, rng).to_json() for _ in range(trials)]
-    nested = _run_checks([(_lattice_checks, g) for g in grams])
-    return [
-        dataclasses.replace(rep, name=f"{rep.name} trial={i:04d}")
-        for i, triple in enumerate(nested)
-        for rep in triple
-    ]
+    grams = [_random_int_gram(rank, rng) for _ in range(trials)]
+    nested = _run_checks([(_lattice_trial, task) for task in enumerate(grams)])
+    return [rep for triple in nested for rep in triple]
 
 
 def suite_arithmetic(params, rng) -> list[CheckReport]:
     max_rank = params.get("max_rank", 4)
-    entries = [Fraction(e) for e in params.get("entries", ["1/4", "1", "4"])]
+    with _parsing("config"):
+        entries = [Fraction(e) for e in params.get("entries", ["1/4", "1", "4"])]
     reports = []
     for rank in range(1, max_rank + 1):
         for diag in itertools.product(entries, repeat=rank):
@@ -304,7 +344,8 @@ def suite_epsilon(params, rng) -> list[CheckReport]:
 
 
 def suite_polygon(params, rng) -> list[CheckReport]:
-    h = hn_from_json(params["hn"])
+    with _parsing("config"):
+        h = hn_from_json(params["hn"])
     poly = h.polygon()
     deg_plus = h.deg_plus()
     mu_max, mu_min = h.slope_extremes()
@@ -396,16 +437,22 @@ def main(argv=None) -> int:
             return status
         if args.command == "epsilon":
             tower_json = _validate(json.loads(args.tower), TOWER_SCHEMA, "--tower")
-            tower, data = tower_from_json(tower_json)
+            with _parsing("--tower"):
+                tower, data = tower_from_json(tower_json)
             if args.ell is None:
                 value = epsilon(tower, data)
             else:
                 c, s = _validate(json.loads(args.ell), ELL_SCHEMA, "--ell")
-                value = epsilon_tilde(tower, data, AffineFunction(Fraction(str(c)), Fraction(str(s))))
+                with _parsing("--ell"):
+                    ell = AffineFunction(Fraction(str(c)), Fraction(str(s)))
+                value = epsilon_tilde(tower, data, ell)
             print(json.dumps({"epsilon": value.to_json()}))
             return 0
         if args.command == "lattice":
-            reports = _lattice_checks(_validate(json.loads(args.gram), GRAM_SCHEMA, "--gram"))
+            gram = _validate(json.loads(args.gram), GRAM_SCHEMA, "--gram")
+            with _parsing("--gram"):
+                lattice = EuclideanLattice.from_json(gram)
+            reports = _lattice_checks(lattice)
             print(json.dumps(reports_to_json(reports), indent=2, sort_keys=True))
             return 0 if all(r.passed for r in reports) else 1
         if args.command == "p1z":

@@ -428,17 +428,21 @@ def gillet_soule_constant(field: NumberFieldData, n: int) -> Scalar:
     return total
 
 
+def _random_int_gram(rank: int, rng) -> tuple[tuple[int, ...], ...]:
+    """The integer Gram matrix B^T B that :func:`random_gram` wraps."""
+    while True:
+        b = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
+        if det(b) == 0:
+            continue
+        return tuple(
+            tuple(sum(b[k][i] * b[k][j] for k in range(rank)) for j in range(rank))
+            for i in range(rank)
+        )
+
+
 def random_gram(rank: int, rng) -> EuclideanLattice:
     """Random integer Gram matrix B^T B, entries of B uniform in [-3, 3].
 
     Singular draws are rejected, so the result is always positive definite.
     """
-    while True:
-        b = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
-        if det(b) == 0:
-            continue
-        gram = [
-            [sum(b[k][i] * b[k][j] for k in range(rank)) for j in range(rank)]
-            for i in range(rank)
-        ]
-        return EuclideanLattice(gram)
+    return EuclideanLattice(_random_int_gram(rank, rng))

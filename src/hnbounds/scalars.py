@@ -20,6 +20,20 @@ Interval endpoints are dyadic rationals, so mixed rational/interval
 comparisons are exact.  A comparison whose outcome is not determined by the
 endpoints raises :class:`CertificationError` instead of guessing.
 
+The common operations avoid converting between representations.  A rational
+is a ``Fraction`` and its arithmetic, comparisons and sign tests work on that
+``Fraction`` directly; results are built by a private constructor that skips
+``__init__``.  An interval's sign tests, ``max0``, ``abs`` and comparisons
+with another interval read the raw endpoints: the sign bit, and mpmath's
+``mpf_lt`` between endpoints.  They give what the exact bounds would, and
+they too raise :class:`CertificationError` on a non-finite endpoint.  Only a
+comparison of a rational with an interval converts the endpoints to
+``Fraction``.
+
+A Scalar pickles as integers: a rational as its numerator and denominator,
+an interval as its raw endpoint tuples, so a worker process gets back the
+very same value.
+
 Scalars are immutable, so constants are computed once: ``PI`` and ``LOG_PI``
 at import, and :func:`log_ball_volume` once per dimension (memoized).  A
 memoized value is the very interval a fresh call would compute, so sharing
@@ -40,6 +54,8 @@ from typing import Union
 from mpmath.libmp import (
     from_int,
     fzero,
+    mpf_lt,
+    mpf_neg,
     mpf_pi,
     mpi_add,
     mpi_cos,
@@ -73,6 +89,19 @@ def _raw_to_fraction(raw) -> Fraction:
     if exp >= 0:
         return Fraction(man << exp)
     return Fraction(man, 1 << -exp)
+
+
+def _finite(raw):
+    """The raw interval itself; CertificationError if an endpoint is not finite.
+
+    A finite endpoint's sign bit is its sign, and it is zero iff its mantissa
+    is (mpmath keeps one zero, ``fzero``, and marks +-inf and nan by a zero
+    mantissa with a nonzero exponent).
+    """
+    lo, hi = raw
+    if (not lo[1] and lo[2]) or (not hi[1] and hi[2]):
+        raise CertificationError("interval endpoint is not finite")
+    return raw
 
 
 def _int_to_raw(n: int):
@@ -119,10 +148,12 @@ class Scalar:
             if not value.is_rational:
                 raise TypeError("Scalar.exact got an interval-mode scalar")
             return value
+        if isinstance(value, Fraction):
+            return _rational(value)
+        if isinstance(value, int):
+            return _rational(Fraction(value))
         if isinstance(value, str):
-            return cls(rat=_parse_fraction(value))
-        if isinstance(value, (int, Fraction)):
-            return cls(rat=Fraction(value))
+            return _rational(_parse_fraction(value))
         raise TypeError(f"cannot build an exact Scalar from {type(value).__name__}")
 
     @classmethod
@@ -130,7 +161,7 @@ class Scalar:
         """Interval-mode scalar containing [lo, hi] (outward rounding)."""
         if lo > hi:
             raise ValueError("lower bound exceeds upper bound")
-        return cls(ivl=(_fraction_to_raw(lo)[0], _fraction_to_raw(hi)[1]))
+        return _interval((_fraction_to_raw(lo)[0], _fraction_to_raw(hi)[1]))
 
     # -- mode and bounds -----------------------------------------------
 
@@ -164,14 +195,25 @@ class Scalar:
             return self._ivl
         return _fraction_to_raw(self._rat)
 
+    def _lower_sign(self) -> int:
+        """Sign of the lower bound (-1, 0, 1); CertificationError on a
+        non-finite endpoint, as :meth:`bounds` raises."""
+        if self._rat is not None:
+            n = self._rat.numerator
+            return (n > 0) - (n < 0)
+        lo = _finite(self._ivl)[0]
+        return -1 if lo[0] else int(bool(lo[1]))
+
     # -- arithmetic ----------------------------------------------------
 
     @staticmethod
     def _coerce(other) -> "Scalar":
         if isinstance(other, Scalar):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar(rat=Fraction(other))
+        if isinstance(other, Fraction):
+            return _rational(other)
+        if isinstance(other, int):
+            return _rational(Fraction(other))
         return NotImplemented
 
     def _binop(self, other, ratop, ivop):
@@ -179,8 +221,8 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         if self._rat is not None and other._rat is not None:
-            return Scalar(rat=ratop(self._rat, other._rat))
-        return Scalar(ivl=ivop(self._raw(), other._raw(), PREC))
+            return _rational(ratop(self._rat, other._rat))
+        return _interval(ivop(self._raw(), other._raw(), PREC))
 
     def __add__(self, other):
         return self._binop(other, operator.add, mpi_add)
@@ -203,9 +245,13 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        lo, hi = other.bounds()
-        if lo <= 0 <= hi:
-            raise CertificationError("division by a scalar whose bounds straddle zero")
+        if other._rat is not None:
+            if not other._rat:
+                raise CertificationError("division by a scalar whose bounds straddle zero")
+        else:
+            lo, hi = _finite(other._ivl)
+            if (lo[0] or not lo[1]) and not hi[0]:  # lo <= 0 <= hi
+                raise CertificationError("division by a scalar whose bounds straddle zero")
         return self._binop(other, operator.truediv, mpi_div)
 
     def __rtruediv__(self, other):
@@ -214,48 +260,76 @@ class Scalar:
 
     def __neg__(self):
         if self._rat is not None:
-            return Scalar(rat=-self._rat)
-        return Scalar(ivl=mpi_neg(self._ivl, PREC))
+            return _rational(-self._rat)
+        return _interval(mpi_neg(self._ivl, PREC))
 
     def __pos__(self):
         return self
 
     def max0(self) -> "Scalar":
-        """max(x, 0), computed as the exact interval extension (never fails)."""
+        """max(x, 0), computed as the exact interval extension (never fails).
+
+        An interval's endpoints stay as they are or become zero: they are
+        dyadic with at most PREC bits, so the outward rounding of the
+        bounds changes none of them.
+        """
         if self._rat is not None:
-            return Scalar(rat=max(self._rat, Fraction(0)))
-        lo, hi = self.bounds()
-        return Scalar.from_fraction_bounds(max(lo, Fraction(0)), max(hi, Fraction(0)))
+            return self if self._rat.numerator >= 0 else _rational(Fraction(0))
+        lo, hi = _finite(self._ivl)
+        if not lo[0]:
+            return self
+        return _interval((fzero, fzero if hi[0] else hi))
 
     def __abs__(self) -> "Scalar":
         """Interval extension of |x|; exact in rational mode."""
         if self._rat is not None:
-            return Scalar(rat=abs(self._rat))
-        lo, hi = self.bounds()
-        if lo >= 0:
+            return self if self._rat.numerator >= 0 else _rational(-self._rat)
+        lo, hi = _finite(self._ivl)
+        if not lo[0]:
             return self
-        if hi <= 0:
+        if hi[0] or not hi[1]:
             return -self
-        return Scalar.from_fraction_bounds(Fraction(0), max(-lo, hi))
+        neg_lo = mpf_neg(lo)
+        return _interval((fzero, hi if mpf_lt(neg_lo, hi) else neg_lo))
 
     # -- certified comparisons ------------------------------------------
+
+    def _order(self, other: "Scalar"):
+        """-1, 0, +1 when the bounds decide self against other; None when
+        they overlap.  Two rationals cross-multiply (denominators are
+        positive), two intervals compare raw endpoints, and a rational
+        against an interval compares exact bounds."""
+        a, b = self._rat, other._rat
+        if a is not None and b is not None:
+            x, y = a.numerator * b.denominator, b.numerator * a.denominator
+            return (x > y) - (x < y)
+        if a is None and b is None:
+            (alo, ahi), (blo, bhi) = _finite(self._ivl), _finite(other._ivl)
+            lt = mpf_lt
+        else:
+            (alo, ahi), (blo, bhi) = self.bounds(), other.bounds()
+            lt = operator.lt
+        if lt(ahi, blo):
+            return -1
+        if lt(bhi, alo):
+            return 1
+        if alo == ahi == blo == bhi:
+            return 0
+        return None
 
     def _cmp(self, other) -> int:
         """-1, 0, +1 when certified; raises CertificationError otherwise."""
         other = Scalar._coerce(other)
         if other is NotImplemented:
             raise TypeError("cannot compare Scalar with that type")
-        alo, ahi = self.bounds()
-        blo, bhi = other.bounds()
-        if ahi < blo:
-            return -1
-        if alo > bhi:
-            return 1
-        if alo == ahi == blo == bhi:
-            return 0
-        raise CertificationError(
-            f"cannot certify comparison of overlapping bounds [{alo},{ahi}] vs [{blo},{bhi}]"
-        )
+        order = self._order(other)
+        if order is None:
+            alo, ahi = self.bounds()
+            blo, bhi = other.bounds()
+            raise CertificationError(
+                f"cannot certify comparison of overlapping bounds [{alo},{ahi}] vs [{blo},{bhi}]"
+            )
+        return order
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -273,13 +347,10 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        alo, ahi = self.bounds()
-        blo, bhi = other.bounds()
-        if alo == ahi == blo == bhi:
-            return True
-        if ahi < blo or alo > bhi:
-            return False
-        raise CertificationError("cannot certify equality of overlapping intervals")
+        order = self._order(other)
+        if order is None:
+            raise CertificationError("cannot certify equality of overlapping intervals")
+        return order == 0
 
     def __hash__(self):
         if self._rat is not None:
@@ -287,11 +358,13 @@ class Scalar:
         return hash(self.bounds())
 
     def __reduce__(self):
-        return (Scalar, (self._rat, self._ivl))
+        if self._rat is not None:
+            return (_rational_from_ints, (self._rat.numerator, self._rat.denominator))
+        return (_interval, (self._ivl,))
 
     def certified_nonneg(self) -> bool:
         """True iff the lower bound is >= 0 (the certifiable direction)."""
-        return self.bounds()[0] >= 0
+        return self._lower_sign() >= 0
 
     # -- display / serialization ----------------------------------------
 
@@ -318,8 +391,32 @@ class Scalar:
         raise ValueError(f"cannot parse Scalar from {data!r}")
 
 
-PI = Scalar(ivl=(mpf_pi(PREC, round_floor), mpf_pi(PREC, round_ceiling)))
-LOG_PI = Scalar(ivl=mpi_log(PI._ivl, PREC))
+_new = object.__new__
+
+
+def _rational(f: Fraction) -> Scalar:
+    """A rational Scalar holding the Fraction f (``__init__``'s check skipped)."""
+    s = _new(Scalar)
+    s._rat = f
+    s._ivl = None
+    return s
+
+
+def _interval(raw) -> Scalar:
+    """An interval Scalar holding the raw endpoint pair (check skipped)."""
+    s = _new(Scalar)
+    s._rat = None
+    s._ivl = raw
+    return s
+
+
+def _rational_from_ints(numerator: int, denominator: int) -> Scalar:
+    """Unpickle a rational from its numerator and denominator."""
+    return _rational(Fraction(numerator, denominator))
+
+
+PI = _interval((mpf_pi(PREC, round_floor), mpf_pi(PREC, round_ceiling)))
+LOG_PI = _interval(mpi_log(PI._ivl, PREC))
 _TWO_PI = mpi_mul(_int_to_raw(2), PI._ivl, PREC)
 
 
@@ -345,24 +442,24 @@ def log_scalar(x: RationalLike) -> Scalar:
     x = Scalar.exact(x).as_fraction()
     if x <= 0:
         raise ValueError("log of a non-positive rational")
-    return Scalar(ivl=mpi_log(_fraction_to_raw(x), PREC))
+    return _interval(mpi_log(_fraction_to_raw(x), PREC))
 
 
 def log_interval(x: Scalar) -> Scalar:
     """Certified ln of any positive scalar."""
-    if x.bounds()[0] <= 0:
+    if x._lower_sign() <= 0:
         raise CertificationError("log requires certified positive bounds")
-    return Scalar(ivl=mpi_log(x._raw(), PREC))
+    return _interval(mpi_log(x._raw(), PREC))
 
 
 def sqrt_interval(x: Scalar) -> Scalar:
-    if x.bounds()[0] < 0:
+    if x._lower_sign() < 0:
         raise CertificationError("sqrt requires certified nonnegative bounds")
-    return Scalar(ivl=mpi_sqrt(x._raw(), PREC))
+    return _interval(mpi_sqrt(x._raw(), PREC))
 
 
 def exp_interval(x: Scalar) -> Scalar:
-    return Scalar(ivl=mpi_exp(x._raw(), PREC))
+    return _interval(mpi_exp(x._raw(), PREC))
 
 
 def log_pi() -> Scalar:
@@ -374,8 +471,8 @@ def log_factorial(n: int) -> Scalar:
     if n < 0:
         raise ValueError("factorial of a negative integer")
     if n <= 1:
-        return Scalar(ivl=(fzero, fzero))
-    return Scalar(ivl=mpi_log(_int_to_raw(math.factorial(n)), PREC))
+        return _interval((fzero, fzero))
+    return _interval(mpi_log(_int_to_raw(math.factorial(n)), PREC))
 
 
 def log_gamma(x: RationalLike) -> Scalar:
@@ -383,7 +480,7 @@ def log_gamma(x: RationalLike) -> Scalar:
     x = Scalar.exact(x).as_fraction()
     if x <= 0:
         raise ValueError("log_gamma requires a positive argument")
-    return Scalar(ivl=mpi_loggamma(_fraction_to_raw(x), PREC))
+    return _interval(mpi_loggamma(_fraction_to_raw(x), PREC))
 
 
 @lru_cache(maxsize=256)
@@ -401,4 +498,4 @@ def log_ball_volume(n: int) -> Scalar:
 def cos_2pi(frac: Fraction) -> Scalar:
     """Certified cos(2*pi*frac)."""
     angle = mpi_mul(_TWO_PI, _fraction_to_raw(Fraction(frac)), PREC)
-    return Scalar(ivl=mpi_cos(angle, PREC))
+    return _interval(mpi_cos(angle, PREC))

@@ -83,7 +83,7 @@ class TowerData:
         vol = tuple(_rational(x) for x in vol)
         if len(mu) != len(vol) or not mu:
             raise ValueError("mu and vol must be nonempty vectors of equal length")
-        if any(v.as_fraction() < 0 for v in vol):
+        if not all(v.certified_nonneg() for v in vol):
             raise ValueError("volumes must be nonnegative")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "vol", vol)
@@ -121,7 +121,7 @@ def _check_lengths(tower: Tower, data: TowerData):
 def _warn_negative_mu(tower: Tower, data: TowerData):
     d = tower.depth
     for i in range(d):
-        if data.mu[i].as_fraction() < 0:
+        if not data.mu[i].certified_nonneg():
             warnings.warn(
                 f"mu[{i}] < 0: the error term is not asserted by any bound here",
                 NegativeSlopeWarning,

@@ -12,19 +12,18 @@ from hnbounds.cli import run_config, validate_config, ConfigError
 from hnbounds.scalars import CertificationError
 
 
-def run_cli(args, env_extra=None):
+def run_python(args, env_extra=None):
     # the child imports the same hnbounds as this process, installed or not
     src = os.path.dirname(os.path.dirname(hnbounds.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "hnbounds.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(args, env_extra=None):
+    return run_python(["-m", "hnbounds.cli", *args], env_extra)
 
 
 def test_validate_config():
@@ -268,15 +267,82 @@ def test_lattice_subcommand():
         ["epsilon", "--tower", "5"],
         ["epsilon", "--tower", '{"genera":5,"mu":["1"],"vol":["1"]}'],
         ["polygon", "--hn", "[5]"],
+        # a zero denominator in a JSON rational
+        ["polygon", "--hn", '[[1,"1/0"]]'],
+        ["lattice", "--gram", '[["1/0"]]'],
+        ["epsilon", "--tower", '{"genera":[0],"mu":["1/0"],"vol":["1"]}'],
+        ["epsilon", "--tower", '{"genera":[0],"mu":["1"],"vol":["1"]}', "--ell", '["1/0",1]'],
+        ["run", {"suite": "arithmetic", "parameters": {"entries": ["1/0"]}}],
     ],
 )
-def test_cli_malformed_input_exits_two(capsys, argv):
+def test_cli_malformed_input_exits_two(capsys, tmp_path, argv):
     # malformed JSON shapes are input errors (exit 2, one line), not failed checks;
-    # the message names the flag, or the config for polygon's --hn
-    what = "config" if argv[0] == "polygon" else argv[-2]
+    # the message names the flag, or the config for run and polygon's --hn
+    if argv[0] == "run":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(argv[1]))
+        argv = ["run", str(config)]
+    what = "config" if argv[0] in ("polygon", "run") else argv[-2]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: invalid {what}: ") and len(err.strip().splitlines()) == 1
+
+
+def test_pooled_lattice_suite_matches_string_payload_reference(monkeypatch):
+    # the suite sends workers integer Grams and gets named reports back; the
+    # reference rebuilds each lattice from the JSON strings the suite once sent
+    import dataclasses
+    import random
+
+    from hnbounds.bounds import reports_to_json
+    from hnbounds.lattices import EuclideanLattice, random_gram
+
+    rng = random.Random(2024)
+    reference = []
+    for i in range(12):
+        gram_json = random_gram(4, rng).to_json()
+        for rep in cli._lattice_checks(EuclideanLattice.from_json(gram_json)):
+            reference.append(dataclasses.replace(rep, name=f"{rep.name} trial={i:04d}"))
+    reference.sort(key=lambda r: r.name)
+    expected = json.dumps(reports_to_json(reference), indent=2, sort_keys=True)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for jobs in ("1", "2"):
+        monkeypatch.setenv("HNBOUNDS_JOBS", jobs)
+        _, reports = run_config({"suite": "lattice", "parameters": {"rank": 4, "trials": 12}, "seed": 2024})
+        assert json.dumps(reports_to_json(reports), indent=2, sort_keys=True) == expected
+
+
+def test_jsonschema_loaded_only_to_validate():
+    code = (
+        "import sys, hnbounds.cli as cli; assert 'jsonschema' not in sys.modules; "
+        "assert cli.main(['p1z', '--degree', '2']) == 0; assert 'jsonschema' not in sys.modules; "
+        "cli.validate_config({'suite': 'geometric'}); assert 'jsonschema' in sys.modules"
+    )
+    r = run_python(["-c", code])
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["count"] == 7
+
+
+def test_validators_compiled_once_with_jsonschema_messages():
+    import jsonschema
+
+    cases = [
+        ({"suite": "nope"}, cli.CONFIG_SCHEMA),
+        ({"rank": 99, "trials": 0}, cli.PARAMETER_SCHEMAS["lattice"]),
+        ([[1, "2"], [None]], cli.GRAM_SCHEMA),
+        ({"genera": [0], "mu": [None], "vol": []}, cli.TOWER_SCHEMA),
+    ]
+    for value, schema in cases:
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(value, schema)
+        for _ in range(2):
+            with pytest.raises(ConfigError) as got:
+                cli._validate(value, schema, "x")
+            assert str(got.value) == f"invalid x: {expected.value.message}"
+        assert cli._VALIDATORS[id(schema)][0] is schema
+    compiled = dict(cli._VALIDATORS)
+    validate_config({"suite": "lattice", "parameters": {"rank": 3}})
+    assert all(cli._VALIDATORS[k] is v for k, v in compiled.items())
 
 
 def test_p1z_subcommand():

@@ -1,5 +1,6 @@
 import ast
 import math
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import to_rational
+from mpmath.libmp import finf, fnan, fninf, mpf_neg, to_rational
 
 import hnbounds
 from hnbounds import CertificationError, Scalar, log_scalar
@@ -132,11 +133,35 @@ def test_json_round_trip():
 
 
 def test_pickle_round_trip():
+    # bit-identical: the same mode, the same Fraction or the same raw endpoint
+    # tuples; a rational travels as two ints, not as Fraction's string
     import pickle
 
-    for s in (Scalar.exact(Fraction(2, 7)), log_scalar(5)):
+    big = Fraction(-(10**60) - 7, 3**40)
+    values = [
+        Scalar.exact(Fraction(2, 7)),
+        Scalar.exact(big),
+        Scalar.exact(10**70 + 1),
+        Scalar.exact(0),
+        log_scalar(5),
+        log_scalar(-big),
+        Scalar.exact(big) - log_scalar(3),
+        exp_interval(log_scalar(-big)),
+        exp_interval(Scalar.exact(-50)),
+        log_factorial(1),
+    ]
+    for s in values:
         t = pickle.loads(pickle.dumps(s))
-        assert t.bounds() == s.bounds()
+        assert t.is_rational == s.is_rational
+        if s.is_rational:
+            assert type(t.as_fraction()) is Fraction
+            assert (t.as_fraction().numerator, t.as_fraction().denominator) == (
+                s.as_fraction().numerator,
+                s.as_fraction().denominator,
+            )
+            assert all(type(x) is int for x in s.__reduce__()[1])
+        else:
+            assert t._ivl == s._ivl
 
 
 # -- the interval layer against mpmath's interval context ----------------------
@@ -219,6 +244,166 @@ def test_constants_match_mpmath_interval_context():
             _ref_rational(Fraction(n, 2) + 1)
         )
         assert log_ball_volume(n).bounds() == _ref_bounds(expected)
+
+
+# -- fast paths against a bounds()/Fraction reference -------------------------
+#
+# Rational ops work on the Fraction and interval sign tests and comparisons on
+# the raw endpoint tuples.  The reference below decides everything from the
+# exact bounds(), as the package once did, and the fast paths must agree with
+# it, CertificationErrors included.
+
+_big = st.integers(min_value=-(10**60), max_value=10**60)
+_rationals = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(Fraction),
+    st.fractions(min_value=-10, max_value=10, max_denominator=8),
+    st.builds(Fraction, _big, st.integers(min_value=1, max_value=10**60)),
+)
+_NON_FINITE = (finf, fninf, fnan)
+
+
+@st.composite
+def _scalar_operands(draw):
+    q = draw(_rationals)
+    p = abs(q) + 1
+    kind = draw(st.sampled_from(["rational", "log", "shifted", "bounds", "point", "non-finite"]))
+    if kind == "rational":
+        return Scalar.exact(q)
+    if kind == "log":
+        return log_scalar(p)
+    if kind == "shifted":
+        return Scalar.exact(q) - log_scalar(p)
+    if kind == "bounds":
+        return Scalar.from_fraction_bounds(q, q + draw(_rationals.map(abs)))
+    if kind == "point":  # lo == hi: certified equal to the rational k
+        k = Fraction(draw(st.integers(min_value=-3, max_value=3)))
+        return Scalar.from_fraction_bounds(k, k)
+    finite = (Scalar.exact(q) + log_scalar(p))._ivl
+    bad = draw(st.sampled_from(_NON_FINITE))
+    return Scalar(ivl=draw(st.sampled_from([(fninf, finite[1]), (finite[0], bad), (bad, bad)])))
+
+
+def _key(s):
+    return ("rational", s.as_fraction()) if s.is_rational else ("interval", s._ivl)
+
+
+def _agree(fast, ref):
+    """fast() returns what ref() returns, or raises CertificationError as it does."""
+    try:
+        expected = ref()
+    except CertificationError:
+        with pytest.raises(CertificationError):
+            fast()
+        return
+    got = fast()
+    if isinstance(expected, Scalar):
+        assert _key(got) == _key(expected)
+        if got.is_rational:
+            assert type(got.as_fraction()) is Fraction
+    else:
+        assert type(got) is type(expected) and got == expected
+
+
+def _ref_cmp(x, y):
+    alo, ahi = x.bounds()
+    blo, bhi = y.bounds()
+    if ahi < blo:
+        return -1
+    if alo > bhi:
+        return 1
+    if alo == ahi == blo == bhi:
+        return 0
+    raise CertificationError("overlap")
+
+
+def _ref_eq(x, y):
+    alo, ahi = x.bounds()
+    blo, bhi = y.bounds()
+    if alo == ahi == blo == bhi:
+        return True
+    if ahi < blo or alo > bhi:
+        return False
+    raise CertificationError("overlap")
+
+
+def _ref_max0(x):
+    if x.is_rational:
+        return Scalar.exact(max(x.as_fraction(), Fraction(0)))
+    lo, hi = x.bounds()
+    return Scalar.from_fraction_bounds(max(lo, Fraction(0)), max(hi, Fraction(0)))
+
+
+def _ref_neg(x):
+    lo, hi = x.bounds()
+    return Scalar.exact(-lo) if x.is_rational else Scalar.from_fraction_bounds(-hi, -lo)
+
+
+def _ref_abs(x):
+    if x.is_rational:
+        return Scalar.exact(abs(x.as_fraction()))
+    lo, hi = x.bounds()
+    if lo >= 0:
+        return x
+    if hi <= 0:
+        return _ref_neg(x)
+    return Scalar.from_fraction_bounds(Fraction(0), max(-lo, hi))
+
+
+def _ref_div(p, q):
+    if not q:
+        raise CertificationError("division by zero")
+    return Scalar.exact(p / q)
+
+
+def _finite(x):
+    try:
+        x.bounds()
+    except CertificationError:
+        return False
+    return True
+
+
+@settings(PROPERTIES, max_examples=300)
+@given(_scalar_operands(), _scalar_operands())
+def test_fast_paths_match_bounds_reference(x, y):
+    for a in (x, y):
+        _agree(a.certified_nonneg, lambda: a.bounds()[0] >= 0)
+        _agree(a.max0, lambda: _ref_max0(a))
+        _agree(a.__abs__, lambda: _ref_abs(a))
+        if _finite(a):
+            _agree(a.__neg__, lambda: _ref_neg(a))
+        else:  # exact negation of the raw ends, no certification needed
+            assert (-a)._ivl == (mpf_neg(a._ivl[1]), mpf_neg(a._ivl[0]))
+    others = [(y, y)] + ([(y.as_fraction(), y)] if y.is_rational else [])
+    for other, ref in others:
+        _agree(lambda: x < other, lambda: _ref_cmp(x, ref) < 0)
+        _agree(lambda: x <= other, lambda: _ref_cmp(x, ref) <= 0)
+        _agree(lambda: x == other, lambda: _ref_eq(x, ref))
+        _agree(lambda: other > x, lambda: _ref_cmp(x, ref) < 0)
+    if x.is_rational and y.is_rational:
+        p, q = x.as_fraction(), y.as_fraction()
+        _agree(lambda: x + y, lambda: Scalar.exact(p + q))
+        _agree(lambda: x - y, lambda: Scalar.exact(p - q))
+        _agree(lambda: x * y, lambda: Scalar.exact(p * q))
+        _agree(lambda: x / y, lambda: _ref_div(p, q))
+        return
+    results = [(x + y, operator.add), (x - y, operator.sub), (x * y, operator.mul)]
+    try:
+        ylo, yhi = y.bounds()
+        straddles = ylo <= 0 <= yhi
+    except CertificationError:
+        straddles = True  # the divisor's sign is not certified either way
+    if straddles:
+        with pytest.raises(CertificationError):
+            x / y
+    else:
+        results.append((x / y, operator.truediv))
+    if _finite(x) and _finite(y):
+        for result, op in results:
+            lo, hi = result.bounds()
+            for u in x.bounds():
+                for v in y.bounds():
+                    assert lo <= op(u, v) <= hi
 
 
 # -- containment: every interval op brackets the exact value -------------------
