@@ -24,6 +24,7 @@ from .lattices import EuclideanLattice, NumberFieldData, RATIONAL_FIELD, gillet_
 from .scalars import (
     PI,
     Scalar,
+    as_scalar,
     cos_2pi,
     exp_interval,
     log_interval,
@@ -64,20 +65,20 @@ class CheckReport:
     """Outcome of one certified comparison lhs <= rhs.
 
     ``margin`` is rhs - lhs (or, for composite checks, the minimum of the
-    individual margins) and ``passed`` is derived from it: certified
-    nonnegative lower bound.  ``context`` carries check-specific details.
+    individual margins).  ``passed`` is derived from the margin on each
+    access, not stored: it is true iff the margin's lower bound is
+    certified nonnegative.  ``context`` carries check-specific details.
     """
 
     name: str
     lhs: Scalar
     rhs: Scalar
     margin: Scalar
-    passed: bool
     context: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.passed != self.margin.certified_nonneg():
-            raise ValueError("pass flag must equal the certified sign of the margin")
+    @property
+    def passed(self) -> bool:
+        return self.margin.certified_nonneg()
 
     @classmethod
     def compare(cls, name: str, lhs: Scalar, rhs: Scalar, context=None) -> "CheckReport":
@@ -85,7 +86,7 @@ class CheckReport:
 
     @classmethod
     def with_margin(cls, name, lhs, rhs, margin, context=None) -> "CheckReport":
-        return cls(name, lhs, rhs, margin, margin.certified_nonneg(), dict(context or {}))
+        return cls(name, lhs, rhs, margin, dict(context or {}))
 
     def to_json(self):
         return {
@@ -138,8 +139,7 @@ def geometric_hs_bound(vol: Scalar, dim: int, eps: Scalar) -> Scalar:
     """Degree-one rank bound vol / dim! + eps for a dim-dimensional scheme."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    vol = vol if isinstance(vol, Scalar) else Scalar.exact(vol)
-    eps = eps if isinstance(eps, Scalar) else Scalar.exact(eps)
+    vol, eps = as_scalar(vol), as_scalar(eps)
     if not vol.certified_nonneg() or not eps.certified_nonneg():
         raise ValueError("volume and error term must be nonnegative")
     return vol / Scalar.exact(factorial(dim)) + eps
@@ -211,19 +211,26 @@ def check_filtered(F: FiberedSeries) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
+def _positive_minima(L: EuclideanLattice) -> Scalar:
+    """sum max(lambda_i, 0) over the successive minima, added in order."""
+    total = Scalar.exact(0)
+    for lam in L.successive_minima():
+        total = total + lam.max0()
+    return total
+
+
+def _count_bound(positive_minima: Scalar, r: int) -> Scalar:
+    """positive_minima + r ln 2 + ln(2 r!), the bound on a rank-r log-count."""
+    return positive_minima + Scalar.exact(r) * log_scalar(2) + log_scalar(2 * factorial(r))
+
+
 def h0_minima_bound(L: EuclideanLattice) -> CheckReport:
     """Log-count of norm <= 1 vectors vs the positive minima plus r ln 2 + ln(2 r!)."""
     r = L.rank
-    lhs = L.h0_hat()
-    minima = L.successive_minima()
-    rhs = Scalar.exact(0)
-    for lam in minima:
-        rhs = rhs + lam.max0()
-    rhs = rhs + Scalar.exact(r) * log_scalar(2) + log_scalar(2 * factorial(r))
     return CheckReport.compare(
         f"minima-bound rank={r}",
-        lhs,
-        rhs,
+        L.h0_hat(),
+        _count_bound(_positive_minima(L), r),
         {"count": L.h0_count(), "rank": r},
     )
 
@@ -324,16 +331,13 @@ def check_truncated_siegel(L: EuclideanLattice) -> CheckReport:
     if sorted(L.minima_norms_squared()) != diag:
         raise AssertionError("orthogonal minima must match the Gram diagonal")
     slopes_positive = L.orthogonal_hn().deg_plus()
-    minima_positive = Scalar.exact(0)
-    for lam in L.successive_minima():
-        minima_positive = minima_positive + lam.max0()
-    rhs = minima_positive + Scalar.exact(Fraction(r, 2)) * log_scalar(r)
-    margin = Scalar.exact(Fraction(r, 2)) * log_scalar(r)
+    minima_positive = _positive_minima(L)
+    slack = Scalar.exact(Fraction(r, 2)) * log_scalar(r)
     return CheckReport.with_margin(
         f"siegel-truncated rank={r}",
         slopes_positive,
-        rhs,
-        margin,
+        minima_positive + slack,
+        slack,
         {"minima_positive": minima_positive, "slack_exact": True},
     )
 
@@ -354,8 +358,7 @@ def arithmetic_error_F(
         raise ValueError("n and r_n must be >= 1")
     if dim_fiber < 1:
         raise ValueError("fiber dimension must be >= 1")
-    mu_asy = mu_asy if isinstance(mu_asy, Scalar) else Scalar.exact(mu_asy)
-    eps = eps if isinstance(eps, Scalar) else Scalar.exact(eps)
+    mu_asy, eps = as_scalar(mu_asy), as_scalar(eps)
     power = Scalar.exact(Fraction(n) ** (dim_fiber - 1))
     log_rn = log_scalar(r_n) if r_n > 1 else Scalar.exact(0)
     inner = Scalar.exact(n) * mu_asy * power * eps + Scalar.exact(r_n) * log_rn
@@ -370,8 +373,7 @@ def arithmetic_error_G(
         raise ValueError("n and R_n must be >= 1")
     if dim_fiber < 1:
         raise ValueError("fiber dimension must be >= 1")
-    mu_asy = mu_asy if isinstance(mu_asy, Scalar) else Scalar.exact(mu_asy)
-    eps = eps if isinstance(eps, Scalar) else Scalar.exact(eps)
+    mu_asy, eps = as_scalar(mu_asy), as_scalar(eps)
     log_rn = log_scalar(big_r_n) if big_r_n > 1 else Scalar.exact(0)
     return (
         Scalar.exact(Fraction(n) ** dim_fiber) * mu_asy * eps
@@ -559,12 +561,10 @@ def p1z_h0(n: int) -> tuple[int, CheckReport]:
     count = 2 * n + 3
 
     r = n + 1
-    lhs = log_scalar(count)
-    rhs = Scalar.exact(r) * log_scalar(2) + log_scalar(2 * factorial(r))
     report = CheckReport.compare(
         f"p1z degree<={n}",
-        lhs,
-        rhs,
+        log_scalar(count),
+        _count_bound(Scalar.exact(0), r),
         {
             "count": count,
             "rank": r,

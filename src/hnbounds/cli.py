@@ -106,7 +106,7 @@ PARAMETER_SCHEMAS = {
         "type": "object",
         "properties": {
             "max_rank": {"type": "integer", "minimum": 1, "maximum": 6},
-            "entries": {"type": "array", "items": {"type": "string"}},
+            "entries": {"type": "array", "items": {"type": "string"}, "minItems": 1},
         },
         "additionalProperties": False,
     },
@@ -115,7 +115,6 @@ PARAMETER_SCHEMAS = {
         "properties": {
             "trials": {"type": "integer", "minimum": 1},
             "p_max": {"type": "integer", "minimum": 1},
-            "depth_max": {"type": "integer", "minimum": 0},
         },
         "additionalProperties": False,
     },

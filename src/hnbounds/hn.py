@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import Scalar, scalar_max
+from .scalars import Scalar, as_scalar, scalar_max
 
 __all__ = [
     "HNType",
@@ -25,12 +25,6 @@ __all__ = [
     "make_hn_type",
     "hn_from_json",
 ]
-
-
-def _as_scalar(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    return Scalar.exact(x)
 
 
 @dataclass(frozen=True)
@@ -189,7 +183,7 @@ class HNType:
         The filtration is closed at the slope: F^t jumps down only once t
         passes strictly beyond each slope.
         """
-        t = _as_scalar(t)
+        t = as_scalar(t)
         total = 0
         for r, s in self.segments:
             if s >= t:
@@ -233,7 +227,7 @@ def make_hn_type(segments: Iterable[Sequence]) -> HNType:
     that are not strictly decreasing after the merge.  Idempotent on its own
     output.
     """
-    items = [(r, _as_scalar(s)) for r, s in segments]
+    items = [(r, as_scalar(s)) for r, s in segments]
     if not items:
         raise ValueError("HNType needs at least one segment")
     merged: list[tuple[int, Scalar]] = []

@@ -56,6 +56,14 @@ class EnumerationBudgetError(RuntimeError):
     """The exact enumeration would exceed the configured budget."""
 
 
+_HALF = Scalar.exact(Fraction(1, 2))
+
+
+def _log_norm(q: Fraction) -> Scalar:
+    """-(1/2) ln q, for q a squared norm or a Gram determinant."""
+    return Scalar.exact(0) - _HALF * log_scalar(q)
+
+
 @dataclass(frozen=True)
 class EuclideanLattice:
     """Z^r with a symmetric positive-definite rational Gram matrix."""
@@ -153,10 +161,7 @@ class EuclideanLattice:
         smaller one).
         """
         if "log_minima" not in self._memo:
-            half = Scalar.exact(Fraction(1, 2))
-            self._memo["log_minima"] = tuple(
-                Scalar.exact(0) - half * log_scalar(q) for q in self.minima_norms_squared()
-            )
+            self._memo["log_minima"] = tuple(_log_norm(q) for q in self.minima_norms_squared())
         return list(self._memo["log_minima"])
 
     def minima_norms_squared(self) -> list[Fraction]:
@@ -188,14 +193,11 @@ class EuclideanLattice:
 
     def euler_char(self) -> Scalar:
         """ln(vol of the unit ball / covolume), certified interval."""
-        r = self.rank
-        half = Scalar.exact(Fraction(1, 2))
-        return log_ball_volume(r) - half * log_scalar(self.determinant())
+        return log_ball_volume(self.rank) + self.arakelov_degree()
 
     def arakelov_degree(self) -> Scalar:
         """-(1/2) ln det(Gram), the hermitian Arakelov degree over Z."""
-        half = Scalar.exact(Fraction(1, 2))
-        return Scalar.exact(0) - half * log_scalar(self.determinant())
+        return _log_norm(self.determinant())
 
     def orthogonal_hn(self) -> HNType:
         """Slope data of a diagonal lattice: rank-one summands of slope
@@ -210,12 +212,7 @@ class EuclideanLattice:
         for i in range(self.rank):
             d = self.gram[i][i]
             counts[d] = counts.get(d, 0) + 1
-        half = Scalar.exact(Fraction(1, 2))
-        segments = [
-            (counts[d], Scalar.exact(0) - half * log_scalar(d))
-            for d in sorted(counts)
-        ]
-        return make_hn_type(segments)
+        return make_hn_type((counts[d], _log_norm(d)) for d in sorted(counts))
 
     def rank2_mu_max(self) -> Scalar:
         """Maximal slope of a rank-2 lattice: max(lambda_1, deg/2).
@@ -225,9 +222,7 @@ class EuclideanLattice:
         """
         if self.rank != 2:
             raise ValueError("rank2_mu_max requires a rank-2 lattice")
-        shortest = self.minima_norms_squared()[0]
-        half = Scalar.exact(Fraction(1, 2))
-        lam1 = Scalar.exact(0) - half * log_scalar(shortest)
+        lam1 = _log_norm(self.minima_norms_squared()[0])
         return scalar_max(lam1, self.arakelov_degree() / Scalar.exact(2))
 
     # -- internals -----------------------------------------------------------

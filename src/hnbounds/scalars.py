@@ -420,21 +420,27 @@ LOG_PI = _interval(mpi_log(PI._ivl, PREC))
 _TWO_PI = mpi_mul(_int_to_raw(2), PI._ivl, PREC)
 
 
+def as_scalar(x: RationalLike) -> Scalar:
+    """x itself if it is a Scalar (of either mode), else ``Scalar.exact(x)``."""
+    return x if isinstance(x, Scalar) else Scalar.exact(x)
+
+
+def _extreme(pick, a: Scalar, b: Scalar) -> Scalar:
+    """Interval extension of ``pick`` (max or min); exact for rationals."""
+    if a._rat is not None and b._rat is not None:
+        return a if pick(a._rat, b._rat) == a._rat else b
+    (alo, ahi), (blo, bhi) = a.bounds(), b.bounds()
+    return Scalar.from_fraction_bounds(pick(alo, blo), pick(ahi, bhi))
+
+
 def scalar_max(a: Scalar, b: Scalar) -> Scalar:
     """Interval extension of max; exact for rationals."""
-    if a.is_rational and b.is_rational:
-        return a if a.as_fraction() >= b.as_fraction() else b
-    alo, ahi = a.bounds()
-    blo, bhi = b.bounds()
-    return Scalar.from_fraction_bounds(max(alo, blo), max(ahi, bhi))
+    return _extreme(max, a, b)
 
 
 def scalar_min(a: Scalar, b: Scalar) -> Scalar:
-    if a.is_rational and b.is_rational:
-        return a if a.as_fraction() <= b.as_fraction() else b
-    alo, ahi = a.bounds()
-    blo, bhi = b.bounds()
-    return Scalar.from_fraction_bounds(min(alo, blo), min(ahi, bhi))
+    """Interval extension of min; exact for rationals."""
+    return _extreme(min, a, b)
 
 
 def log_scalar(x: RationalLike) -> Scalar:

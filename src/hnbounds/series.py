@@ -22,7 +22,7 @@ from math import ceil, floor, gcd
 
 from ._exact import det, rank
 from .curves import SplitBundle
-from .scalars import Scalar
+from .scalars import Scalar, as_scalar
 
 __all__ = ["ToricSeries", "FiberedSeries"]
 
@@ -315,13 +315,13 @@ class FiberedSeries:
     def filtered_rank(self, t, n: int) -> int:
         """Rank of the slope->=t piece of pushforward(n): its HN filtration
         at the threshold n*t."""
-        t = (t if isinstance(t, Scalar) else Scalar.exact(t)).as_fraction()
+        t = as_scalar(t).as_fraction()
         return self.pushforward(n).hn_type().filtration_rank(n * t)
 
     def filtered_volume(self, t) -> Scalar:
         """Normalized limit of filtered_rank(t, n)/n: min(b, (a-t)/e) on
         [0, b], and 0 past t = a."""
-        t = (t if isinstance(t, Scalar) else Scalar.exact(t)).as_fraction()
+        t = as_scalar(t).as_fraction()
         a, b, e = Fraction(self.a), Fraction(self.b), Fraction(self.e)
         if t > a:
             return Scalar.exact(0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .scalars import Scalar
+from .scalars import Scalar, as_scalar
 
 __all__ = [
     "Tower",
@@ -45,7 +45,7 @@ class NegativeSlopeWarning(UserWarning):
 
 
 def _rational(x) -> Scalar:
-    s = x if isinstance(x, Scalar) else Scalar.exact(x)
+    s = as_scalar(x)
     if not s.is_rational:
         raise TypeError("tower data must be rational-mode scalars")
     return s
@@ -125,12 +125,30 @@ def _warn_negative_mu(tower: Tower, data: TowerData):
             warnings.warn(
                 f"mu[{i}] < 0: the error term is not asserted by any bound here",
                 NegativeSlopeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
 
 
-def _genus_factor(g: int) -> Scalar:
-    return Scalar.exact(max(g - 1, 1))
+def _epsilon(tower: Tower, data: TowerData, ell) -> Scalar:
+    """The recursion of the module docstring, on the data's Fractions.
+
+    ``ell`` is None or an affine function whose value at g_i is added to
+    the genus factor of every non-base level.
+    """
+    _check_lengths(tower, data)
+    _warn_negative_mu(tower, data)
+    genera = tower.genera
+    d = tower.depth
+    mu = [m.as_fraction() for m in data.mu]
+    vol = [v.as_fraction() for v in data.vol]
+    eps = Fraction(max(genera[d] - 1, 1))
+    for i in range(d - 1, -1, -1):
+        g = genera[i]
+        factor = max(g - 1, 1)
+        if ell is not None:
+            factor += ell(g).as_fraction()
+        eps = mu[i] * eps + (vol[i + 1] / factorial(d - i) + eps) * factor
+    return Scalar.exact(eps)
 
 
 def epsilon(tower: Tower, data: TowerData) -> Scalar:
@@ -139,18 +157,11 @@ def epsilon(tower: Tower, data: TowerData) -> Scalar:
     Base case max(g_d - 1, 1); one recursion step per fibration level, using
     mu_0..mu_{d-1} and v_1..v_d (mu_d and v_0 never enter).
 
-    Kept independent of :func:`epsilon_tilde` so that the degeneration
-    ell == 0 can be asserted as a genuine cross-check.
+    ``tests/test_towers.py`` keeps an independent oracle, one Scalar loop
+    for this term and one for :func:`epsilon_tilde`, so the degeneration
+    ell == 0 stays a genuine cross-check.
     """
-    _check_lengths(tower, data)
-    _warn_negative_mu(tower, data)
-    genera = tower.genera
-    d = tower.depth
-    eps = _genus_factor(genera[d])
-    for i in range(d - 1, -1, -1):
-        v_next = data.vol[i + 1] / Scalar.exact(factorial(d - i))
-        eps = data.mu[i] * eps + (v_next + eps) * _genus_factor(genera[i])
-    return eps
+    return _epsilon(tower, data, None)
 
 
 def epsilon_tilde(tower: Tower, data: TowerData, ell: AffineFunction = DEFAULT_ELL) -> Scalar:
@@ -160,16 +171,7 @@ def epsilon_tilde(tower: Tower, data: TowerData, ell: AffineFunction = DEFAULT_E
     max(g_i - 1, 1) + ell(g_i) at every non-base level; the base case carries
     no ell term.  With ell identically zero this reduces exactly to epsilon.
     """
-    _check_lengths(tower, data)
-    _warn_negative_mu(tower, data)
-    genera = tower.genera
-    d = tower.depth
-    eps = _genus_factor(genera[d])
-    for i in range(d - 1, -1, -1):
-        level_factor = _genus_factor(genera[i]) + ell(genera[i])
-        v_next = data.vol[i + 1] / Scalar.exact(factorial(d - i))
-        eps = data.mu[i] * eps + (v_next + eps) * level_factor
-    return eps
+    return _epsilon(tower, data, ell)
 
 
 def rescale(data: TowerData, p: int) -> TowerData:

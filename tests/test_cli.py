@@ -273,6 +273,9 @@ def test_lattice_subcommand():
         ["epsilon", "--tower", '{"genera":[0],"mu":["1/0"],"vol":["1"]}'],
         ["epsilon", "--tower", '{"genera":[0],"mu":["1"],"vol":["1"]}', "--ell", '["1/0",1]'],
         ["run", {"suite": "arithmetic", "parameters": {"entries": ["1/0"]}}],
+        # a setting the suite does not read, and an empty list of checks
+        ["run", {"suite": "epsilon", "parameters": {"trials": 40, "depth_max": 0}}],
+        ["run", {"suite": "arithmetic", "parameters": {"entries": []}}],
     ],
 )
 def test_cli_malformed_input_exits_two(capsys, tmp_path, argv):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -42,18 +43,47 @@ def test_epsilon_tilde_examples():
     assert epsilon_tilde(t, d, shifted).as_fraction() == 10
 
 
+def _genus_factor(g: int) -> Scalar:
+    return Scalar.exact(max(g - 1, 1))
+
+
+def _reference_epsilon(tower, data, ell=None):
+    """The error term by two separate Scalar loops, one for epsilon (``ell``
+    None) and one for epsilon_tilde: an oracle independent of the package's
+    single recursion on Fractions."""
+    genera = tower.genera
+    d = tower.depth
+    eps = _genus_factor(genera[d])
+    if ell is None:
+        for i in range(d - 1, -1, -1):
+            v_next = data.vol[i + 1] / Scalar.exact(factorial(d - i))
+            eps = data.mu[i] * eps + (v_next + eps) * _genus_factor(genera[i])
+        return eps
+    for i in range(d - 1, -1, -1):
+        level_factor = _genus_factor(genera[i]) + ell(genera[i])
+        v_next = data.vol[i + 1] / Scalar.exact(factorial(d - i))
+        eps = data.mu[i] * eps + (v_next + eps) * level_factor
+    return eps
+
+
 def test_epsilon_tilde_zero_ell_equals_epsilon(rng):
+    # the package's epsilon and its ell == 0 degeneration both match the
+    # reference's epsilon loop, which has no ell term at all
     zero_ell = AffineFunction(0, 0)
     for _ in range(200):
         tower, d = _random_nonneg(rng)
-        assert epsilon_tilde(tower, d, zero_ell).as_fraction() == epsilon(tower, d).as_fraction()
+        expected = _reference_epsilon(tower, d).as_fraction()
+        assert epsilon_tilde(tower, d, zero_ell).as_fraction() == expected
+        assert epsilon(tower, d).as_fraction() == expected
 
 
 def test_epsilon_tilde_dominates_epsilon(rng):
     ell = AffineFunction(Fraction(1, 2), Fraction(2))
     for _ in range(200):
         tower, d = _random_nonneg(rng)
-        assert epsilon_tilde(tower, d, ell).as_fraction() >= epsilon(tower, d).as_fraction()
+        value = epsilon_tilde(tower, d, ell).as_fraction()
+        assert value == _reference_epsilon(tower, d, ell).as_fraction()
+        assert value >= _reference_epsilon(tower, d).as_fraction()
 
 
 def _random_nonneg(rng, depth_max=3):
