@@ -7,13 +7,16 @@ the leading minors Delta_0 = 1, ..., Delta_r and lambda_ij = Delta_(j+1) mu_ij,
 read off the pivot rows of the package's one fraction-free (Bareiss)
 elimination.  Short-vector counts and successive minima come from an integer
 Fincke-Pohst enumeration over that data, so every count is a theorem, not a
-float.  Each lattice is reduced once by the integral LLL of Cohen (Alg.
-2.6.7), memoized and shared by the count and the minima; the reduction only
-shrinks the search region and never enters the certification path (the
-enumeration bound is taken from whichever basis is in use).
+float: the count adds each level-0 range in O(1) without visiting its leaves,
+and the minima compare integer norms over one common denominator.  Each
+lattice is reduced once by the integral LLL of Cohen (Alg. 2.6.7), memoized
+and shared by the count and the minima; the reduction only shrinks the search
+region and never enters the certification path (the enumeration bound is
+taken from whichever basis is in use).
 
 Logarithmic invariants (log-counts, Euler characteristic, Arakelov degree,
-the rank-n comparison constant of Gillet-Soule type) are certified intervals.
+the rank-n comparison constant of Gillet-Soule type) are certified intervals,
+each taken once per lattice (or per argument) and memoized.
 
 Out of scope: maximal slopes beyond rank 2 or off-diagonal (a genuine
 sublattice optimization), and absolute minima over the algebraic closure for
@@ -36,6 +39,7 @@ from .scalars import (
     log_ball_volume,
     log_gamma,
     log_scalar,
+    neg_half_log,
     scalar_max,
 )
 
@@ -56,12 +60,10 @@ class EnumerationBudgetError(RuntimeError):
     """The exact enumeration would exceed the configured budget."""
 
 
-_HALF = Scalar.exact(Fraction(1, 2))
-
-
-def _log_norm(q: Fraction) -> Scalar:
-    """-(1/2) ln q, for q a squared norm or a Gram determinant."""
-    return Scalar.exact(0) - _HALF * log_scalar(q)
+def _round_half_even(n: int, d: int) -> int:
+    """round(n / d) for d > 0 in integers, ties to even, as round(Fraction(n, d))."""
+    q, rem = divmod(2 * n + d, 2 * d)
+    return q - 1 if not rem and q & 1 else q
 
 
 @dataclass(frozen=True)
@@ -71,19 +73,19 @@ class EuclideanLattice:
     gram: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, gram):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        rows = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in gram
+        )
         r = len(rows)
         if r < 1 or any(len(row) != r for row in rows):
             raise ValueError("Gram matrix must be square and nonempty")
-        for i in range(r):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
         # A = den G in integers; its pivot rows give the leading minors
         # Delta_i and lambda.  Sylvester: G is definite iff every Delta_i > 0,
         # and then pivot i sits in column i.
         den = lcm(*(x.denominator for row in rows for x in row))
         a = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        if any(a[i][j] != a[j][i] for i in range(r) for j in range(i)):
+            raise ValueError("Gram matrix must be symmetric")
         e = Echelon()
         for i, row in enumerate(a):
             if not (e.add(row) and e.cols[i] == i and e.rows[i][i] > 0):
@@ -137,19 +139,25 @@ class EuclideanLattice:
     # -- counting and minima -------------------------------------------------
 
     def h0_count(self) -> int:
-        """Number of lattice vectors with norm <= 1 (the origin included)."""
+        """Number of lattice vectors with norm <= 1 (the origin included).
+
+        Counted without visiting the leaves: each level-0 range of the
+        enumeration adds its length in O(1), and the count is 1 + 2 #leaves
+        (the origin, and each +-v pair once).
+        """
         if "h0_count" not in self._memo:
             self._check_budget()
             reduced, _ = self._lll()
-            count = 0
-            for _, v in reduced._short_vectors(Fraction(1)):
-                count += 2 if any(v) else 1  # enumeration yields one of each +-v pair
-            self._memo["h0_count"] = count
+            _, scale = reduced._form()
+            leaves = sum(top - lo for _, lo, top, _, _ in reduced._level0_ranges(scale))
+            self._memo["h0_count"] = 1 + 2 * leaves
         return self._memo["h0_count"]
 
     def h0_hat(self) -> Scalar:
-        """ln of the count of norm <= 1 vectors, as a certified interval."""
-        return log_scalar(self.h0_count())
+        """ln of the count of norm <= 1 vectors, as a certified interval (memoized)."""
+        if "h0_hat" not in self._memo:
+            self._memo["h0_hat"] = log_scalar(self.h0_count())
+        return self._memo["h0_hat"]
 
     def successive_minima(self) -> list[Scalar]:
         """Log minima lambda_1 >= ... >= lambda_r, lambda_i = -ln(norm_i).
@@ -161,27 +169,30 @@ class EuclideanLattice:
         smaller one).
         """
         if "log_minima" not in self._memo:
-            self._memo["log_minima"] = tuple(_log_norm(q) for q in self.minima_norms_squared())
+            self._memo["log_minima"] = tuple(neg_half_log(q) for q in self.minima_norms_squared())
         return list(self._memo["log_minima"])
 
     def minima_norms_squared(self) -> list[Fraction]:
         """Squared norms of the successive minima, exact rationals.
 
-        Candidates are taken in order of norm and kept when independent of
-        those kept before, tested against their fraction-free echelon form.
+        The reduced basis's ball of radius^2 max(G_ii) is enumerated with
+        integer norms over their common denominator den M (see
+        :meth:`_short_vectors`) and sorted on those integers.  Candidates are
+        taken in order of norm and kept when independent of those kept
+        before, tested against their fraction-free echelon form; a Fraction
+        is built only for the r norms kept.
         """
         if "minima" not in self._memo:
             self._check_budget()
             reduced, _ = self._lll()
-            bound = max(reduced.gram[i][i] for i in range(self.rank))
-            vectors = sorted(
-                (q, v) for q, v in reduced._short_vectors(bound) if any(v)
-            )
+            den, a, _, _ = reduced._memo["gso"]
+            _, scale = reduced._form()
+            bound = Fraction(max(a[i][i] for i in range(self.rank)), den)
             kept = Echelon()
             out = []
-            for q, v in vectors:
-                if kept.add(v):
-                    out.append(q)
+            for q, v in sorted(reduced._short_vectors(bound)):
+                if q and kept.add(v):
+                    out.append(Fraction(q, scale))
                     if len(out) == self.rank:
                         break
             else:
@@ -192,12 +203,16 @@ class EuclideanLattice:
     # -- slope-theoretic invariants -----------------------------------------
 
     def euler_char(self) -> Scalar:
-        """ln(vol of the unit ball / covolume), certified interval."""
-        return log_ball_volume(self.rank) + self.arakelov_degree()
+        """ln(vol of the unit ball / covolume), certified interval (memoized)."""
+        if "chi" not in self._memo:
+            self._memo["chi"] = log_ball_volume(self.rank) + self.arakelov_degree()
+        return self._memo["chi"]
 
     def arakelov_degree(self) -> Scalar:
-        """-(1/2) ln det(Gram), the hermitian Arakelov degree over Z."""
-        return _log_norm(self.determinant())
+        """-(1/2) ln det(Gram), the hermitian Arakelov degree over Z (memoized)."""
+        if "degree" not in self._memo:
+            self._memo["degree"] = neg_half_log(self.determinant())
+        return self._memo["degree"]
 
     def orthogonal_hn(self) -> HNType:
         """Slope data of a diagonal lattice: rank-one summands of slope
@@ -212,7 +227,7 @@ class EuclideanLattice:
         for i in range(self.rank):
             d = self.gram[i][i]
             counts[d] = counts.get(d, 0) + 1
-        return make_hn_type((counts[d], _log_norm(d)) for d in sorted(counts))
+        return make_hn_type((counts[d], neg_half_log(d)) for d in sorted(counts))
 
     def rank2_mu_max(self) -> Scalar:
         """Maximal slope of a rank-2 lattice: max(lambda_1, deg/2).
@@ -222,7 +237,7 @@ class EuclideanLattice:
         """
         if self.rank != 2:
             raise ValueError("rank2_mu_max requires a rank-2 lattice")
-        lam1 = _log_norm(self.minima_norms_squared()[0])
+        lam1 = neg_half_log(self.minima_norms_squared()[0])
         return scalar_max(lam1, self.arakelov_degree() / Scalar.exact(2))
 
     # -- internals -----------------------------------------------------------
@@ -233,28 +248,61 @@ class EuclideanLattice:
                 f"rank {self.rank} exceeds the enumeration budget ({MAX_RANK})"
             )
 
-    def _short_vectors(self, bound: Fraction):
-        """Yield (norm2, coords) over all v with v^T G v <= bound.
+    def _form(self):
+        """(weights, scale) of the integer form, memoized.
 
-        One representative per +-v pair is yielded (its last nonzero
-        coordinate is negative), with coordinates in the lattice's own basis,
-        plus the zero vector.  Integer Fincke-Pohst: with s_l = Delta_(l+1)
-        x_l + sum_(j>l) lambda_jl x_j, the form is den v^T G v = sum_l
-        s_l^2 / (Delta_l Delta_(l+1)).  Scaled by M = lcm(Delta_l Delta_(l+1)),
-        every term is w_l s_l^2 with w_l = M / (Delta_l Delta_(l+1)) an
-        integer, so v^T G v <= bound iff the terms sum to at most
-        floor(den M bound).  Each level's range of x_l is then exact,
-        |s_l| <= isqrt(remaining // w_l), and no per-x test is made.  One
-        Fraction is built per yielded vector, for its norm.
+        With s_l = Delta_(l+1) x_l + sum_(j>l) lambda_jl x_j, the form is
+        den v^T G v = sum_l s_l^2 / (Delta_l Delta_(l+1)).  Scaled by
+        M = lcm(Delta_l Delta_(l+1)), every term is w_l s_l^2 with
+        w_l = M / (Delta_l Delta_(l+1)) an integer, so scale = den M turns
+        every norm into the integer scale v^T G v.
+        """
+        if "form" not in self._memo:
+            den, _, delta, _ = self._memo["gso"]
+            m = lcm(*(delta[l] * delta[l + 1] for l in range(self.rank)))
+            weights = [m // (delta[l] * delta[l + 1]) for l in range(self.rank)]
+            self._memo["form"] = weights, den * m
+        return self._memo["form"]
+
+    def _short_vectors(self, bound: Fraction):
+        """Yield (scale v^T G v, coords) over all v with v^T G v <= bound.
+
+        The norm is an integer over the lattice's common denominator
+        scale = den M (:meth:`_form`).  One representative per +-v pair is
+        yielded (its last nonzero coordinate is negative), with coordinates
+        in the lattice's own basis, plus the zero vector first.  The leaves
+        are read off the ranges of :meth:`_level0_ranges`, with no per-x
+        test.
+        """
+        bound = Fraction(bound)
+        delta = self._memo["gso"][2]
+        weights, scale = self._form()
+        total = bound.numerator * scale // bound.denominator
+        w0, d1 = weights[0], delta[1]
+        yield 0, (0,) * self.rank
+        for coords, lo, top, c, left in self._level0_ranges(total):
+            base = total - left
+            tail = tuple(coords[1:])
+            for x in range(lo + 1, top + 1):
+                s = d1 * x + c
+                yield base + w0 * s * s, (x,) + tail
+
+    def _level0_ranges(self, total: int):
+        """Integer Fincke-Pohst over sum_l w_l s_l^2 <= total (:meth:`_form`).
+
+        Yields (coords, lo, top, c, left) once per level-0 range: the leaves
+        are x_0 = lo + 1, ..., top with coords[1:] fixed (``coords`` is the
+        live list, valid until the next item), s_0 = Delta_1 x_0 + c, and
+        left the budget levels 1.. leave to level 0.  Each level's range of
+        x_l is exact, |s_l| <= isqrt(remaining // w_l), and no per-x test is
+        made.  Only nonzero vectors whose last nonzero coordinate is
+        negative are covered.  Every level entered is a node, and level 0's
+        whole range is charged when it is entered, so a ball too big for
+        ``MAX_NODES`` is refused before its leaves are walked.
         """
         r = self.rank
-        den, _, delta, lam = self._memo["gso"]
-        bound = Fraction(bound)
-        m = lcm(*(delta[l] * delta[l + 1] for l in range(r)))
-        weights = [m // (delta[l] * delta[l + 1]) for l in range(r)]
-        scale = den * m
-        total = bound.numerator * scale // bound.denominator
-        yield (Fraction(0), tuple([0] * r))
+        _, _, delta, lam = self._memo["gso"]
+        weights, _ = self._form()
         coords = [0] * r
         tops = [0] * r  # the last x to visit at each level
         centers = [0] * r  # sum_(j>l) lambda_jl x_j
@@ -262,21 +310,17 @@ class EuclideanLattice:
         nodes = 0
         level = r
         while True:
-            if level < r and coords[level] < tops[level]:  # next x at this level
-                x = coords[level] = coords[level] + 1
-                s = delta[level + 1] * x + centers[level]
-                left = remaining[level + 1] - weights[level] * s * s
-                if level:
-                    remaining[level] = left
-                else:
-                    yield (Fraction(total - left, scale), tuple(coords))
+            if level < r:
+                if coords[level] < tops[level]:  # next x at this level
+                    x = coords[level] = coords[level] + 1
+                    s = delta[level + 1] * x + centers[level]
+                    remaining[level] = remaining[level + 1] - weights[level] * s * s
+                else:  # level done: back up
+                    coords[level] = 0
+                    level += 1
+                    if level == r:
+                        return
                     continue
-            elif level < r:  # level done: back up
-                coords[level] = 0
-                level += 1
-                if level == r:
-                    return
-                continue
             # enter the level below
             nodes += 1
             if nodes > MAX_NODES:
@@ -285,16 +329,21 @@ class EuclideanLattice:
             c = sum(lam[j][level] * coords[j] for j in range(level + 1, r))
             t = isqrt(remaining[level + 1] // weights[level])
             dl = delta[level + 1]
-            centers[level] = c
-            coords[level] = -((t + c) // dl) - 1
+            lo = -((t + c) // dl) - 1
             if c == 0 and not any(coords[level + 1 :]):
-                tops[level] = 0 if level else -1  # -v is counted with v; skip 0
+                top = 0 if level else -1  # -v is counted with v; skip 0
             else:
-                tops[level] = (t - c) // dl
-            if not level:  # the leaves count too: charge level 0's whole range
-                nodes += tops[0] - coords[0]
-                if nodes > MAX_NODES:
-                    raise EnumerationBudgetError("enumeration node budget exceeded")
+                top = (t - c) // dl
+            if level:
+                centers[level], coords[level], tops[level] = c, lo, top
+                continue
+            nodes += top - lo  # the leaves count too
+            if nodes > MAX_NODES:
+                raise EnumerationBudgetError("enumeration node budget exceeded")
+            yield coords, lo, top, c, remaining[1]
+            if r == 1:
+                return
+            level = 1
 
     def _lll(self):
         """Integral LLL (Cohen, Alg. 2.6.7); returns (reduced lattice,
@@ -328,7 +377,7 @@ class EuclideanLattice:
             lk = lam[k]
             for j in range(k - 1, -1, -1):
                 if 2 * abs(lk[j]) > delta[j + 1]:  # else round(lambda/Delta) == 0
-                    q = round(Fraction(lk[j], delta[j + 1]))
+                    q = _round_half_even(lk[j], delta[j + 1])
                     basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
                     lk[j] -= q * delta[j + 1]
                     lj = lam[j]

@@ -451,6 +451,23 @@ def log_scalar(x: RationalLike) -> Scalar:
     return _interval(mpi_log(_fraction_to_raw(x), PREC))
 
 
+def _neg_half(raw):
+    """-x/2 of a finite raw endpoint: flip the sign bit, lower the exponent."""
+    sign, man, exp, bc = raw
+    return (1 - sign, man, exp - 1, bc) if man else raw
+
+
+def neg_half_log(x: RationalLike) -> Scalar:
+    """-(1/2) ln x of a positive rational x, certified.
+
+    Negation and halving are exact in binary, so the endpoints of ln x are
+    mapped without rounding, and the result is bit for bit the interval
+    ``Scalar.exact(0) - Scalar.exact(1/2) * log_scalar(x)``.
+    """
+    lo, hi = log_scalar(x)._ivl
+    return _interval((_neg_half(hi), _neg_half(lo)))
+
+
 def log_interval(x: Scalar) -> Scalar:
     """Certified ln of any positive scalar."""
     if x._lower_sign() <= 0:

@@ -29,6 +29,7 @@ from hnbounds.bounds import (
     _cos_table,
     _grid_bounds,
     _grid_squares,
+    _log_int,
     reports_to_csv,
     reports_to_json,
 )
@@ -173,6 +174,19 @@ def test_minkowski_margin_width(rng):
         L = random_gram(3, rng)
         rep = check_minkowski(L)
         assert rep.margin.width() < Fraction(1, 10**9)
+
+
+def test_log_constants_are_fresh_logs():
+    # ln 2, ln r! and ln(2 r!) are taken once per argument for the lattice
+    # checks and p1z (ranks up to 65); each is the interval a fresh log_scalar
+    # call computes, endpoint for endpoint, on the first call and from the cache
+    from hnbounds import log_scalar
+
+    for r in range(1, 66):
+        for n in (2, math.factorial(r), 2 * math.factorial(r)):
+            first = _log_int(n)
+            assert first._ivl == log_scalar(n)._ivl
+            assert _log_int(n) is first
 
 
 def test_gillet_soule_comparison_sweep():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -20,6 +21,7 @@ from hnbounds import (
 )
 from hnbounds import cli, lattices
 from hnbounds._exact import det
+from hnbounds.scalars import log_ball_volume
 
 
 def diagonal(*entries):
@@ -57,6 +59,12 @@ def brute_count_norm_le(L, bound):
     return count
 
 
+def exact_short_vectors(L, bound):
+    """L._short_vectors(bound) with each integer norm over its scale as a Fraction."""
+    _, scale = L._form()
+    return [(Fraction(q, scale), v) for q, v in L._short_vectors(bound)]
+
+
 def _invert(g):
     n = len(g)
     aug = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(g)]
@@ -83,6 +91,26 @@ def test_h0_count_monotone_under_scaling(rng):
         L = random_gram(2, rng)
         scaled = L.scale(Fraction(rng.randint(2, 4)))
         assert scaled.h0_count() <= L.h0_count()
+
+
+def test_range_count_on_dense_balls():
+    # random rank 2-4 Grams divided by k^2, drawn until the unit ball holds
+    # 10^2-10^4 points.  The count adds whole level-0 ranges of the reduced
+    # basis without visiting a leaf; it must match the leaves _short_vectors
+    # walks in the lattice's own basis, and the box sweep.  The sweep runs on
+    # the reduced Gram (T G T^T with T unimodular, checked against the
+    # rational LLL below), whose Cauchy-Schwarz box is far smaller.
+    rng = random.Random(7411)
+    for rank, k in ((2, 20), (2, 45), (3, 12), (3, 16), (4, 6), (4, 8)):
+        seen = 0
+        while seen < 3:
+            L = random_gram(rank, rng).scale(Fraction(1, k))
+            count = L.h0_count()
+            if not 10**2 <= count <= 10**4:
+                continue
+            seen += 1
+            nonzero = sum(1 for _, v in L._short_vectors(Fraction(1)) if any(v))
+            assert count == brute_count_norm_le(L._lll()[0], Fraction(1)) == 1 + 2 * nonzero
 
 
 # -- minima ------------------------------------------------------------------------
@@ -151,7 +179,7 @@ def test_minima_against_unreduced_enumeration(rng):
         for _ in range(8):
             L = random_gram(rank, rng)
             bound = max(L.gram[i][i] for i in range(rank))
-            vecs = sorted((q, v) for q, v in L._short_vectors(bound) if any(v))
+            vecs = sorted((q, v) for q, v in exact_short_vectors(L, bound) if any(v))
             assert L.minima_norms_squared() == _greedy_minima(vecs, rank)
 
 
@@ -173,6 +201,23 @@ def test_euler_char_examples():
     L = diagonal(c**2, c**2, c**2)
     expected = math.log(math.pi ** 1.5 / math.gamma(2.5)) - 3 * math.log(1.5)
     assert L.euler_char().midpoint() == pytest.approx(expected)
+
+
+def test_logs_taken_once_per_lattice(rng):
+    # h0_hat, arakelov_degree and euler_char are memoized; each is the very
+    # interval of a fresh evaluation of its formula
+    for rank in (1, 3, 5):
+        L = random_gram(rank, rng).scale(Fraction(1, 2))
+        degree = Scalar.exact(0) - Scalar.exact(Fraction(1, 2)) * log_scalar(L.determinant())
+        fresh = {
+            "h0_hat": log_scalar(L.h0_count()),
+            "arakelov_degree": degree,
+            "euler_char": log_ball_volume(rank) + degree,
+        }
+        for name, expected in fresh.items():
+            value = getattr(L, name)()
+            assert value._ivl == expected._ivl
+            assert getattr(L, name)() is value
 
 
 def test_arakelov_degree_examples(rng):
@@ -459,6 +504,7 @@ def test_lll_output_is_size_reduced_and_lovasz():
     lattices = [random_gram(r, rng) for r in range(2, 9) for _ in range(40 if r <= 6 else 10)]
     # rational Grams, so the swap divides non-integer pivots
     lattices += [random_gram(r, rng).scale(Fraction(1, k)) for r in range(2, 7) for k in (2, 3, 5)]
+    lattices += _tie_grams()  # round(lambda/Delta) at exact ties
     for L in lattices:
         r = L.rank
         reduced, t = L._lll()
@@ -476,6 +522,64 @@ def test_lll_output_is_size_reduced_and_lovasz():
         d, u = _ldl(g)
         assert all(abs(u[j][i]) <= half for i in range(r) for j in range(i))
         assert all(d[k] >= (delta - u[k - 1][k] ** 2) * d[k - 1] for k in range(1, r))
+
+
+def test_round_half_even_matches_fraction_round():
+    # every residue of n mod 2d, so the exact ties 2|n| = (2m + 1) d are all met
+    for d in range(1, 13):
+        for n in range(-6 * d, 6 * d + 1):
+            assert lattices._round_half_even(n, d) == round(Fraction(n, d))
+
+
+def _tie_grams():
+    """Rank-2 and rank-3 Grams whose first size reduction divides a tie
+    lambda/Delta = m + 1/2 (and 2|lambda| = Delta itself at m = 0)."""
+    out = []
+    for n in range(-9, 10):
+        out.append(EuclideanLattice([[2, n], [n, n * n // 2 + 1]]))
+        out.append(EuclideanLattice([[2, n, 1], [n, n * n + 3, n], [1, n, n * n + 5]]))
+    return out
+
+
+def _lll_inputs(kind):
+    if kind == "seeded":
+        rng = random.Random(4104)
+        return [random_gram(r, rng) for r in range(2, 9) for _ in range(20)]
+    if kind == "rational":
+        rng = random.Random(4105)
+        return [random_gram(r, rng).scale(Fraction(1, k)) for r in range(2, 7) for k in (2, 3, 5)]
+    if kind == "ties":
+        return _tie_grams()
+    # the benchmark's lattice pools: the suite and dense mixes of the lattice
+    # workload, and the rank-4 suite the pool workload runs at seed 1
+    out = [random_gram(r, random.Random(f"lattice-{r}-{k}")) for r in (3, 5, 6) for k in range(160)]
+    out += [
+        random_gram(r, random.Random(f"dense-{r}-{s}-{k}")).scale(Fraction(1, s))
+        for r, s in ((3, 8), (4, 5), (5, 3))
+        for k in range(40)
+    ]
+    rng = random.Random(random.Random("pool-1").randrange(2**31))
+    out += [EuclideanLattice(lattices._random_int_gram(4, rng)) for _ in range(150)]
+    return out
+
+
+LLL_DIGESTS = {
+    "bench": "a60b208ebbfdcf69f1fa4666e2fc5408b2d3a9bec2f5159670f5ac1280fd0a29",
+    "rational": "f0b11b5713851bacf7957acb3680f02b7d68f33ef1c0ac5484229fb60b17c25e",
+    "seeded": "e67bc3684ea76645aa5a5df1eb6e6cef3fb93a00435b7cb191e4799f66985896",
+    "ties": "a9f28dd8aca6775439da288d553c744490f3b2ebe0ca570d2e918c017ba3e053",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LLL_DIGESTS))
+def test_lll_output_pinned(kind):
+    # sha256 of every transform and reduced Gram, pinned: the integer
+    # rounding and swaps take the very decisions they took when recorded
+    h = hashlib.sha256()
+    for L in _lll_inputs(kind):
+        reduced, t = L._lll()
+        h.update(repr((t, [[str(x) for x in row] for row in reduced.gram])).encode())
+    assert h.hexdigest() == LLL_DIGESTS[kind]
 
 
 # -- the integer enumeration against a rational one -------------------------------------
@@ -534,7 +638,7 @@ def test_short_vectors_match_rational_enumeration(L):
     top = max(reduced.gram[i][i] for i in range(L.rank))  # all minima lie in this ball
     for M in (L, reduced):
         for bound in (Fraction(1), Fraction(5, 2), top):
-            got = sorted(M._short_vectors(bound))
+            got = sorted(exact_short_vectors(M, bound))
             assert got == sorted(_rational_short_vectors(M.gram, bound))
             assert all(M.norm2(v) == q for q, v in got)
 

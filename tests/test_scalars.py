@@ -6,7 +6,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import finf, fnan, fninf, mpf_neg, to_rational
 
@@ -21,6 +21,7 @@ from hnbounds.scalars import (
     log_gamma,
     log_interval,
     log_pi,
+    neg_half_log,
     scalar_max,
     scalar_min,
     sqrt_interval,
@@ -55,6 +56,23 @@ def test_log_contains_true_value(p, q):
     # float log sits well inside a certified enclosure of width ~1e-36
     assert float(lo) - 1e-9 <= math.log(p / q) <= float(hi) + 1e-9
     assert s.width() < Fraction(1, 10**20)
+
+
+up_to_1e30 = st.integers(min_value=1, max_value=10**30)
+positive_rationals = st.one_of(up_to_1e30.map(Fraction), st.builds(Fraction, up_to_1e30, up_to_1e30))
+
+
+@example(Fraction(1))
+@example(Fraction(1, 10**30))
+@example(Fraction(10**30))
+@given(positive_rationals)
+def test_neg_half_log_is_the_halved_negated_log(q):
+    # negating and halving the endpoints of ln q is exact in binary, so it
+    # gives the very interval of 0 - (1/2) ln q, endpoint for endpoint
+    expected = Scalar.exact(0) - Scalar.exact(Fraction(1, 2)) * log_scalar(q)
+    got = neg_half_log(q)
+    assert got._ivl == expected._ivl
+    assert got.bounds() == expected.bounds()
 
 
 def test_interval_width_reported():
