@@ -9,9 +9,10 @@ Subcommands:
 * ``p1z --degree <n>`` -- the integer-polynomial count testbed.
 
 Exit status: 0 when every check passes, 1 on any failed check, 2 on invalid
-input or when a result cannot be certified within its budget
-(``EnumerationBudgetError``, ``CertificationError``, ``PrecisionBudgetError``),
-with a one-line message on stderr.  Randomized suites take a seed and print
+input, when a result cannot be certified within its budget
+(``EnumerationBudgetError``, ``CertificationError``, ``PrecisionBudgetError``)
+or when a worker process dies (``BrokenProcessPool``), with a one-line
+message on stderr.  Randomized suites take a seed and print
 it, so every failure is replayable; identical config and seed produce
 byte-identical JSON output.
 ``HNBOUNDS_JOBS`` controls how many worker processes evaluate checks; it is
@@ -20,6 +21,13 @@ assembled in a fixed order either way).  Workers receive plain data (a
 ``FiberedSeries``, which is three integers, or a lattice trial's number and
 integer Gram matrix) and return finished reports.
 
+The worker pool is built on the first pooled suite and kept warm for every
+later one in the process while the worker count stays the same; it is
+replaced when the count changes, when a worker dies, or in a forked child,
+and shut down at interpreter exit.  Workers are forked once, so they keep
+the module globals of that moment: a global changed later (say, a
+monkeypatched ``lattices.MAX_NODES``) is not seen by checks run in workers.
+
 JSON schemas are compiled on first use, once per schema; ``jsonschema`` is
 imported only then, so a subcommand that validates nothing never loads it.
 """
@@ -27,6 +35,7 @@ imported only then, so a subcommand that validates nothing never loads it.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import dataclasses
 import itertools
@@ -35,6 +44,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from . import bounds
@@ -198,6 +208,35 @@ def _call(task):
     return func(arg)
 
 
+_pool = None  # (pid of the creating process, worker count, executor)
+
+
+def _executor(jobs: int) -> ProcessPoolExecutor:
+    """The warm pool of ``jobs`` workers, built on first use.
+
+    A pool of another size is shut down and replaced.  A pool inherited by
+    a forked child is forgotten, not shut down: its workers are the
+    parent's.
+    """
+    global _pool
+    if _pool is not None and _pool[:2] != (os.getpid(), jobs):
+        _drop_pool()
+    if _pool is None:
+        _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=jobs))
+    return _pool[2]
+
+
+@atexit.register
+def _drop_pool() -> None:
+    """Forget the warm pool, and shut it down if this process created it."""
+    global _pool
+    if _pool is not None:
+        pid, _, pool = _pool
+        _pool = None
+        if pid == os.getpid():
+            pool.shutdown()
+
+
 def _run_checks(tasks):
     """Evaluate (func, arg) pairs, optionally in worker processes.
 
@@ -205,13 +244,24 @@ def _run_checks(tasks):
     so that a cheap check does not cost a round trip of its own.  Results
     keep submission order and the first error in that order is raised, so
     the final report list is stable no matter how many workers run.
+
+    Pooled calls share one warm pool per process (see ``_executor``); a
+    ``jobs == 1`` call runs in this process and leaves the pool as it is.
+    The workers were forked when the pool was built, so a check run there
+    sees the module globals of that moment, not later changes to them.  A
+    worker that dies raises ``BrokenProcessPool`` and the pool is dropped,
+    so the next pooled call starts a fresh one.  The pool is shared without
+    a lock: call this from one thread at a time, as the CLI does.
     """
     jobs = _jobs(len(tasks))
     if jobs == 1:
         return [_call(task) for task in tasks]
     chunksize = -(-len(tasks) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_call, tasks, chunksize=chunksize))
+    try:
+        return list(_executor(jobs).map(_call, tasks, chunksize=chunksize))
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
 
 
 # -- suites -------------------------------------------------------------------
@@ -460,6 +510,9 @@ def main(argv=None) -> int:
             return 0 if report.passed else 1
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 2
     except (
         ValueError,

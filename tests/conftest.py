@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hnbounds import Scalar, SplitBundle, make_hn_type
+from hnbounds import Scalar, SplitBundle, cli, make_hn_type
 
 
 def random_hn_type(rng, max_segments=4, rational=True):
@@ -20,6 +20,17 @@ def random_hn_type(rng, max_segments=4, rational=True):
 def random_split_bundle(rng, max_rank=10, twist_range=10):
     rank = rng.randint(1, max_rank)
     return SplitBundle(rng.randint(-twist_range, twist_range) for _ in range(rank))
+
+
+@pytest.fixture(autouse=True)
+def no_warm_pool_across_tests():
+    """Shut down cli's warm worker pool after each test.
+
+    Its workers are forked once, so a pool left by one test would run the
+    next test's checks with the first test's monkeypatches in place.
+    """
+    yield
+    cli._drop_pool()
 
 
 @pytest.fixture

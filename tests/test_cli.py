@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import hnbounds
 from hnbounds import cli
-from hnbounds.bounds import PrecisionBudgetError
+from hnbounds.bounds import PrecisionBudgetError, reports_to_json
 from hnbounds.cli import run_config, validate_config, ConfigError
 from hnbounds.scalars import CertificationError
 
@@ -24,6 +25,30 @@ def run_python(args, env_extra=None):
 
 def run_cli(args, env_extra=None):
     return run_python(["-m", "hnbounds.cli", *args], env_extra)
+
+
+def _worker_pid(delay):
+    time.sleep(delay)
+    return os.getpid()
+
+
+def pool_pids(jobs):
+    """The pids of the ``jobs`` workers that run a pooled ``_run_checks`` call.
+
+    Each of the ``4 * jobs`` one-task batches sleeps long enough that every
+    worker takes one.
+    """
+    pids = set(cli._run_checks([(_worker_pid, 0.05)] * (4 * jobs)))
+    assert len(pids) == jobs and os.getpid() not in pids
+    return pids
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def test_validate_config():
@@ -125,12 +150,99 @@ def test_pool_batches_keep_order_and_first_error(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     tasks = [(abs, -i) for i in range(50)]
     assert cli._run_checks(tasks) == list(range(50))
+    pids = pool_pids(2)
     # the error of task 30 is raised, not the later one of task 45
     tasks = [(int, str(i)) for i in range(50)]
     tasks[30] = (int, "first")
     tasks[45] = (int, "second")
     with pytest.raises(ValueError, match="first"):
         cli._run_checks(tasks)
+    # the same workers then return the next call's results, in order
+    assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
+    assert pool_pids(2) == pids
+
+
+def test_warm_pool_kept_until_the_worker_count_changes(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("HNBOUNDS_JOBS", "2")
+    pids = pool_pids(2)
+    assert pool_pids(2) == pids
+    # serial calls, by a single task or by the setting, run here and keep the pool
+    assert cli._run_checks([(_worker_pid, 0)]) == [os.getpid()]
+    monkeypatch.setenv("HNBOUNDS_JOBS", "1")
+    assert cli._run_checks([(_worker_pid, 0)] * 3) == [os.getpid()] * 3
+    monkeypatch.setenv("HNBOUNDS_JOBS", "2")
+    assert pool_pids(2) == pids
+    # another count replaces the pool, and the old workers are shut down
+    monkeypatch.setenv("HNBOUNDS_JOBS", "3")
+    replaced = pool_pids(3)
+    assert not replaced & pids
+    assert not any(alive(pid) for pid in pids)
+    assert pool_pids(3) == replaced
+
+
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    monkeypatch.setenv("HNBOUNDS_JOBS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent_pids = pool_pids(2)
+    child = os.fork()
+    if child == 0:
+        status = 1
+        try:
+            tasks = [(abs, -i) for i in range(50)]
+            if cli._run_checks(tasks) == list(range(50)) and not pool_pids(2) & parent_pids:
+                status = 0
+            cli._drop_pool()
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(child, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if done[0] == 0:
+        os.kill(child, 9)
+        os.waitpid(child, 0)
+    assert done[0] == child and os.waitstatus_to_exitcode(done[1]) == 0
+    # the child left the parent's workers alone
+    assert pool_pids(2) == parent_pids
+
+
+def test_alternating_pooled_suites_match_serial(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    geometric = {"suite": "geometric", "parameters": {"a_max": 4, "b_max": 4, "e_max": 1}}
+    lattice = {"suite": "lattice", "parameters": {"rank": 3, "trials": 20}, "seed": 3}
+
+    def reports(jobs):
+        monkeypatch.setenv("HNBOUNDS_JOBS", jobs)
+        return [
+            json.dumps(reports_to_json(run_config(config)[1]), indent=2, sort_keys=True)
+            for config in (geometric, lattice, geometric)
+        ]
+
+    serial = reports("1")
+    monkeypatch.setenv("HNBOUNDS_JOBS", "2")
+    pids = pool_pids(2)
+    assert reports("2") == serial
+    assert pool_pids(2) == pids
+
+
+def test_dead_worker_exits_two_with_one_line(monkeypatch, capsys, tmp_path):
+    # a worker killed mid-suite (say, by the OOM killer) is an error, not a failed check
+    monkeypatch.setenv("HNBOUNDS_JOBS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pids = pool_pids(2)
+
+    def dying_suite(params, rng):
+        return cli._run_checks([(abs, -1), (os._exit, 3), (abs, -2), (abs, -3)])
+
+    monkeypatch.setitem(cli.SUITE_RUNNERS, "geometric", dying_suite)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": "geometric"}))
+    assert cli.main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died: ") and len(err.splitlines()) == 1
+    # the dead pool is dropped: a fresh one returns the next results in order
+    assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
+    assert not pool_pids(2) & pids
 
 
 def test_arithmetic_suite():

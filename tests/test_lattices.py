@@ -47,16 +47,61 @@ def test_h0_count_examples():
 
 
 def brute_count_norm_le(L, bound):
-    """Box sweep oracle with the Cauchy-Schwarz coefficient bound."""
-    r = L.rank
+    """#{v in Z^r : v^T G v <= bound}, counted in integers on A = den*G.
+
+    Free of the library's LDL, LLL and enumeration.  The first r - 2
+    coordinates sweep the Cauchy-Schwarz box |v_i| <= sqrt(bound (G^-1)_ii).
+    The last two, (x, y), are solved exactly for each prefix: a real y
+    exists iff the discriminant of the quadratic in y is nonnegative, which
+    is a quadratic inequality in x, and each x in its integer range leaves
+    an integer range of y.
+    """
     g = [[Fraction(x) for x in row] for row in L.gram]
+    r = len(g)
+    bound = Fraction(bound)
+    den = math.lcm(bound.denominator, *(x.denominator for row in g for x in row))
+    a = [[int(x * den) for x in row] for row in g]
+    b = int(bound * den)
+    if r == 1:
+        lo, hi = _int_range(a[0][0], 0, -b)
+        return hi - lo + 1
     inv = _invert(g)
-    box = [math.isqrt(math.ceil(inv[i][i] * bound)) + 1 for i in range(r)]
+    box = [math.isqrt(math.floor(inv[i][i] * bound)) for i in range(r - 2)]
+    x, y = r - 2, r - 1
+    axx, axy, ayy = a[x][x], a[x][y], a[y][y]
+    alpha = axx * ayy - axy * axy  # a leading 2x2 minor, positive
     count = 0
-    for v in itertools.product(*[range(-b, b + 1) for b in box]):
-        if L.norm2(v) <= bound:
-            count += 1
+    for p in itertools.product(*[range(-k, k + 1) for k in box]):
+        q = sum(a[i][j] * p[i] * p[j] for i in range(r - 2) for j in range(r - 2)) - b
+        bx = sum(a[i][x] * p[i] for i in range(r - 2))
+        by = sum(a[i][y] * p[i] for i in range(r - 2))
+        # the form minus b is ayy y^2 + 2 (by + axy x) y + q + 2 bx x + axx x^2;
+        # its discriminant in y, over 4, is -(alpha x^2 - 2 beta x - gamma)
+        beta = by * axy - ayy * bx
+        gamma = by * by - ayy * q
+        xlo, xhi = _int_range(alpha, -2 * beta, -gamma)
+        for u in range(xlo, xhi + 1):
+            ylo, yhi = _int_range(ayy, 2 * (by + axy * u), q + 2 * bx * u + axx * u * u)
+            count += yhi - ylo + 1
     return count
+
+
+def _int_range(a, lin, const):
+    """(lo, hi) with lo..hi the integers t where a t^2 + lin t + const <= 0 (a > 0).
+
+    ``hi == lo - 1`` when there are none.
+    """
+    disc = lin * lin - 4 * a * const
+    if disc < 0:
+        return 1, 0
+    s = math.isqrt(disc)
+    lo = (-lin - s) // (2 * a) - 1
+    hi = (-lin + s) // (2 * a) + 1
+    while lo <= hi and a * lo * lo + lin * lo + const > 0:
+        lo += 1
+    while hi >= lo and a * hi * hi + lin * hi + const > 0:
+        hi -= 1
+    return lo, hi
 
 
 def exact_short_vectors(L, bound):
@@ -97,9 +142,8 @@ def test_range_count_on_dense_balls():
     # random rank 2-4 Grams divided by k^2, drawn until the unit ball holds
     # 10^2-10^4 points.  The count adds whole level-0 ranges of the reduced
     # basis without visiting a leaf; it must match the leaves _short_vectors
-    # walks in the lattice's own basis, and the box sweep.  The sweep runs on
-    # the reduced Gram (T G T^T with T unimodular, checked against the
-    # rational LLL below), whose Cauchy-Schwarz box is far smaller.
+    # walks in the lattice's own basis, and the integer box sweep, which
+    # runs on the same Gram and so rests on neither the LDL nor the LLL.
     rng = random.Random(7411)
     for rank, k in ((2, 20), (2, 45), (3, 12), (3, 16), (4, 6), (4, 8)):
         seen = 0
@@ -110,7 +154,7 @@ def test_range_count_on_dense_balls():
                 continue
             seen += 1
             nonzero = sum(1 for _, v in L._short_vectors(Fraction(1)) if any(v))
-            assert count == brute_count_norm_le(L._lll()[0], Fraction(1)) == 1 + 2 * nonzero
+            assert count == brute_count_norm_le(L, Fraction(1)) == 1 + 2 * nonzero
 
 
 # -- minima ------------------------------------------------------------------------
