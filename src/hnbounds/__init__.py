@@ -43,8 +43,6 @@ from .bounds import (
     CheckReport,
     IntPolynomial,
     PrecisionBudgetError,
-    arithmetic_error_F,
-    arithmetic_error_G,
     check_blichfeldt,
     check_filtered,
     check_gillet_soule,
@@ -79,8 +77,6 @@ __all__ = [
     "ToricSeries",
     "Tower",
     "TowerData",
-    "arithmetic_error_F",
-    "arithmetic_error_G",
     "check_blichfeldt",
     "check_filtered",
     "check_gillet_soule",

@@ -5,18 +5,15 @@ pivot rows before it by ``row <- (p_k row - row[c_k] P_k) // p_(k-1)``, where
 ``P_k`` is the k-th pivot row, ``c_k`` its pivot column and ``p_k`` its
 pivot entry.  By Sylvester's identity every entry of the reduced row is a
 minor of the input, so each ``//`` is exact and every number stays an
-integer (Bareiss 1968).  ``det`` and ``rank`` are views of that routine, and
-so are the leading minors of a Gram matrix in :mod:`hnbounds.lattices` and
-the independence test of its successive minima.  Entries are ints or
-``Fraction``s; rational rows are scaled to integer rows first.
+integer (Bareiss 1968).  The leading minors of a Gram matrix in
+:mod:`hnbounds.lattices`, the independence test of its successive minima and
+the nonsingularity test of :func:`hnbounds.lattices.random_gram` are all
+views of this routine.  Entries are ints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
-__all__ = ["Echelon", "det", "rank"]
+__all__ = ["Echelon"]
 
 
 class Echelon:
@@ -58,38 +55,3 @@ class Echelon:
         self.rows.append(row)
         self.cols.append(col)
         return True
-
-
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, and the product of those
-    multipliers."""
-    out = []
-    scale = 1
-    for row in rows:
-        m = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (m // x.denominator) for x in row])
-        scale *= m
-    return out, scale
-
-
-def det(rows) -> Fraction:
-    """Determinant of a square matrix (1 for the empty matrix), exact."""
-    ints, scale = _integer_rows(rows)
-    e = Echelon()
-    for row in ints:
-        if not e.add(row):
-            return Fraction(0)
-    if not e.rows:
-        return Fraction(1)
-    # the last pivot is the determinant with the columns taken in pivot order
-    cols = e.cols
-    sign = -1 if sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :]) % 2 else 1
-    return Fraction(sign * e.rows[-1][cols[-1]], scale)
-
-
-def rank(rows) -> int:
-    """Rank of a (possibly non-square) matrix, exact."""
-    e = Echelon()
-    for row in _integer_rows(rows)[0]:
-        e.add(row)
-    return len(e.rows)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -47,8 +48,6 @@ __all__ = [
     "check_blichfeldt",
     "check_gillet_soule",
     "check_truncated_siegel",
-    "arithmetic_error_F",
-    "arithmetic_error_G",
     "circle_sup_norm",
     "p1z_h0",
     "reports_to_json",
@@ -351,46 +350,6 @@ def check_truncated_siegel(L: EuclideanLattice) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic error functions
-# ---------------------------------------------------------------------------
-
-
-def arithmetic_error_F(
-    n: int, deg_k: int, mu_asy: Scalar, eps: Scalar, r_n: int, *, dim_fiber: int
-) -> Scalar:
-    """Error term deg_k (n mu_asy n^(d-1) eps + r_n ln r_n), d = dim_fiber.
-
-    Uses the standing majorization eps(n-th power system) <= n^(d-1) eps.
-    """
-    if n < 1 or r_n < 1:
-        raise ValueError("n and r_n must be >= 1")
-    if dim_fiber < 1:
-        raise ValueError("fiber dimension must be >= 1")
-    mu_asy, eps = as_scalar(mu_asy), as_scalar(eps)
-    power = Scalar.exact(Fraction(n) ** (dim_fiber - 1))
-    log_rn = log_scalar(r_n) if r_n > 1 else Scalar.exact(0)
-    inner = Scalar.exact(n) * mu_asy * power * eps + Scalar.exact(r_n) * log_rn
-    return Scalar.exact(deg_k) * inner
-
-
-def arithmetic_error_G(
-    n: int, mu_asy: Scalar, eps: Scalar, big_r_n: int, *, dim_fiber: int
-) -> Scalar:
-    """Error term n^d mu_asy eps + (R_n + 1) ln 2 + R_n ln R_n."""
-    if n < 1 or big_r_n < 1:
-        raise ValueError("n and R_n must be >= 1")
-    if dim_fiber < 1:
-        raise ValueError("fiber dimension must be >= 1")
-    mu_asy, eps = as_scalar(mu_asy), as_scalar(eps)
-    log_rn = log_scalar(big_r_n) if big_r_n > 1 else Scalar.exact(0)
-    return (
-        Scalar.exact(Fraction(n) ** dim_fiber) * mu_asy * eps
-        + Scalar.exact(big_r_n + 1) * log_scalar(2)
-        + Scalar.exact(big_r_n) * log_rn
-    )
-
-
-# ---------------------------------------------------------------------------
 # integer polynomials on the unit circle
 # ---------------------------------------------------------------------------
 
@@ -407,7 +366,7 @@ class IntPolynomial:
     coefficients: tuple[int, ...]
 
     def __init__(self, coefficients):
-        coeffs = tuple(int(c) for c in coefficients)
+        coeffs = tuple(operator.index(c) for c in coefficients)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         if not coeffs:
@@ -426,10 +385,6 @@ class IntPolynomial:
 
     def max_abs(self) -> int:
         return max(abs(c) for c in self.coefficients)
-
-    def sum_squares(self) -> int:
-        """sum a_k^2, the squared L2 norm on the circle (Parseval)."""
-        return sum(c * c for c in self.coefficients)
 
     def autocorrelation(self) -> list[int]:
         """c_m = sum_k a_k a_{k+m}; |p(e^{i t})|^2 = c_0 + 2 sum_m c_m cos(m t)."""

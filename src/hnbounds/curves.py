@@ -13,6 +13,7 @@ slope data alone.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ class SplitBundle:
     twists: tuple[int, ...]
 
     def __init__(self, twists):
-        twists = tuple(sorted((int(a) for a in twists), reverse=True))
+        twists = tuple(sorted(map(operator.index, twists), reverse=True))
         if not twists:
             raise ValueError("a split bundle needs at least one summand")
         object.__setattr__(self, "twists", twists)
@@ -72,14 +73,6 @@ class SplitBundle:
         sum(max(minima, 0)) == deg_plus(hn_type()).
         """
         return [Scalar.exact(a) for a in self.twists]
-
-    def to_json(self):
-        """Sorted JSON integer array (ascending, a stable wire format)."""
-        return sorted(self.twists)
-
-    @classmethod
-    def from_json(cls, data) -> "SplitBundle":
-        return cls(int(a) for a in data)
 
 
 @dataclass(frozen=True)

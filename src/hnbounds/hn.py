@@ -79,13 +79,6 @@ class SlopeMeasure:
             if not s > t:
                 raise ValueError("atoms must have strictly decreasing distinct slopes")
 
-    def positive_mean(self) -> Scalar:
-        """Integral of max(t, 0) against the measure."""
-        total = Scalar.exact(0)
-        for slope, mass in self.atoms:
-            total = total + slope.max0() * Scalar.exact(mass)
-        return total
-
 
 @dataclass(frozen=True)
 class HNType:
@@ -211,12 +204,6 @@ class HNType:
         """Atom at each slope with mass rank_i / rank."""
         n = self.rank
         return SlopeMeasure(tuple((s, Fraction(r, n)) for r, s in self.segments))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self):
-        """JSON array of [rank, slope] pairs."""
-        return [[r, s.to_json()] for r, s in self.segments]
 
 
 def make_hn_type(segments: Iterable[Sequence]) -> HNType:

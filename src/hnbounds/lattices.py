@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from ._exact import Echelon, det
+from ._exact import Echelon
 from .hn import HNType, make_hn_type
 from .scalars import (
     Scalar,
@@ -93,16 +93,7 @@ class EuclideanLattice:
         delta = [1] + [e.rows[i][i] for i in range(r)]
         lam = [[e.rows[j][i] for j in range(i)] for i in range(r)]
         object.__setattr__(self, "gram", rows)
-        object.__setattr__(self, "_memo", {"gso": (den, a, delta, lam)})
-
-    @classmethod
-    def _from_gso(cls, den, a, delta, lam) -> "EuclideanLattice":
-        """The lattice of Gram a / den whose minors and lambda are known."""
-        self = object.__new__(cls)
-        gram = tuple(tuple(Fraction(x, den) for x in row) for row in a)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_memo", {"gso": (den, a, delta, lam)})
-        return self
+        object.__setattr__(self, "_memo", {"gso": (den, delta, lam)})
 
     # -- basic invariants --------------------------------------------------
 
@@ -111,17 +102,8 @@ class EuclideanLattice:
         return len(self.gram)
 
     def determinant(self) -> Fraction:
-        den, _, delta, _ = self._memo["gso"]
+        den, delta, _ = self._memo["gso"]
         return Fraction(delta[-1], den**self.rank)
-
-    def norm2(self, v) -> Fraction:
-        """The quadratic form v^T G v, exact."""
-        den, a, _, _ = self._memo["gso"]
-        total = 0
-        for x, row in zip(v, a):
-            if x:
-                total += x * sum(y * z for y, z in zip(row, v))
-        return Fraction(total, den)
 
     def is_diagonal(self) -> bool:
         return all(
@@ -147,9 +129,9 @@ class EuclideanLattice:
         """
         if "h0_count" not in self._memo:
             self._check_budget()
-            reduced, _ = self._lll()
-            _, scale = reduced._form()
-            leaves = sum(top - lo for _, lo, top, _, _ in reduced._level0_ranges(scale))
+            gso, _ = self._lll()
+            weights, scale = _form(gso)
+            leaves = sum(top - lo for _, lo, top, _, _ in _level0_ranges(gso, weights, scale))
             self._memo["h0_count"] = 1 + 2 * leaves
         return self._memo["h0_count"]
 
@@ -175,22 +157,27 @@ class EuclideanLattice:
     def minima_norms_squared(self) -> list[Fraction]:
         """Squared norms of the successive minima, exact rationals.
 
-        The reduced basis's ball of radius^2 max(G_ii) is enumerated with
-        integer norms over their common denominator den M (see
-        :meth:`_short_vectors`) and sorted on those integers.  Candidates are
+        The reduced basis's ball of radius^2 max(G_ii), G its Gram, is
+        enumerated with integer norms over their common denominator scale
+        (see :func:`_short_vectors`) and sorted on those integers.  The
+        radius is read off the Gram-Schmidt data: scale G_ii =
+        w_i Delta_(i+1)^2 + sum_(l<i) w_l lambda_il^2.  Candidates are
         taken in order of norm and kept when independent of those kept
         before, tested against their fraction-free echelon form; a Fraction
         is built only for the r norms kept.
         """
         if "minima" not in self._memo:
             self._check_budget()
-            reduced, _ = self._lll()
-            den, a, _, _ = reduced._memo["gso"]
-            _, scale = reduced._form()
-            bound = Fraction(max(a[i][i] for i in range(self.rank)), den)
+            gso, _ = self._lll()
+            _, delta, lam = gso
+            weights, scale = _form(gso)
+            top = max(
+                weights[i] * delta[i + 1] ** 2 + sum(w * x * x for w, x in zip(weights, lam[i]))
+                for i in range(self.rank)
+            )
             kept = Echelon()
             out = []
-            for q, v in sorted(reduced._short_vectors(bound)):
+            for q, v in sorted(_short_vectors(gso, Fraction(top, scale))):
                 if q and kept.add(v):
                     out.append(Fraction(q, scale))
                     if len(out) == self.rank:
@@ -248,106 +235,10 @@ class EuclideanLattice:
                 f"rank {self.rank} exceeds the enumeration budget ({MAX_RANK})"
             )
 
-    def _form(self):
-        """(weights, scale) of the integer form, memoized.
-
-        With s_l = Delta_(l+1) x_l + sum_(j>l) lambda_jl x_j, the form is
-        den v^T G v = sum_l s_l^2 / (Delta_l Delta_(l+1)).  Scaled by
-        M = lcm(Delta_l Delta_(l+1)), every term is w_l s_l^2 with
-        w_l = M / (Delta_l Delta_(l+1)) an integer, so scale = den M turns
-        every norm into the integer scale v^T G v.
-        """
-        if "form" not in self._memo:
-            den, _, delta, _ = self._memo["gso"]
-            m = lcm(*(delta[l] * delta[l + 1] for l in range(self.rank)))
-            weights = [m // (delta[l] * delta[l + 1]) for l in range(self.rank)]
-            self._memo["form"] = weights, den * m
-        return self._memo["form"]
-
-    def _short_vectors(self, bound: Fraction):
-        """Yield (scale v^T G v, coords) over all v with v^T G v <= bound.
-
-        The norm is an integer over the lattice's common denominator
-        scale = den M (:meth:`_form`).  One representative per +-v pair is
-        yielded (its last nonzero coordinate is negative), with coordinates
-        in the lattice's own basis, plus the zero vector first.  The leaves
-        are read off the ranges of :meth:`_level0_ranges`, with no per-x
-        test.
-        """
-        bound = Fraction(bound)
-        delta = self._memo["gso"][2]
-        weights, scale = self._form()
-        total = bound.numerator * scale // bound.denominator
-        w0, d1 = weights[0], delta[1]
-        yield 0, (0,) * self.rank
-        for coords, lo, top, c, left in self._level0_ranges(total):
-            base = total - left
-            tail = tuple(coords[1:])
-            for x in range(lo + 1, top + 1):
-                s = d1 * x + c
-                yield base + w0 * s * s, (x,) + tail
-
-    def _level0_ranges(self, total: int):
-        """Integer Fincke-Pohst over sum_l w_l s_l^2 <= total (:meth:`_form`).
-
-        Yields (coords, lo, top, c, left) once per level-0 range: the leaves
-        are x_0 = lo + 1, ..., top with coords[1:] fixed (``coords`` is the
-        live list, valid until the next item), s_0 = Delta_1 x_0 + c, and
-        left the budget levels 1.. leave to level 0.  Each level's range of
-        x_l is exact, |s_l| <= isqrt(remaining // w_l), and no per-x test is
-        made.  Only nonzero vectors whose last nonzero coordinate is
-        negative are covered.  Every level entered is a node, and level 0's
-        whole range is charged when it is entered, so a ball too big for
-        ``MAX_NODES`` is refused before its leaves are walked.
-        """
-        r = self.rank
-        _, _, delta, lam = self._memo["gso"]
-        weights, _ = self._form()
-        coords = [0] * r
-        tops = [0] * r  # the last x to visit at each level
-        centers = [0] * r  # sum_(j>l) lambda_jl x_j
-        remaining = [0] * r + [total]  # remaining[l + 1]: budget for levels <= l
-        nodes = 0
-        level = r
-        while True:
-            if level < r:
-                if coords[level] < tops[level]:  # next x at this level
-                    x = coords[level] = coords[level] + 1
-                    s = delta[level + 1] * x + centers[level]
-                    remaining[level] = remaining[level + 1] - weights[level] * s * s
-                else:  # level done: back up
-                    coords[level] = 0
-                    level += 1
-                    if level == r:
-                        return
-                    continue
-            # enter the level below
-            nodes += 1
-            if nodes > MAX_NODES:
-                raise EnumerationBudgetError("enumeration node budget exceeded")
-            level -= 1
-            c = sum(lam[j][level] * coords[j] for j in range(level + 1, r))
-            t = isqrt(remaining[level + 1] // weights[level])
-            dl = delta[level + 1]
-            lo = -((t + c) // dl) - 1
-            if c == 0 and not any(coords[level + 1 :]):
-                top = 0 if level else -1  # -v is counted with v; skip 0
-            else:
-                top = (t - c) // dl
-            if level:
-                centers[level], coords[level], tops[level] = c, lo, top
-                continue
-            nodes += top - lo  # the leaves count too
-            if nodes > MAX_NODES:
-                raise EnumerationBudgetError("enumeration node budget exceeded")
-            yield coords, lo, top, c, remaining[1]
-            if r == 1:
-                return
-            level = 1
-
     def _lll(self):
-        """Integral LLL (Cohen, Alg. 2.6.7); returns (reduced lattice,
-        transform rows), memoized.
+        """Integral LLL (Cohen, Alg. 2.6.7); returns (gso, transform rows),
+        memoized, where gso = (den, Delta, lambda) is the integer
+        Gram-Schmidt data of the reduced basis (:func:`_form`).
 
         transform[i] is the coordinate vector of the i-th reduced basis
         vector in the original basis.  The only other state is the integer
@@ -357,14 +248,14 @@ class EuclideanLattice:
         unchanged, and a swap is Cohen's SWAPI with exact integer division.
         b_k is size-reduced against every j < k before the Lovasz test
         4 (Delta_(k+1) Delta_(k-1) + lambda^2) >= 3 Delta_k^2 (delta = 3/4).
-        The reduced lattice takes its data from here.  Heuristic only:
-        callers use the reduced Gram to shrink enumeration regions, never to
+        The reduced basis's Gram T G T^T is never formed.  Heuristic only:
+        callers use the reduced basis to shrink enumeration regions, never to
         certify.
         """
         if "lll" in self._memo:
             return self._memo["lll"]
         r = self.rank
-        den, a, delta, lam = self._memo["gso"]
+        den, delta, lam = self._memo["gso"]
         delta = list(delta)
         lam = [list(row) for row in lam]
         basis = [[int(i == j) for j in range(r)] for i in range(r)]
@@ -399,21 +290,110 @@ class EuclideanLattice:
                 li[k - 1] = (big * t + l * li[k]) // dk1
             delta[k] = big
             k = max(k - 1, 1)
-        ab = [[sum(x * y for x, y in zip(row, b)) for row in a] for b in basis]
-        reduced = EuclideanLattice._from_gso(
-            den, [[sum(x * y for x, y in zip(u, w)) for w in ab] for u in basis], delta, lam
-        )
-        self._memo["lll"] = reduced, basis
-        return reduced, basis
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self):
-        return [[str(x) for x in row] for row in self.gram]
+        self._memo["lll"] = (den, delta, lam), basis
+        return self._memo["lll"]
 
     @classmethod
     def from_json(cls, data) -> "EuclideanLattice":
         return cls([[Fraction(x) for x in row] for row in data])
+
+
+def _form(gso):
+    """(weights, scale) of the integer form of Gram-Schmidt data
+    gso = (den, Delta, lambda).
+
+    With s_l = Delta_(l+1) x_l + sum_(j>l) lambda_jl x_j, the form is
+    den v^T G v = sum_l s_l^2 / (Delta_l Delta_(l+1)).  Scaled by
+    M = lcm(Delta_l Delta_(l+1)), every term is w_l s_l^2 with
+    w_l = M / (Delta_l Delta_(l+1)) an integer, so scale = den M turns
+    every norm into the integer scale v^T G v.
+    """
+    den, delta, _ = gso
+    r = len(delta) - 1
+    m = lcm(*(delta[l] * delta[l + 1] for l in range(r)))
+    return [m // (delta[l] * delta[l + 1]) for l in range(r)], den * m
+
+
+def _short_vectors(gso, bound: Fraction):
+    """Yield (scale v^T G v, coords) over all v with v^T G v <= bound.
+
+    G is the Gram matrix whose Gram-Schmidt data is gso (:func:`_form`), and
+    the norm is an integer over its common denominator scale = den M.  One
+    representative per +-v pair is yielded (its last nonzero coordinate is
+    negative), with coordinates in the basis of gso, plus the zero vector
+    first.  The leaves are read off the ranges of :func:`_level0_ranges`,
+    with no per-x test.
+    """
+    bound = Fraction(bound)
+    delta = gso[1]
+    weights, scale = _form(gso)
+    total = bound.numerator * scale // bound.denominator
+    w0, d1 = weights[0], delta[1]
+    yield 0, (0,) * len(weights)
+    for coords, lo, top, c, left in _level0_ranges(gso, weights, total):
+        base = total - left
+        tail = tuple(coords[1:])
+        for x in range(lo + 1, top + 1):
+            s = d1 * x + c
+            yield base + w0 * s * s, (x,) + tail
+
+
+def _level0_ranges(gso, weights, total: int):
+    """Integer Fincke-Pohst over sum_l w_l s_l^2 <= total (:func:`_form`).
+
+    Yields (coords, lo, top, c, left) once per level-0 range: the leaves
+    are x_0 = lo + 1, ..., top with coords[1:] fixed (``coords`` is the
+    live list, valid until the next item), s_0 = Delta_1 x_0 + c, and
+    left the budget levels 1.. leave to level 0.  Each level's range of
+    x_l is exact, |s_l| <= isqrt(remaining // w_l), and no per-x test is
+    made.  Only nonzero vectors whose last nonzero coordinate is
+    negative are covered.  Every level entered is a node, and level 0's
+    whole range is charged when it is entered, so a ball too big for
+    ``MAX_NODES`` is refused before its leaves are walked.
+    """
+    _, delta, lam = gso
+    r = len(weights)
+    coords = [0] * r
+    tops = [0] * r  # the last x to visit at each level
+    centers = [0] * r  # sum_(j>l) lambda_jl x_j
+    remaining = [0] * r + [total]  # remaining[l + 1]: budget for levels <= l
+    nodes = 0
+    level = r
+    while True:
+        if level < r:
+            if coords[level] < tops[level]:  # next x at this level
+                x = coords[level] = coords[level] + 1
+                s = delta[level + 1] * x + centers[level]
+                remaining[level] = remaining[level + 1] - weights[level] * s * s
+            else:  # level done: back up
+                coords[level] = 0
+                level += 1
+                if level == r:
+                    return
+                continue
+        # enter the level below
+        nodes += 1
+        if nodes > MAX_NODES:
+            raise EnumerationBudgetError("enumeration node budget exceeded")
+        level -= 1
+        c = sum(lam[j][level] * coords[j] for j in range(level + 1, r))
+        t = isqrt(remaining[level + 1] // weights[level])
+        dl = delta[level + 1]
+        lo = -((t + c) // dl) - 1
+        if c == 0 and not any(coords[level + 1 :]):
+            top = 0 if level else -1  # -v is counted with v; skip 0
+        else:
+            top = (t - c) // dl
+        if level:
+            centers[level], coords[level], tops[level] = c, lo, top
+            continue
+        nodes += top - lo  # the leaves count too
+        if nodes > MAX_NODES:
+            raise EnumerationBudgetError("enumeration node budget exceeded")
+        yield coords, lo, top, c, remaining[1]
+        if r == 1:
+            return
+        level = 1
 
 
 @dataclass(frozen=True)
@@ -476,7 +456,8 @@ def _random_int_gram(rank: int, rng) -> tuple[tuple[int, ...], ...]:
     """The integer Gram matrix B^T B that :func:`random_gram` wraps."""
     while True:
         b = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
-        if det(b) == 0:
+        e = Echelon()
+        if not all(e.add(row) for row in b):  # B is singular
             continue
         return tuple(
             tuple(sum(b[k][i] * b[k][j] for k in range(rank)) for j in range(rank))

@@ -45,7 +45,6 @@ mpmath is imported by this module only; the rest of the package sees
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -483,19 +482,6 @@ def sqrt_interval(x: Scalar) -> Scalar:
 
 def exp_interval(x: Scalar) -> Scalar:
     return _interval(mpi_exp(x._raw(), PREC))
-
-
-def log_pi() -> Scalar:
-    return LOG_PI
-
-
-def log_factorial(n: int) -> Scalar:
-    """ln(n!), certified (exact integer factorial, then interval log)."""
-    if n < 0:
-        raise ValueError("factorial of a negative integer")
-    if n <= 1:
-        return _interval((fzero, fzero))
-    return _interval(mpi_log(_int_to_raw(math.factorial(n)), PREC))
 
 
 def log_gamma(x: RationalLike) -> Scalar:

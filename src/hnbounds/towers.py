@@ -19,6 +19,7 @@ All scalars here are rational mode: the recursion is a finite composition of
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,6 @@ __all__ = [
     "epsilon_tilde",
     "rescale",
     "tower_from_json",
-    "tower_to_json",
 ]
 
 
@@ -58,7 +58,7 @@ class Tower:
     genera: tuple[int, ...]
 
     def __init__(self, genera):
-        genera = tuple(int(g) for g in genera)
+        genera = tuple(map(operator.index, genera))
         if not genera:
             raise ValueError("a tower has at least one level")
         if any(g < 0 for g in genera):
@@ -191,16 +191,9 @@ def rescale(data: TowerData, p: int) -> TowerData:
     return TowerData(mu, vol)
 
 
-def tower_to_json(tower: Tower, data: TowerData):
-    return {
-        "genera": list(tower.genera),
-        "mu": [m.to_json() for m in data.mu],
-        "vol": [v.to_json() for v in data.vol],
-    }
-
-
 def tower_from_json(obj) -> tuple[Tower, TowerData]:
-    tower = Tower(obj["genera"])
+    # JSON Schema's "integer" admits 2.0, but a Tower takes ints only
+    tower = Tower(int(g) if isinstance(g, float) and g.is_integer() else g for g in obj["genera"])
     data = TowerData(
         [Scalar.from_json(m) for m in obj["mu"]],
         [Scalar.from_json(v) for v in obj["vol"]],

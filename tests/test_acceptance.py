@@ -38,7 +38,7 @@ from hnbounds import (
     random_gram,
     rescale,
 )
-from hnbounds.scalars import log_pi
+from hnbounds.scalars import LOG_PI
 from hnbounds.towers import AffineFunction
 
 from conftest import random_hn_type, random_split_bundle
@@ -170,12 +170,12 @@ def test_criterion_7_gillet_soule_constant():
     # (c) Robbins' remainder at n = 10^4, from certified ln and ln pi only
     n = 10**4
     c = log_scalar(6) - Scalar.exact(Fraction(1, 2)) * (
-        Scalar.exact(1) + log_scalar(2) + log_pi()
+        Scalar.exact(1) + log_scalar(2) + LOG_PI
     )
     expansion = (
         Scalar.exact(Fraction(n, 2)) * log_scalar(n)
         + Scalar.exact(n) * c
-        + Scalar.exact(Fraction(1, 2)) * (log_pi() + log_scalar(n))
+        + Scalar.exact(Fraction(1, 2)) * (LOG_PI + log_scalar(n))
     )
     mlo, mhi = (gillet_soule_constant(RATIONAL_FIELD, n) - expansion).bounds()
     part_c = Fraction(1, 6 * n + 1) < mlo and mhi < Fraction(1, 6 * n)

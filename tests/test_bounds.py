@@ -9,8 +9,6 @@ from hnbounds import (
     FiberedSeries,
     IntPolynomial,
     Scalar,
-    arithmetic_error_F,
-    arithmetic_error_G,
     check_blichfeldt,
     check_filtered,
     check_gillet_soule,
@@ -213,51 +211,6 @@ def test_truncated_siegel_slack():
         assert rep.margin.midpoint() == pytest.approx(r / 2 * math.log(r))
 
 
-# -- arithmetic error functions ------------------------------------------------------
-
-
-def test_arithmetic_error_F_examples():
-    f = arithmetic_error_F(1, 1, Scalar.exact(2), Scalar.exact(6), 4, dim_fiber=1)
-    assert f.midpoint() == pytest.approx(12 + 4 * math.log(4))
-    f = arithmetic_error_F(3, 2, Scalar.exact(0), Scalar.exact(0), 7, dim_fiber=2)
-    assert f.midpoint() == pytest.approx(2 * 7 * math.log(7))
-    with pytest.raises(ValueError):
-        arithmetic_error_F(0, 1, Scalar.exact(1), Scalar.exact(1), 1, dim_fiber=1)
-
-
-def test_arithmetic_error_G_examples():
-    g = arithmetic_error_G(1, Scalar.exact(1), Scalar.exact(1), 2, dim_fiber=1)
-    assert g.midpoint() == pytest.approx(1 + 5 * math.log(2))
-    g = arithmetic_error_G(2, Scalar.exact(0), Scalar.exact(9), 5, dim_fiber=3)
-    assert g.midpoint() == pytest.approx(6 * math.log(2) + 5 * math.log(5))
-    # every summand is nonnegative, so G dominates the pure counting term
-    for r in (1, 2, 10):
-        g = arithmetic_error_G(2, Scalar.exact(3), Scalar.exact(1), r, dim_fiber=2)
-        assert (g - Scalar.exact(r) * (Scalar.exact(0) if r == 1 else _ln(r))).certified_nonneg()
-
-
-def _ln(x):
-    from hnbounds import log_scalar
-
-    return log_scalar(x)
-
-
-def test_error_F_ratio_decreasing_on_hirzebruch():
-    F = FiberedSeries(3, 2, 1)
-    trap = F.trapezoid()
-    tower = Tower((0, 0))
-    data = TowerData(
-        (Scalar.exact(3), Scalar.exact(2)), (F.volume_via_fibers(), Scalar.exact(2))
-    )
-    eps = epsilon(tower, data)
-    ratios = []
-    for n in range(2, 101):
-        r_n = trap.rank(n)
-        f = arithmetic_error_F(n, 1, F.mu_max_asy(), eps, r_n, dim_fiber=2)
-        ratios.append(f.midpoint() / (n * n * math.log(n)))
-    assert all(a > b for a, b in zip(ratios, ratios[1:]))
-
-
 # -- circle norms ----------------------------------------------------------------------
 
 
@@ -313,7 +266,21 @@ def test_int_polynomial_normalization():
     assert p.coefficients == (1,) and p.degree == 0
     assert IntPolynomial([0]).degree == -1
     assert IntPolynomial([2, 0, 5]).autocorrelation() == [29, 0, 10]
-    assert IntPolynomial([2, 0, -5]).sum_squares() == 29
+
+
+def test_non_integer_input_is_refused():
+    # int() would truncate these: 0.5 + 1.9x has sup norm 2.4 on the circle,
+    # yet its truncation 0 + 1x would certify the exact norm 1
+    from hnbounds import SplitBundle, Tower
+
+    with pytest.raises(TypeError):
+        circle_sup_norm(IntPolynomial([0.5, 1.9]), Fraction(1, 8))
+    with pytest.raises(TypeError):
+        Tower([1.7, "2"])
+    with pytest.raises(TypeError):
+        SplitBundle([2.5, "3"])
+    with pytest.raises(TypeError):
+        FiberedSeries(3, 2.5, 1)
 
 
 def test_fixed_point_grid_against_mpmath():
@@ -407,10 +374,11 @@ def test_p1z_monotone_and_no_unresolved():
         counts.append(count)
         assert report.passed
         # oracle: every candidate of the sandwich box is decided by one integer
-        # test, sum|a_k| <= 1 accepting it or sum a_k^2 >= 2 rejecting it (Parseval)
+        # test, sum|a_k| <= 1 accepting it or c_0 = sum a_k^2 >= 2 rejecting it
+        # (Parseval)
         accepted = 0
         for p in _coefficient_box(n):
-            assert p.sum_abs() <= 1 or p.sum_squares() >= 2, p.coefficients
+            assert p.sum_abs() <= 1 or p.autocorrelation()[0] >= 2, p.coefficients
             accepted += p.sum_abs() <= 1
         assert accepted == count
     assert counts == sorted(counts)

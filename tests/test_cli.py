@@ -415,7 +415,7 @@ def test_pooled_lattice_suite_matches_string_payload_reference(monkeypatch):
     rng = random.Random(2024)
     reference = []
     for i in range(12):
-        gram_json = random_gram(4, rng).to_json()
+        gram_json = [[str(x) for x in row] for row in random_gram(4, rng).gram]
         for rep in cli._lattice_checks(EuclideanLattice.from_json(gram_json)):
             reference.append(dataclasses.replace(rep, name=f"{rep.name} trial={i:04d}"))
     reference.sort(key=lambda r: r.name)

@@ -196,7 +196,8 @@ def test_slope_measure_mass_and_mean(rng):
         h = random_hn_type(rng)
         m = h.slope_measure()
         assert sum(mass for _, mass in m.atoms) == 1
-        total = Scalar.exact(h.rank) * m.positive_mean()
+        positive_mean = sum((s.max0() * Scalar.exact(mass) for s, mass in m.atoms), Scalar.exact(0))
+        total = Scalar.exact(h.rank) * positive_mean
         assert total.as_fraction() == h.deg_plus().as_fraction()
 
 
@@ -228,4 +229,4 @@ def test_hypothesis_polygon_concavity(slopes, data):
 def test_json_round_trip(rng):
     for _ in range(20):
         h = random_hn_type(rng)
-        assert hn_from_json(h.to_json()) == h
+        assert hn_from_json([[r, s.to_json()] for r, s in h.segments]) == h

@@ -20,7 +20,6 @@ from hnbounds import (
     random_gram,
 )
 from hnbounds import cli, lattices
-from hnbounds._exact import det
 from hnbounds.scalars import log_ball_volume
 
 
@@ -104,10 +103,30 @@ def _int_range(a, lin, const):
     return lo, hi
 
 
-def exact_short_vectors(L, bound):
-    """L._short_vectors(bound) with each integer norm over its scale as a Fraction."""
-    _, scale = L._form()
-    return [(Fraction(q, scale), v) for q, v in L._short_vectors(bound)]
+def exact_short_vectors(gso, bound):
+    """_short_vectors(gso, bound) with each integer norm over its scale as a Fraction."""
+    _, scale = lattices._form(gso)
+    return [(Fraction(q, scale), v) for q, v in lattices._short_vectors(gso, bound)]
+
+
+def integer_gram(g):
+    """(den, A) with A = den G the integer Gram matrix, den the lcm of the
+    denominators."""
+    den = math.lcm(*(x.denominator for row in g for x in row))
+    return den, [[int(x * den) for x in row] for row in g]
+
+
+def integer_norm(a, v):
+    """v^T A v for an integer matrix A."""
+    return sum(x * sum(y * z for y, z in zip(row, v)) for x, row in zip(v, a) if x)
+
+
+def reduced_lattice(L):
+    """The lattice of L's LLL-reduced basis: Gram T G T^T, T from _lll."""
+    _, t = L._lll()
+    g = L.gram
+    tg = [[sum(x * col for x, col in zip(u, cols)) for cols in zip(*g)] for u in t]
+    return EuclideanLattice([[sum(x * y for x, y in zip(row, u)) for u in t] for row in tg])
 
 
 def _invert(g):
@@ -153,7 +172,7 @@ def test_range_count_on_dense_balls():
             if not 10**2 <= count <= 10**4:
                 continue
             seen += 1
-            nonzero = sum(1 for _, v in L._short_vectors(Fraction(1)) if any(v))
+            nonzero = sum(1 for _, v in lattices._short_vectors(L._memo["gso"], Fraction(1)) if any(v))
             assert count == brute_count_norm_le(L, Fraction(1)) == 1 + 2 * nonzero
 
 
@@ -168,17 +187,17 @@ def test_minima_examples():
 
 
 def brute_minima_squared(L):
+    """The minima from a box sweep in integers: v^T A v on A = den G over the
+    Cauchy-Schwarz box of the ball v^T G v <= max G_ii, which holds them."""
     r = L.rank
-    g = [[Fraction(x) for x in row] for row in L.gram]
+    g = L.gram
+    den, a = integer_gram(g)
     inv = _invert(g)
-    bound = max(g[i][i] for i in range(r))
-    box = [math.isqrt(math.ceil(inv[i][i] * bound)) + 1 for i in range(r)]
-    vecs = sorted(
-        (L.norm2(v), v)
-        for v in itertools.product(*[range(-b, b + 1) for b in box])
-        if any(v)
-    )
-    return _greedy_minima(vecs, r)
+    top = max(a[i][i] for i in range(r))
+    box = [math.isqrt(math.ceil(inv[i][i] * top / den)) + 1 for i in range(r)]
+    norms = ((integer_norm(a, v), v) for v in itertools.product(*[range(-b, b + 1) for b in box]))
+    vecs = sorted((q, v) for q, v in norms if 0 < q <= top)
+    return [Fraction(q, den) for q in _greedy_minima(vecs, r)]
 
 
 def _greedy_minima(vecs, r):
@@ -223,7 +242,7 @@ def test_minima_against_unreduced_enumeration(rng):
         for _ in range(8):
             L = random_gram(rank, rng)
             bound = max(L.gram[i][i] for i in range(rank))
-            vecs = sorted((q, v) for q, v in exact_short_vectors(L, bound) if any(v))
+            vecs = sorted((q, v) for q, v in exact_short_vectors(L._memo["gso"], bound) if any(v))
             assert L.minima_norms_squared() == _greedy_minima(vecs, rank)
 
 
@@ -338,7 +357,7 @@ def test_budget_and_validation():
 
 def test_json_round_trip(rng):
     L = random_gram(3, rng)
-    assert EuclideanLattice.from_json(L.to_json()) == L
+    assert EuclideanLattice.from_json([[str(x) for x in row] for row in L.gram]) == L
 
 
 def test_interval_slope_measure_consistency():
@@ -346,7 +365,10 @@ def test_interval_slope_measure_consistency():
     L = diagonal(Fraction(1, 4), Fraction(1, 4), 1, 4)
     h = L.orthogonal_hn()
     dp = h.deg_plus()
-    via_measure = Scalar.exact(h.rank) * h.slope_measure().positive_mean()
+    atoms = h.slope_measure().atoms
+    via_measure = Scalar.exact(h.rank) * sum(
+        (s.max0() * Scalar.exact(mass) for s, mass in atoms), Scalar.exact(0)
+    )
     via_polygon = h.polygon().max_value()
     for other in (via_measure, via_polygon):
         alo, ahi = dp.bounds()
@@ -358,7 +380,7 @@ def test_interval_slope_data_serializes():
     from hnbounds.hn import hn_from_json
 
     h = diagonal(Fraction(1, 4), 1, 4).orthogonal_hn()
-    back = hn_from_json(h.to_json())
+    back = hn_from_json([[r, s.to_json()] for r, s in h.segments])
     assert back.rank == h.rank
     for (r1, s1), (r2, s2) in zip(back.segments, h.segments):
         assert r1 == r2
@@ -450,7 +472,7 @@ def test_definiteness_matches_leading_minors():
         else:
             assert definite
             assert L.determinant() == leibniz_det(g)
-            den, _, delta, _ = L._memo["gso"]
+            den, delta, _ = L._memo["gso"]
             assert delta == [den**k * m for k, m in enumerate(minors)]
         verdicts[definite] += 1
     assert min(verdicts.values()) >= 50
@@ -485,14 +507,13 @@ def test_ldl_reconstructs_gram(rng):
     lattices = [random_gram(r, rng) for r in range(1, 7) for _ in range(5)]
     lattices.append(diagonal(Fraction(1, 4), 3, Fraction(7, 2)))
     lattices += [random_gram(r, rng).scale(Fraction(1, k)) for r in (3, 4, 5) for k in (2, 3)]
-    reduced = [L._lll()[0] for L in lattices]
+    reduced = [reduced_lattice(L) for L in lattices]
     for L in lattices + reduced:
-        den, a, delta, lam = L._memo["gso"]
+        den, delta, lam = L._memo["gso"]
         g = L.gram
         r = L.rank
         assert den == math.lcm(*(x.denominator for row in g for x in row))
-        assert a == [[x * den for x in row] for row in g]
-        assert all(type(x) is int for row in a for x in row)
+        a = integer_gram(g)[1]
         assert delta == [den**k * leibniz_det([row[:k] for row in g[:k]]) for k in range(r + 1)]
         # A = sum_l lambda_il lambda_jl / (Delta_l Delta_(l+1)), with lambda_ll = Delta_(l+1)
         full = [lam[i] + [delta[i + 1]] for i in range(r)]
@@ -501,9 +522,9 @@ def test_ldl_reconstructs_gram(rng):
                 terms = range(min(i, j) + 1)
                 rebuilt = sum(Fraction(full[i][l] * full[j][l], delta[l] * delta[l + 1]) for l in terms)
                 assert rebuilt == a[i][j]
-    for R in reduced:
-        # the data LLL hands over is what a fresh elimination of the Gram gives
-        assert EuclideanLattice(R.gram)._memo["gso"] == R._memo["gso"]
+    for L, R in zip(lattices, reduced):
+        # the data LLL hands over is what a fresh elimination of T G T^T gives
+        assert L._lll()[0] == R._memo["gso"]
 
 
 def _rational_lll(g):
@@ -551,15 +572,10 @@ def test_lll_output_is_size_reduced_and_lovasz():
     lattices += _tie_grams()  # round(lambda/Delta) at exact ties
     for L in lattices:
         r = L.rank
-        reduced, t = L._lll()
+        _, t = L._lll()
         assert t == _rational_lll(L.gram)  # the same decisions as in rationals
+        reduced = reduced_lattice(L)
         g = reduced.gram
-        tg = [[sum(t[i][a] * L.gram[a][b] for a in range(r)) for b in range(r)] for i in range(r)]
-        assert all(
-            g[i][j] == sum(tg[i][b] * t[j][b] for b in range(r))
-            for i in range(r)
-            for j in range(r)
-        )
         assert reduced.determinant() == L.determinant()  # T is unimodular
         assert reduced.h0_count() == L.h0_count()
         # G = U^T D U determines the Gram-Schmidt data: |b*_i|^2 = d_i, mu_ij = u_ji
@@ -621,8 +637,8 @@ def test_lll_output_pinned(kind):
     # rounding and swaps take the very decisions they took when recorded
     h = hashlib.sha256()
     for L in _lll_inputs(kind):
-        reduced, t = L._lll()
-        h.update(repr((t, [[str(x) for x in row] for row in reduced.gram])).encode())
+        _, t = L._lll()
+        h.update(repr((t, [[str(x) for x in row] for row in reduced_lattice(L).gram])).encode())
     assert h.hexdigest() == LLL_DIGESTS[kind]
 
 
@@ -664,7 +680,7 @@ def grams(draw):
     entry = st.integers(-2, 2)
     b = draw(
         st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r).filter(
-            lambda m: det(m) != 0
+            lambda m: leibniz_det(m) != 0
         )
     )
     k = draw(st.sampled_from([1, 2, 3]))
@@ -678,30 +694,32 @@ PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True)
 @PROPERTIES
 @given(grams())
 def test_short_vectors_match_rational_enumeration(L):
-    reduced, _ = L._lll()
+    # the original basis, and the reduced one through the data _lll hands over
+    reduced = reduced_lattice(L)
     top = max(reduced.gram[i][i] for i in range(L.rank))  # all minima lie in this ball
-    for M in (L, reduced):
+    for gso, M in ((L._memo["gso"], L), (L._lll()[0], reduced)):
+        den, a = integer_gram(M.gram)
         for bound in (Fraction(1), Fraction(5, 2), top):
-            got = sorted(exact_short_vectors(M, bound))
+            got = sorted(exact_short_vectors(gso, bound))
             assert got == sorted(_rational_short_vectors(M.gram, bound))
-            assert all(M.norm2(v) == q for q, v in got)
+            assert all(Fraction(integer_norm(a, v), den) == q for q, v in got)
 
 
 @PROPERTIES
 @given(grams())
 def test_lll_keeps_determinant_and_count(L):
-    reduced, t = L._lll()
+    _, t = L._lll()
+    reduced = reduced_lattice(L)
     assert reduced.determinant() == L.determinant()
     assert reduced.h0_count() == L.h0_count()
-    assert abs(det(t)) == 1
+    assert abs(leibniz_det(t)) == 1
 
 
 @PROPERTIES
 @given(grams())
 def test_count_same_in_original_and_reduced_basis(L):
-    reduced, _ = L._lll()
-    for M in (L, reduced):
-        vectors = list(M._short_vectors(Fraction(1)))
+    for gso in (L._memo["gso"], L._lll()[0]):
+        vectors = list(lattices._short_vectors(gso, Fraction(1)))
         assert 2 * len(vectors) - 1 == L.h0_count()
 
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 import operator
 from fractions import Fraction
@@ -13,14 +14,13 @@ from mpmath.libmp import finf, fnan, fninf, mpf_neg, to_rational
 import hnbounds
 from hnbounds import CertificationError, Scalar, log_scalar
 from hnbounds.scalars import (
+    LOG_PI,
     PI,
     cos_2pi,
     exp_interval,
     log_ball_volume,
-    log_factorial,
     log_gamma,
     log_interval,
-    log_pi,
     neg_half_log,
     scalar_max,
     scalar_min,
@@ -121,11 +121,11 @@ def test_min_max():
 
 
 def test_special_values():
-    assert log_factorial(5).midpoint() == pytest.approx(math.log(120))
+    assert log_scalar(math.factorial(5)).midpoint() == pytest.approx(math.log(120))
     assert log_gamma(Fraction(7, 2)).midpoint() == pytest.approx(math.lgamma(3.5))
     assert log_ball_volume(2).midpoint() == pytest.approx(math.log(math.pi))
     assert log_ball_volume(3).midpoint() == pytest.approx(math.log(4 * math.pi / 3))
-    assert log_pi().midpoint() == pytest.approx(math.log(math.pi))
+    assert LOG_PI.midpoint() == pytest.approx(math.log(math.pi))
     assert sqrt_interval(Scalar.exact(2)).midpoint() == pytest.approx(math.sqrt(2))
     assert exp_interval(Scalar.exact(1)).midpoint() == pytest.approx(math.e)
 
@@ -135,7 +135,7 @@ def test_loggamma_agrees_with_exact_factorial_route():
     # integer factorial followed by an interval log; enclosures must overlap
     for n in (2, 5, 50, 500):
         a = log_gamma(n + 1)
-        b = log_factorial(n)
+        b = log_scalar(math.factorial(n))
         alo, ahi = a.bounds()
         blo, bhi = b.bounds()
         assert max(alo, blo) <= min(ahi, bhi)
@@ -166,7 +166,7 @@ def test_pickle_round_trip():
         Scalar.exact(big) - log_scalar(3),
         exp_interval(log_scalar(-big)),
         exp_interval(Scalar.exact(-50)),
-        log_factorial(1),
+        log_scalar(1),  # the interval [0, 0]
     ]
     for s in values:
         t = pickle.loads(pickle.dumps(s))
@@ -254,9 +254,9 @@ def test_functions_of_rationals_match_mpmath_interval_context(q, p):
 
 def test_constants_match_mpmath_interval_context():
     assert PI.bounds() == _ref_bounds(+_ref.pi)
-    assert log_pi().bounds() == _ref_bounds(_ref.log(_ref.pi))
+    assert LOG_PI.bounds() == _ref_bounds(_ref.log(_ref.pi))
     for n in (0, 1, 2, 30, 200):
-        assert log_factorial(n).bounds() == _ref_bounds(_ref.log(_ref.mpf(math.factorial(n))))
+        assert log_scalar(math.factorial(n)).bounds() == _ref_bounds(_ref.log(_ref.mpf(math.factorial(n))))
     for n in (1, 2, 7, 10**6):
         expected = _ref_rational(Fraction(n, 2)) * _ref.log(_ref.pi) - _ref.loggamma(
             _ref_rational(Fraction(n, 2) + 1)
@@ -497,3 +497,22 @@ def test_only_scalars_imports_mpmath():
                 ):
                     offenders.append(f"{path.name}: {module}")
     assert offenders == []
+
+
+# -- the public names -------------------------------------------------------------
+
+
+def test_every_public_name_resolves():
+    package = Path(hnbounds.__file__).parent
+    modules = [hnbounds] + [
+        importlib.import_module(f"hnbounds.{path.stem}")
+        for path in sorted(package.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert missing == []

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from hnbounds import AffineFunction, Scalar, Tower, TowerData, epsilon, epsilon_tilde, rescale
-from hnbounds.towers import NegativeSlopeWarning, tower_from_json, tower_to_json
+from hnbounds.towers import NegativeSlopeWarning, tower_from_json
 
 
 def data(mu, vol):
@@ -174,6 +174,10 @@ def test_affine_function():
 def test_json_round_trip():
     t = Tower((0, 2))
     d = data([Fraction(3, 2), 0], [0, 5])
-    blob = json.dumps(tower_to_json(t, d))
+    blob = '{"genera": [0, 2], "mu": ["3/2", "0"], "vol": ["0", "5"]}'
     t2, d2 = tower_from_json(json.loads(blob))
     assert t2 == t and d2 == d
+    # JSON Schema's "integer" admits 2.0, as the CLI's schema does; 1.5 is refused
+    assert tower_from_json(json.loads(blob.replace("[0, 2]", "[0.0, 2.0]"))) == (t, d)
+    with pytest.raises(TypeError):
+        tower_from_json(json.loads(blob.replace("[0, 2]", "[0, 1.5]")))
