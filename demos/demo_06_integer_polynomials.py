@@ -5,8 +5,9 @@ coefficients in {-1, 0, 1}; sum|a_k| <= 1 accepts zero and the signed
 monomials, and Parseval, ||p||^2 >= sum a_k^2 >= 2, rejects every other
 candidate.  So the count is 2n + 3, which p1z_h0 returns in closed form up
 to degree 64; the tests enumerate the 3^(n+1) candidates as its oracle.
-Single norms are certified on integer fixed-point grids with a derivative
-certificate.
+Single norms are certified without trigonometry: |p(e^{it})|^2 is an
+integer polynomial in cos t, and exact Bernstein subdivision brackets its
+maximum in rationals until the square root is as narrow as asked.
 """
 
 from fractions import Fraction

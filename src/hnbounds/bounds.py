@@ -14,19 +14,18 @@ decision either exact or certified.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial, floor
+from math import comb, factorial
 
 from .lattices import EuclideanLattice, NumberFieldData, RATIONAL_FIELD, gillet_soule_constant
 from .scalars import (
-    PI,
     Scalar,
     as_scalar,
-    cos_2pi,
     exp_interval,
     log_interval,
     log_scalar,
@@ -354,9 +353,9 @@ def check_truncated_siegel(L: EuclideanLattice) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 MAX_CIRCLE_DEGREE = 64
-_MAX_GRID = 1 << 15
-_FIXED_BITS = 128  # fixed-point scale of the cos table, above the 120-bit interval precision
-_FIXED_ONE = 1 << _FIXED_BITS
+# halvings per norm: over 400 seeded polynomials of degree 2..64 the most
+# taken was 19 at width 1/8, 28 at 2^-20 and 61 at 2^-60
+_MAX_SPLITS = 128
 
 
 @dataclass(frozen=True)
@@ -393,30 +392,19 @@ class IntPolynomial:
         return [sum(a[k] * a[k + m] for k in range(n - m)) for m in range(n)]
 
 
-@lru_cache(maxsize=None)
-def _cos_table(n_grid: int) -> tuple[tuple[int, int], ...]:
-    """Integer brackets (floor(lo 2^B), ceil(hi 2^B)) of 2^B cos(2 pi k / N)
-    for 0 <= k <= N/2, B = ``_FIXED_BITS``, from the certified ``cos_2pi``."""
-    table = []
-    for k in range(n_grid // 2 + 1):
-        lo, hi = cos_2pi(Fraction(k, n_grid)).bounds()
-        table.append((floor(lo * _FIXED_ONE), ceil(hi * _FIXED_ONE)))
-    return tuple(table)
-
-
 def circle_sup_norm(p: IntPolynomial, precision: Fraction) -> Scalar:
     """Certified interval around max |p(z)| over |z| = 1, width <= precision.
 
     Uses the coefficient sandwich max|a_k| <= norm <= sum|a_k| for early
-    acceptance, then uniform grids of N points on which |p|^2 is bracketed
-    in exact fixed-point integers (:func:`_grid_squares`): the grid maximum
-    is a lower bound, and the Bernstein derivative bound ||p'|| <= deg ||p||
-    certifies norm <= grid_max / (1 - pi deg / N) between grid points.  N
-    doubles until the width target is met; an unreachable target raises
-    :class:`PrecisionBudgetError`.  The first grid with N > 4 deg is
-    evaluated in full; a doubled grid keeps the bracket of the points it
-    shares with the coarser one (``_cos_table(2N)[2k]`` is the bracket of
-    ``cos_2pi(k / N)``) and evaluates only the odd j.
+    acceptance.  Otherwise R(s) = |p(e^{it})|^2 with cos t = 2s - 1 is an
+    integer polynomial of degree deg on [0, 1] (:func:`_square_on_unit_interval`),
+    and best-first Bernstein subdivision brackets its maximum in exact
+    rationals: on each piece the largest Bernstein coefficient bounds R from
+    above, and the two end coefficients are values of R, so lower bounds.
+    The piece with the largest upper bound is halved until the square root
+    of [best value, largest upper bound] is no wider than ``precision``.
+    :class:`PrecisionBudgetError` is raised after ``_MAX_SPLITS`` halvings,
+    or at once when the square root of the best value alone is too wide.
     """
     precision = Fraction(precision)
     if precision <= 0:
@@ -429,78 +417,67 @@ def circle_sup_norm(p: IntPolynomial, precision: Fraction) -> Scalar:
     if deg <= 0 or hi_frac - lo_frac <= precision:
         return Scalar.from_fraction_bounds(lo_frac, hi_frac)
 
-    corr = p.autocorrelation()
-    n_grid = 64
-    while n_grid <= 4 * deg:
-        n_grid *= 2
-    squares = _grid_squares(corr, n_grid, range(n_grid // 2 + 1))
-    while True:
-        low, high = _grid_bounds(squares, deg, n_grid)
-        low = max(low, lo_frac)
-        high = min(high, hi_frac)
+    def root(square_lo, square_hi):
+        """The sandwich-clipped square root of [square_lo, square_hi]."""
+        lo, hi = sqrt_interval(Scalar.from_fraction_bounds(square_lo, square_hi)).bounds()
+        return max(lo, lo_frac), min(hi, hi_frac)
+
+    b = _bernstein(_square_on_unit_interval(p.autocorrelation()))
+    best = max(b[0], b[-1])
+    heap = [(-max(b), 0, b)]
+    for splits in range(_MAX_SPLITS + 1):
+        top = max(-heap[0][0], best) if heap else best
+        low, high = root(best, top)
         if high - low <= precision:
             return Scalar.from_fraction_bounds(low, high)
-        n_grid *= 2
-        if n_grid > _MAX_GRID:
-            raise PrecisionBudgetError(
-                f"cannot certify the circle norm to width {precision} within the grid budget"
-            )
-        odd = _grid_squares(corr, n_grid, range(1, n_grid // 2, 2))
-        squares = (max(squares[0], odd[0]), max(squares[1], odd[1]))
-
-
-def _grid_bounds(squares, deg, n_grid) -> tuple[Fraction, Fraction]:
-    """(lower, upper) bounds for the sup norm from an N-point grid.
-
-    The square root of the integer bracket ``squares`` of the grid maximum
-    of |p|^2 (from :func:`_grid_squares`) encloses the grid maximum, a lower
-    bound for the norm; the Bernstein certificate divides its upper end by
-    1 - pi deg / N.
-    """
-    sq_lo, sq_hi = squares
-    grid_max = sqrt_interval(
-        Scalar.from_fraction_bounds(Fraction(sq_lo, _FIXED_ONE), Fraction(sq_hi, _FIXED_ONE))
+        point_lo, point_hi = root(best, best)
+        if splits == _MAX_SPLITS or point_hi - point_lo > precision:
+            break  # out of budget, or the exact value best alone is too wide
+        halves = _halves(heapq.heappop(heap)[2])
+        best = max(best, halves[1][0])  # the one new end coefficient, R(midpoint)
+        for i, half in enumerate(halves):
+            if max(half) > best:
+                heapq.heappush(heap, (-max(half), 2 * splits + i + 1, half))
+    raise PrecisionBudgetError(
+        f"cannot certify the circle norm to width {precision} within the subdivision budget"
     )
-    # ||p|| <= grid_max / (1 - pi deg / N), certified with an interval pi
-    denom = Scalar.exact(1) - PI * Scalar.exact(Fraction(deg, n_grid))
-    if not denom.bounds()[0] > 0:
-        raise PrecisionBudgetError("grid too coarse for the derivative certificate")
-    upper = grid_max / denom
-    return grid_max.bounds()[0], upper.bounds()[1]
 
 
-def _grid_squares(corr, n_grid, js) -> tuple[int, int]:
-    """Integers lo <= 2^B max_(j in js) |p(e^{2 pi i j/N})|^2 <= hi, B = ``_FIXED_BITS``.
+def _square_on_unit_interval(corr) -> list[int]:
+    """Integer power coefficients r_j of R(s) = |p(e^{it})|^2, cos t = 2s - 1.
 
-    |p(e^{2 pi i j/N})|^2 = c_0 + sum_m 2 c_m cos(2 pi j m / N) is bracketed
-    in exact integers: each term takes the low end of the ``_cos_table``
-    bracket when 2 c_m > 0 and the high end otherwise (and the reverse for
-    the upper sum), so nothing is rounded.  Real coefficients give
-    |p(conj z)| = |p(z)|, so js need hold only j <= N/2.
+    R = c_0 + 2 sum_m c_m T_m(2s - 1) with the shifted Chebyshev polynomials
+    T_0 = 1, T_1 = 2s - 1, T_{m+1} = 2(2s - 1) T_m - T_{m-1}: no trigonometry.
+    Real coefficients give |p(e^{-it})| = |p(e^{it})|, so s in [0, 1]
+    (t in [0, pi]) covers the whole circle.
     """
-    table = _cos_table(n_grid)
-    half = n_grid // 2
-    c0 = corr[0] * _FIXED_ONE
-    positive = [(m, 2 * c) for m, c in enumerate(corr) if m and c > 0]
-    negative = [(m, 2 * c) for m, c in enumerate(corr) if m and c < 0]
-    sq_lo = sq_hi = 0
-    for j in js:
-        acc_lo = acc_hi = c0
-        for m, c in positive:
-            k = j * m % n_grid
-            t_lo, t_hi = table[k if k <= half else n_grid - k]
-            acc_lo += c * t_lo
-            acc_hi += c * t_hi
-        for m, c in negative:
-            k = j * m % n_grid
-            t_lo, t_hi = table[k if k <= half else n_grid - k]
-            acc_lo += c * t_hi
-            acc_hi += c * t_lo
-        if acc_lo > sq_lo:
-            sq_lo = acc_lo
-        if acc_hi > sq_hi:
-            sq_hi = acc_hi
-    return sq_lo, sq_hi
+    n = len(corr) - 1
+    r = [corr[0]] + [0] * n
+    prev, cur = [1] + [0] * n, [-1, 2] + [0] * (n - 1)  # T_0, T_1
+    for c in corr[1:]:
+        r = [x + 2 * c * t for x, t in zip(r, cur)]
+        # T_{m+1} = 4s T_m - 2 T_m - T_{m-1}; zip drops the unused s^(n+1) of T_(n+1)
+        prev, cur = cur, [4 * u - 2 * t - q for u, t, q in zip([0] + cur, cur, prev)]
+    return r
+
+
+def _bernstein(r) -> list[Fraction]:
+    """Bernstein coefficients on [0, 1] of sum_j r_j s^j:
+    b_k = sum_(j <= k) C(k, j) / C(n, j) r_j."""
+    n = len(r) - 1
+    return [
+        sum(Fraction(comb(k, j), comb(n, j)) * r[j] for j in range(k + 1)) for k in range(n + 1)
+    ]
+
+
+def _halves(b) -> tuple[list[Fraction], list[Fraction]]:
+    """Bernstein coefficients of the two halves of a piece (de Casteljau at 1/2)."""
+    left, right = [b[0]], [b[-1]]
+    while len(b) > 1:
+        b = [(x + y) / 2 for x, y in zip(b, b[1:])]
+        left.append(b[0])
+        right.append(b[-1])
+    return left, right[::-1]
 
 
 def p1z_h0(n: int) -> tuple[int, CheckReport]:

@@ -163,13 +163,17 @@ def _validate(value, schema, what: str):
     The message is that of ``jsonschema.validate``: the best match among
     the errors.  Each schema is checked against its meta-schema and compiled
     once; the entry keeps the schema alive, so its id is not reused.
+    ``"integer"`` means a Python int: JSON Schema's own rule admits ``2.0``,
+    which the integer fields would then receive as a float.
     """
     entry = _VALIDATORS.get(id(schema))
     if entry is None:
-        from jsonschema.validators import validator_for
+        from jsonschema.validators import extend, validator_for
 
         cls = validator_for(schema)
         cls.check_schema(schema)
+        checker = cls.TYPE_CHECKER.redefine("integer", lambda _, x: type(x) is int)
+        cls = extend(cls, type_checker=checker)
         entry = _VALIDATORS[id(schema)] = (schema, cls(schema))
     from jsonschema.exceptions import best_match
 

@@ -229,4 +229,4 @@ def make_hn_type(segments: Iterable[Sequence]) -> HNType:
 
 
 def hn_from_json(data) -> HNType:
-    return make_hn_type((int(r), Scalar.from_json(s)) for r, s in data)
+    return make_hn_type((r, Scalar.from_json(s)) for r, s in data)

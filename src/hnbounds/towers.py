@@ -192,8 +192,7 @@ def rescale(data: TowerData, p: int) -> TowerData:
 
 
 def tower_from_json(obj) -> tuple[Tower, TowerData]:
-    # JSON Schema's "integer" admits 2.0, but a Tower takes ints only
-    tower = Tower(int(g) if isinstance(g, float) and g.is_integer() else g for g in obj["genera"])
+    tower = Tower(obj["genera"])
     data = TowerData(
         [Scalar.from_json(m) for m in obj["mu"]],
         [Scalar.from_json(v) for v in obj["vol"]],

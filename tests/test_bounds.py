@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,16 +23,18 @@ from hnbounds import (
     p1z_h0,
     random_gram,
 )
+from hnbounds import bounds
 from hnbounds.bounds import (
-    _FIXED_BITS,
     CheckReport,
-    _cos_table,
-    _grid_bounds,
-    _grid_squares,
+    PrecisionBudgetError,
+    _bernstein,
+    _halves,
     _log_int,
+    _square_on_unit_interval,
     reports_to_csv,
     reports_to_json,
 )
+from hnbounds.scalars import PI, cos_2pi, sqrt_interval
 from hnbounds.towers import Tower, TowerData, epsilon
 
 
@@ -283,11 +287,103 @@ def test_non_integer_input_is_refused():
         FiberedSeries(3, 2.5, 1)
 
 
+# -- a reference circle norm: the certified grid -----------------------------------------
+
+_FIXED_ONE = 1 << 128  # fixed-point scale, above the 120-bit interval precision
+
+
+@functools.lru_cache(maxsize=None)
+def _cos_table(n_grid):
+    """Integer brackets (floor(lo 2^128), ceil(hi 2^128)) of 2^128 cos(2 pi k / N)
+    for 0 <= k <= N/2, from the certified ``cos_2pi``."""
+    table = []
+    for k in range(n_grid // 2 + 1):
+        lo, hi = cos_2pi(Fraction(k, n_grid)).bounds()
+        table.append((math.floor(lo * _FIXED_ONE), math.ceil(hi * _FIXED_ONE)))
+    return tuple(table)
+
+
+def _grid_squares(corr, n_grid):
+    """Integers lo <= 2^128 max_j |p(e^{2 pi i j/N})|^2 <= hi over every j <= N/2.
+
+    |p|^2 = c_0 + sum_m 2 c_m cos(2 pi j m / N), each term taking the end of
+    its cosine bracket that rounds outward, so nothing is rounded.
+    """
+    table = _cos_table(n_grid)
+    sq_lo = sq_hi = 0
+    for j in range(n_grid // 2 + 1):
+        acc_lo = acc_hi = corr[0] * _FIXED_ONE
+        for m in range(1, len(corr)):
+            k = j * m % n_grid
+            t_lo, t_hi = table[min(k, n_grid - k)]
+            c = 2 * corr[m]
+            acc_lo += c * (t_lo if c > 0 else t_hi)
+            acc_hi += c * (t_hi if c > 0 else t_lo)
+        sq_lo, sq_hi = max(sq_lo, acc_lo), max(sq_hi, acc_hi)
+    return sq_lo, sq_hi
+
+
+def _grid_bounds(squares, deg, n_grid):
+    """(lower, upper) norm bounds: the grid maximum, and by the Bernstein
+    inequality ||p'|| <= deg ||p||, norm <= grid maximum / (1 - pi deg / N)."""
+    sq_lo, sq_hi = squares
+    grid_max = sqrt_interval(
+        Scalar.from_fraction_bounds(Fraction(sq_lo, _FIXED_ONE), Fraction(sq_hi, _FIXED_ONE))
+    )
+    upper = grid_max / (Scalar.exact(1) - PI * Scalar.exact(Fraction(deg, n_grid)))
+    return grid_max.bounds()[0], upper.bounds()[1]
+
+
+def grid_norm(p, precision, max_grid=1 << 12):
+    """The grid's norm interval, clipped to the coefficient sandwich: N doubles
+    from the first power of two >= 64 above 4 deg until the width is met or N
+    reaches ``max_grid``, and every grid is evaluated in full."""
+    corr = p.autocorrelation()
+    n_grid = 64
+    while n_grid <= 4 * p.degree:
+        n_grid *= 2
+    while True:
+        low, high = _grid_bounds(_grid_squares(corr, n_grid), p.degree, n_grid)
+        low, high = max(low, p.max_abs()), min(high, p.sum_abs())
+        if high - low <= precision or n_grid >= max_grid:
+            return low, high
+        n_grid *= 2
+
+
+def _polyval(coeffs, z):
+    """p(z) for z = (re, im) in exact Fractions, by Horner's rule."""
+    re, im = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        re, im = re * z[0] - im * z[1] + c, re * z[1] + im * z[0]
+    return re, im
+
+
+def _power_value(r, s):
+    return sum(c * s**j for j, c in enumerate(r))
+
+
+def _bernstein_value(b, s):
+    n = len(b) - 1
+    return sum(c * math.comb(n, k) * s**k * (1 - s) ** (n - k) for k, c in enumerate(b))
+
+
+def bench_circle_pool():
+    """The 63 inputs of the benchmark's ``circle`` workload: three seeded
+    polynomials per degree 2..8 and width 1/2, 1/4, 1/8."""
+    out = []
+    for deg in range(2, 9):
+        for i, prec in enumerate((Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))):
+            for k in range(3):
+                rng = random.Random(f"circle-{deg}-{i}-{k}")
+                out.append((IntPolynomial([rng.randint(-2, 2) for _ in range(deg + 1)]), prec))
+    return out
+
+
 def test_fixed_point_grid_against_mpmath():
-    # independent oracle: 50-digit mpmath cosines and |p| on the full N-point grid
+    # independent oracle for the reference grid: 50-digit mpmath cosines and |p|
+    # on the full N-point grid
     import mpmath
 
-    scale = 2**_FIXED_BITS
     polys = [
         (1, 2, -1),
         (2, 1, 2, -1),
@@ -297,13 +393,13 @@ def test_fixed_point_grid_against_mpmath():
         (-1, -1, -1, 0, 0, -1, 2, -1, -1),
         (2, 1, 0, -2, 1, 1, -1, 2, -2),
     ]
-    unit = mpmath.mpf("1e-3")  # 50 digits resolve 2^B |p|^2 far below one unit
+    unit = mpmath.mpf("1e-3")  # 50 digits resolve 2^128 |p|^2 far below one unit
     with mpmath.workdps(50):
         for n_grid in (64, 256):
             table = _cos_table(n_grid)
             assert len(table) == n_grid // 2 + 1
             for k, (lo, hi) in enumerate(table):
-                exact = scale * mpmath.cos(2 * mpmath.pi * k / n_grid)
+                exact = _FIXED_ONE * mpmath.cos(2 * mpmath.pi * k / n_grid)
                 assert lo <= exact + unit and exact - unit <= hi
                 assert hi - lo <= 2**12  # 2^-116 after scaling back
             for coeffs in polys:
@@ -312,43 +408,157 @@ def test_fixed_point_grid_against_mpmath():
                     abs(mpmath.polyval(list(reversed(coeffs)), mpmath.expjpi(mpmath.mpf(2 * j) / n_grid)))
                     for j in range(n_grid)
                 )
-                sq_lo, sq_hi = _grid_squares(p.autocorrelation(), n_grid, range(n_grid // 2 + 1))
-                square = scale * top**2
+                sq_lo, sq_hi = _grid_squares(p.autocorrelation(), n_grid)
+                square = _FIXED_ONE * top**2
                 assert sq_lo <= square + unit and square - unit <= sq_hi
                 low, high = _grid_bounds((sq_lo, sq_hi), p.degree, n_grid)
                 assert mpmath.mpf(low.numerator) / low.denominator <= top + mpmath.mpf("1e-30")
                 assert top <= mpmath.mpf(high.numerator) / high.denominator
 
 
-def test_doubled_grids_match_full_evaluation():
-    # a doubled grid reuses the coarser bracket and visits only the odd j; the
-    # reference evaluates every grid in full, and the intervals must be equal
-    import random
+def test_circle_sup_norm_overlaps_grid_reference():
+    # the benchmark's pool, then seeded polynomials up to degree 16: every
+    # interval meets its width and overlaps the reference grid's
+    rng = random.Random(1411)
+    seeded = [
+        (IntPolynomial([rng.randint(-3, 3) for _ in range(rng.randint(2, 16) + 1)]), Fraction(1, 8))
+        for _ in range(60)
+    ]
+    for p, precision in bench_circle_pool() + seeded:
+        lo, hi = circle_sup_norm(p, precision).bounds()
+        assert hi - lo <= precision
+        ref_lo, ref_hi = grid_norm(p, precision)
+        assert lo <= ref_hi and ref_lo <= hi, (p.coefficients, precision)
 
-    def full_grids(p, precision):
-        corr = p.autocorrelation()
-        lo_frac, hi_frac = Fraction(p.max_abs()), Fraction(p.sum_abs())
-        n_grid = 64
-        while True:
-            if n_grid > 4 * p.degree:
-                squares = _grid_squares(corr, n_grid, range(n_grid // 2 + 1))
-                low, high = _grid_bounds(squares, p.degree, n_grid)
-                low, high = max(low, lo_frac), min(high, hi_frac)
-                if high - low <= precision:
-                    return (low, high), n_grid
-            n_grid *= 2
 
-    rng = random.Random(4105)
-    grids = set()
-    for _ in range(24):
-        p = IntPolynomial([rng.randint(-2, 2) for _ in range(rng.randint(3, 9))])
-        precision = Fraction(1, rng.choice([2, 4, 16]))
-        if p.sum_abs() - p.max_abs() <= precision:
+def test_square_on_unit_interval_exact():
+    # R(s) = |p(e^{it})|^2 with cos t = 2s - 1, checked at points where z is
+    # rational: z = 1, -1, i and the Pythagorean point (3 + 4i)/5 (s = 4/5)
+    rng = random.Random(77)
+    for _ in range(40):
+        coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 12) + 1)]
+        if not any(coeffs[1:]):
             continue
-        expected, n_grid = full_grids(p, precision)
-        assert circle_sup_norm(p, precision).bounds() == expected
-        grids.add(n_grid)
-    assert len(grids) >= 3  # one, two and more doublings are exercised
+        p = IntPolynomial(coeffs)
+        r = _square_on_unit_interval(p.autocorrelation())
+        assert all(isinstance(c, int) for c in r) and len(r) == p.degree + 1
+        assert _power_value(r, 1) == sum(coeffs) ** 2
+        assert _power_value(r, 0) == sum(c * (-1) ** k for k, c in enumerate(coeffs)) ** 2
+        for s, z in [
+            (Fraction(1, 2), (Fraction(0), Fraction(1))),
+            (Fraction(4, 5), (Fraction(3, 5), Fraction(4, 5))),
+        ]:
+            re, im = _polyval(coeffs, z)
+            assert _power_value(r, s) == re**2 + im**2
+
+
+def test_bernstein_form_and_halves():
+    # the Bernstein form equals the power form at rational s, and the halves
+    # reparametrize [0, 1/2] and [1/2, 1]
+    rng = random.Random(5)
+    points = [Fraction(k, 7) for k in range(8)] + [Fraction(3, 11)]
+    for _ in range(20):
+        r = [rng.randint(-50, 50) for _ in range(rng.randint(0, 10) + 1)]
+        b = _bernstein(r)
+        left, right = _halves(b)
+        assert len(left) == len(right) == len(b)
+        for s in points:
+            assert _bernstein_value(b, s) == _power_value(r, s)
+            assert _bernstein_value(left, s) == _power_value(r, s / 2)
+            assert _bernstein_value(right, s) == _power_value(r, (1 + s) / 2)
+
+
+def test_circle_sup_norm_against_refined_mpmath_maxima():
+    # 50-digit maxima: the best of 1024 samples refined by Newton on dR/dt,
+    # against the endpoints t = 0, pi; each lies in the 2^-60 interval
+    import mpmath
+
+    rng = random.Random(60)
+    with mpmath.workdps(50):
+        for _ in range(8):
+            p = IntPolynomial([rng.randint(-4, 4) for _ in range(rng.randint(2, 10) + 1)])
+            corr = p.autocorrelation()
+
+            def square(t):
+                return corr[0] + 2 * sum(c * mpmath.cos(m * t) for m, c in enumerate(corr) if m)
+
+            def slope(t):
+                return -2 * sum(m * c * mpmath.sin(m * t) for m, c in enumerate(corr) if m)
+
+            t0 = max((mpmath.pi * k / 1024 for k in range(1025)), key=square)
+            top = max(square(0), square(mpmath.pi), square(mpmath.findroot(slope, t0)))
+            lo, hi = circle_sup_norm(p, Fraction(1, 2**60)).bounds()
+            assert hi - lo <= Fraction(1, 2**60)
+            norm = mpmath.sqrt(top)
+            tol = mpmath.mpf("1e-40")
+            assert mpmath.mpf(lo.numerator) / lo.denominator <= norm + tol
+            assert norm <= mpmath.mpf(hi.numerator) / hi.denominator + tol
+
+
+def test_circle_sup_norm_degree_64_at_width_one_eighth():
+    # the whole degree budget certifies at width 1/8; the interval holds a
+    # float-sampled lower estimate
+    import cmath
+
+    for i in range(4):
+        rng = random.Random(f"degree-64-{i}")
+        coeffs = [rng.randint(-2, 2) for _ in range(65)]
+        lo, hi = circle_sup_norm(IntPolynomial(coeffs), Fraction(1, 8)).bounds()
+        assert hi - lo <= Fraction(1, 8)
+        sampled = max(
+            abs(sum(c * cmath.exp(1j * cmath.pi * k / 2048 * m) for m, c in enumerate(coeffs)))
+            for k in range(2049)
+        )
+        assert sampled <= hi + 1e-9 and lo <= sampled + 1 / 8 + 1e-9
+
+
+def _count_halvings(monkeypatch):
+    calls = []
+
+    def halves(b):
+        calls.append(1)
+        return _halves(b)
+
+    monkeypatch.setattr(bounds, "_halves", halves)
+    return calls
+
+
+def test_circle_sup_norm_refuses_unreachable_width(monkeypatch):
+    calls = _count_halvings(monkeypatch)
+    tiny = Fraction(1, 2**200)
+    # an interior maximum: R there is a non-square rational, whose 120-bit
+    # square root is wider than 2^-200, so the refusal comes within a few halvings
+    rng = random.Random("degree-64-0")
+    p = IntPolynomial([rng.randint(-2, 2) for _ in range(65)])
+    assert circle_sup_norm(p, Fraction(1, 8)).bounds()[0] > abs(sum(p.coefficients))
+    calls.clear()
+    with pytest.raises(PrecisionBudgetError):
+        circle_sup_norm(p, tiny)
+    assert len(calls) <= 8
+    # a maximum at s = 0 or s = 1 is p(-1)^2 or p(1)^2, an integer square: it is
+    # certified exactly when the square fits the interval precision, and
+    # refused before any halving when it does not
+    assert circle_sup_norm(IntPolynomial([1, -1, 1]), tiny).bounds() == (3, 3)
+    big = 2**70
+    for coeffs in ([big + 1, -big], [big, big + 1]):  # maxima at s = 0 and s = 1
+        calls.clear()
+        with pytest.raises(PrecisionBudgetError):
+            circle_sup_norm(IntPolynomial(coeffs), tiny)
+        assert not calls
+
+
+def test_circle_sup_norm_split_budget(monkeypatch):
+    # the halving cap is hit exactly: the same call certifies with the budget back
+    p = IntPolynomial([2, -1, 0, 2, 1, -2, 1])
+    calls = _count_halvings(monkeypatch)
+    circle_sup_norm(p, Fraction(1, 2**20))
+    needed = len(calls)
+    assert needed > 3
+    monkeypatch.setattr(bounds, "_MAX_SPLITS", 3)
+    calls.clear()
+    with pytest.raises(PrecisionBudgetError):
+        circle_sup_norm(p, Fraction(1, 2**20))
+    assert len(calls) == 3
 
 
 # -- the integer-polynomial testbed -------------------------------------------------------

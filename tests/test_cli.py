@@ -403,6 +403,28 @@ def test_cli_malformed_input_exits_two(capsys, tmp_path, argv):
     assert err.startswith(f"config error: invalid {what}: ") and len(err.strip().splitlines()) == 1
 
 
+def _integer_fields():
+    """Configs with a JSON float in one integer field each: every integer
+    parameter of every suite, a polygon rank and the seed."""
+    for suite, schema in sorted(cli.PARAMETER_SCHEMAS.items()):
+        for name, field in sorted(schema["properties"].items()):
+            if field.get("type") == "integer":
+                yield {"suite": suite, "parameters": {name: 2.0}}
+    yield {"suite": "polygon", "parameters": {"hn": [[2.0, "3"]]}}
+    yield {"suite": "lattice", "seed": 1.0}
+
+
+@pytest.mark.parametrize("config", list(_integer_fields()), ids=json.dumps)
+def test_cli_float_in_integer_field_exits_two(capsys, tmp_path, config):
+    # JSON Schema's own "integer" admits 2.0; the CLI's is a Python int
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid config: ") and "is not of type 'integer'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_pooled_lattice_suite_matches_string_payload_reference(monkeypatch):
     # the suite sends workers integer Grams and gets named reports back; the
     # reference rebuilds each lattice from the JSON strings the suite once sent

@@ -230,3 +230,10 @@ def test_json_round_trip(rng):
     for _ in range(20):
         h = random_hn_type(rng)
         assert hn_from_json([[r, s.to_json()] for r, s in h.segments]) == h
+
+
+def test_hn_from_json_refuses_non_integer_ranks():
+    # a rank is taken as given, not truncated: 1.5 would otherwise read as 1
+    for rank in (1.5, 2.0, "3"):
+        with pytest.raises(ValueError):
+            hn_from_json([[rank, "3"]])

@@ -177,7 +177,8 @@ def test_json_round_trip():
     blob = '{"genera": [0, 2], "mu": ["3/2", "0"], "vol": ["0", "5"]}'
     t2, d2 = tower_from_json(json.loads(blob))
     assert t2 == t and d2 == d
-    # JSON Schema's "integer" admits 2.0, as the CLI's schema does; 1.5 is refused
-    assert tower_from_json(json.loads(blob.replace("[0, 2]", "[0.0, 2.0]"))) == (t, d)
+    # genera are ints: 2.0 is refused like 1.5, as the CLI's schema refuses both
+    with pytest.raises(TypeError):
+        tower_from_json(json.loads(blob.replace("[0, 2]", "[0.0, 2.0]")))
     with pytest.raises(TypeError):
         tower_from_json(json.loads(blob.replace("[0, 2]", "[0, 1.5]")))
