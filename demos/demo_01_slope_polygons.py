@@ -1,9 +1,9 @@
 """Slope data, polygons and the positive degree.
 
 Walks through the core objects: build slope data from (rank, slope)
-segments, draw its concave polygon, and see three routes to the positive
-degree agree exactly: the nonnegative-slope sum, the polygon maximum, and
-the integral of the rank filtration.
+segments, list the breakpoints of its concave polygon, and see three routes
+to the positive degree agree exactly: the nonnegative-slope sum, the largest
+breakpoint height of the polygon, and the integral of the rank filtration.
 """
 
 from fractions import Fraction
@@ -15,12 +15,12 @@ print("segments:", [(r, str(s.as_fraction())) for r, s in h.segments])
 print("rank:", h.rank, " degree:", h.degree().as_fraction())
 
 print("\npolygon breakpoints (cumulative rank, cumulative degree):")
-for x, y in h.polygon().breakpoints:
+for x, y in h.polygon():
     print(f"  ({x.as_fraction()}, {y.as_fraction()})")
 
 print("\nthree routes to the positive degree:")
 print("  sum over nonnegative slopes:", h.deg_plus().as_fraction())
-print("  maximum of the polygon:     ", h.polygon().max_value().as_fraction())
+print("  maximum of the polygon:     ", max(y.as_fraction() for _, y in h.polygon()))
 print("  integral of rank(F^t):      ", h.positive_rank_integral().as_fraction())
 
 print("\nrank of the filtration F^t (closed at each slope):")
@@ -28,7 +28,7 @@ for t in [Fraction(4), Fraction(3), Fraction(1), Fraction(0), Fraction(-2), Frac
     print(f"  t = {t}: rank {h.filtration_rank(t)}")
 
 print("\nslope measure (atom, mass):")
-for slope, mass in h.slope_measure().atoms:
+for slope, mass in h.slope_measure():
     print(f"  ({slope.as_fraction()}, {mass})")
 
 print("\nduality: mu_max(h) + mu_min(dual h) =",

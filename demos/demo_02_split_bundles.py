@@ -6,7 +6,7 @@ twists, which is the sharp genus-0 case of the general comparison
 |h0 - deg_plus| <= rank * max(g-1, 1).
 """
 
-from hnbounds import CurveContext, SplitBundle, h0_interval
+from hnbounds import SplitBundle, h0_interval
 
 B = SplitBundle([3, 1, 0, -2])
 print("twists:", B.twists)
@@ -33,5 +33,5 @@ print(" ", B.twists, "(x)", C.twists, "=", B.tensor(C).twists)
 
 print("\nbeyond genus 0 only the slope envelope is available:")
 for g in (0, 1, 2, 5):
-    lo, hi = h0_interval(h, CurveContext(g))
+    lo, hi = h0_interval(h, g)
     print(f"  genus {g}: h0 guaranteed in [{lo.as_fraction()}, {hi.as_fraction()}]")

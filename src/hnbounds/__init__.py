@@ -20,8 +20,8 @@ is provably nonnegative in exact or interval arithmetic.
 """
 
 from .scalars import CertificationError, Scalar, log_scalar
-from .hn import HNType, Polygon, SlopeMeasure, make_hn_type
-from .curves import CurveContext, SplitBundle, h0_interval
+from .hn import HNType, make_hn_type
+from .curves import SplitBundle, h0_interval
 from .series import FiberedSeries, ToricSeries
 from .towers import (
     AffineFunction,
@@ -61,18 +61,15 @@ __all__ = [
     "AffineFunction",
     "CertificationError",
     "CheckReport",
-    "CurveContext",
     "EnumerationBudgetError",
     "EuclideanLattice",
     "FiberedSeries",
     "HNType",
     "IntPolynomial",
     "NumberFieldData",
-    "Polygon",
     "PrecisionBudgetError",
     "RATIONAL_FIELD",
     "Scalar",
-    "SlopeMeasure",
     "SplitBundle",
     "ToricSeries",
     "Tower",

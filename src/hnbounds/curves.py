@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .hn import HNType, make_hn_type
 from .scalars import Scalar
 
-__all__ = ["SplitBundle", "CurveContext", "h0_interval"]
+__all__ = ["SplitBundle", "h0_interval"]
 
 
 @dataclass(frozen=True)
@@ -75,20 +75,10 @@ class SplitBundle:
         return [Scalar.exact(a) for a in self.twists]
 
 
-@dataclass(frozen=True)
-class CurveContext:
-    """A smooth projective curve known only through its genus."""
-
-    genus: int
-
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError("genus must be a nonnegative integer")
-
-
-def h0_interval(h: HNType, ctx: CurveContext) -> tuple[Scalar, Scalar]:
+def h0_interval(h: HNType, genus: int) -> tuple[Scalar, Scalar]:
     """Tightest interval guaranteed for h^0 of a bundle with slope data ``h``
-    on a curve of the given genus.
+    on a smooth projective curve of genus ``genus`` (a nonnegative integer;
+    ValueError otherwise).
 
     Intersects, over the cases whose hypotheses hold:
 
@@ -101,7 +91,9 @@ def h0_interval(h: HNType, ctx: CurveContext) -> tuple[Scalar, Scalar]:
     bundle the cases are mutually consistent; formally inconsistent inputs
     raise ValueError rather than returning an empty interval.
     """
-    g = ctx.genus
+    g = operator.index(genus)
+    if g < 0:
+        raise ValueError("genus must be a nonnegative integer")
     rank = Scalar.exact(h.rank)
     deg = h.degree()
     deg_plus = h.deg_plus()

@@ -1,10 +1,11 @@
 """Harder-Narasimhan types, polygons, R-filtrations and the positive degree.
 
 An :class:`HNType` records the slope data of a filtered object as a list of
-``(rank, slope)`` segments with strictly decreasing slopes.  Everything
-downstream (polygons, the positive degree deg+, the rank filtration F^t, the
-slope probability measure) is computed from this data alone; no sheaf-level
-input is ever required.
+``(rank, slope)`` segments with strictly decreasing slopes.  It is the one
+validated type here.  Everything downstream (the polygon's breakpoints, the
+positive degree deg+, the rank filtration F^t, the slope probability
+measure's atoms) is a plain value computed from this data alone, and none of
+it decides the slope order again; no sheaf-level input is ever required.
 
 All values are immutable and all operations are pure, so instances can be
 shared freely between threads.
@@ -16,68 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import Scalar, as_scalar, scalar_max
+from .scalars import Scalar, as_scalar
 
-__all__ = [
-    "HNType",
-    "Polygon",
-    "SlopeMeasure",
-    "make_hn_type",
-    "hn_from_json",
-]
+__all__ = ["HNType", "make_hn_type", "hn_from_json"]
 
 
-@dataclass(frozen=True)
-class Polygon:
-    """Concave piecewise-linear polygon on [0, rank], starting at (0, 0).
-
-    Breakpoints are ``(x, y)`` pairs with strictly increasing x and strictly
-    decreasing segment slopes (concavity).
-    """
-
-    breakpoints: tuple[tuple[Scalar, Scalar], ...]
-
-    def __post_init__(self):
-        pts = self.breakpoints
-        if len(pts) < 2:
-            raise ValueError("polygon needs at least two breakpoints")
-        x0, y0 = pts[0]
-        if not (x0 == 0 and y0 == 0):
-            raise ValueError("polygon must start at (0, 0)")
-        slopes = []
-        for (xa, ya), (xb, yb) in zip(pts, pts[1:]):
-            if not xb > xa:
-                raise ValueError("polygon x-coordinates must strictly increase")
-            slopes.append((yb - ya) / (xb - xa))
-        for s, t in zip(slopes, slopes[1:]):
-            if not s > t:
-                raise ValueError("polygon slopes must strictly decrease (concavity)")
-
-    def max_value(self) -> Scalar:
-        """Maximum of the polygon over its domain (attained at a breakpoint)."""
-        best = self.breakpoints[0][1]
-        for _, y in self.breakpoints[1:]:
-            best = scalar_max(best, y)
-        return best
-
-
-@dataclass(frozen=True)
-class SlopeMeasure:
-    """Probability measure with one atom per slope, mass rank_i / rank."""
-
-    atoms: tuple[tuple[Scalar, Fraction], ...]
-
-    def __post_init__(self):
-        if not self.atoms:
-            raise ValueError("slope measure needs at least one atom")
-        total = sum(m for _, m in self.atoms)
-        if total != 1:
-            raise ValueError(f"atom masses must sum to 1, got {total}")
-        if any(m <= 0 for _, m in self.atoms):
-            raise ValueError("atom masses must be positive")
-        for (s, _), (t, _) in zip(self.atoms, self.atoms[1:]):
-            if not s > t:
-                raise ValueError("atoms must have strictly decreasing distinct slopes")
+def _check_rank(rank):
+    """Refuse a segment rank that is not a positive int (a bool included)."""
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+        raise ValueError(f"segment ranks must be positive integers, got {rank!r}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +42,7 @@ class HNType:
         if not self.segments:
             raise ValueError("HNType needs at least one segment")
         for rank, slope in self.segments:
-            if not isinstance(rank, int) or rank < 1:
-                raise ValueError(f"segment ranks must be positive integers, got {rank!r}")
+            _check_rank(rank)
             if not isinstance(slope, Scalar):
                 raise TypeError("segment slopes must be Scalar values")
         for (_, s), (_, t) in zip(self.segments, self.segments[1:]):
@@ -124,16 +71,18 @@ class HNType:
 
     # -- operations -------------------------------------------------------
 
-    def polygon(self) -> Polygon:
-        """Polygon through the cumulative (rank, degree) points."""
-        x = Scalar.exact(0)
-        y = Scalar.exact(0)
+    def polygon(self) -> tuple[tuple[Scalar, Scalar], ...]:
+        """Breakpoints ``((0, 0), (r_1, r_1 s_1), ...)`` of the HN polygon:
+        the cumulative (rank, degree) points.  The polygon is concave because
+        the slopes strictly decrease; its maximum is :meth:`deg_plus`.
+        """
+        x = y = Scalar.exact(0)
         pts = [(x, y)]
         for r, s in self.segments:
             x = x + Scalar.exact(r)
             y = y + Scalar.exact(r) * s
             pts.append((x, y))
-        return Polygon(tuple(pts))
+        return tuple(pts)
 
     def deg_plus(self) -> Scalar:
         """Positive degree: sum of rank_i * slope_i over nonnegative slopes.
@@ -184,43 +133,39 @@ class HNType:
         return total
 
     def positive_rank_integral(self) -> Scalar:
-        """Integral of rank(F^t) over t in [0, mu_max], evaluated piecewise.
+        """Integral of rank(F^t) over t >= 0, evaluated piecewise.
 
-        Cross-checks deg_plus: the two must agree exactly in rational mode.
+        rank(F^t) is cumrank_i for t in (s_{i+1}, s_i], so the integral is
+        sum cumrank_i * (max0(s_i) - max0(s_{i+1})), with the slope after the
+        last taken as 0.  Cross-checks deg_plus: the two agree exactly in
+        rational mode, and their enclosures overlap in interval mode.
         """
-        zero = Scalar.exact(0)
+        tops = [s.max0() for _, s in self.segments] + [Scalar.exact(0)]
         total = Scalar.exact(0)
         cumrank = 0
-        for i, (r, s) in enumerate(self.segments):
-            if not s > zero:
-                break
+        for (r, _), top, below in zip(self.segments, tops, tops[1:]):
             cumrank += r
-            nxt = self.segments[i + 1][1] if i + 1 < len(self.segments) else None
-            lower = nxt.max0() if nxt is not None else Scalar.exact(0)
-            total = total + Scalar.exact(cumrank) * (s - lower)
+            total = total + Scalar.exact(cumrank) * (top - below)
         return total
 
-    def slope_measure(self) -> SlopeMeasure:
-        """Atom at each slope with mass rank_i / rank."""
+    def slope_measure(self) -> tuple[tuple[Scalar, Fraction], ...]:
+        """Atoms ``(slope_i, rank_i / rank)`` of the slope probability measure."""
         n = self.rank
-        return SlopeMeasure(tuple((s, Fraction(r, n)) for r, s in self.segments))
+        return tuple((s, Fraction(r, n)) for r, s in self.segments)
 
 
 def make_hn_type(segments: Iterable[Sequence]) -> HNType:
     """Validated constructor; merges adjacent equal-slope segments.
 
     Accepts ``(rank, slope)`` pairs where slope is a Scalar, int, Fraction or
-    "p/q" string.  Rejects empty input, non-positive ranks, and slope lists
-    that are not strictly decreasing after the merge.  Idempotent on its own
-    output.
+    "p/q" string.  Rejects empty input, ranks that are not positive ints
+    (bools included), and slope lists that are not strictly decreasing after
+    the merge.  Idempotent on its own output.
     """
     items = [(r, as_scalar(s)) for r, s in segments]
-    if not items:
-        raise ValueError("HNType needs at least one segment")
     merged: list[tuple[int, Scalar]] = []
     for rank, slope in items:
-        if not isinstance(rank, int) or rank < 1:
-            raise ValueError(f"segment ranks must be positive integers, got {rank!r}")
+        _check_rank(rank)
         if merged and merged[-1][1] == slope:
             merged[-1] = (merged[-1][0] + rank, merged[-1][1])
         else:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar
 
 __all__ = [
     "Tower",
@@ -42,13 +42,6 @@ __all__ = [
 
 class NegativeSlopeWarning(UserWarning):
     """A slope coordinate is negative; the bound is outside its proven range."""
-
-
-def _rational(x) -> Scalar:
-    s = as_scalar(x)
-    if not s.is_rational:
-        raise TypeError("tower data must be rational-mode scalars")
-    return s
 
 
 @dataclass(frozen=True)
@@ -79,8 +72,8 @@ class TowerData:
     vol: tuple[Scalar, ...]
 
     def __init__(self, mu, vol):
-        mu = tuple(_rational(x) for x in mu)
-        vol = tuple(_rational(x) for x in vol)
+        mu = tuple(map(Scalar.exact, mu))
+        vol = tuple(map(Scalar.exact, vol))
         if len(mu) != len(vol) or not mu:
             raise ValueError("mu and vol must be nonempty vectors of equal length")
         if not all(v.certified_nonneg() for v in vol):
@@ -100,8 +93,8 @@ class AffineFunction:
     slope: Scalar
 
     def __init__(self, intercept, slope):
-        object.__setattr__(self, "intercept", _rational(intercept))
-        object.__setattr__(self, "slope", _rational(slope))
+        object.__setattr__(self, "intercept", Scalar.exact(intercept))
+        object.__setattr__(self, "slope", Scalar.exact(slope))
 
     def __call__(self, g: int) -> Scalar:
         return self.intercept + self.slope * Scalar.exact(g)

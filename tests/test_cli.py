@@ -344,6 +344,18 @@ def test_polygon_subcommand():
     assert '"mu_max": "3"' in r.stdout
 
 
+@pytest.mark.parametrize("first", [{"lo": "2", "hi": "3"}, {"lo": "5", "hi": "6"}])
+def test_polygon_subcommand_interval_slopes(capsys, first):
+    # interval slopes the schema admits are reported, not refused: the
+    # breakpoints are read as they are, and integral_identity is an overlap
+    hn = json.dumps([[1, first], [1, {"lo": "1/2", "hi": "1"}]])
+    assert cli.main(["polygon", "--hn", hn]) == 0
+    out = capsys.readouterr().out
+    (report,) = json.loads(out[out.index("["):])
+    assert report["pass"] and report["context"]["integral_identity"] is True
+    assert len(report["context"]["breakpoints"]) == 3
+
+
 def test_epsilon_subcommand():
     r = run_cli(
         ["epsilon", "--tower", '{"genera":[0,0],"mu":["2","0"],"vol":["0","3"]}']
@@ -388,6 +400,8 @@ def test_lattice_subcommand():
         # a setting the suite does not read, and an empty list of checks
         ["run", {"suite": "epsilon", "parameters": {"trials": 40, "depth_max": 0}}],
         ["run", {"suite": "arithmetic", "parameters": {"entries": []}}],
+        # tower data is rational: an interval slope or volume is refused
+        ["epsilon", "--tower", '{"genera":[0],"mu":[{"lo":"1","hi":"2"}],"vol":["1"]}'],
     ],
 )
 def test_cli_malformed_input_exits_two(capsys, tmp_path, argv):

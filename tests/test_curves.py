@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hnbounds import CurveContext, SplitBundle, h0_interval, make_hn_type
+from hnbounds import SplitBundle, h0_interval, make_hn_type
 
 from conftest import random_split_bundle
 
@@ -82,38 +82,41 @@ def test_semistable_slope_zero_has_h0_rank():
 
 
 def test_h0_interval_examples():
-    lo, hi = h0_interval(make_hn_type([(2, -1)]), CurveContext(5))
+    lo, hi = h0_interval(make_hn_type([(2, -1)]), 5)
     assert (lo.as_fraction(), hi.as_fraction()) == (0, 0)
-    lo, hi = h0_interval(make_hn_type([(2, 3)]), CurveContext(0))
+    lo, hi = h0_interval(make_hn_type([(2, 3)]), 0)
     assert (lo.as_fraction(), hi.as_fraction()) == (8, 8)
-    lo, hi = h0_interval(make_hn_type([(1, 5), (1, -2)]), CurveContext(2))
+    lo, hi = h0_interval(make_hn_type([(1, 5), (1, -2)]), 2)
     assert (lo.as_fraction(), hi.as_fraction()) == (3, 7)
 
 
 def test_h0_interval_riemann_roch_range():
     # mu_min above 2g-2 pins the exact point deg + rank(1-g)
-    lo, hi = h0_interval(make_hn_type([(2, 5)]), CurveContext(3))
+    lo, hi = h0_interval(make_hn_type([(2, 5)]), 3)
     assert (lo.as_fraction(), hi.as_fraction()) == (6, 6)
-    lo, hi = h0_interval(make_hn_type([(2, 3)]), CurveContext(1))
+    lo, hi = h0_interval(make_hn_type([(2, 3)]), 1)
     assert (lo.as_fraction(), hi.as_fraction()) == (6, 6)
 
 
 def test_h0_interval_contains_true_h0(rng):
-    genus0 = CurveContext(0)
     for _ in range(500):
         b = random_split_bundle(rng)
-        lo, hi = h0_interval(b.hn_type(), genus0)
+        lo, hi = h0_interval(b.hn_type(), 0)
         assert lo.as_fraction() <= b.h0() <= hi.as_fraction()
 
 
 def test_h0_interval_lower_clamped_at_zero():
-    lo, hi = h0_interval(make_hn_type([(1, 1), (1, Fraction(-1, 2))]), CurveContext(4))
+    lo, hi = h0_interval(make_hn_type([(1, 1), (1, Fraction(-1, 2))]), 4)
     assert lo.as_fraction() >= 0
 
 
 def test_curve_context_validation():
+    # the curve enters only through its genus, a nonnegative integer
+    h = make_hn_type([(1, 0)])
     with pytest.raises(ValueError):
-        CurveContext(-1)
+        h0_interval(h, -1)
+    with pytest.raises(TypeError):
+        h0_interval(h, 1.5)
 
 
 def test_split_bundle_validation_and_json(rng):

@@ -42,22 +42,23 @@ def test_constructor_idempotent(rng):
 
 
 def test_polygon_examples():
-    pts = hn((2, 3), (1, -1)).polygon().breakpoints
+    pts = hn((2, 3), (1, -1)).polygon()
     assert [(x.as_fraction(), y.as_fraction()) for x, y in pts] == [
         (0, 0),
         (2, 6),
         (3, 5),
     ]
-    pts = hn((1, 0)).polygon().breakpoints
+    pts = hn((1, 0)).polygon()
     assert [(x.as_fraction(), y.as_fraction()) for x, y in pts] == [(0, 0), (1, 0)]
-    pts = hn((3, 1)).polygon().breakpoints
+    pts = hn((3, 1)).polygon()
     assert [(x.as_fraction(), y.as_fraction()) for x, y in pts] == [(0, 0), (3, 3)]
 
 
 def test_polygon_max_is_deg_plus(rng):
     for _ in range(200):
         h = random_hn_type(rng)
-        assert h.polygon().max_value().as_fraction() == h.deg_plus().as_fraction()
+        top = max(y.as_fraction() for _, y in h.polygon())
+        assert top == h.deg_plus().as_fraction()
 
 
 # -- deg_plus ---------------------------------------------------------------
@@ -166,16 +167,27 @@ def test_integral_identity_random(rng):
         assert h.positive_rank_integral().as_fraction() == h.deg_plus().as_fraction()
 
 
-def test_polygon_direct_validation():
-    from hnbounds import Polygon
+def _overlap(a: Scalar, b: Scalar) -> bool:
+    (alo, ahi), (blo, bhi) = a.bounds(), b.bounds()
+    return max(alo, blo) <= min(ahi, bhi)
 
-    z = Scalar.exact
-    with pytest.raises(ValueError):
-        Polygon(((z(1), z(0)), (z(2), z(1))))  # does not start at the origin
-    with pytest.raises(ValueError):
-        Polygon(((z(0), z(0)), (z(2), z(1)), (z(1), z(3))))  # x not increasing
-    with pytest.raises(ValueError):
-        Polygon(((z(0), z(0)), (z(1), z(1)), (z(2), z(3))))  # convex corner
+
+def test_interval_slopes_polygon_and_integral():
+    # cumulative interval sums are wider than the slopes: nothing derived
+    # from a valid HNType decides their order again
+    ivl = Scalar.from_fraction_bounds
+    h = make_hn_type([(1, ivl(Fraction(2), Fraction(3))), (1, ivl(Fraction(1), Fraction(3, 2)))])
+    pts = [tuple(v.bounds() for v in pt) for pt in h.polygon()]
+    assert pts[0] == ((0, 0), (0, 0)) and pts[2][0] == (2, 2)
+    assert pts[1][1][0] <= 2 and pts[1][1][1] >= 3
+    assert pts[2][1][0] <= 3 and pts[2][1][1] >= Fraction(9, 2)
+    assert _overlap(h.positive_rank_integral(), h.deg_plus())
+    # a slope straddling 0 enters through max0, not through a sign test
+    h = make_hn_type([(1, ivl(Fraction(3), Fraction(4))), (1, ivl(Fraction(-1), Fraction(1, 2)))])
+    integral = h.positive_rank_integral()
+    assert _overlap(integral, h.deg_plus())
+    lo, hi = integral.bounds()
+    assert lo <= 3 and hi >= 4
 
 
 # -- slope measure ------------------------------------------------------------------
@@ -183,20 +195,20 @@ def test_polygon_direct_validation():
 
 def test_slope_measure_examples():
     m = hn((2, 3), (1, -1)).slope_measure()
-    assert [(s.as_fraction(), mass) for s, mass in m.atoms] == [
+    assert [(s.as_fraction(), mass) for s, mass in m] == [
         (3, Fraction(2, 3)),
         (-1, Fraction(1, 3)),
     ]
     m = hn((3, 1)).slope_measure()
-    assert [(s.as_fraction(), mass) for s, mass in m.atoms] == [(1, Fraction(1))]
+    assert [(s.as_fraction(), mass) for s, mass in m] == [(1, Fraction(1))]
 
 
 def test_slope_measure_mass_and_mean(rng):
     for _ in range(100):
         h = random_hn_type(rng)
         m = h.slope_measure()
-        assert sum(mass for _, mass in m.atoms) == 1
-        positive_mean = sum((s.max0() * Scalar.exact(mass) for s, mass in m.atoms), Scalar.exact(0))
+        assert sum(mass for _, mass in m) == 1 and all(mass > 0 for _, mass in m)
+        positive_mean = sum((s.max0() * Scalar.exact(mass) for s, mass in m), Scalar.exact(0))
         total = Scalar.exact(h.rank) * positive_mean
         assert total.as_fraction() == h.deg_plus().as_fraction()
 
@@ -218,8 +230,11 @@ def test_hypothesis_polygon_concavity(slopes, data):
     slopes = sorted(slopes, reverse=True)
     ranks = [data.draw(st.integers(min_value=1, max_value=5)) for _ in slopes]
     h = make_hn_type(zip(ranks, map(Scalar.exact, slopes)))
-    poly = h.polygon()  # constructor validates concavity and monotone x
-    assert poly.breakpoints[-1][0].as_fraction() == h.rank
+    pts = [(x.as_fraction(), y.as_fraction()) for x, y in h.polygon()]
+    assert pts[0] == (0, 0) and pts[-1][0] == h.rank
+    assert all(xa < xb for (xa, _), (xb, _) in zip(pts, pts[1:]))
+    edges = [(yb - ya) / (xb - xa) for (xa, ya), (xb, yb) in zip(pts, pts[1:])]
+    assert all(s > t for s, t in zip(edges, edges[1:]))  # concave
     assert h.positive_rank_integral().as_fraction() == h.deg_plus().as_fraction()
 
 
@@ -234,6 +249,8 @@ def test_json_round_trip(rng):
 
 def test_hn_from_json_refuses_non_integer_ranks():
     # a rank is taken as given, not truncated: 1.5 would otherwise read as 1
-    for rank in (1.5, 2.0, "3"):
+    for rank in (1.5, 2.0, "3", True):
         with pytest.raises(ValueError):
             hn_from_json([[rank, "3"]])
+    with pytest.raises(ValueError):
+        HNType(((True, Scalar.exact(3)),))
