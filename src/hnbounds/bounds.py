@@ -218,16 +218,18 @@ def _positive_minima(L: EuclideanLattice) -> Scalar:
 
 
 @lru_cache(maxsize=256)
-def _log_int(n: int) -> Scalar:
-    """Certified ln n, taken once per n: the constants ln 2, ln r! and ln(2 r!)
-    of the lattice checks.  A memoized value is the interval a fresh
-    ``log_scalar(n)`` computes."""
-    return log_scalar(n)
+def _rank_constants(r: int) -> tuple[Scalar, Scalar, Scalar]:
+    """r ln 2, r ln 2 - ln r! and ln(2 r!): the rank-r constants of the lattice
+    checks and p1z, built once per rank.  A memoized value is the interval a
+    fresh evaluation computes."""
+    r_ln2 = Scalar.exact(r) * log_scalar(2)
+    return r_ln2, r_ln2 - log_scalar(factorial(r)), log_scalar(2 * factorial(r))
 
 
 def _count_bound(positive_minima: Scalar, r: int) -> Scalar:
     """positive_minima + r ln 2 + ln(2 r!), the bound on a rank-r log-count."""
-    return positive_minima + Scalar.exact(r) * _log_int(2) + _log_int(2 * factorial(r))
+    r_ln2, _, ln_2r_fact = _rank_constants(r)
+    return positive_minima + r_ln2 + ln_2r_fact
 
 
 def h0_minima_bound(L: EuclideanLattice) -> CheckReport:
@@ -253,8 +255,7 @@ def check_minkowski(L: EuclideanLattice) -> CheckReport:
     for lam in L.successive_minima():
         lam_sum = lam_sum + lam
     sandwiched = chi - lam_sum
-    upper = Scalar.exact(r) * _log_int(2)
-    lower = upper - _log_int(factorial(r))
+    upper, lower, _ = _rank_constants(r)
     margin = scalar_min(upper - sandwiched, sandwiched - lower)
     return CheckReport.with_margin(
         f"minkowski rank={r}",

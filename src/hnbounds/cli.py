@@ -48,7 +48,7 @@ from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from . import bounds
-from .hn import hn_from_json
+from .hn import HNType, hn_from_json
 from .lattices import EnumerationBudgetError, EuclideanLattice, _random_int_gram
 from .scalars import CertificationError, Scalar
 from .series import FiberedSeries
@@ -80,6 +80,7 @@ _RATIONAL = {"type": ["string", "integer"]}
 _INTERVAL = {"type": "object", "required": ["lo", "hi"], "properties": {"lo": _RATIONAL, "hi": _RATIONAL}}
 _SCALAR = {"anyOf": [_RATIONAL, _INTERVAL]}  # what Scalar.from_json reads
 _HN_PAIR = {"type": "array", "prefixItems": [{"type": "integer"}, _SCALAR], "minItems": 2, "maxItems": 2}
+_HN_SCHEMA = {"type": "array", "items": _HN_PAIR}
 
 TOWER_SCHEMA = {
     "type": "object",
@@ -131,7 +132,7 @@ PARAMETER_SCHEMAS = {
     "polygon": {
         "type": "object",
         "required": ["hn"],
-        "properties": {"hn": {"type": "array", "items": _HN_PAIR}},
+        "properties": {"hn": _HN_SCHEMA},
         "additionalProperties": False,
     },
 }
@@ -396,9 +397,31 @@ def suite_epsilon(params, rng) -> list[CheckReport]:
     return reports
 
 
+# A report prints each rational in decimal, and CPython refuses to convert an
+# int of more than 4300 digits (about 14,000 bits) to a string.  Every value
+# a polygon report derives from slope data has at most a few hundred bits
+# more than the data's ranks, numerators and denominators together.
+_HN_MAX_BITS = 10_000
+
+
+def _read_hn(data, what: str) -> HNType:
+    """Slope data from schema-valid JSON; ``ConfigError`` naming ``what`` on
+    a zero denominator or on data too large to print in a report."""
+    with _parsing(what):
+        h = hn_from_json(data)
+    bits = sum(
+        r.bit_length() + sum(q.numerator.bit_length() + q.denominator.bit_length() for q in set(s.bounds()))
+        for r, s in h.segments
+    )
+    if bits > _HN_MAX_BITS:
+        raise ConfigError(
+            f"invalid {what}: the slope data has {bits} bits, more than a report prints ({_HN_MAX_BITS})"
+        )
+    return h
+
+
 def suite_polygon(params, rng) -> list[CheckReport]:
-    with _parsing("config"):
-        h = hn_from_json(params["hn"])
+    h = _read_hn(params["hn"], "config")
     deg_plus = h.deg_plus()
     (ilo, ihi), (dlo, dhi) = h.positive_rank_integral().bounds(), deg_plus.bounds()
     mu_max, mu_min = h.slope_extremes()
@@ -433,7 +456,6 @@ def run_config(config: dict) -> tuple[int, list[CheckReport]]:
     config = validate_config(config)
     seed = config.get("seed", 0)
     rng = random.Random(seed)
-    print(f"suite={config['suite']} seed={seed}")
     reports = SUITE_RUNNERS[config["suite"]](config.get("parameters", {}), rng)
     reports = sorted(reports, key=lambda r: r.name)
     passed = sum(1 for r in reports if r.passed)
@@ -447,6 +469,8 @@ def run_config(config: dict) -> tuple[int, list[CheckReport]]:
             else:
                 json.dump(reports_to_json(reports), fh, indent=2, sort_keys=True)
                 fh.write("\n")
+    # nothing reaches stdout until the suite has run and its report is written
+    print(f"suite={config['suite']} seed={seed}")
     print(f"{passed}/{len(reports)}")
     return (0 if passed == len(reports) else 1), reports
 
@@ -484,9 +508,10 @@ def main(argv=None) -> int:
             status, _ = run_config(config)
             return status
         if args.command == "polygon":
-            status, reports = run_config(
-                {"suite": "polygon", "parameters": {"hn": json.loads(args.hn)}}
-            )
+            # refused here, the message naming the flag; the suite reads it again
+            hn = _validate(json.loads(args.hn), _HN_SCHEMA, "--hn")
+            _read_hn(hn, "--hn")
+            status, reports = run_config({"suite": "polygon", "parameters": {"hn": hn}})
             print(json.dumps(reports_to_json(reports), indent=2, sort_keys=True))
             return status
         if args.command == "epsilon":

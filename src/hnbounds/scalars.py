@@ -23,21 +23,22 @@ endpoints raises :class:`CertificationError` instead of guessing.
 The common operations avoid converting between representations.  A rational
 is a ``Fraction`` and its arithmetic, comparisons and sign tests work on that
 ``Fraction`` directly; results are built by a private constructor that skips
-``__init__``.  An interval's sign tests, ``max0``, ``abs`` and comparisons
-with another interval read the raw endpoints: the sign bit, and mpmath's
-``mpf_lt`` between endpoints.  They give what the exact bounds would, and
-they too raise :class:`CertificationError` on a non-finite endpoint.  Only a
-comparison of a rational with an interval converts the endpoints to
-``Fraction``.
+``__init__``.  An interval's sign tests, ``max0``, ``abs``, and comparisons,
+``scalar_min`` and ``scalar_max`` with another interval read the raw
+endpoints: the sign bit, and mpmath's ``mpf_lt`` between endpoints.  They
+give what the exact bounds would, and they too raise
+:class:`CertificationError` on a non-finite endpoint.  Only a rational
+against an interval converts the endpoints to ``Fraction``.
 
 A Scalar pickles as integers: a rational as its numerator and denominator,
 an interval as its raw endpoint tuples, so a worker process gets back the
 very same value.
 
 Scalars are immutable, so constants are computed once: ``PI`` and ``LOG_PI``
-at import, and :func:`log_ball_volume` once per dimension (memoized).  A
-memoized value is the very interval a fresh call would compute, so sharing
-it changes no bound.
+at import, :func:`log_ball_volume` once per dimension, and :func:`log_scalar`
+once per exact rational value, in a fixed-size memo of this process (a
+worker process fills its own).  A memoized value is the very interval a
+fresh call would compute, so sharing it changes no bound.
 
 mpmath is imported by this module only; the rest of the package sees
 :class:`Scalar`.
@@ -425,9 +426,22 @@ def as_scalar(x: RationalLike) -> Scalar:
 
 
 def _extreme(pick, a: Scalar, b: Scalar) -> Scalar:
-    """Interval extension of ``pick`` (max or min); exact for rationals."""
+    """Interval extension of ``pick`` (max or min); exact for rationals.
+
+    Two intervals keep the picked raw endpoints: they are dyadic with at most
+    PREC bits, so outward rounding of their exact values would change none
+    of them, and ``mpf_lt`` compares them exactly.  A rational against an
+    interval compares exact bounds and rounds the picked ones outward.
+    """
     if a._rat is not None and b._rat is not None:
         return a if pick(a._rat, b._rat) == a._rat else b
+    if a._rat is None and b._rat is None:
+        (alo, ahi), (blo, bhi) = _finite(a._ivl), _finite(b._ivl)
+        larger = pick is max
+        return _interval((
+            alo if mpf_lt(blo, alo) is larger else blo,
+            ahi if mpf_lt(bhi, ahi) is larger else bhi,
+        ))
     (alo, ahi), (blo, bhi) = a.bounds(), b.bounds()
     return Scalar.from_fraction_bounds(pick(alo, blo), pick(ahi, bhi))
 
@@ -443,8 +457,14 @@ def scalar_min(a: Scalar, b: Scalar) -> Scalar:
 
 
 def log_scalar(x: RationalLike) -> Scalar:
-    """Certified ln of a positive rational (or rational Scalar)."""
-    x = Scalar.exact(x).as_fraction()
+    """Certified ln of a positive rational (or rational Scalar), memoized on
+    its exact value: a repeated argument gets the interval a fresh call
+    computes."""
+    return _log_fraction(Scalar.exact(x).as_fraction())
+
+
+@lru_cache(maxsize=256)
+def _log_fraction(x: Fraction) -> Scalar:
     if x <= 0:
         raise ValueError("log of a non-positive rational")
     return _interval(mpi_log(_fraction_to_raw(x), PREC))

@@ -187,16 +187,15 @@ class FiberedSeries:
         min(b, (a - t)/e), the limit of the slope->=t rank over n; d+1 = 2.
 
         Exact piecewise integration; agrees with the normalized volume of the
-        associated trapezoid.
+        associated trapezoid.  With knee = max(a - e*b, 0) the integral is
+        b*knee + (a - knee)^2 / (2e), so the volume is
+        (2eb*knee + (a - knee)^2) / e, or 2ab when e = 0.
         """
-        a, b = Fraction(self.a), Fraction(self.b)
-        if self.e == 0:
-            integral = a * b
-        else:
-            e = Fraction(self.e)
-            knee = max(a - e * b, Fraction(0))
-            integral = b * knee + (a - knee) * (a - knee) / (2 * e)
-        return Scalar.exact(2 * integral)
+        a, b, e = self.a, self.b, self.e
+        if e == 0:
+            return Scalar.exact(2 * a * b)
+        knee = max(a - e * b, 0)
+        return Scalar.exact(Fraction(2 * e * b * knee + (a - knee) ** 2, e))
 
     def trapezoid(self) -> ToricSeries:
         """The polytope {0 <= y <= b, 0 <= x <= a - e y} (needs a >= e*b >= 0

@@ -29,7 +29,7 @@ from hnbounds.bounds import (
     PrecisionBudgetError,
     _bernstein,
     _halves,
-    _log_int,
+    _rank_constants,
     _square_on_unit_interval,
     reports_to_csv,
     reports_to_json,
@@ -179,16 +179,28 @@ def test_minkowski_margin_width(rng):
 
 
 def test_log_constants_are_fresh_logs():
-    # ln 2, ln r! and ln(2 r!) are taken once per argument for the lattice
-    # checks and p1z (ranks up to 65); each is the interval a fresh log_scalar
-    # call computes, endpoint for endpoint, on the first call and from the cache
+    # ln 2, ln r! and ln(2 r!) of the lattice checks and p1z (ranks up to 65)
+    # come from log_scalar's memo, and the rank constants are built once per
+    # rank; each is the interval a fresh evaluation computes, endpoint for
+    # endpoint, on the first call and from the memo
+    from mpmath.libmp import mpi_log
+
     from hnbounds import log_scalar
+    from hnbounds.scalars import PREC, _fraction_to_raw
+
+    def fresh_log(n):
+        return Scalar(ivl=mpi_log(_fraction_to_raw(Fraction(n)), PREC))
 
     for r in range(1, 66):
         for n in (2, math.factorial(r), 2 * math.factorial(r)):
-            first = _log_int(n)
-            assert first._ivl == log_scalar(n)._ivl
-            assert _log_int(n) is first
+            first = log_scalar(n)
+            assert first._ivl == fresh_log(n)._ivl
+            assert log_scalar(n) is first
+        r_ln2 = Scalar.exact(r) * fresh_log(2)
+        expected = (r_ln2, r_ln2 - fresh_log(math.factorial(r)), fresh_log(2 * math.factorial(r)))
+        constants = _rank_constants(r)
+        assert [c._ivl for c in constants] == [c._ivl for c in expected]
+        assert _rank_constants(r) is constants
 
 
 def test_gillet_soule_comparison_sweep():

@@ -402,19 +402,55 @@ def test_lattice_subcommand():
         ["run", {"suite": "arithmetic", "parameters": {"entries": []}}],
         # tower data is rational: an interval slope or volume is refused
         ["epsilon", "--tower", '{"genera":[0],"mu":[{"lo":"1","hi":"2"}],"vol":["1"]}'],
+        # a slope whose report would exceed CPython's int-to-decimal limit
+        ["polygon", "--hn", '[[1,"1e999999"]]'],
+        ["run", {"suite": "polygon", "parameters": {"hn": [[1, "1e999999"]]}}],
     ],
 )
 def test_cli_malformed_input_exits_two(capsys, tmp_path, argv):
-    # malformed JSON shapes are input errors (exit 2, one line), not failed checks;
-    # the message names the flag, or the config for run and polygon's --hn
+    # malformed JSON shapes are input errors (exit 2, one line and nothing on
+    # stdout), not failed checks; the message names the flag, or the config for run
     if argv[0] == "run":
         config = tmp_path / "config.json"
         config.write_text(json.dumps(argv[1]))
         argv = ["run", str(config)]
-    what = "config" if argv[0] in ("polygon", "run") else argv[-2]
+    what = "config" if argv[0] == "run" else argv[-2]
     assert cli.main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"config error: invalid {what}: ") and len(err.strip().splitlines()) == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("hn", ["[]", '[[1,"1/0"]]'])
+def test_polygon_input_error_leaves_stdout_empty(hn):
+    # the suite header is printed only once the suite has returned
+    r = run_cli(["polygon", "--hn", hn])
+    assert r.returncode == 2 and r.stdout == ""
+    assert len(r.stderr.strip().splitlines()) == 1 and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "hn",
+    [
+        [[1, "1e-999999"]],
+        [[1, {"lo": "1e-999999", "hi": "1"}]],
+        [[10**1100, "1e1001"], [1, "1e1000"]],  # the parts add up
+    ],
+)
+def test_polygon_refuses_slope_data_too_large_to_print(capsys, hn):
+    assert cli.main(["polygon", "--hn", json.dumps(hn)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: invalid --hn: the slope data has ")
+    assert int(err.split(" has ")[1].split()[0]) > cli._HN_MAX_BITS
+
+
+def test_polygon_prints_slope_data_under_the_bit_limit(capsys):
+    # just under the limit every derived value of the report still prints
+    assert cli.main(["polygon", "--hn", json.dumps([[10**900, "1e2000"], [7, "-1/3"]])]) == 0
+    out = capsys.readouterr().out
+    (report,) = json.loads(out[out.index("["):])
+    assert report["context"]["deg_plus"] == str(10**2900)
 
 
 def _integer_fields():

@@ -9,13 +9,16 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import finf, fnan, fninf, mpf_neg, to_rational
+from mpmath.libmp import finf, fnan, fninf, mpf_neg, mpi_log, to_rational
 
 import hnbounds
 from hnbounds import CertificationError, Scalar, log_scalar
+from hnbounds import scalars
 from hnbounds.scalars import (
     LOG_PI,
     PI,
+    PREC,
+    _fraction_to_raw,
     cos_2pi,
     exp_interval,
     log_ball_volume,
@@ -73,6 +76,24 @@ def test_neg_half_log_is_the_halved_negated_log(q):
     got = neg_half_log(q)
     assert got._ivl == expected._ivl
     assert got.bounds() == expected.bounds()
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@example(Fraction(2))
+@example(Fraction(1))
+@example(Fraction(1, 10**30))
+@given(positive_rationals)
+def test_log_scalar_memo_is_a_fresh_log(q):
+    # the memo keyed on the exact value hands back, on the first call and on
+    # every repeat, in whichever form q comes, the very endpoints of a fresh
+    # certified log
+    fresh = mpi_log(_fraction_to_raw(q), PREC)
+    scalars._log_fraction.cache_clear()
+    first = log_scalar(q)
+    assert first._ivl == fresh
+    forms = [q, Scalar.exact(q), str(q)] + ([q.numerator] if q.denominator == 1 else [])
+    for again in forms:
+        assert log_scalar(again) is first
 
 
 def test_interval_width_reported():
@@ -266,10 +287,10 @@ def test_constants_match_mpmath_interval_context():
 
 # -- fast paths against a bounds()/Fraction reference -------------------------
 #
-# Rational ops work on the Fraction and interval sign tests and comparisons on
-# the raw endpoint tuples.  The reference below decides everything from the
-# exact bounds(), as the package once did, and the fast paths must agree with
-# it, CertificationErrors included.
+# Rational ops work on the Fraction, and interval sign tests, comparisons,
+# scalar_min and scalar_max on the raw endpoint tuples.  The reference below
+# decides everything from the exact bounds(), as the package once did, and the
+# fast paths must agree with it, CertificationErrors included.
 
 _big = st.integers(min_value=-(10**60), max_value=10**60)
 _rationals = st.one_of(
@@ -284,11 +305,15 @@ _NON_FINITE = (finf, fninf, fnan)
 def _scalar_operands(draw):
     q = draw(_rationals)
     p = abs(q) + 1
-    kind = draw(st.sampled_from(["rational", "log", "shifted", "bounds", "point", "non-finite"]))
+    kind = draw(st.sampled_from(["rational", "log", "far", "shifted", "bounds", "point", "non-finite"]))
     if kind == "rational":
         return Scalar.exact(q)
     if kind == "log":
         return log_scalar(p)
+    if kind == "far":  # scaling by a power of 2 is exact: far-apart exponents
+        return Scalar.exact(Fraction(2) ** draw(st.integers(min_value=-400, max_value=400))) * (
+            Scalar.exact(q) - log_scalar(p)
+        )
     if kind == "shifted":
         return Scalar.exact(q) - log_scalar(p)
     if kind == "bounds":
@@ -367,6 +392,13 @@ def _ref_abs(x):
     return Scalar.from_fraction_bounds(Fraction(0), max(-lo, hi))
 
 
+def _ref_extreme(pick, x, y):
+    if x.is_rational and y.is_rational:
+        return Scalar.exact(pick(x.as_fraction(), y.as_fraction()))
+    (xlo, xhi), (ylo, yhi) = x.bounds(), y.bounds()
+    return Scalar.from_fraction_bounds(pick(xlo, ylo), pick(xhi, yhi))
+
+
 def _ref_div(p, q):
     if not q:
         raise CertificationError("division by zero")
@@ -392,6 +424,8 @@ def test_fast_paths_match_bounds_reference(x, y):
             _agree(a.__neg__, lambda: _ref_neg(a))
         else:  # exact negation of the raw ends, no certification needed
             assert (-a)._ivl == (mpf_neg(a._ivl[1]), mpf_neg(a._ivl[0]))
+    _agree(lambda: scalar_min(x, y), lambda: _ref_extreme(min, x, y))
+    _agree(lambda: scalar_max(x, y), lambda: _ref_extreme(max, x, y))
     others = [(y, y)] + ([(y.as_fraction(), y)] if y.is_rational else [])
     for other, ref in others:
         _agree(lambda: x < other, lambda: _ref_cmp(x, ref) < 0)

@@ -263,6 +263,26 @@ def test_volume_via_fibers_matches_trapezoid():
                     )
 
 
+def _volume_via_fibers_reference(a, b, e):
+    """2 * the piecewise Fraction integral of min(b, (a - t)/e) over [0, a]."""
+    a, b = Fraction(a), Fraction(b)
+    if e == 0:
+        return 2 * a * b
+    e = Fraction(e)
+    knee = max(a - e * b, Fraction(0))
+    return 2 * (b * knee + (a - knee) * (a - knee) / (2 * e))
+
+
+def test_volume_via_fibers_matches_fraction_integral():
+    # the integer closed form on the whole a, b <= 20, e <= 3 grid, a < e*b included
+    for e in range(4):
+        for a in range(21):
+            for b in range(1, 21):
+                got = FiberedSeries(a, b, e).volume_via_fibers()
+                assert type(got.as_fraction()) is Fraction
+                assert got.as_fraction() == _volume_via_fibers_reference(a, b, e)
+
+
 def test_filtered_rank_integral_is_deg_plus():
     for e in range(3):
         for a in range(0, 7):
