@@ -28,8 +28,13 @@ and shut down at interpreter exit.  Workers are forked once, so they keep
 the module globals of that moment: a global changed later (say, a
 monkeypatched ``lattices.MAX_NODES``) is not seen by checks run in workers.
 
-JSON schemas are compiled on first use, once per schema; ``jsonschema`` is
-imported only then, so a subcommand that validates nothing never loads it.
+``concurrent.futures`` is imported when the first pool is built, so serial
+runs and the subcommands never load it.
+
+JSON input is checked against the schemas below by ``_validate``, a small
+interpreter of the few Draft 2020-12 keywords they use that gives the
+messages ``jsonschema`` would give.  ``jsonschema`` is a test dependency
+only: the tests hold the interpreter to it.
 """
 
 from __future__ import annotations
@@ -43,8 +48,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from . import bounds
@@ -155,33 +158,109 @@ class ConfigError(ValueError):
     pass
 
 
-_VALIDATORS = {}  # id(schema) -> (schema, its compiled validator)
+# JSON Schema's types as Python values.  "integer" is a Python int: JSON
+# Schema's own rule admits 2.0, which the integer fields would then receive
+# as a float.
+_TYPES = {
+    "array": lambda x: isinstance(x, list),
+    "integer": lambda x: type(x) is int,
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "object": lambda x: isinstance(x, dict),
+    "string": lambda x: isinstance(x, str),
+}
+
+
+def _errors(value, schema, path=()):
+    """The errors of ``value`` under ``schema``, as ``jsonschema``'s Draft
+    2020-12 validator yields them: in its order, with its messages, each as
+    ``(relevance, message, context)``.
+
+    ``relevance`` is ``jsonschema.exceptions.relevance`` of the error, whose
+    ``path`` locates it in the outer value; an ``anyOf`` error's ``context``
+    holds its branches' errors, located in its own value.  Only the keywords
+    the schemas above use are read; any other raises ``ValueError``.
+    """
+    types = schema.get("type")
+    types = [types] if isinstance(types, str) else types
+    matched = types is not None and any(_TYPES[t](value) for t in types)
+
+    def error(keyword, message, context=()):
+        return (-len(path), path, keyword != "anyOf", not matched), message, context
+
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if not matched:
+                yield error(keyword, f"{value!r} is not of type {', '.join(map(repr, types))}")
+        elif keyword == "enum":
+            # JSON equality: true is not 1
+            if not any(type(x) is type(value) and x == value for x in arg):
+                yield error(keyword, f"{value!r} is not one of {arg!r}")
+        elif keyword == "anyOf":
+            context = []
+            for branch in arg:
+                found = list(_errors(value, branch))
+                if not found:
+                    break
+                context += found
+            else:
+                yield error(keyword, f"{value!r} is not valid under any of the given schemas", context)
+        elif keyword in ("minimum", "maximum"):
+            if _TYPES["number"](value) and (value < arg if keyword == "minimum" else value > arg):
+                side = "less" if keyword == "minimum" else "greater"
+                yield error(keyword, f"{value!r} is {side} than the {keyword} of {arg!r}")
+        elif keyword == "required":
+            for key in arg if is_object else ():
+                if key not in value:
+                    yield error(keyword, f"{key!r} is a required property")
+        elif keyword == "properties":
+            for key, sub in arg.items() if is_object else ():
+                if key in value:
+                    yield from _errors(value[key], sub, (*path, key))
+        elif keyword == "additionalProperties" and arg is False:
+            known = schema.get("properties", {})
+            extra = sorted((k for k in value if k not in known), key=str) if is_object else []
+            if extra:
+                names, verb = ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were"
+                yield error(keyword, f"Additional properties are not allowed ({names} {verb} unexpected)")
+        elif keyword == "prefixItems":
+            for i, (item, sub) in enumerate(zip(value, arg) if is_array else ()):
+                yield from _errors(item, sub, (*path, i))
+        elif keyword == "items":
+            for i in range(len(schema.get("prefixItems", ())), len(value)) if is_array else ():
+                yield from _errors(value[i], arg, (*path, i))
+        elif keyword == "minItems":
+            if is_array and len(value) < arg:
+                yield error(keyword, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}")
+        elif keyword == "maxItems":
+            if is_array and len(value) > arg:
+                yield error(keyword, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}")
+        else:
+            raise ValueError(f"unsupported schema keyword {keyword!r}: {arg!r}")
+
+
+def _relevance(error):
+    return error[0]
 
 
 def _validate(value, schema, what: str):
     """``value`` if it matches ``schema``; otherwise a one-line ConfigError.
 
-    The message is that of ``jsonschema.validate``: the best match among
-    the errors.  Each schema is checked against its meta-schema and compiled
-    once; the entry keeps the schema alive, so its id is not reused.
-    ``"integer"`` means a Python int: JSON Schema's own rule admits ``2.0``,
-    which the integer fields would then receive as a float.
+    The message is that of ``jsonschema.validate``, its ``best_match``: the
+    most relevant error (the shallowest, an ``anyOf`` last), then, while
+    that is an ``anyOf``, its branches' least relevant error (the deepest)
+    unless two of them tie.
     """
-    entry = _VALIDATORS.get(id(schema))
-    if entry is None:
-        from jsonschema.validators import extend, validator_for
-
-        cls = validator_for(schema)
-        cls.check_schema(schema)
-        checker = cls.TYPE_CHECKER.redefine("integer", lambda _, x: type(x) is int)
-        cls = extend(cls, type_checker=checker)
-        entry = _VALIDATORS[id(schema)] = (schema, cls(schema))
-    from jsonschema.exceptions import best_match
-
-    error = best_match(entry[1].iter_errors(value))
-    if error is not None:
-        raise ConfigError(f"invalid {what}: {error.message}") from error
-    return value
+    errors = list(_errors(value, schema))
+    if not errors:
+        return value
+    _, message, context = max(errors, key=_relevance)
+    while context:
+        first, *rest = sorted(context, key=_relevance)
+        if rest and _relevance(rest[0]) == _relevance(first):
+            break
+        _, message, context = first
+    raise ConfigError(f"invalid {what}: {message}")
 
 
 @contextlib.contextmanager
@@ -191,6 +270,26 @@ def _parsing(what: str):
         yield
     except ZeroDivisionError as exc:
         raise ConfigError(f"invalid {what}: a rational has a zero denominator") from exc
+
+
+# A report prints each rational in decimal, and CPython refuses to convert an
+# int of more than 4300 digits (about 14,000 bits) to a string.  Every value
+# a polygon report derives from slope data has at most a few hundred bits
+# more than the data's ranks, numerators and denominators together.  Exact
+# lattice arithmetic on a Gram matrix of more bits can run for minutes (the
+# gcds of its minima), and the arithmetic suite prints its entries.
+_MAX_BITS = 10_000
+
+
+def _refuse_past_cap(bits: int, data: str, what: str) -> None:
+    """A ``ConfigError`` naming ``what`` when ``data`` takes more than ``_MAX_BITS``."""
+    if bits > _MAX_BITS:
+        raise ConfigError(f"invalid {what}: the {data} has {bits} bits, more than {_MAX_BITS}")
+
+
+def _bits(values) -> int:
+    """The bits of the numerators and denominators of ``values``."""
+    return sum(q.numerator.bit_length() + q.denominator.bit_length() for q in values)
 
 
 def validate_config(config: dict) -> dict:
@@ -216,8 +315,9 @@ def _call(task):
 _pool = None  # (pid of the creating process, worker count, executor)
 
 
-def _executor(jobs: int) -> ProcessPoolExecutor:
-    """The warm pool of ``jobs`` workers, built on first use.
+def _executor(jobs: int):
+    """The warm pool of ``jobs`` workers, built on first use, when
+    ``concurrent.futures`` is first imported.
 
     A pool of another size is shut down and replaced.  A pool inherited by
     a forked child is forgotten, not shut down: its workers are the
@@ -227,8 +327,17 @@ def _executor(jobs: int) -> ProcessPoolExecutor:
     if _pool is not None and _pool[:2] != (os.getpid(), jobs):
         _drop_pool()
     if _pool is None:
+        from concurrent.futures import ProcessPoolExecutor
+
         _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=jobs))
     return _pool[2]
+
+
+def _broken_pool():
+    """``BrokenProcessPool`` once the pool module is loaded; before that no
+    worker can have died, and ``()`` is a clause that ``except`` never matches."""
+    process = sys.modules.get("concurrent.futures.process")
+    return process.BrokenProcessPool if process else ()
 
 
 @atexit.register
@@ -264,7 +373,7 @@ def _run_checks(tasks):
     chunksize = -(-len(tasks) // (4 * jobs))
     try:
         return list(_executor(jobs).map(_call, tasks, chunksize=chunksize))
-    except BrokenProcessPool:
+    except _broken_pool():
         _drop_pool()
         raise
 
@@ -328,6 +437,7 @@ def suite_arithmetic(params, rng) -> list[CheckReport]:
     max_rank = params.get("max_rank", 4)
     with _parsing("config"):
         entries = [Fraction(e) for e in params.get("entries", ["1/4", "1", "4"])]
+    _refuse_past_cap(_bits(entries), "list of entries", "config")
     reports = []
     for rank in range(1, max_rank + 1):
         for diag in itertools.product(entries, repeat=rank):
@@ -397,26 +507,13 @@ def suite_epsilon(params, rng) -> list[CheckReport]:
     return reports
 
 
-# A report prints each rational in decimal, and CPython refuses to convert an
-# int of more than 4300 digits (about 14,000 bits) to a string.  Every value
-# a polygon report derives from slope data has at most a few hundred bits
-# more than the data's ranks, numerators and denominators together.
-_HN_MAX_BITS = 10_000
-
-
 def _read_hn(data, what: str) -> HNType:
     """Slope data from schema-valid JSON; ``ConfigError`` naming ``what`` on
-    a zero denominator or on data too large to print in a report."""
+    a zero denominator or on more than ``_MAX_BITS`` bits."""
     with _parsing(what):
         h = hn_from_json(data)
-    bits = sum(
-        r.bit_length() + sum(q.numerator.bit_length() + q.denominator.bit_length() for q in set(s.bounds()))
-        for r, s in h.segments
-    )
-    if bits > _HN_MAX_BITS:
-        raise ConfigError(
-            f"invalid {what}: the slope data has {bits} bits, more than a report prints ({_HN_MAX_BITS})"
-        )
+    bits = sum(r.bit_length() + _bits(set(s.bounds())) for r, s in h.segments)
+    _refuse_past_cap(bits, "slope data", what)
     return h
 
 
@@ -463,12 +560,12 @@ def run_config(config: dict) -> tuple[int, list[CheckReport]]:
     path = output.get("path")
     fmt = output.get("format", "json")
     if path:
+        if fmt == "csv":
+            text = reports_to_csv(reports)
+        else:
+            text = json.dumps(reports_to_json(reports), indent=2, sort_keys=True) + "\n"
         with open(path, "w") as fh:
-            if fmt == "csv":
-                fh.write(reports_to_csv(reports))
-            else:
-                json.dump(reports_to_json(reports), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            fh.write(text)
     # nothing reaches stdout until the suite has run and its report is written
     print(f"suite={config['suite']} seed={seed}")
     print(f"{passed}/{len(reports)}")
@@ -530,7 +627,9 @@ def main(argv=None) -> int:
         if args.command == "lattice":
             gram = _validate(json.loads(args.gram), GRAM_SCHEMA, "--gram")
             with _parsing("--gram"):
-                lattice = EuclideanLattice.from_json(gram)
+                rows = [[Fraction(x) for x in row] for row in gram]
+            _refuse_past_cap(sum(map(_bits, rows)), "Gram matrix", "--gram")
+            lattice = EuclideanLattice(rows)
             reports = _lattice_checks(lattice)
             print(json.dumps(reports_to_json(reports), indent=2, sort_keys=True))
             return 0 if all(r.passed for r in reports) else 1
@@ -541,7 +640,7 @@ def main(argv=None) -> int:
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except BrokenProcessPool as exc:
+    except _broken_pool() as exc:
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 2
     except (

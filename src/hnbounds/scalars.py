@@ -46,6 +46,7 @@ mpmath is imported by this module only; the rest of the package sees
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -72,6 +73,9 @@ from mpmath.libmp import (
 )
 
 PREC = 120
+
+# the least value a float rounds to infinity: the largest float plus half its ulp
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 RationalLike = Union[int, Fraction, str, "Scalar"]
 
@@ -186,8 +190,13 @@ class Scalar:
         return hi - lo
 
     def midpoint(self) -> float:
+        """The midpoint as a float; ``±inf`` past the float range."""
         lo, hi = self.bounds()
-        return float(lo + hi) / 2 if lo != hi else float(lo)
+        try:
+            return float(lo + hi) / 2 if lo != hi else float(lo)
+        except OverflowError:  # the sum, and perhaps the midpoint, is past the range
+            mid = (lo + hi) / 2
+            return float(mid) if abs(mid) < _FLOAT_OVERFLOW else math.inf if mid > 0 else -math.inf
 
     def _raw(self):
         """The raw interval (a rational is promoted with outward rounding)."""
@@ -374,11 +383,13 @@ class Scalar:
         return f"Scalar(~{self.midpoint():.12g}, width={float(self.width()):.3g})"
 
     def to_json(self):
-        """``"p/q"`` for rationals, ``{"lo": .., "hi": ..}`` for intervals."""
+        """``"p/q"`` for rationals, ``{"lo": .., "hi": .., "approx": ..}`` for
+        intervals; ``approx`` is ``None`` past the float range."""
         if self._rat is not None:
             return str(self._rat)
         lo, hi = self.bounds()
-        return {"lo": str(lo), "hi": str(hi), "approx": self.midpoint()}
+        approx = self.midpoint()
+        return {"lo": str(lo), "hi": str(hi), "approx": approx if math.isfinite(approx) else None}
 
     @classmethod
     def from_json(cls, data) -> "Scalar":

@@ -130,10 +130,13 @@ def test_parallel_matches_serial(tmp_path):
 
 
 def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
+    import concurrent.futures
+
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    # cli imports the executor from concurrent.futures when it builds a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setenv("HNBOUNDS_JOBS", "10000")
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert [cli._jobs(n) for n in (0, 1, 3, 4, 100)] == [1, 1, 3, 4, 4]
@@ -243,6 +246,27 @@ def test_dead_worker_exits_two_with_one_line(monkeypatch, capsys, tmp_path):
     # the dead pool is dropped: a fresh one returns the next results in order
     assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
     assert not pool_pids(2) & pids
+
+
+def test_dead_worker_in_a_cold_process_exits_two(tmp_path):
+    # the pool is imported only when a pooled suite starts; a worker that dies
+    # there still ends the run with exit 2, one stderr line and no report
+    code = (
+        "import os, sys\n"
+        "from hnbounds import bounds, cli\n"
+        "def die(family):\n"
+        "    os._exit(3)\n"
+        "bounds.check_toric_family = die\n"
+        "os.cpu_count = lambda: 2\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": "geometric"}))
+    r = run_python(["-c", code, "run", str(config)], env_extra={"HNBOUNDS_JOBS": "2"})
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: a worker process died: ") and len(r.stderr.splitlines()) == 1
 
 
 def test_arithmetic_suite():
@@ -405,6 +429,12 @@ def test_lattice_subcommand():
         # a slope whose report would exceed CPython's int-to-decimal limit
         ["polygon", "--hn", '[[1,"1e999999"]]'],
         ["run", {"suite": "polygon", "parameters": {"hn": [[1, "1e999999"]]}}],
+        # Gram entries whose exact arithmetic would run for minutes, and
+        # entries too large to print in a report: alone and added up
+        ["lattice", "--gram", '[["1e999999"]]'],
+        ["run", {"suite": "arithmetic", "parameters": {"entries": ["1e999999"]}}],
+        ["lattice", "--gram", json.dumps([["1", "0"], ["0", str(2**10_000)]])],
+        ["run", {"suite": "arithmetic", "parameters": {"entries": [str(2**5000), str(2**5000)]}}],
     ],
 )
 def test_cli_malformed_input_exits_two(capsys, tmp_path, argv):
@@ -442,7 +472,7 @@ def test_polygon_refuses_slope_data_too_large_to_print(capsys, hn):
     out, err = capsys.readouterr()
     assert out == "" and len(err.strip().splitlines()) == 1
     assert err.startswith("config error: invalid --hn: the slope data has ")
-    assert int(err.split(" has ")[1].split()[0]) > cli._HN_MAX_BITS
+    assert int(err.split(" has ")[1].split()[0]) > cli._MAX_BITS
 
 
 def test_polygon_prints_slope_data_under_the_bit_limit(capsys):
@@ -451,6 +481,48 @@ def test_polygon_prints_slope_data_under_the_bit_limit(capsys):
     out = capsys.readouterr().out
     (report,) = json.loads(out[out.index("["):])
     assert report["context"]["deg_plus"] == str(10**2900)
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "hn",
+    [
+        [[1, {"lo": "1e400", "hi": "1e401"}]],
+        [[10**300, {"lo": "1e10", "hi": "2e10"}]],  # deg_plus is past the float range
+    ],
+)
+def test_polygon_reports_values_past_the_float_range(capsys, hn):
+    # an interval's approx is null past the float range; lo and hi stay exact
+    assert cli.main(["polygon", "--hn", json.dumps(hn)]) in (0, 1)
+    out, err = capsys.readouterr()
+    assert err == ""
+    (report,) = _strict_json(out[out.index("["):])
+    deg_plus = report["context"]["deg_plus"]
+    assert deg_plus["approx"] is None and int(deg_plus["lo"]) >= 10**308
+
+
+def test_rationals_under_the_bit_limit_are_checked(capsys, tmp_path):
+    # just under the limit: the lattice is checked, and the arithmetic
+    # suite's reports print every entry
+    scale = str(10**1500)  # 4,983 bits
+    assert cli.main(["lattice", "--gram", json.dumps([[scale, "0"], ["0", scale]])]) == 0
+    assert all(rep["pass"] for rep in json.loads(capsys.readouterr().out))
+    big = str(10**3000)  # 9,966 bits
+    config = tmp_path / "config.json"
+    out = tmp_path / "out.json"
+    config.write_text(json.dumps({
+        "suite": "arithmetic",
+        "parameters": {"entries": ["1", big], "max_rank": 2},
+        "output": {"path": str(out)},
+    }))
+    assert cli.main(["run", str(config)]) == 0
+    assert any(big in rep["name"] for rep in json.loads(out.read_text()))
 
 
 def _integer_fields():
@@ -499,18 +571,41 @@ def test_pooled_lattice_suite_matches_string_payload_reference(monkeypatch):
         assert json.dumps(reports_to_json(reports), indent=2, sort_keys=True) == expected
 
 
-def test_jsonschema_loaded_only_to_validate():
+def test_neither_jsonschema_nor_the_pool_is_loaded(tmp_path):
+    # schemas are checked in-house; concurrent.futures waits for a pooled call
+    configs = {
+        "geometric": {"a_max": 3, "b_max": 3, "e_max": 1},
+        "filtered": {"a_max": 3, "b_max": 3, "e_max": 1},
+        "lattice": {"rank": 2, "trials": 3},
+        "arithmetic": {"max_rank": 2},
+        "epsilon": {"trials": 3},
+        "polygon": {"hn": [[2, "3"], [1, "-1"]]},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": "lattice", "parameters": configs["lattice"], "seed": 3}))
+    argvs = [
+        ["run", str(config)],
+        ["polygon", "--hn", '[[2,"3"],[1,{"lo":"-1","hi":"0"}]]'],
+        ["epsilon", "--tower", '{"genera":[0,0],"mu":["2","0"],"vol":["0","3"]}', "--ell", "[1, 1]"],
+        ["lattice", "--gram", '[["2","1"],["1","2"]]'],
+        ["p1z", "--degree", "2"],
+    ]
     code = (
-        "import sys, hnbounds.cli as cli; assert 'jsonschema' not in sys.modules; "
-        "assert cli.main(['p1z', '--degree', '2']) == 0; assert 'jsonschema' not in sys.modules; "
-        "cli.validate_config({'suite': 'geometric'}); assert 'jsonschema' in sys.modules"
+        "import json, sys, hnbounds.cli as cli\n"
+        "unloaded = lambda: not {'jsonschema', 'concurrent.futures.process'} & set(sys.modules)\n"
+        f"for suite, params in {configs!r}.items():\n"
+        "    cli.validate_config({'suite': suite, 'parameters': params})\n"
+        "    assert unloaded(), suite\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert unloaded(), argv\n"
     )
-    r = run_python(["-c", code])
+    r = run_python(["-c", code], env_extra={"HNBOUNDS_JOBS": "1"})
     assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout)["count"] == 7
+    assert r.stdout.startswith("suite=lattice seed=3\n9/9\n")
 
 
-def test_validators_compiled_once_with_jsonschema_messages():
+def test_validator_messages_are_jsonschemas():
     import jsonschema
 
     cases = [
@@ -522,14 +617,9 @@ def test_validators_compiled_once_with_jsonschema_messages():
     for value, schema in cases:
         with pytest.raises(jsonschema.ValidationError) as expected:
             jsonschema.validate(value, schema)
-        for _ in range(2):
-            with pytest.raises(ConfigError) as got:
-                cli._validate(value, schema, "x")
-            assert str(got.value) == f"invalid x: {expected.value.message}"
-        assert cli._VALIDATORS[id(schema)][0] is schema
-    compiled = dict(cli._VALIDATORS)
-    validate_config({"suite": "lattice", "parameters": {"rank": 3}})
-    assert all(cli._VALIDATORS[k] is v for k, v in compiled.items())
+        with pytest.raises(ConfigError) as got:
+            cli._validate(value, schema, "x")
+        assert str(got.value) == f"invalid x: {expected.value.message}"
 
 
 def test_p1z_subcommand():

@@ -171,6 +171,27 @@ def test_json_round_trip():
     assert back.bounds()[0] <= s.bounds()[0] <= s.bounds()[1] <= back.bounds()[1]
 
 
+@pytest.mark.parametrize(
+    "lo, hi, approx",
+    [
+        # dyadics of at most PREC bits, which outward rounding keeps
+        (Fraction(1), Fraction(3), 2.0),
+        (Fraction(2**1400), Fraction(2**1500), None),
+        (Fraction(-(2**1500)), Fraction(-(2**1400)), None),
+        # the sum is past the float range, the midpoint is not
+        (Fraction(2**1023), Fraction(2**1023 + 2**1000), 2.0**1023 + 2.0**999),
+        # the least value that rounds to infinity, and a value just below it
+        (Fraction(0), Fraction(2**1025 - 2**971), None),
+        (Fraction(0), Fraction(2**1025 - 2**971 - 2**906), 1.7976931348623157e308),
+    ],
+)
+def test_midpoint_past_the_float_range(lo, hi, approx):
+    s = Scalar.from_fraction_bounds(lo, hi)
+    assert s.bounds() == (lo, hi)
+    assert s.to_json()["approx"] == approx
+    assert s.midpoint() == (approx if approx is not None else math.inf if hi > 0 else -math.inf)
+
+
 def test_pickle_round_trip():
     # bit-identical: the same mode, the same Fraction or the same raw endpoint
     # tuples; a rational travels as two ints, not as Fraction's string
