@@ -12,50 +12,49 @@ Exit status: 0 when every check passes, 1 on any failed check, 2 on invalid
 input, when a result cannot be certified within its budget
 (``EnumerationBudgetError``, ``CertificationError``, ``PrecisionBudgetError``)
 or when a worker process dies (``BrokenProcessPool``), with a one-line
-message on stderr.  Randomized suites take a seed and print
-it, so every failure is replayable; identical config and seed produce
-byte-identical JSON output.
+message on stderr.  Randomized suites take a seed and print it, so every
+failure is replayable; identical config and seed produce byte-identical JSON.
+
 ``HNBOUNDS_JOBS`` controls how many worker processes evaluate checks; it is
 clamped to the CPU count and to the number of tasks (the report list is
 assembled in a fixed order either way).  Workers receive plain data (a
 ``FiberedSeries``, which is three integers, or a lattice trial's number and
-integer Gram matrix) and return finished reports.
-
-The worker pool is built on the first pooled suite and kept warm for every
-later one in the process while the worker count stays the same; it is
-replaced when the count changes, when a worker dies, or in a forked child,
-and shut down at interpreter exit.  Workers are forked once, so they keep
-the module globals of that moment: a global changed later (say, a
+integer Gram matrix) and return finished reports.  The pool is built, and
+``concurrent.futures`` imported, on the first pooled suite, and kept warm
+for every later one in the process while the worker count stays the same;
+it is replaced when the count changes, when a worker dies, or in a forked
+child, and shut down at interpreter exit.  Workers are forked once, so they
+keep the module globals of that moment: a global changed later (say, a
 monkeypatched ``lattices.MAX_NODES``) is not seen by checks run in workers.
 
-``concurrent.futures`` is imported when the first pool is built, so serial
-runs and the subcommands never load it.
-
-JSON input is checked against the schemas below by ``_validate``, a small
-interpreter of the few Draft 2020-12 keywords they use that gives the
-messages ``jsonschema`` would give.  ``jsonschema`` is a test dependency
-only: the tests hold the interpreter to it.
+The JSON wire format is read here only.  ``_load`` parses a flag or a config
+file and checks it against the schemas below with ``_validate``, a small
+interpreter of the Draft 2020-12 keywords they use with ``jsonschema``'s
+messages (``jsonschema`` is the tests' reference).  Every JSON rational goes
+through ``_rational``, which refuses a string ``Fraction`` does not read and
+weighs a decimal exponent before expanding it; ``_refuse_past_cap`` caps
+each input's total at ``_MAX_BITS``.
 """
 
 from __future__ import annotations
 
 import argparse
 import atexit
-import contextlib
 import dataclasses
 import itertools
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
 from . import bounds
-from .hn import HNType, hn_from_json
+from .hn import HNType, make_hn_type
 from .lattices import EnumerationBudgetError, EuclideanLattice, _random_int_gram
 from .scalars import CertificationError, Scalar
 from .series import FiberedSeries
-from .towers import Tower, TowerData, epsilon, epsilon_tilde, rescale, tower_from_json, AffineFunction
+from .towers import Tower, TowerData, epsilon, epsilon_tilde, rescale, AffineFunction
 from .bounds import CheckReport, reports_to_csv, reports_to_json
 
 SUITES = ("geometric", "filtered", "lattice", "arithmetic", "epsilon", "polygon")
@@ -81,7 +80,7 @@ CONFIG_SCHEMA = {
 
 _RATIONAL = {"type": ["string", "integer"]}
 _INTERVAL = {"type": "object", "required": ["lo", "hi"], "properties": {"lo": _RATIONAL, "hi": _RATIONAL}}
-_SCALAR = {"anyOf": [_RATIONAL, _INTERVAL]}  # what Scalar.from_json reads
+_SCALAR = {"anyOf": [_RATIONAL, _INTERVAL]}
 _HN_PAIR = {"type": "array", "prefixItems": [{"type": "integer"}, _SCALAR], "minItems": 2, "maxItems": 2}
 _HN_SCHEMA = {"type": "array", "items": _HN_PAIR}
 
@@ -263,15 +262,6 @@ def _validate(value, schema, what: str):
     raise ConfigError(f"invalid {what}: {message}")
 
 
-@contextlib.contextmanager
-def _parsing(what: str):
-    """Report a zero denominator in a JSON rational as invalid ``what``."""
-    try:
-        yield
-    except ZeroDivisionError as exc:
-        raise ConfigError(f"invalid {what}: a rational has a zero denominator") from exc
-
-
 # A report prints each rational in decimal, and CPython refuses to convert an
 # int of more than 4300 digits (about 14,000 bits) to a string.  Every value
 # a polygon report derives from slope data has at most a few hundred bits
@@ -281,15 +271,47 @@ def _parsing(what: str):
 _MAX_BITS = 10_000
 
 
-def _refuse_past_cap(bits: int, data: str, what: str) -> None:
-    """A ``ConfigError`` naming ``what`` when ``data`` takes more than ``_MAX_BITS``."""
+def _load(text: str, schema: dict, what: str):
+    """The JSON ``text`` if it matches ``schema``; otherwise a one-line ConfigError."""
+    try:
+        value = json.loads(text)
+    except ValueError as exc:  # malformed, or an int past CPython's digit limit
+        raise ConfigError(f"invalid {what}: {exc}") from None
+    return _validate(value, schema, what)
+
+
+def _rational(x, what: str, data: str) -> Fraction:
+    """The JSON rational ``x`` (a string or a number) as a Fraction, or a
+    ConfigError naming ``what``.  A decimal exponent is weighed before 10**e
+    is built: the mantissa is ``x`` read with the exponent's digits zeroed
+    (the same grammar), and ``mantissa * 10**e`` has at least ``|e| log2(10)``
+    bits less those of its denominator (e > 0) or numerator (e < 0)."""
+    if isinstance(x, int):
+        return Fraction(x)
+    text = x if isinstance(x, str) else str(x)  # a float, from --ell: as printed
+    try:
+        exp = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", text)
+        if exp is None:
+            return Fraction(text)
+        mantissa = Fraction(text[: exp.start(1)] + re.sub(r"\d", "0", exp[1]) + text[exp.end(1):])
+        e = int(exp[1])
+    except (ValueError, ZeroDivisionError) as exc:  # also a run of digits past CPython's limit
+        raise ConfigError(f"invalid {what}: {x!r} is not a rational") from exc
+    if not mantissa:
+        return mantissa
+    side = mantissa.denominator if e > 0 else mantissa.numerator
+    bits = abs(e) * 3321928 // 10**6 - abs(side).bit_length() + 1  # 3.321928 < log2(10)
+    if bits > _MAX_BITS:
+        raise ConfigError(f"invalid {what}: the {data} has {bits} or more bits, more than {_MAX_BITS}")
+    return mantissa * Fraction(10) ** e
+
+
+def _refuse_past_cap(data: str, what: str, rationals, ints=()) -> None:
+    """A ConfigError naming ``what`` when ``rationals`` and ``ints`` take more than ``_MAX_BITS``."""
+    bits = sum(n.bit_length() for n in ints)
+    bits += sum(q.numerator.bit_length() + q.denominator.bit_length() for q in rationals)
     if bits > _MAX_BITS:
         raise ConfigError(f"invalid {what}: the {data} has {bits} bits, more than {_MAX_BITS}")
-
-
-def _bits(values) -> int:
-    """The bits of the numerators and denominators of ``values``."""
-    return sum(q.numerator.bit_length() + q.denominator.bit_length() for q in values)
 
 
 def validate_config(config: dict) -> dict:
@@ -435,9 +457,8 @@ def suite_lattice(params, rng) -> list[CheckReport]:
 
 def suite_arithmetic(params, rng) -> list[CheckReport]:
     max_rank = params.get("max_rank", 4)
-    with _parsing("config"):
-        entries = [Fraction(e) for e in params.get("entries", ["1/4", "1", "4"])]
-    _refuse_past_cap(_bits(entries), "list of entries", "config")
+    entries = [_rational(e, "config", "list of entries") for e in params.get("entries", ["1/4", "1", "4"])]
+    _refuse_past_cap("list of entries", "config", entries)
     reports = []
     for rank in range(1, max_rank + 1):
         for diag in itertools.product(entries, repeat=rank):
@@ -507,25 +528,38 @@ def suite_epsilon(params, rng) -> list[CheckReport]:
     return reports
 
 
-def _read_hn(data, what: str) -> HNType:
-    """Slope data from schema-valid JSON; ``ConfigError`` naming ``what`` on
-    a zero denominator or on more than ``_MAX_BITS`` bits."""
-    with _parsing(what):
-        h = hn_from_json(data)
-    bits = sum(r.bit_length() + _bits(set(s.bounds())) for r, s in h.segments)
-    _refuse_past_cap(bits, "slope data", what)
+def _hn_type(pairs, what: str) -> HNType:
+    """Slope data from schema-valid JSON ``[rank, slope]`` pairs, a slope a
+    rational or an interval; ConfigError naming ``what`` on bad data."""
+    segments = []
+    for rank, slope in pairs:
+        if isinstance(slope, dict):
+            lo, hi = (_rational(slope[end], what, "slope data") for end in ("lo", "hi"))
+            if lo > hi:
+                raise ConfigError(f"invalid {what}: an interval has lo > hi")
+            segments.append((rank, Scalar.from_fraction_bounds(lo, hi)))
+        else:
+            segments.append((rank, _rational(slope, what, "slope data")))
+    h = make_hn_type(segments)
+    ends = (q for _, s in h.segments for q in set(s.bounds()))
+    _refuse_past_cap("slope data", what, ends, [r for r, _ in h.segments])
     return h
 
 
 def suite_polygon(params, rng) -> list[CheckReport]:
-    h = _read_hn(params["hn"], "config")
+    """deg+ <= rank mu_max^+ with margin sum_(i>=2) r_i (mu_1^+ - mu_i^+): each
+    term is certified nonnegative, so a tie on interval slopes passes."""
+    h = _hn_type(params["hn"], "config")
     deg_plus = h.deg_plus()
     (ilo, ihi), (dlo, dhi) = h.positive_rank_integral().bounds(), deg_plus.bounds()
     mu_max, mu_min = h.slope_extremes()
-    report = CheckReport.compare(
+    top = mu_max.max0()
+    margin = sum((Scalar.exact(r) * (top - s.max0()) for r, s in h.segments[1:]), Scalar.exact(0))
+    report = CheckReport.with_margin(
         "polygon deg_plus<=max(rank,1)*mu_max_plus",
         deg_plus,
-        Scalar.exact(h.rank) * mu_max.max0(),
+        Scalar.exact(h.rank) * top,
+        margin,
         {
             "deg_plus": deg_plus,
             "mu_max": mu_max,
@@ -601,43 +635,41 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             with open(args.config) as fh:
-                config = json.load(fh)
+                config = _load(fh.read(), CONFIG_SCHEMA, "config")
             status, _ = run_config(config)
             return status
         if args.command == "polygon":
             # refused here, the message naming the flag; the suite reads it again
-            hn = _validate(json.loads(args.hn), _HN_SCHEMA, "--hn")
-            _read_hn(hn, "--hn")
+            hn = _load(args.hn, _HN_SCHEMA, "--hn")
+            _hn_type(hn, "--hn")
             status, reports = run_config({"suite": "polygon", "parameters": {"hn": hn}})
             print(json.dumps(reports_to_json(reports), indent=2, sort_keys=True))
             return status
         if args.command == "epsilon":
-            tower_json = _validate(json.loads(args.tower), TOWER_SCHEMA, "--tower")
-            with _parsing("--tower"):
-                tower, data = tower_from_json(tower_json)
+            obj = _load(args.tower, TOWER_SCHEMA, "--tower")
+            mu, vol = ([_rational(x, "--tower", "tower") for x in obj[key]] for key in ("mu", "vol"))
+            _refuse_past_cap("tower", "--tower", mu + vol, obj["genera"])
+            tower, data = Tower(obj["genera"]), TowerData(mu, vol)
             if args.ell is None:
                 value = epsilon(tower, data)
             else:
-                c, s = _validate(json.loads(args.ell), ELL_SCHEMA, "--ell")
-                with _parsing("--ell"):
-                    ell = AffineFunction(Fraction(str(c)), Fraction(str(s)))
-                value = epsilon_tilde(tower, data, ell)
+                c, s = (_rational(x, "--ell", "affine function") for x in _load(args.ell, ELL_SCHEMA, "--ell"))
+                _refuse_past_cap("affine function", "--ell", (c, s))
+                value = epsilon_tilde(tower, data, AffineFunction(c, s))
             print(json.dumps({"epsilon": value.to_json()}))
             return 0
         if args.command == "lattice":
-            gram = _validate(json.loads(args.gram), GRAM_SCHEMA, "--gram")
-            with _parsing("--gram"):
-                rows = [[Fraction(x) for x in row] for row in gram]
-            _refuse_past_cap(sum(map(_bits, rows)), "Gram matrix", "--gram")
-            lattice = EuclideanLattice(rows)
-            reports = _lattice_checks(lattice)
+            gram = _load(args.gram, GRAM_SCHEMA, "--gram")
+            rows = [[_rational(x, "--gram", "Gram matrix") for x in row] for row in gram]
+            _refuse_past_cap("Gram matrix", "--gram", itertools.chain.from_iterable(rows))
+            reports = _lattice_checks(EuclideanLattice(rows))
             print(json.dumps(reports_to_json(reports), indent=2, sort_keys=True))
             return 0 if all(r.passed for r in reports) else 1
         if args.command == "p1z":
             count, report = bounds.p1z_h0(args.degree)
             print(json.dumps({"count": count, "report": report.to_json()}, indent=2, sort_keys=True))
             return 0 if report.passed else 1
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _broken_pool() as exc:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .scalars import Scalar, as_scalar
 
-__all__ = ["HNType", "make_hn_type", "hn_from_json"]
+__all__ = ["HNType", "make_hn_type"]
 
 
 def _check_rank(rank):
@@ -171,7 +171,3 @@ def make_hn_type(segments: Iterable[Sequence]) -> HNType:
         else:
             merged.append((rank, slope))
     return HNType(tuple(merged))
-
-
-def hn_from_json(data) -> HNType:
-    return make_hn_type((r, Scalar.from_json(s)) for r, s in data)

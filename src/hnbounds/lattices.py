@@ -293,10 +293,6 @@ class EuclideanLattice:
         self._memo["lll"] = (den, delta, lam), basis
         return self._memo["lll"]
 
-    @classmethod
-    def from_json(cls, data) -> "EuclideanLattice":
-        return cls([[Fraction(x) for x in row] for row in data])
-
 
 def _form(gso):
     """(weights, scale) of the integer form of Gram-Schmidt data

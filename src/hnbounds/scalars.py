@@ -123,10 +123,6 @@ def _fraction_to_raw(f: Fraction):
     return mpi_div(_int_to_raw(f.numerator), _int_to_raw(f.denominator), PREC)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 class Scalar:
     """An exact rational or a certified real interval.
 
@@ -157,7 +153,7 @@ class Scalar:
         if isinstance(value, int):
             return _rational(Fraction(value))
         if isinstance(value, str):
-            return _rational(_parse_fraction(value))
+            return _rational(Fraction(value))
         raise TypeError(f"cannot build an exact Scalar from {type(value).__name__}")
 
     @classmethod
@@ -390,16 +386,6 @@ class Scalar:
         lo, hi = self.bounds()
         approx = self.midpoint()
         return {"lo": str(lo), "hi": str(hi), "approx": approx if math.isfinite(approx) else None}
-
-    @classmethod
-    def from_json(cls, data) -> "Scalar":
-        if isinstance(data, str):
-            return cls.exact(data)
-        if isinstance(data, int):
-            return cls.exact(data)
-        if isinstance(data, dict):
-            return cls.from_fraction_bounds(Fraction(data["lo"]), Fraction(data["hi"]))
-        raise ValueError(f"cannot parse Scalar from {data!r}")
 
 
 _new = object.__new__

@@ -36,7 +36,6 @@ __all__ = [
     "epsilon",
     "epsilon_tilde",
     "rescale",
-    "tower_from_json",
 ]
 
 
@@ -182,13 +181,3 @@ def rescale(data: TowerData, p: int) -> TowerData:
         Scalar.exact(Fraction(p) ** (d + 1 - i)) * v for i, v in enumerate(data.vol)
     )
     return TowerData(mu, vol)
-
-
-def tower_from_json(obj) -> tuple[Tower, TowerData]:
-    tower = Tower(obj["genera"])
-    data = TowerData(
-        [Scalar.from_json(m) for m in obj["mu"]],
-        [Scalar.from_json(v) for v in obj["vol"]],
-    )
-    _check_lengths(tower, data)
-    return tower, data

@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hnbounds
 from hnbounds import cli
@@ -13,18 +15,18 @@ from hnbounds.cli import run_config, validate_config, ConfigError
 from hnbounds.scalars import CertificationError
 
 
-def run_python(args, env_extra=None):
+def run_python(args, env_extra=None, timeout=None):
     # the child imports the same hnbounds as this process, installed or not
     src = os.path.dirname(os.path.dirname(hnbounds.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
 
 
-def run_cli(args, env_extra=None):
-    return run_python(["-m", "hnbounds.cli", *args], env_extra)
+def run_cli(args, env_extra=None, timeout=None):
+    return run_python(["-m", "hnbounds.cli", *args], env_extra, timeout)
 
 
 def _worker_pid(delay):
@@ -435,6 +437,26 @@ def test_lattice_subcommand():
         ["run", {"suite": "arithmetic", "parameters": {"entries": ["1e999999"]}}],
         ["lattice", "--gram", json.dumps([["1", "0"], ["0", str(2**10_000)]])],
         ["run", {"suite": "arithmetic", "parameters": {"entries": [str(2**5000), str(2**5000)]}}],
+        # strings that are not rationals, in every input that reads one
+        *(
+            argv
+            for bad in ("x", "1/2/3")
+            for argv in (
+                ["polygon", "--hn", json.dumps([[1, bad]])],
+                ["lattice", "--gram", json.dumps([[bad]])],
+                ["epsilon", "--tower", json.dumps({"genera": [0], "mu": [bad], "vol": ["1"]})],
+                ["epsilon", "--tower", '{"genera":[0],"mu":["1"],"vol":["1"]}', "--ell", json.dumps([bad, 1])],
+                ["run", {"suite": "arithmetic", "parameters": {"entries": [bad]}}],
+            )
+        ),
+        ["epsilon", "--tower", '{"genera":[0],"mu":["1"],"vol":["1"]}', "--ell", "[NaN, 1]"],
+        ["polygon", "--hn", '[[1,{"lo":"3","hi":"2"}]]'],
+        # an integer past CPython's digit limit, and a tower past the cap
+        ["lattice", "--gram", "[[" + "7" * 5000 + "]]"],
+        ["epsilon", "--tower", json.dumps({"genera": [0, 1], "mu": [str(2**10_000), "1"], "vol": ["1", "1"]})],
+        # a config file that is not JSON (a string here is the file's text)
+        ["run", "{"],
+        ["run", '{"suite": ' + "9" * 5000 + "}"],
     ],
 )
 def test_cli_malformed_input_exits_two(capsys, tmp_path, argv):
@@ -442,7 +464,7 @@ def test_cli_malformed_input_exits_two(capsys, tmp_path, argv):
     # stdout), not failed checks; the message names the flag, or the config for run
     if argv[0] == "run":
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(argv[1]))
+        config.write_text(argv[1] if isinstance(argv[1], str) else json.dumps(argv[1]))
         argv = ["run", str(config)]
     what = "config" if argv[0] == "run" else argv[-2]
     assert cli.main(argv) == 2
@@ -457,6 +479,117 @@ def test_polygon_input_error_leaves_stdout_empty(hn):
     r = run_cli(["polygon", "--hn", hn])
     assert r.returncode == 2 and r.stdout == ""
     assert len(r.stderr.strip().splitlines()) == 1 and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polygon", "--hn", '[[1,"1e100000000"]]'],
+        ["lattice", "--gram", '[["1e100000000"]]'],
+        ["epsilon", "--tower", '{"genera":[0],"mu":["1e100000000"],"vol":["1"]}'],
+        ["epsilon", "--tower", '{"genera":[0],"mu":["1"],"vol":["1"]}', "--ell", '["1e100000000",1]'],
+        ["run", '{"suite":"arithmetic","parameters":{"entries":["1e100000000"]}}'],
+    ],
+)
+def test_huge_exponent_is_refused_before_it_is_expanded(tmp_path, argv):
+    # 10**100000000 alone would take 41 MB and seconds to build; a config is its file's text
+    if argv[0] == "run":
+        (tmp_path / "config.json").write_text(argv[1])
+        argv = ["run", str(tmp_path / "config.json")]
+    r = run_cli(argv, timeout=10)
+    assert r.returncode == 2 and r.stdout == ""
+    (line,) = r.stderr.splitlines()
+    assert line.startswith("config error: invalid ") and "or more bits, more than 10000" in line
+
+
+def _digits(draw, lengths):
+    """A run of decimal digits, its length near one of ``lengths``, at
+    times with underscores, valid or not, between or around them."""
+    n = draw(st.sampled_from(lengths)) + draw(st.integers(-3, 3))
+    text = draw(st.sampled_from(["", "0", "00"])) + str(draw(st.integers(0, 10 ** max(n, 1) - 1)))
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + "_" + text[i:]
+    return text
+
+
+@st.composite
+def _literals(draw):
+    """Rational literals near the 10,000-bit cap, in each of Fraction's forms,
+    and near misses."""
+    digits = lambda *lengths: _digits(draw, lengths)
+    space = lambda: draw(st.sampled_from(["", "", " ", "\t\n "]))
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    exponent = draw(st.integers(-20, 20) | st.integers(2900, 3100) | st.integers(-3100, -2900))
+    body = draw(st.sampled_from([
+        digits(1, 20, 3000, 3020),
+        digits(1, 1500) + "/" + digits(1, 1500),
+        digits(0, 1, 20) + "." + digits(0, 1, 20, 1000) + draw(st.sampled_from("eE")) + f"{exponent:+d}",
+        digits(1, 40) + "e" + str(exponent),
+        draw(st.sampled_from(["x", "1/2/3", "", ".", "e5", "nan", "-inf", "1/0", "0/0", "1e", "1e5.5"])),
+    ]))
+    return space() + sign + body + space()
+
+
+def _read_one(text):
+    """A one-rational input through the CLI's reader and its cap."""
+    q = cli._rational(text, "--gram", "Gram matrix")
+    cli._refuse_past_cap("Gram matrix", "--gram", [q])
+    return q
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_literals())
+# within the cap only because the mantissa's denominator, or numerator, is long
+@example("0." + "0" * 19 + "1e3025")
+@example(str(5**4000) + "e-4000")
+def test_reader_is_fraction_within_the_cap(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    if want is not None and want.numerator.bit_length() + want.denominator.bit_length() <= cli._MAX_BITS:
+        assert _read_one(text) == want
+    else:
+        with pytest.raises(ConfigError, match="^invalid --gram: "):
+            _read_one(text)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.from_regex(r"\A[-+]?[0-9]{0,3}(\.[0-9]{0,3})?\Z"), st.integers(10**4, 10**6), st.sampled_from("+-"))
+def test_reader_refuses_a_far_exponent(mantissa, e, sign):
+    # a nonzero mantissa is refused by its exponent alone, a zero one reads as 0
+    text = f"{mantissa}e{sign}{e}"
+    try:
+        zero = Fraction(mantissa + "e0") == 0
+    except ValueError:
+        zero = None
+    if zero:
+        assert cli._rational(text, "--gram", "Gram matrix") == 0
+    else:
+        with pytest.raises(ConfigError, match="^invalid --gram: "):
+            cli._rational(text, "--gram", "Gram matrix")
+
+
+@pytest.mark.parametrize(
+    "hn, lo, hi",
+    [
+        ([[1, {"lo": "2", "hi": "3"}]], 0, 0),
+        ([[2, {"lo": "2", "hi": "3"}], [1, "1"]], 1, 2),
+        # rational and interval slopes mixed, one below 0
+        ([[1, "5"], [2, {"lo": "2", "hi": "3"}], [1, "-1"]], 9, 11),
+        ([[1, "3"], [1, {"lo": "1/3", "hi": "1/2"}]], Fraction(5, 2), Fraction(8, 3)),
+    ],
+)
+def test_polygon_passes_on_interval_ties(capsys, hn, lo, hi):
+    # rank*mu_max^+ - deg+ = sum_(i>=2) r_i (mu_1^+ - mu_i^+), each term
+    # certified nonnegative: a tie on an interval slope is no failure
+    assert cli.main(["polygon", "--hn", json.dumps(hn)]) == 0
+    out = capsys.readouterr().out
+    (report,) = json.loads(out[out.index("["):])
+    margin = report["margin"]
+    ends = (margin, margin) if isinstance(margin, str) else (margin["lo"], margin["hi"])
+    assert report["pass"] and 0 <= Fraction(ends[0]) <= lo and Fraction(ends[1]) >= hi
 
 
 @pytest.mark.parametrize(
@@ -560,7 +693,8 @@ def test_pooled_lattice_suite_matches_string_payload_reference(monkeypatch):
     reference = []
     for i in range(12):
         gram_json = [[str(x) for x in row] for row in random_gram(4, rng).gram]
-        for rep in cli._lattice_checks(EuclideanLattice.from_json(gram_json)):
+        rows = [[cli._rational(x, "--gram", "Gram matrix") for x in row] for row in gram_json]
+        for rep in cli._lattice_checks(EuclideanLattice(rows)):
             reference.append(dataclasses.replace(rep, name=f"{rep.name} trial={i:04d}"))
     reference.sort(key=lambda r: r.name)
     expected = json.dumps(reports_to_json(reference), indent=2, sort_keys=True)

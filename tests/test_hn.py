@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hnbounds import HNType, Scalar, make_hn_type
-from hnbounds.hn import hn_from_json
+from hnbounds import HNType, Scalar, cli, make_hn_type
 
 from conftest import random_hn_type
 
@@ -242,15 +241,16 @@ def test_hypothesis_polygon_concavity(slopes, data):
 
 
 def test_json_round_trip(rng):
+    # the CLI reads back the slope data a report prints
     for _ in range(20):
         h = random_hn_type(rng)
-        assert hn_from_json([[r, s.to_json()] for r, s in h.segments]) == h
+        assert cli._hn_type([[r, s.to_json()] for r, s in h.segments], "--hn") == h
 
 
-def test_hn_from_json_refuses_non_integer_ranks():
+def test_make_hn_type_refuses_non_integer_ranks():
     # a rank is taken as given, not truncated: 1.5 would otherwise read as 1
     for rank in (1.5, 2.0, "3", True):
         with pytest.raises(ValueError):
-            hn_from_json([[rank, "3"]])
+            make_hn_type([[rank, "3"]])
     with pytest.raises(ValueError):
         HNType(((True, Scalar.exact(3)),))

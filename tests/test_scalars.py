@@ -13,7 +13,7 @@ from mpmath.libmp import finf, fnan, fninf, mpf_neg, mpi_log, to_rational
 
 import hnbounds
 from hnbounds import CertificationError, Scalar, log_scalar
-from hnbounds import scalars
+from hnbounds import cli, scalars
 from hnbounds.scalars import (
     LOG_PI,
     PI,
@@ -164,10 +164,11 @@ def test_loggamma_agrees_with_exact_factorial_route():
 
 
 def test_json_round_trip():
+    # the CLI reads back the rationals and intervals a report prints
     r = Scalar.exact(Fraction(-7, 3))
-    assert Scalar.from_json(r.to_json()).as_fraction() == Fraction(-7, 3)
+    assert cli._rational(r.to_json(), "--hn", "slope data") == Fraction(-7, 3)
     s = log_scalar(2)
-    back = Scalar.from_json(s.to_json())
+    ((_, back),) = cli._hn_type([[1, s.to_json()]], "--hn").segments
     assert back.bounds()[0] <= s.bounds()[0] <= s.bounds()[1] <= back.bounds()[1]
 
 

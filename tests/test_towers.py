@@ -5,7 +5,8 @@ from math import factorial
 import pytest
 
 from hnbounds import AffineFunction, Scalar, Tower, TowerData, epsilon, epsilon_tilde, rescale
-from hnbounds.towers import NegativeSlopeWarning, tower_from_json
+from hnbounds import cli
+from hnbounds.towers import NegativeSlopeWarning
 
 
 def data(mu, vol):
@@ -171,14 +172,16 @@ def test_affine_function():
     assert ell(4).as_fraction() == Fraction(25, 2)
 
 
-def test_json_round_trip():
+def test_json_round_trip(capsys):
+    # the CLI reads a tower as written: the error term of the same tower in memory
     t = Tower((0, 2))
     d = data([Fraction(3, 2), 0], [0, 5])
     blob = '{"genera": [0, 2], "mu": ["3/2", "0"], "vol": ["0", "5"]}'
-    t2, d2 = tower_from_json(json.loads(blob))
-    assert t2 == t and d2 == d
-    # genera are ints: 2.0 is refused like 1.5, as the CLI's schema refuses both
-    with pytest.raises(TypeError):
-        tower_from_json(json.loads(blob.replace("[0, 2]", "[0.0, 2.0]")))
-    with pytest.raises(TypeError):
-        tower_from_json(json.loads(blob.replace("[0, 2]", "[0, 1.5]")))
+    assert cli.main(["epsilon", "--tower", blob]) == 0
+    assert json.loads(capsys.readouterr().out) == {"epsilon": epsilon(t, d).to_json()}
+    # genera are ints: 2.0 is refused like 1.5, by the CLI's schema and by Tower
+    for genera in ("[0.0, 2.0]", "[0, 1.5]"):
+        assert cli.main(["epsilon", "--tower", blob.replace("[0, 2]", genera)]) == 2
+        assert capsys.readouterr().err.startswith("config error: invalid --tower: ")
+        with pytest.raises(TypeError):
+            Tower(json.loads(genera))
