@@ -12,8 +12,14 @@ Exit status: 0 when every check passes, 1 on any failed check, 2 on invalid
 input, when a result cannot be certified within its budget
 (``EnumerationBudgetError``, ``CertificationError``, ``PrecisionBudgetError``)
 or when a worker process dies (``BrokenProcessPool``), with a one-line
-message on stderr.  Randomized suites take a seed and print it, so every
-failure is replayable; identical config and seed produce byte-identical JSON.
+message on stderr.  Invalid input reads ``config error: invalid <flag or
+config>: …``, also when the input is well formed but a library constructor
+refuses it (``_build``): slopes that do not decrease, a negative genus, an
+asymmetric Gram matrix.  A library warning on accepted input (a negative
+slope in an ``epsilon`` tower) is printed as one ``warning: …`` line and
+changes neither stdout nor the exit status.  Randomized suites take a seed
+and print it, so every failure is replayable; identical config and seed
+produce byte-identical JSON.
 
 ``HNBOUNDS_JOBS`` controls how many worker processes evaluate checks; it is
 clamped to the CPU count and to the number of tasks (the report list is
@@ -47,6 +53,7 @@ import os
 import random
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from . import bounds
@@ -314,6 +321,15 @@ def _refuse_past_cap(data: str, what: str, rationals, ints=()) -> None:
         raise ConfigError(f"invalid {what}: the {data} has {bits} bits, more than {_MAX_BITS}")
 
 
+def _build(what: str, make, *args):
+    """``make(*args)``, a library constructor or check run on parsed input; a
+    ``ValueError`` it raises on that input becomes a ConfigError naming ``what``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from None
+
+
 def validate_config(config: dict) -> dict:
     _validate(config, CONFIG_SCHEMA, "config")
     _validate(config.get("parameters", {}), PARAMETER_SCHEMAS[config["suite"]], "config")
@@ -466,7 +482,7 @@ def suite_arithmetic(params, rng) -> list[CheckReport]:
                 [diag[i] if i == j else Fraction(0) for j in range(rank)]
                 for i in range(rank)
             ]
-            reports.append(bounds.check_gillet_soule(EuclideanLattice(gram)))
+            reports.append(bounds.check_gillet_soule(_build("config", EuclideanLattice, gram)))
     return reports
 
 
@@ -540,7 +556,7 @@ def _hn_type(pairs, what: str) -> HNType:
             segments.append((rank, Scalar.from_fraction_bounds(lo, hi)))
         else:
             segments.append((rank, _rational(slope, what, "slope data")))
-    h = make_hn_type(segments)
+    h = _build(what, make_hn_type, segments)
     ends = (q for _, s in h.segments for q in set(s.bounds()))
     _refuse_past_cap("slope data", what, ends, [r for r, _ in h.segments])
     return h
@@ -649,20 +665,25 @@ def main(argv=None) -> int:
             obj = _load(args.tower, TOWER_SCHEMA, "--tower")
             mu, vol = ([_rational(x, "--tower", "tower") for x in obj[key]] for key in ("mu", "vol"))
             _refuse_past_cap("tower", "--tower", mu + vol, obj["genera"])
-            tower, data = Tower(obj["genera"]), TowerData(mu, vol)
-            if args.ell is None:
-                value = epsilon(tower, data)
-            else:
+            tower, data = _build("--tower", Tower, obj["genera"]), _build("--tower", TowerData, mu, vol)
+            if args.ell is not None:
                 c, s = (_rational(x, "--ell", "affine function") for x in _load(args.ell, ELL_SCHEMA, "--ell"))
                 _refuse_past_cap("affine function", "--ell", (c, s))
-                value = epsilon_tilde(tower, data, AffineFunction(c, s))
+            # a library warning (a negative slope) is printed as one line
+            with warnings.catch_warnings(record=True) as caught:
+                if args.ell is None:
+                    value = _build("--tower", epsilon, tower, data)
+                else:
+                    value = _build("--tower", epsilon_tilde, tower, data, AffineFunction(c, s))
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
             print(json.dumps({"epsilon": value.to_json()}))
             return 0
         if args.command == "lattice":
             gram = _load(args.gram, GRAM_SCHEMA, "--gram")
             rows = [[_rational(x, "--gram", "Gram matrix") for x in row] for row in gram]
             _refuse_past_cap("Gram matrix", "--gram", itertools.chain.from_iterable(rows))
-            reports = _lattice_checks(EuclideanLattice(rows))
+            reports = _lattice_checks(_build("--gram", EuclideanLattice, rows))
             print(json.dumps(reports_to_json(reports), indent=2, sort_keys=True))
             return 0 if all(r.passed for r in reports) else 1
         if args.command == "p1z":

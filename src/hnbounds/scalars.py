@@ -35,13 +35,17 @@ an interval as its raw endpoint tuples, so a worker process gets back the
 very same value.
 
 Scalars are immutable, so constants are computed once: ``PI`` and ``LOG_PI``
-at import, :func:`log_ball_volume` once per dimension, and :func:`log_scalar`
-once per exact rational value, in a fixed-size memo of this process (a
-worker process fills its own).  A memoized value is the very interval a
-fresh call would compute, so sharing it changes no bound.
+on their first use, :func:`log_ball_volume` once per dimension, and
+:func:`log_scalar` once per exact rational value, in a fixed-size memo of this
+process (a worker process fills its own).  A memoized value is the very
+interval a fresh call would compute, so sharing it changes no bound.
 
-mpmath is imported by this module only; the rest of the package sees
-:class:`Scalar`.
+mpmath is imported by this module only, and only when an interval operation
+first needs ``mpmath.libmp``: building an interval from a rational, interval
+arithmetic, or ``PI`` and ``LOG_PI``.  Rational arithmetic never loads it, nor
+does reading a finished interval's raw endpoints: its sign, :meth:`bounds`,
+:meth:`midpoint`, :meth:`to_json` and unpickling.  The rest of the package
+sees :class:`Scalar`.
 """
 
 from __future__ import annotations
@@ -52,27 +56,22 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from mpmath.libmp import (
-    from_int,
-    fzero,
-    mpf_lt,
-    mpf_neg,
-    mpf_pi,
-    mpi_add,
-    mpi_cos,
-    mpi_div,
-    mpi_exp,
-    mpi_log,
-    mpi_loggamma,
-    mpi_mul,
-    mpi_neg,
-    mpi_sqrt,
-    mpi_sub,
-    round_ceiling,
-    round_floor,
-)
-
 PREC = 120
+
+
+class _LazyLibmp:
+    """Stands in for ``mpmath.libmp`` until its first attribute is read, then
+    imports it and puts the module in its own place: each later read is a
+    plain module attribute."""
+
+    def __getattr__(self, name):
+        global _libmp
+        from mpmath import libmp as _libmp
+
+        return getattr(_libmp, name)
+
+
+_libmp = _LazyLibmp()
 
 # the least value a float rounds to infinity: the largest float plus half its ulp
 _FLOAT_OVERFLOW = 2**1024 - 2**970
@@ -110,17 +109,17 @@ def _finite(raw):
 
 def _int_to_raw(n: int):
     """Raw interval of the integer n, each end rounded outward to PREC bits."""
-    lo = from_int(n, PREC, round_floor)
+    lo = _libmp.from_int(n, PREC, _libmp.round_floor)
     if n.bit_length() <= PREC:  # exactly representable: both ends agree
         return (lo, lo)
-    return (lo, from_int(n, PREC, round_ceiling))
+    return (lo, _libmp.from_int(n, PREC, _libmp.round_ceiling))
 
 
 def _fraction_to_raw(f: Fraction):
     """Raw interval guaranteed to contain the exact rational f."""
     if f.denominator == 1:
         return _int_to_raw(f.numerator)
-    return mpi_div(_int_to_raw(f.numerator), _int_to_raw(f.denominator), PREC)
+    return _libmp.mpi_div(_int_to_raw(f.numerator), _int_to_raw(f.denominator), PREC)
 
 
 class Scalar:
@@ -221,28 +220,39 @@ class Scalar:
             return _rational(Fraction(other))
         return NotImplemented
 
-    def _binop(self, other, ratop, ivop):
+    # The ops are written out: handing each one its ``mpi_*`` function would
+    # read ``_libmp``, and so load mpmath, for a rational pair too, and a
+    # lookup by name would add a call to every interval op.
+
+    def __add__(self, other):
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self._rat is not None and other._rat is not None:
-            return _rational(ratop(self._rat, other._rat))
-        return _interval(ivop(self._raw(), other._raw(), PREC))
-
-    def __add__(self, other):
-        return self._binop(other, operator.add, mpi_add)
+            return _rational(self._rat + other._rat)
+        return _interval(_libmp.mpi_add(self._raw(), other._raw(), PREC))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, operator.sub, mpi_sub)
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self._rat is not None and other._rat is not None:
+            return _rational(self._rat - other._rat)
+        return _interval(_libmp.mpi_sub(self._raw(), other._raw(), PREC))
 
     def __rsub__(self, other):
         other = Scalar._coerce(other)
         return other.__sub__(self) if other is not NotImplemented else NotImplemented
 
     def __mul__(self, other):
-        return self._binop(other, operator.mul, mpi_mul)
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self._rat is not None and other._rat is not None:
+            return _rational(self._rat * other._rat)
+        return _interval(_libmp.mpi_mul(self._raw(), other._raw(), PREC))
 
     __rmul__ = __mul__
 
@@ -253,11 +263,13 @@ class Scalar:
         if other._rat is not None:
             if not other._rat:
                 raise CertificationError("division by a scalar whose bounds straddle zero")
+            if self._rat is not None:
+                return _rational(self._rat / other._rat)
         else:
             lo, hi = _finite(other._ivl)
             if (lo[0] or not lo[1]) and not hi[0]:  # lo <= 0 <= hi
                 raise CertificationError("division by a scalar whose bounds straddle zero")
-        return self._binop(other, operator.truediv, mpi_div)
+        return _interval(_libmp.mpi_div(self._raw(), other._raw(), PREC))
 
     def __rtruediv__(self, other):
         other = Scalar._coerce(other)
@@ -266,7 +278,7 @@ class Scalar:
     def __neg__(self):
         if self._rat is not None:
             return _rational(-self._rat)
-        return _interval(mpi_neg(self._ivl, PREC))
+        return _interval(_libmp.mpi_neg(self._ivl, PREC))
 
     def __pos__(self):
         return self
@@ -283,7 +295,7 @@ class Scalar:
         lo, hi = _finite(self._ivl)
         if not lo[0]:
             return self
-        return _interval((fzero, fzero if hi[0] else hi))
+        return _interval((_libmp.fzero, _libmp.fzero if hi[0] else hi))
 
     def __abs__(self) -> "Scalar":
         """Interval extension of |x|; exact in rational mode."""
@@ -294,8 +306,8 @@ class Scalar:
             return self
         if hi[0] or not hi[1]:
             return -self
-        neg_lo = mpf_neg(lo)
-        return _interval((fzero, hi if mpf_lt(neg_lo, hi) else neg_lo))
+        neg_lo = _libmp.mpf_neg(lo)
+        return _interval((_libmp.fzero, hi if _libmp.mpf_lt(neg_lo, hi) else neg_lo))
 
     # -- certified comparisons ------------------------------------------
 
@@ -310,7 +322,7 @@ class Scalar:
             return (x > y) - (x < y)
         if a is None and b is None:
             (alo, ahi), (blo, bhi) = _finite(self._ivl), _finite(other._ivl)
-            lt = mpf_lt
+            lt = _libmp.mpf_lt
         else:
             (alo, ahi), (blo, bhi) = self.bounds(), other.bounds()
             lt = operator.lt
@@ -412,9 +424,20 @@ def _rational_from_ints(numerator: int, denominator: int) -> Scalar:
     return _rational(Fraction(numerator, denominator))
 
 
-PI = _interval((mpf_pi(PREC, round_floor), mpf_pi(PREC, round_ceiling)))
-LOG_PI = _interval(mpi_log(PI._ivl, PREC))
-_TWO_PI = mpi_mul(_int_to_raw(2), PI._ivl, PREC)
+@lru_cache(maxsize=None)
+def _pi_constants() -> tuple[Scalar, Scalar, tuple]:
+    """``PI``, ``LOG_PI`` and the raw interval of 2 pi, computed on first use."""
+    pi = _interval((_libmp.mpf_pi(PREC, _libmp.round_floor), _libmp.mpf_pi(PREC, _libmp.round_ceiling)))
+    return pi, _interval(_libmp.mpi_log(pi._ivl, PREC)), _libmp.mpi_mul(_int_to_raw(2), pi._ivl, PREC)
+
+
+def __getattr__(name: str):
+    """``PI`` and ``LOG_PI``, read as module attributes, load on first use."""
+    if name == "PI":
+        return _pi_constants()[0]
+    if name == "LOG_PI":
+        return _pi_constants()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def as_scalar(x: RationalLike) -> Scalar:
@@ -436,8 +459,8 @@ def _extreme(pick, a: Scalar, b: Scalar) -> Scalar:
         (alo, ahi), (blo, bhi) = _finite(a._ivl), _finite(b._ivl)
         larger = pick is max
         return _interval((
-            alo if mpf_lt(blo, alo) is larger else blo,
-            ahi if mpf_lt(bhi, ahi) is larger else bhi,
+            alo if _libmp.mpf_lt(blo, alo) is larger else blo,
+            ahi if _libmp.mpf_lt(bhi, ahi) is larger else bhi,
         ))
     (alo, ahi), (blo, bhi) = a.bounds(), b.bounds()
     return Scalar.from_fraction_bounds(pick(alo, blo), pick(ahi, bhi))
@@ -464,7 +487,7 @@ def log_scalar(x: RationalLike) -> Scalar:
 def _log_fraction(x: Fraction) -> Scalar:
     if x <= 0:
         raise ValueError("log of a non-positive rational")
-    return _interval(mpi_log(_fraction_to_raw(x), PREC))
+    return _interval(_libmp.mpi_log(_fraction_to_raw(x), PREC))
 
 
 def _neg_half(raw):
@@ -488,17 +511,17 @@ def log_interval(x: Scalar) -> Scalar:
     """Certified ln of any positive scalar."""
     if x._lower_sign() <= 0:
         raise CertificationError("log requires certified positive bounds")
-    return _interval(mpi_log(x._raw(), PREC))
+    return _interval(_libmp.mpi_log(x._raw(), PREC))
 
 
 def sqrt_interval(x: Scalar) -> Scalar:
     if x._lower_sign() < 0:
         raise CertificationError("sqrt requires certified nonnegative bounds")
-    return _interval(mpi_sqrt(x._raw(), PREC))
+    return _interval(_libmp.mpi_sqrt(x._raw(), PREC))
 
 
 def exp_interval(x: Scalar) -> Scalar:
-    return _interval(mpi_exp(x._raw(), PREC))
+    return _interval(_libmp.mpi_exp(x._raw(), PREC))
 
 
 def log_gamma(x: RationalLike) -> Scalar:
@@ -506,7 +529,7 @@ def log_gamma(x: RationalLike) -> Scalar:
     x = Scalar.exact(x).as_fraction()
     if x <= 0:
         raise ValueError("log_gamma requires a positive argument")
-    return _interval(mpi_loggamma(_fraction_to_raw(x), PREC))
+    return _interval(_libmp.mpi_loggamma(_fraction_to_raw(x), PREC))
 
 
 @lru_cache(maxsize=256)
@@ -518,10 +541,10 @@ def log_ball_volume(n: int) -> Scalar:
     if n < 1:
         raise ValueError("ball dimension must be >= 1")
     half_n = Fraction(n, 2)
-    return Scalar.exact(half_n) * LOG_PI - log_gamma(half_n + 1)
+    return Scalar.exact(half_n) * _pi_constants()[1] - log_gamma(half_n + 1)
 
 
 def cos_2pi(frac: Fraction) -> Scalar:
     """Certified cos(2*pi*frac)."""
-    angle = mpi_mul(_TWO_PI, _fraction_to_raw(Fraction(frac)), PREC)
-    return _interval(mpi_cos(angle, PREC))
+    angle = _libmp.mpi_mul(_pi_constants()[2], _fraction_to_raw(Fraction(frac)), PREC)
+    return _interval(_libmp.mpi_cos(angle, PREC))

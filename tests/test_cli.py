@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hnbounds
-from hnbounds import cli
-from hnbounds.bounds import PrecisionBudgetError, reports_to_json
+from hnbounds import bounds, cli
+from hnbounds.bounds import PrecisionBudgetError, reports_to_csv, reports_to_json
 from hnbounds.cli import run_config, validate_config, ConfigError
 from hnbounds.scalars import CertificationError
+from hnbounds.towers import NegativeSlopeWarning, Tower, TowerData, epsilon
 
 
 def run_python(args, env_extra=None, timeout=None):
@@ -457,6 +459,18 @@ def test_lattice_subcommand():
         # a config file that is not JSON (a string here is the file's text)
         ["run", "{"],
         ["run", '{"suite": ' + "9" * 5000 + "}"],
+        # well-formed input that a library constructor refuses
+        ["polygon", "--hn", '[[1,"1"],[1,"2"]]'],
+        ["polygon", "--hn", '[[0,"1"]]'],
+        ["epsilon", "--tower", '{"genera":[-1],"mu":["1"],"vol":["1"]}'],
+        ["epsilon", "--tower", '{"genera":[0],"mu":["1"],"vol":["-1"]}'],
+        ["epsilon", "--tower", '{"genera":[0],"mu":["1","2"],"vol":["1"]}'],
+        ["epsilon", "--tower", '{"genera":[0,1],"mu":["1"],"vol":["1"]}'],
+        ["lattice", "--gram", '[["1","2"],["3","1"]]'],
+        ["lattice", "--gram", '[["1","2"],["2","1"]]'],
+        ["run", {"suite": "polygon", "parameters": {"hn": [[1, "1"], [1, "2"]]}}],
+        ["run", {"suite": "polygon", "parameters": {"hn": [[0, "1"]]}}],
+        ["run", {"suite": "arithmetic", "parameters": {"entries": ["0"]}}],
     ],
 )
 def test_cli_malformed_input_exits_two(capsys, tmp_path, argv):
@@ -737,6 +751,75 @@ def test_neither_jsonschema_nor_the_pool_is_loaded(tmp_path):
     r = run_python(["-c", code], env_extra={"HNBOUNDS_JOBS": "1"})
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("suite=lattice seed=3\n9/9\n")
+
+
+def test_mpmath_loads_with_the_first_interval(tmp_path):
+    # the exact-rational suites and subcommands never build an interval
+    configs = {
+        "geometric": {"a_max": 3, "b_max": 3, "e_max": 1},
+        "filtered": {"a_max": 3, "b_max": 3, "e_max": 1},
+        "lattice": {"rank": 2, "trials": 3},
+        "arithmetic": {"max_rank": 2},
+        "epsilon": {"trials": 3},
+        "polygon": {"hn": [[2, "3"], [1, "-1"]]},
+    }
+    argvs = []
+    for suite in ("geometric", "filtered", "epsilon", "polygon"):
+        config = tmp_path / f"{suite}.json"
+        config.write_text(json.dumps({"suite": suite, "parameters": configs[suite]}))
+        argvs.append(["run", str(config)])
+    argvs += [
+        ["epsilon", "--tower", '{"genera":[0,0],"mu":["2","0"],"vol":["0","3"]}', "--ell", "[1, 1]"],
+        ["polygon", "--hn", '[[2,"3"],[1,"-1"]]'],
+    ]
+    code = (
+        "import sys, hnbounds.cli as cli\n"
+        "from hnbounds import scalars\n"
+        "assert 'mpmath' not in sys.modules\n"
+        f"for suite, params in {configs!r}.items():\n"
+        "    cli.validate_config({'suite': suite, 'parameters': params})\n"
+        "    assert 'mpmath' not in sys.modules, suite\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert 'mpmath' not in sys.modules, argv\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "assert 'mpmath' in sys.modules and scalars._libmp is sys.modules['mpmath.libmp']\n"
+    )
+    # the interval commands load it
+    for last in (["lattice", "--gram", '[["2","1"],["1","2"]]'], ["p1z", "--degree", "2"]):
+        r = run_python(["-c", code, *last], env_extra={"HNBOUNDS_JOBS": "1"})
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.startswith("suite=geometric seed=0\n")
+
+
+def test_interval_reports_unpickle_without_mpmath(tmp_path):
+    # a pooled parent only reads what workers send back: that needs no mpmath
+    _, reports = run_config({"suite": "lattice", "parameters": {"rank": 3, "trials": 4}, "seed": 5})
+    reports += run_config({"suite": "arithmetic", "parameters": {"max_rank": 2}})[1]
+    reports.append(bounds.p1z_h0(2)[1])
+    assert any(not r.margin.is_rational for r in reports)
+    (tmp_path / "reports.pickle").write_bytes(pickle.dumps(reports))
+    code = (
+        "import json, pickle, sys\n"
+        "from hnbounds.bounds import reports_to_csv\n"
+        "reports = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "json.dump([[r.to_json() for r in reports], [r.passed for r in reports], reports_to_csv(reports)], sys.stdout)\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    r = run_python(["-c", code, str(tmp_path / "reports.pickle")])
+    assert r.returncode == 0, r.stderr
+    want = [[r.to_json() for r in reports], [r.passed for r in reports], reports_to_csv(reports)]
+    assert json.loads(r.stdout) == json.loads(json.dumps(want))
+
+
+def test_negative_slope_warning_is_one_line():
+    tower = '{"genera":[2,2],"mu":["-1","1"],"vol":["1","1"]}'
+    r = run_cli(["epsilon", "--tower", tower])
+    assert r.returncode == 0
+    with pytest.warns(NegativeSlopeWarning):
+        value = epsilon(Tower([2, 2]), TowerData(["-1", "1"], ["1", "1"]))
+    assert r.stdout == json.dumps({"epsilon": value.to_json()}) + "\n"
+    assert r.stderr == "warning: mu[0] < 0: the error term is not asserted by any bound here\n"
 
 
 def test_validator_messages_are_jsonschemas():

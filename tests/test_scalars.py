@@ -298,6 +298,12 @@ def test_functions_of_rationals_match_mpmath_interval_context(q, p):
 def test_constants_match_mpmath_interval_context():
     assert PI.bounds() == _ref_bounds(+_ref.pi)
     assert LOG_PI.bounds() == _ref_bounds(_ref.log(_ref.pi))
+    # computed on first use, once: a repeated import gets the same objects
+    from hnbounds.scalars import LOG_PI as log_pi, PI as pi
+
+    assert pi is PI and log_pi is LOG_PI and scalars.PI is PI
+    pi_raw = tuple(mpmath.libmp.mpf_pi(120, rnd) for rnd in (mpmath.libmp.round_floor, mpmath.libmp.round_ceiling))
+    assert PI._ivl == pi_raw and LOG_PI._ivl == mpi_log(pi_raw, 120)
     for n in (0, 1, 2, 30, 200):
         assert log_scalar(math.factorial(n)).bounds() == _ref_bounds(_ref.log(_ref.mpf(math.factorial(n))))
     for n in (1, 2, 7, 10**6):
