@@ -8,9 +8,9 @@ breakpoint height of the polygon, and the integral of the rank filtration.
 
 from fractions import Fraction
 
-from hnbounds import make_hn_type
+from hnbounds import HNType
 
-h = make_hn_type([(2, 3), (1, 0), (2, -2)])
+h = HNType([(2, 3), (1, 0), (2, -2)])
 print("segments:", [(r, str(s.as_fraction())) for r, s in h.segments])
 print("rank:", h.rank, " degree:", h.degree().as_fraction())
 
@@ -34,7 +34,7 @@ for slope, mass in h.slope_measure():
 print("\nduality: mu_max(h) + mu_min(dual h) =",
       (h.slope_extremes()[0] + h.dual().slope_extremes()[1]).as_fraction())
 
-g = make_hn_type([(1, 1), (1, -1)])
+g = HNType([(1, 1), (1, -1)])
 t = h.tensor(g)
 print("\ntensor with [(1,1),(1,-1)]:",
       [(r, str(s.as_fraction())) for r, s in t.segments])

@@ -20,7 +20,7 @@ is provably nonnegative in exact or interval arithmetic.
 """
 
 from .scalars import CertificationError, Scalar, log_scalar
-from .hn import HNType, make_hn_type
+from .hn import HNType
 from .curves import SplitBundle, h0_interval
 from .series import FiberedSeries, ToricSeries
 from .towers import (
@@ -88,7 +88,6 @@ __all__ = [
     "h0_interval",
     "h0_minima_bound",
     "log_scalar",
-    "make_hn_type",
     "p1z_h0",
     "random_gram",
     "rescale",

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .lattices import EuclideanLattice, NumberFieldData, RATIONAL_FIELD, gillet_soule_constant
+from .lattices import EuclideanLattice, RATIONAL_FIELD, gillet_soule_constant
 from .scalars import (
     Scalar,
     as_scalar,
@@ -277,13 +277,12 @@ def check_blichfeldt(L: EuclideanLattice) -> CheckReport:
     )
 
 
-def check_gillet_soule(
-    L: EuclideanLattice, field_data: NumberFieldData = RATIONAL_FIELD
-) -> CheckReport:
-    """|h0_hat - positive degree| <= r ln|Delta| + C(K, r) for diagonal lattices.
+def check_gillet_soule(L: EuclideanLattice) -> CheckReport:
+    """|h0_hat - positive degree| <= C(Q, r) for diagonal lattices.
 
-    Section counts are computed over Z, so only the rational field is
-    supported; C(K, n) itself is implemented for arbitrary signatures.
+    Section counts are computed over Z, so the field is the rationals, whose
+    r ln|Delta| term is 0; C(K, n) itself is implemented for arbitrary
+    signatures.
 
     At rank 1 the inequality can hold with exact equality (for the unit
     lattice both sides are ln 3), which no interval can certify; that single
@@ -291,18 +290,13 @@ def check_gillet_soule(
     reciprocals of the sub-1 diagonal entries, the margin is nonnegative iff
     max(count^2/q, q/count^2) <= 81 = exp(2 ln 3 + ... ) at rank 1.
     """
-    if field_data.degree != 1:
-        raise ValueError("section counts are only computed over the rationals")
     r = L.rank
     deg_plus = L.orthogonal_hn().deg_plus()
     lhs = abs(L.h0_hat() - deg_plus)
-    rhs = (
-        Scalar.exact(r) * field_data.log_abs_discriminant()
-        + gillet_soule_constant(field_data, r)
-    )
+    rhs = gillet_soule_constant(RATIONAL_FIELD, r)
     margin = rhs - lhs
     lo, hi = margin.bounds()
-    if lo < 0 <= hi and r == 1 and field_data.abs_discriminant == 1:
+    if lo < 0 <= hi and r == 1:
         # C(Q, 1) = ln 3 exactly; decide 2*margin = ln 9 - |ln(count^2/q)| on
         # exact rationals (q as in the docstring).
         d = L.gram[0][0]

@@ -15,9 +15,12 @@ or when a worker process dies (``BrokenProcessPool``), with a one-line
 message on stderr.  Invalid input reads ``config error: invalid <flag or
 config>: …``, also when the input is well formed but a library constructor
 refuses it (``_build``): slopes that do not decrease, a negative genus, an
-asymmetric Gram matrix.  A library warning on accepted input (a negative
-slope in an ``epsilon`` tower) is printed as one ``warning: …`` line and
-changes neither stdout nor the exit status.  Randomized suites take a seed
+asymmetric Gram matrix, a ``--degree`` past its budget.  Interval slopes
+whose order ``HNType`` cannot certify are invalid slope data too.  A
+command line that argparse refuses reads ``config error: invalid
+arguments: …`` (``_Parser``), without the usage text.  A library warning
+on accepted input (a negative slope in an ``epsilon`` tower) is printed as
+one ``warning: …`` line and changes neither stdout nor the exit status.  Randomized suites take a seed
 and print it, so every failure is replayable; identical config and seed
 produce byte-identical JSON.
 
@@ -57,8 +60,8 @@ import warnings
 from fractions import Fraction
 
 from . import bounds
-from .hn import HNType, make_hn_type
-from .lattices import EnumerationBudgetError, EuclideanLattice, _random_int_gram
+from .hn import HNType
+from .lattices import MAX_RANK, EnumerationBudgetError, EuclideanLattice, _random_int_gram
 from .scalars import CertificationError, Scalar
 from .series import FiberedSeries
 from .towers import Tower, TowerData, epsilon, epsilon_tilde, rescale, AffineFunction
@@ -117,7 +120,7 @@ PARAMETER_SCHEMAS = {
     "lattice": {
         "type": "object",
         "properties": {
-            "rank": {"type": "integer", "minimum": 1, "maximum": 8},
+            "rank": {"type": "integer", "minimum": 1, "maximum": MAX_RANK},
             "trials": {"type": "integer", "minimum": 1},
         },
         "additionalProperties": False,
@@ -162,6 +165,14 @@ ELL_SCHEMA = {
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse usage error is invalid input: one ConfigError line, not
+    argparse's usage text and ``SystemExit``.  ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(f"invalid arguments: {message}")
 
 
 # JSON Schema's types as Python values.  "integer" is a Python int: JSON
@@ -556,7 +567,10 @@ def _hn_type(pairs, what: str) -> HNType:
             segments.append((rank, Scalar.from_fraction_bounds(lo, hi)))
         else:
             segments.append((rank, _rational(slope, what, "slope data")))
-    h = _build(what, make_hn_type, segments)
+    try:
+        h = _build(what, HNType, segments)
+    except CertificationError as exc:  # interval slopes whose order no bound decides
+        raise ConfigError(f"invalid {what}: {exc}") from None
     ends = (q for _, s in h.segments for q in set(s.bounds()))
     _refuse_past_cap("slope data", what, ends, [r for r, _ in h.segments])
     return h
@@ -623,9 +637,7 @@ def run_config(config: dict) -> tuple[int, list[CheckReport]]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="hnbounds", description="exact slope/lattice inequality verifier"
-    )
+    parser = _Parser(prog="hnbounds", description="exact slope/lattice inequality verifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a suite from a JSON config file")
@@ -646,9 +658,8 @@ def main(argv=None) -> int:
     p_p1z = sub.add_parser("p1z", help="count unit-norm integer polynomials")
     p_p1z.add_argument("--degree", type=int, required=True)
 
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         if args.command == "run":
             with open(args.config) as fh:
                 config = _load(fh.read(), CONFIG_SCHEMA, "config")
@@ -687,7 +698,7 @@ def main(argv=None) -> int:
             print(json.dumps(reports_to_json(reports), indent=2, sort_keys=True))
             return 0 if all(r.passed for r in reports) else 1
         if args.command == "p1z":
-            count, report = bounds.p1z_h0(args.degree)
+            count, report = _build("--degree", bounds.p1z_h0, args.degree)
             print(json.dumps({"count": count, "report": report.to_json()}, indent=2, sort_keys=True))
             return 0 if report.passed else 1
     except (ConfigError, OSError) as exc:

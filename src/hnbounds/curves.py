@@ -17,7 +17,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
-from .hn import HNType, make_hn_type
+from .hn import HNType
 from .scalars import Scalar
 
 __all__ = ["SplitBundle", "h0_interval"]
@@ -50,7 +50,7 @@ class SplitBundle:
     def hn_type(self) -> HNType:
         """Slope data: twists aggregated by value, sorted decreasing."""
         counts = Counter(self.twists)
-        return make_hn_type(
+        return HNType(
             (counts[a], Scalar.exact(a)) for a in sorted(counts, reverse=True)
         )
 

@@ -2,10 +2,13 @@
 
 An :class:`HNType` records the slope data of a filtered object as a list of
 ``(rank, slope)`` segments with strictly decreasing slopes.  It is the one
-validated type here.  Everything downstream (the polygon's breakpoints, the
-positive degree deg+, the rank filtration F^t, the slope probability
-measure's atoms) is a plain value computed from this data alone, and none of
-it decides the slope order again; no sheaf-level input is ever required.
+validated type here, and ``HNType(segments)`` its one constructor: in a
+single pass it checks each rank, coerces each slope and decides each
+adjacent pair of slopes with one certified comparison, which merges equal
+slopes.  Everything downstream (the polygon's breakpoints, the positive
+degree deg+, the rank filtration F^t, the slope probability measure's
+atoms) is a plain value computed from this data alone, and none of it
+decides the slope order again; no sheaf-level input is ever required.
 
 All values are immutable and all operations are pure, so instances can be
 shared freely between threads.
@@ -17,37 +20,51 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import Scalar, as_scalar
+from .scalars import CertificationError, Scalar, as_scalar
 
-__all__ = ["HNType", "make_hn_type"]
-
-
-def _check_rank(rank):
-    """Refuse a segment rank that is not a positive int (a bool included)."""
-    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
-        raise ValueError(f"segment ranks must be positive integers, got {rank!r}")
+__all__ = ["HNType"]
 
 
-@dataclass(frozen=True)
+def _show(s: Scalar) -> str:
+    """A slope as the CLI reads it: a rational, or its interval's bounds."""
+    lo, hi = s.bounds()
+    return str(lo) if s.is_rational else f"[{lo}, {hi}]"
+
+
+@dataclass(frozen=True, init=False)
 class HNType:
-    """Slope data: ``(rank, slope)`` segments with strictly decreasing slopes.
-
-    Construct through :func:`make_hn_type`, which merges adjacent equal-slope
-    segments before validating.
-    """
+    """Slope data: ``(rank, slope)`` segments with strictly decreasing slopes."""
 
     segments: tuple[tuple[int, Scalar], ...]
 
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("HNType needs at least one segment")
-        for rank, slope in self.segments:
-            _check_rank(rank)
-            if not isinstance(slope, Scalar):
-                raise TypeError("segment slopes must be Scalar values")
-        for (_, s), (_, t) in zip(self.segments, self.segments[1:]):
-            if not s > t:
+    def __init__(self, segments: Iterable[Sequence]):
+        """``(rank, slope)`` pairs, a slope a Scalar, int, Fraction or "p/q"
+        string, validated and merged in one pass.
+
+        Refuses empty input and ranks that are not positive ints (bools
+        included).  Each slope is compared once with the one before it:
+        equal slopes merge, a larger one is a ``ValueError``, and bounds that
+        overlap raise ``CertificationError`` naming both positions (from 1).
+        """
+        merged: list[tuple[int, Scalar]] = []
+        for i, (rank, slope) in enumerate(segments, 1):
+            if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+                raise ValueError(f"segment ranks must be positive integers, got {rank!r}")
+            slope = as_scalar(slope)
+            order = merged[-1][1]._order(slope) if merged else 1
+            if order == 0:
+                merged[-1] = (merged[-1][0] + rank, merged[-1][1])
+            elif order == 1:
+                merged.append((rank, slope))
+            elif order is None:
+                raise CertificationError(
+                    f"cannot order slopes {i - 1} and {i}: {_show(merged[-1][1])} vs {_show(slope)}"
+                )
+            else:
                 raise ValueError("segment slopes must strictly decrease")
+        if not merged:
+            raise ValueError("HNType needs at least one segment")
+        object.__setattr__(self, "segments", tuple(merged))
 
     # -- basic data ------------------------------------------------------
 
@@ -61,13 +78,6 @@ class HNType:
         for r, s in self.segments:
             total = total + Scalar.exact(r) * s
         return total
-
-    def is_rational(self) -> bool:
-        return all(s.is_rational for _, s in self.segments)
-
-    def _require_rational(self, op: str):
-        if not self.is_rational():
-            raise TypeError(f"{op} requires rational-mode slopes")
 
     # -- operations -------------------------------------------------------
 
@@ -100,24 +110,17 @@ class HNType:
 
     def dual(self) -> "HNType":
         """Segments reversed with slopes negated (mu_max + mu_min(dual) = 0)."""
-        return HNType(tuple((r, -s) for r, s in reversed(self.segments)))
+        return HNType((r, -s) for r, s in reversed(self.segments))
 
     def tensor(self, other: "HNType") -> "HNType":
-        """Tensor product type: all pairwise slope sums, aggregated.
+        """Tensor product type: all pairwise slope sums, equal sums merged.
 
         Models the characteristic-zero fact that the filtration of a tensor
-        product is the product filtration (tensor slopes add).  Requires
-        rational-mode slopes so that aggregation by equality is exact.
+        product is the product filtration (tensor slopes add).  The sums are
+        sorted on their exact values, so interval slopes raise ``TypeError``.
         """
-        self._require_rational("tensor")
-        other._require_rational("tensor")
-        sums: dict[Fraction, int] = {}
-        for r1, s1 in self.segments:
-            for r2, s2 in other.segments:
-                key = (s1 + s2).as_fraction()
-                sums[key] = sums.get(key, 0) + r1 * r2
-        merged = sorted(sums.items(), key=lambda kv: kv[0], reverse=True)
-        return HNType(tuple((r, Scalar.exact(s)) for s, r in merged))
+        pairs = [(r1 * r2, s1 + s2) for r1, s1 in self.segments for r2, s2 in other.segments]
+        return HNType(sorted(pairs, key=lambda p: p[1].as_fraction(), reverse=True))
 
     def filtration_rank(self, t) -> int:
         """Rank of F^t: total rank of segments with slope >= t.
@@ -153,21 +156,3 @@ class HNType:
         n = self.rank
         return tuple((s, Fraction(r, n)) for r, s in self.segments)
 
-
-def make_hn_type(segments: Iterable[Sequence]) -> HNType:
-    """Validated constructor; merges adjacent equal-slope segments.
-
-    Accepts ``(rank, slope)`` pairs where slope is a Scalar, int, Fraction or
-    "p/q" string.  Rejects empty input, ranks that are not positive ints
-    (bools included), and slope lists that are not strictly decreasing after
-    the merge.  Idempotent on its own output.
-    """
-    items = [(r, as_scalar(s)) for r, s in segments]
-    merged: list[tuple[int, Scalar]] = []
-    for rank, slope in items:
-        _check_rank(rank)
-        if merged and merged[-1][1] == slope:
-            merged[-1] = (merged[-1][0] + rank, merged[-1][1])
-        else:
-            merged.append((rank, slope))
-    return HNType(tuple(merged))

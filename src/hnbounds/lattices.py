@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import isqrt, lcm
 
 from ._exact import Echelon
-from .hn import HNType, make_hn_type
+from .hn import HNType
 from .scalars import (
     Scalar,
     log_ball_volume,
@@ -214,7 +214,7 @@ class EuclideanLattice:
         for i in range(self.rank):
             d = self.gram[i][i]
             counts[d] = counts.get(d, 0) + 1
-        return make_hn_type((counts[d], neg_half_log(d)) for d in sorted(counts))
+        return HNType((counts[d], neg_half_log(d)) for d in sorted(counts))
 
     def rank2_mu_max(self) -> Scalar:
         """Maximal slope of a rank-2 lattice: max(lambda_1, deg/2).

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hnbounds import Scalar, SplitBundle, cli, make_hn_type
+from hnbounds import HNType, Scalar, SplitBundle, cli
 
 
 def random_hn_type(rng, max_segments=4, rational=True):
@@ -14,7 +14,7 @@ def random_hn_type(rng, max_segments=4, rational=True):
     while len(slopes) < k:
         slopes.add(Fraction(rng.randint(-40, 40), rng.randint(1, 8)))
     slopes = sorted(slopes, reverse=True)
-    return make_hn_type((rng.randint(1, 4), Scalar.exact(s)) for s in slopes)
+    return HNType((rng.randint(1, 4), Scalar.exact(s)) for s in slopes)
 
 
 def random_split_bundle(rng, max_rank=10, twist_range=10):

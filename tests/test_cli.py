@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hnbounds
-from hnbounds import bounds, cli
+from hnbounds import bounds, cli, lattices
 from hnbounds.bounds import PrecisionBudgetError, reports_to_csv, reports_to_json
 from hnbounds.cli import run_config, validate_config, ConfigError
 from hnbounds.scalars import CertificationError
@@ -107,6 +107,14 @@ def test_lattice_suite_deterministic(tmp_path):
     run_config({**cfg, "output": {"path": str(out1)}})
     run_config({**cfg, "output": {"path": str(out2)}})
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_lattice_suite_rank_cap_is_the_enumeration_budget():
+    # one rank cap: the schema refuses the ranks EuclideanLattice would not enumerate
+    assert cli.PARAMETER_SCHEMAS["lattice"]["properties"]["rank"]["maximum"] == lattices.MAX_RANK
+    validate_config({"suite": "lattice", "parameters": {"rank": lattices.MAX_RANK}})
+    with pytest.raises(ConfigError):
+        validate_config({"suite": "lattice", "parameters": {"rank": lattices.MAX_RANK + 1}})
 
 
 def test_parallel_matches_serial(tmp_path):
@@ -471,6 +479,12 @@ def test_lattice_subcommand():
         ["run", {"suite": "polygon", "parameters": {"hn": [[1, "1"], [1, "2"]]}}],
         ["run", {"suite": "polygon", "parameters": {"hn": [[0, "1"]]}}],
         ["run", {"suite": "arithmetic", "parameters": {"entries": ["0"]}}],
+        # interval slopes whose order their bounds cannot decide
+        ["polygon", "--hn", '[[1,{"lo":"1","hi":"3"}],[1,"2"]]'],
+        ["run", {"suite": "polygon", "parameters": {"hn": [[1, {"lo": "1", "hi": "3"}], [1, "2"]]}}],
+        # a degree outside the circle norm's budget
+        ["p1z", "--degree", "-1"],
+        ["p1z", "--degree", "65"],
     ],
 )
 def test_cli_malformed_input_exits_two(capsys, tmp_path, argv):
@@ -837,6 +851,28 @@ def test_validator_messages_are_jsonschemas():
         with pytest.raises(ConfigError) as got:
             cli._validate(value, schema, "x")
         assert str(got.value) == f"invalid x: {expected.value.message}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lattice"], "the following arguments are required: --gram"),
+        (["p1z", "--degree", "x"], "argument --degree: invalid int value: 'x'"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ],
+)
+def test_cli_usage_errors_exit_two_in_one_line(capsys, argv, message):
+    # argparse's usage text and SystemExit become the one-line input error
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"config error: invalid arguments: {message}")
+
+
+def test_cli_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["p1z", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: hnbounds p1z")
 
 
 def test_p1z_subcommand():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hnbounds import SplitBundle, h0_interval, make_hn_type
+from hnbounds import HNType, SplitBundle, h0_interval
 
 from conftest import random_split_bundle
 
@@ -82,19 +82,19 @@ def test_semistable_slope_zero_has_h0_rank():
 
 
 def test_h0_interval_examples():
-    lo, hi = h0_interval(make_hn_type([(2, -1)]), 5)
+    lo, hi = h0_interval(HNType([(2, -1)]), 5)
     assert (lo.as_fraction(), hi.as_fraction()) == (0, 0)
-    lo, hi = h0_interval(make_hn_type([(2, 3)]), 0)
+    lo, hi = h0_interval(HNType([(2, 3)]), 0)
     assert (lo.as_fraction(), hi.as_fraction()) == (8, 8)
-    lo, hi = h0_interval(make_hn_type([(1, 5), (1, -2)]), 2)
+    lo, hi = h0_interval(HNType([(1, 5), (1, -2)]), 2)
     assert (lo.as_fraction(), hi.as_fraction()) == (3, 7)
 
 
 def test_h0_interval_riemann_roch_range():
     # mu_min above 2g-2 pins the exact point deg + rank(1-g)
-    lo, hi = h0_interval(make_hn_type([(2, 5)]), 3)
+    lo, hi = h0_interval(HNType([(2, 5)]), 3)
     assert (lo.as_fraction(), hi.as_fraction()) == (6, 6)
-    lo, hi = h0_interval(make_hn_type([(2, 3)]), 1)
+    lo, hi = h0_interval(HNType([(2, 3)]), 1)
     assert (lo.as_fraction(), hi.as_fraction()) == (6, 6)
 
 
@@ -106,13 +106,13 @@ def test_h0_interval_contains_true_h0(rng):
 
 
 def test_h0_interval_lower_clamped_at_zero():
-    lo, hi = h0_interval(make_hn_type([(1, 1), (1, Fraction(-1, 2))]), 4)
+    lo, hi = h0_interval(HNType([(1, 1), (1, Fraction(-1, 2))]), 4)
     assert lo.as_fraction() >= 0
 
 
 def test_curve_context_validation():
     # the curve enters only through its genus, a nonnegative integer
-    h = make_hn_type([(1, 0)])
+    h = HNType([(1, 0)])
     with pytest.raises(ValueError):
         h0_interval(h, -1)
     with pytest.raises(TypeError):

@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hnbounds import HNType, Scalar, cli, make_hn_type
+from hnbounds import CertificationError, HNType, Scalar, cli
 
 from conftest import random_hn_type
 
 
 def hn(*segments):
-    return make_hn_type(segments)
+    return HNType(segments)
 
 
 # -- constructor ---------------------------------------------------------
@@ -25,7 +25,7 @@ def test_constructor_examples():
     with pytest.raises(ValueError):
         hn((1, 0), (1, 1))
     with pytest.raises(ValueError):
-        make_hn_type([])
+        HNType([])
     with pytest.raises(ValueError):
         hn((0, 1))
 
@@ -33,7 +33,7 @@ def test_constructor_examples():
 def test_constructor_idempotent(rng):
     for _ in range(50):
         h = random_hn_type(rng)
-        again = make_hn_type(h.segments)
+        again = HNType(h.segments)
         assert again == h
 
 
@@ -99,7 +99,7 @@ def naive_tensor(h1: HNType, h2: HNType) -> HNType:
         for r2, s2 in h2.segments:
             pairs.extend([s1.as_fraction() + s2.as_fraction()] * (r1 * r2))
     pairs.sort(reverse=True)
-    return make_hn_type((1, Scalar.exact(s)) for s in pairs)
+    return HNType((1, Scalar.exact(s)) for s in pairs)
 
 
 def test_tensor_examples():
@@ -175,14 +175,14 @@ def test_interval_slopes_polygon_and_integral():
     # cumulative interval sums are wider than the slopes: nothing derived
     # from a valid HNType decides their order again
     ivl = Scalar.from_fraction_bounds
-    h = make_hn_type([(1, ivl(Fraction(2), Fraction(3))), (1, ivl(Fraction(1), Fraction(3, 2)))])
+    h = HNType([(1, ivl(Fraction(2), Fraction(3))), (1, ivl(Fraction(1), Fraction(3, 2)))])
     pts = [tuple(v.bounds() for v in pt) for pt in h.polygon()]
     assert pts[0] == ((0, 0), (0, 0)) and pts[2][0] == (2, 2)
     assert pts[1][1][0] <= 2 and pts[1][1][1] >= 3
     assert pts[2][1][0] <= 3 and pts[2][1][1] >= Fraction(9, 2)
     assert _overlap(h.positive_rank_integral(), h.deg_plus())
     # a slope straddling 0 enters through max0, not through a sign test
-    h = make_hn_type([(1, ivl(Fraction(3), Fraction(4))), (1, ivl(Fraction(-1), Fraction(1, 2)))])
+    h = HNType([(1, ivl(Fraction(3), Fraction(4))), (1, ivl(Fraction(-1), Fraction(1, 2)))])
     integral = h.positive_rank_integral()
     assert _overlap(integral, h.deg_plus())
     lo, hi = integral.bounds()
@@ -228,7 +228,7 @@ slope_lists = st.lists(
 def test_hypothesis_polygon_concavity(slopes, data):
     slopes = sorted(slopes, reverse=True)
     ranks = [data.draw(st.integers(min_value=1, max_value=5)) for _ in slopes]
-    h = make_hn_type(zip(ranks, map(Scalar.exact, slopes)))
+    h = HNType(zip(ranks, map(Scalar.exact, slopes)))
     pts = [(x.as_fraction(), y.as_fraction()) for x, y in h.polygon()]
     assert pts[0] == (0, 0) and pts[-1][0] == h.rank
     assert all(xa < xb for (xa, _), (xb, _) in zip(pts, pts[1:]))
@@ -247,10 +247,58 @@ def test_json_round_trip(rng):
         assert cli._hn_type([[r, s.to_json()] for r, s in h.segments], "--hn") == h
 
 
-def test_make_hn_type_refuses_non_integer_ranks():
+def test_hn_type_refuses_non_integer_ranks():
     # a rank is taken as given, not truncated: 1.5 would otherwise read as 1
-    for rank in (1.5, 2.0, "3", True):
-        with pytest.raises(ValueError):
-            make_hn_type([[rank, "3"]])
-    with pytest.raises(ValueError):
-        HNType(((True, Scalar.exact(3)),))
+    for rank in (1.5, 2.0, "3", True, 0, -1):
+        with pytest.raises(ValueError, match="positive integers"):
+            HNType([[rank, "3"]])
+    with pytest.raises(ValueError, match="positive integers"):
+        HNType([(1, 3), (True, Scalar.exact(2))])
+
+
+def _counting_order(monkeypatch):
+    """Patch ``Scalar._order`` to count its calls; returns the list of calls."""
+    calls, order = [], Scalar._order
+
+    def counted(self, other):
+        calls.append((self, other))
+        return order(self, other)
+
+    monkeypatch.setattr(Scalar, "_order", counted)
+    return calls
+
+
+def test_hn_type_decides_each_adjacent_pair_once(monkeypatch, rng):
+    calls = _counting_order(monkeypatch)
+    for _ in range(50):
+        slopes = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(rng.randint(1, 8))]
+        pairs = [(rng.randint(1, 3), s) for s in sorted(slopes, reverse=True)]
+        del calls[:]
+        h = HNType(pairs)
+        assert len(calls) <= len(pairs) - 1
+        assert h.rank == sum(r for r, _ in pairs)
+
+
+def test_hn_type_merges_keeps_refuses_and_cannot_order(monkeypatch):
+    calls = _counting_order(monkeypatch)
+    ivl = Scalar.from_fraction_bounds
+    # merge (0): equal slopes add their ranks, a degenerate interval included
+    h = HNType([(1, "2"), (2, Fraction(2)), (1, ivl(Fraction(2), Fraction(2))), (1, 0)])
+    assert [(r, s.as_fraction()) for r, s in h.segments] == [(4, 2), (1, 0)]
+    assert len(calls) == 3
+    # keep (+1): a smaller slope starts a segment
+    assert [r for r, _ in HNType([(1, ivl(Fraction(3), Fraction(4))), (2, "2")]).segments] == [1, 2]
+    # refuse (-1): a larger slope
+    with pytest.raises(ValueError, match="strictly decrease"):
+        HNType([(1, 1), (1, ivl(Fraction(2), Fraction(3)))])
+    # undecidable: overlapping bounds name both positions, from 1
+    with pytest.raises(CertificationError, match=r"^cannot order slopes 1 and 2: \[1, 3\] vs 2$"):
+        HNType([(1, ivl(Fraction(1), Fraction(3))), (1, 2)])
+    with pytest.raises(CertificationError, match=r"^cannot order slopes 2 and 3: 5 vs \[9/2, 6\]$"):
+        HNType([(1, 7), (1, 5), (1, ivl(Fraction(9, 2), Fraction(6)))])
+
+
+def test_tensor_refuses_interval_slopes():
+    h = HNType([(1, Scalar.from_fraction_bounds(Fraction(1), Fraction(2)))])
+    with pytest.raises(TypeError):
+        h.tensor(hn((1, 0)))
