@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .hn import positive_degree
 from .lattices import EuclideanLattice, RATIONAL_FIELD, gillet_soule_constant
 from .scalars import (
     Scalar,
@@ -66,6 +67,8 @@ class CheckReport:
     individual margins).  ``passed`` is derived from the margin on each
     access, not stored: it is true iff the margin's lower bound is
     certified nonnegative.  ``context`` carries check-specific details.
+    :meth:`compare` builds the report whose margin is rhs - lhs; a check
+    with another margin calls the constructor.
     """
 
     name: str
@@ -80,11 +83,7 @@ class CheckReport:
 
     @classmethod
     def compare(cls, name: str, lhs: Scalar, rhs: Scalar, context=None) -> "CheckReport":
-        return cls.with_margin(name, lhs, rhs, rhs - lhs, context)
-
-    @classmethod
-    def with_margin(cls, name, lhs, rhs, margin, context=None) -> "CheckReport":
-        return cls(name, lhs, rhs, margin, dict(context or {}))
+        return cls(name, lhs, rhs, rhs - lhs, dict(context or {}))
 
     def to_json(self):
         return {
@@ -257,7 +256,7 @@ def check_minkowski(L: EuclideanLattice) -> CheckReport:
     sandwiched = chi - lam_sum
     upper, lower, _ = _rank_constants(r)
     margin = scalar_min(upper - sandwiched, sandwiched - lower)
-    return CheckReport.with_margin(
+    return CheckReport(
         f"minkowski rank={r}",
         sandwiched,
         upper,
@@ -282,7 +281,8 @@ def check_gillet_soule(L: EuclideanLattice) -> CheckReport:
 
     Section counts are computed over Z, so the field is the rationals, whose
     r ln|Delta| term is 0; C(K, n) itself is implemented for arbitrary
-    signatures.
+    signatures.  The positive degree is summed over the orthogonal slopes,
+    which the exact diagonal orders, so no slope comparison is certified.
 
     At rank 1 the inequality can hold with exact equality (for the unit
     lattice both sides are ln 3), which no interval can certify; that single
@@ -291,7 +291,7 @@ def check_gillet_soule(L: EuclideanLattice) -> CheckReport:
     max(count^2/q, q/count^2) <= 81 = exp(2 ln 3 + ... ) at rank 1.
     """
     r = L.rank
-    deg_plus = L.orthogonal_hn().deg_plus()
+    deg_plus = positive_degree(L.orthogonal_slopes())
     lhs = abs(L.h0_hat() - deg_plus)
     rhs = gillet_soule_constant(RATIONAL_FIELD, r)
     margin = rhs - lhs
@@ -307,7 +307,7 @@ def check_gillet_soule(L: EuclideanLattice) -> CheckReport:
             margin = Scalar.exact(0)
         elif worst < 9:
             margin = margin.max0()
-    return CheckReport.with_margin(
+    return CheckReport(
         f"gillet-soule rank={r} diag={[str(L.gram[i][i]) for i in range(r)]}",
         lhs,
         rhs,
@@ -331,10 +331,10 @@ def check_truncated_siegel(L: EuclideanLattice) -> CheckReport:
     diag = sorted(L.gram[i][i] for i in range(r))
     if sorted(L.minima_norms_squared()) != diag:
         raise AssertionError("orthogonal minima must match the Gram diagonal")
-    slopes_positive = L.orthogonal_hn().deg_plus()
+    slopes_positive = positive_degree(L.orthogonal_slopes())
     minima_positive = _positive_minima(L)
     slack = Scalar.exact(Fraction(r, 2)) * log_scalar(r)
-    return CheckReport.with_margin(
+    return CheckReport(
         f"siegel-truncated rank={r}",
         slopes_positive,
         minima_positive + slack,

@@ -8,7 +8,9 @@ adjacent pair of slopes with one certified comparison, which merges equal
 slopes.  Everything downstream (the polygon's breakpoints, the positive
 degree deg+, the rank filtration F^t, the slope probability measure's
 atoms) is a plain value computed from this data alone, and none of it
-decides the slope order again; no sheaf-level input is ever required.
+decides the slope order again; no sheaf-level input is ever required.  The
+positive degree needs no order at all: :func:`positive_degree` sums any
+``(rank, slope)`` pairs.
 
 All values are immutable and all operations are pure, so instances can be
 shared freely between threads.
@@ -22,13 +24,24 @@ from typing import Iterable, Sequence
 
 from .scalars import CertificationError, Scalar, as_scalar
 
-__all__ = ["HNType"]
+__all__ = ["HNType", "positive_degree"]
 
 
 def _show(s: Scalar) -> str:
     """A slope as the CLI reads it: a rational, or its interval's bounds."""
     lo, hi = s.bounds()
     return str(lo) if s.is_rational else f"[{lo}, {hi}]"
+
+
+def positive_degree(segments: Iterable[tuple[int, Scalar]]) -> Scalar:
+    """Sum of rank * max(slope, 0) over ``(rank, slope)`` pairs, added in order.
+
+    The sum needs no slope order, so the pairs need not be an HN type.
+    """
+    total = Scalar.exact(0)
+    for r, s in segments:
+        total = total + Scalar.exact(r) * s.max0()
+    return total
 
 
 @dataclass(frozen=True, init=False)
@@ -95,14 +108,11 @@ class HNType:
         return tuple(pts)
 
     def deg_plus(self) -> Scalar:
-        """Positive degree: sum of rank_i * slope_i over nonnegative slopes.
+        """Positive degree (:func:`positive_degree` of the segments).
 
         Equals the maximum of the polygon; 0 when every slope is negative.
         """
-        total = Scalar.exact(0)
-        for r, s in self.segments:
-            total = total + Scalar.exact(r) * s.max0()
-        return total
+        return positive_degree(self.segments)
 
     def slope_extremes(self) -> tuple[Scalar, Scalar]:
         """(mu_max, mu_min) = (first slope, last slope)."""

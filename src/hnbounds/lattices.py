@@ -27,6 +27,7 @@ never asserted by any check.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -201,20 +202,23 @@ class EuclideanLattice:
             self._memo["degree"] = neg_half_log(self.determinant())
         return self._memo["degree"]
 
-    def orthogonal_hn(self) -> HNType:
-        """Slope data of a diagonal lattice: rank-one summands of slope
-        -(1/2) ln(G_ii), aggregated by equal diagonal entries.
-
-        Aggregation happens on the exact rational diagonal before any log is
-        taken, so the strict-decrease validation is always certifiable.
+    def orthogonal_slopes(self) -> list[tuple[int, Scalar]]:
+        """Slope data of a diagonal lattice: one ``(count, -(1/2) ln d)`` per
+        distinct diagonal entry d, in increasing order of the exact d, so in
+        decreasing order of slope without comparing a log.
         """
         if not self.is_diagonal():
-            raise ValueError("orthogonal_hn requires a diagonal Gram matrix")
-        counts: dict[Fraction, int] = {}
-        for i in range(self.rank):
-            d = self.gram[i][i]
-            counts[d] = counts.get(d, 0) + 1
-        return HNType((counts[d], neg_half_log(d)) for d in sorted(counts))
+            raise ValueError("orthogonal slopes require a diagonal Gram matrix")
+        counts = Counter(self.gram[i][i] for i in range(self.rank))
+        return [(counts[d], neg_half_log(d)) for d in sorted(counts)]
+
+    def orthogonal_hn(self) -> HNType:
+        """:meth:`orthogonal_slopes` as an HN type.
+
+        Aggregation happens on the exact rational diagonal before any log is
+        taken; the constructor still certifies the order of the logs.
+        """
+        return HNType(self.orthogonal_slopes())
 
     def rank2_mu_max(self) -> Scalar:
         """Maximal slope of a rank-2 lattice: max(lambda_1, deg/2).

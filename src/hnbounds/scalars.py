@@ -79,6 +79,15 @@ _FLOAT_OVERFLOW = 2**1024 - 2**970
 RationalLike = Union[int, Fraction, str, "Scalar"]
 
 
+def _midpoint(lo: Fraction, hi: Fraction) -> float:
+    """The midpoint of [lo, hi] as a float; ``±inf`` past the float range."""
+    try:
+        return float(lo + hi) / 2 if lo != hi else float(lo)
+    except OverflowError:  # the sum, and perhaps the midpoint, is past the range
+        mid = (lo + hi) / 2
+        return float(mid) if abs(mid) < _FLOAT_OVERFLOW else math.inf if mid > 0 else -math.inf
+
+
 class CertificationError(ArithmeticError):
     """A comparison or sign query could not be decided from interval bounds."""
 
@@ -186,12 +195,7 @@ class Scalar:
 
     def midpoint(self) -> float:
         """The midpoint as a float; ``±inf`` past the float range."""
-        lo, hi = self.bounds()
-        try:
-            return float(lo + hi) / 2 if lo != hi else float(lo)
-        except OverflowError:  # the sum, and perhaps the midpoint, is past the range
-            mid = (lo + hi) / 2
-            return float(mid) if abs(mid) < _FLOAT_OVERFLOW else math.inf if mid > 0 else -math.inf
+        return _midpoint(*self.bounds())
 
     def _raw(self):
         """The raw interval (a rational is promoted with outward rounding)."""
@@ -396,7 +400,7 @@ class Scalar:
         if self._rat is not None:
             return str(self._rat)
         lo, hi = self.bounds()
-        approx = self.midpoint()
+        approx = _midpoint(lo, hi)
         return {"lo": str(lo), "hi": str(hi), "approx": approx if math.isfinite(approx) else None}
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 from .curves import SplitBundle
 from .scalars import Scalar
@@ -28,18 +28,11 @@ __all__ = ["ToricSeries", "FiberedSeries"]
 
 def _integerize(normal, rhs):
     """Scale a rational inequality a.x <= c to coprime integer coefficients."""
-    denom_lcm = 1
-    for x in list(normal) + [rhs]:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in normal]
-    c = int(rhs * denom_lcm)
-    g = 0
-    for x in ints + [c]:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-        c = c // g
-    return tuple(ints), c
+    values = [*normal, rhs]
+    den = lcm(*(x.denominator for x in values))
+    ints = [int(x * den) for x in values]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints[:-1]), ints[-1] // g
 
 
 def _convex_hull_2d(points: list[tuple[Fraction, Fraction]]):

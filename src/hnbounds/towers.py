@@ -103,34 +103,24 @@ class AffineFunction:
 DEFAULT_ELL = AffineFunction(1, 1)
 
 
-def _check_lengths(tower: Tower, data: TowerData):
-    if len(data) != len(tower.genera):
-        raise ValueError(
-            f"data length {len(data)} does not match tower length {len(tower.genera)}"
-        )
+def _epsilon(tower: Tower, data: TowerData, ell) -> Scalar:
+    """The recursion of the module docstring, on the data's Fractions.
 
-
-def _warn_negative_mu(tower: Tower, data: TowerData):
-    d = tower.depth
+    ``ell`` is None or an affine function whose value at g_i is added to
+    the genus factor of every non-base level.  A negative mu_i (i < d) is
+    a ``NegativeSlopeWarning`` naming the caller of :func:`epsilon` or
+    :func:`epsilon_tilde`.
+    """
+    genera, d = tower.genera, tower.depth
+    if len(data) != len(genera):
+        raise ValueError(f"data length {len(data)} does not match tower length {len(genera)}")
     for i in range(d):
         if not data.mu[i].certified_nonneg():
             warnings.warn(
                 f"mu[{i}] < 0: the error term is not asserted by any bound here",
                 NegativeSlopeWarning,
-                stacklevel=4,
+                stacklevel=3,
             )
-
-
-def _epsilon(tower: Tower, data: TowerData, ell) -> Scalar:
-    """The recursion of the module docstring, on the data's Fractions.
-
-    ``ell`` is None or an affine function whose value at g_i is added to
-    the genus factor of every non-base level.
-    """
-    _check_lengths(tower, data)
-    _warn_negative_mu(tower, data)
-    genera = tower.genera
-    d = tower.depth
     mu = [m.as_fraction() for m in data.mu]
     vol = [v.as_fraction() for v in data.vol]
     eps = Fraction(max(genera[d] - 1, 1))

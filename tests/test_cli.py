@@ -287,6 +287,25 @@ def test_arithmetic_suite():
     assert len(reports) == 3 + 9 + 27
 
 
+def test_arithmetic_suite_orders_a_tie_below_the_interval_precision(tmp_path, capsys, monkeypatch):
+    # the slopes of 1 and 1 + 2^-200 overlap at 120 bits; the positive degree
+    # is summed over the exact diagonal's order and never builds an HNType
+    tie = Fraction(2**200 + 1, 2**200)
+    config = tmp_path / "config.json"
+    parameters = {"entries": ["1", str(tie)], "max_rank": 2}
+    config.write_text(json.dumps({"suite": "arithmetic", "parameters": parameters}))
+    assert cli.main(["run", str(config)]) == 0
+    assert capsys.readouterr() == ("suite=arithmetic seed=0\n6/6\n", "")
+
+    def refuse(self, segments):
+        raise AssertionError("HNType constructed")
+
+    monkeypatch.setattr(hnbounds.HNType, "__init__", refuse)
+    for diag in ([1, tie], [tie, 1], [tie, tie]):
+        L = lattices.EuclideanLattice([[diag[0], 0], [0, diag[1]]])
+        assert bounds.check_gillet_soule(L).passed
+
+
 def test_epsilon_suite():
     status, reports = run_config(
         {"suite": "epsilon", "parameters": {"trials": 30}, "seed": 11}

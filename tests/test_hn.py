@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hnbounds import CertificationError, HNType, Scalar, cli
+from hnbounds.hn import positive_degree
 
 from conftest import random_hn_type
 
@@ -235,6 +236,24 @@ def test_hypothesis_polygon_concavity(slopes, data):
     edges = [(yb - ya) / (xb - xa) for (xa, ya), (xb, yb) in zip(pts, pts[1:])]
     assert all(s > t for s, t in zip(edges, edges[1:]))  # concave
     assert h.positive_rank_integral().as_fraction() == h.deg_plus().as_fraction()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(-40, 40), st.booleans()), min_size=1, max_size=6))
+def test_positive_degree_of_the_pairs_is_deg_plus(pairs):
+    # slope k/8, or an interval of width 1/16 around it; equal rational slopes
+    # merge in HNType but stay apart here, and with an interval among them the
+    # slopes are made distinct, since no interval orders against an equal slope
+    pairs = sorted(pairs, key=lambda p: -p[1])
+    if any(interval for _, _, interval in pairs):
+        pairs = [p for p, q in zip(pairs, [None] + pairs) if q is None or p[1] != q[1]]
+    segments = [
+        (r, Scalar.from_fraction_bounds(Fraction(4 * k - 1, 32), Fraction(4 * k + 1, 32)))
+        if interval
+        else (r, Scalar.exact(Fraction(k, 8)))
+        for r, k, interval in pairs
+    ]
+    assert positive_degree(segments).bounds() == HNType(segments).deg_plus().bounds()
 
 
 # -- serialization --------------------------------------------------------------------

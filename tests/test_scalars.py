@@ -193,6 +193,39 @@ def test_midpoint_past_the_float_range(lo, hi, approx):
     assert s.midpoint() == (approx if approx is not None else math.inf if hi > 0 else -math.inf)
 
 
+def _approx_reference(lo, hi):
+    """``to_json``'s ``approx`` as first written: float(lo + hi) / 2, with
+    the exact midpoint when the sum is past the float range."""
+    try:
+        mid = float(lo + hi) / 2 if lo != hi else float(lo)
+    except OverflowError:
+        exact = (lo + hi) / 2
+        mid = float(exact) if abs(exact) < 2**1024 - 2**970 else math.inf
+    return mid if math.isfinite(mid) else None
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        # a midpoint just under 2^1024, whose sum is past the float range
+        (Fraction(2**1024 - 2**972), Fraction(2**1024 - 2**971)),
+        (Fraction(-(2**1024) + 2**971), Fraction(-(2**1024) + 2**972)),
+        # one past it
+        (Fraction(2**1024 - 2**970), Fraction(2**1024)),
+        # subnormal midpoints: a tie that rounds to even, and one that the
+        # rounded sum and the exact midpoint round apart
+        (Fraction(1, 2**1074), Fraction(1, 2**1073)),
+        (Fraction(0), Fraction(3 * 2**26 - 1, 2**1100)),
+        (Fraction(-3, 2**1074), Fraction(1, 2**1074)),
+        (Fraction(1, 2**1074), Fraction(1, 2**1074)),
+    ],
+)
+def test_approx_at_the_float_range_edges(lo, hi):
+    s = Scalar.from_fraction_bounds(lo, hi)
+    assert s.bounds() == (lo, hi)
+    assert s.to_json()["approx"] == _approx_reference(lo, hi)
+
+
 def test_pickle_round_trip():
     # bit-identical: the same mode, the same Fraction or the same raw endpoint
     # tuples; a rational travels as two ints, not as Fraction's string

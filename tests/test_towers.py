@@ -149,6 +149,15 @@ def test_negative_slope_flagged_not_rejected():
     assert value.as_fraction() == -1 + 4
 
 
+def test_negative_slope_warning_names_the_caller():
+    t = Tower((0, 0))
+    d = data([-1, 0], [0, 3])
+    for term in (epsilon, epsilon_tilde):
+        with pytest.warns(NegativeSlopeWarning) as caught:
+            term(t, d)
+        assert [w.filename for w in caught] == [__file__]
+
+
 def test_validation():
     with pytest.raises(ValueError):
         Tower(())
