@@ -17,7 +17,6 @@ import csv
 import heapq
 import io
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -59,7 +58,6 @@ class PrecisionBudgetError(RuntimeError):
     """The requested certification precision is unreachable at the budget."""
 
 
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one certified comparison lhs <= rhs.
 
@@ -71,11 +69,11 @@ class CheckReport:
     with another margin calls the constructor.
     """
 
-    name: str
-    lhs: Scalar
-    rhs: Scalar
-    margin: Scalar
-    context: dict = field(default_factory=dict)
+    __slots__ = ("name", "lhs", "rhs", "margin", "context")
+
+    def __init__(self, name: str, lhs: Scalar, rhs: Scalar, margin: Scalar, context=None):
+        self.name, self.lhs, self.rhs, self.margin = name, lhs, rhs, margin
+        self.context = {} if context is None else context
 
     @property
     def passed(self) -> bool:
@@ -288,7 +286,7 @@ def check_gillet_soule(L: EuclideanLattice) -> CheckReport:
     lattice both sides are ln 3), which no interval can certify; that single
     tie is resolved by exact rational comparison: with q the product of the
     reciprocals of the sub-1 diagonal entries, the margin is nonnegative iff
-    max(count^2/q, q/count^2) <= 81 = exp(2 ln 3 + ... ) at rank 1.
+    max(count^2/q, q/count^2) <= 9 = exp(2 C(Q, 1)), as C(Q, 1) = ln 3.
     """
     r = L.rank
     deg_plus = positive_degree(L.orthogonal_slopes())
@@ -353,11 +351,10 @@ MAX_CIRCLE_DEGREE = 64
 _MAX_SPLITS = 128
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
     """Integer polynomial a_0 + a_1 x + ... (constant coefficient first)."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
         coeffs = tuple(operator.index(c) for c in coefficients)
@@ -365,7 +362,7 @@ class IntPolynomial:
             coeffs = coeffs[:-1]
         if not coeffs:
             coeffs = (0,)
-        object.__setattr__(self, "coefficients", coeffs)
+        self.coefficients = coeffs
 
     @property
     def degree(self) -> int:

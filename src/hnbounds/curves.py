@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 
 from .hn import HNType
 from .scalars import Scalar
@@ -23,17 +22,19 @@ from .scalars import Scalar
 __all__ = ["SplitBundle", "h0_interval"]
 
 
-@dataclass(frozen=True)
 class SplitBundle:
     """Direct sum of O(a_i) on P^1; ``twists`` is stored sorted decreasing."""
 
-    twists: tuple[int, ...]
+    __slots__ = ("twists",)
 
     def __init__(self, twists):
         twists = tuple(sorted(map(operator.index, twists), reverse=True))
         if not twists:
             raise ValueError("a split bundle needs at least one summand")
-        object.__setattr__(self, "twists", twists)
+        self.twists = twists
+
+    def __eq__(self, other):
+        return self.twists == other.twists if type(other) is SplitBundle else NotImplemented
 
     @property
     def rank(self) -> int:

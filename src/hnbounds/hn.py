@@ -2,23 +2,24 @@
 
 An :class:`HNType` records the slope data of a filtered object as a list of
 ``(rank, slope)`` segments with strictly decreasing slopes.  It is the one
-validated type here, and ``HNType(segments)`` its one constructor: in a
+validated type here, and ``HNType(segments)`` its public constructor: in a
 single pass it checks each rank, coerces each slope and decides each
 adjacent pair of slopes with one certified comparison, which merges equal
-slopes.  Everything downstream (the polygon's breakpoints, the positive
-degree deg+, the rank filtration F^t, the slope probability measure's
-atoms) is a plain value computed from this data alone, and none of it
-decides the slope order again; no sheaf-level input is ever required.  The
-positive degree needs no order at all: :func:`positive_degree` sums any
-``(rank, slope)`` pairs.
+slopes.  A diagonal lattice's segments, whose order its exact entries
+already prove, are wrapped as they are.  Everything downstream (the
+polygon's breakpoints, the positive degree deg+, the rank filtration F^t,
+the slope probability measure's atoms) is a plain value computed from this
+data alone, and none of it decides the slope order again; no sheaf-level
+input is ever required.  The positive degree needs no order at all:
+:func:`positive_degree` sums any ``(rank, slope)`` pairs.
 
-All values are immutable and all operations are pure, so instances can be
-shared freely between threads.
+An HNType compares by value and, like a :class:`Scalar`, is never changed
+after construction, by convention; all operations are pure, so instances
+can be shared freely between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -44,11 +45,10 @@ def positive_degree(segments: Iterable[tuple[int, Scalar]]) -> Scalar:
     return total
 
 
-@dataclass(frozen=True, init=False)
 class HNType:
     """Slope data: ``(rank, slope)`` segments with strictly decreasing slopes."""
 
-    segments: tuple[tuple[int, Scalar], ...]
+    __slots__ = ("segments",)
 
     def __init__(self, segments: Iterable[Sequence]):
         """``(rank, slope)`` pairs, a slope a Scalar, int, Fraction or "p/q"
@@ -77,7 +77,10 @@ class HNType:
                 raise ValueError("segment slopes must strictly decrease")
         if not merged:
             raise ValueError("HNType needs at least one segment")
-        object.__setattr__(self, "segments", tuple(merged))
+        self.segments = tuple(merged)
+
+    def __eq__(self, other):
+        return self.segments == other.segments if type(other) is HNType else NotImplemented
 
     # -- basic data ------------------------------------------------------
 
@@ -166,3 +169,10 @@ class HNType:
         n = self.rank
         return tuple((s, Fraction(r, n)) for r, s in self.segments)
 
+
+def _ordered(segments: Iterable[tuple[int, Scalar]]) -> HNType:
+    """An HNType of ``(rank, slope)`` pairs whose strict order the caller has
+    proven exactly (``__init__``'s checks and comparisons skipped)."""
+    h = object.__new__(HNType)
+    h.segments = tuple(segments)
+    return h

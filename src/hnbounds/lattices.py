@@ -28,13 +28,12 @@ never asserted by any check.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
 from ._exact import Echelon
-from .hn import HNType
+from .hn import HNType, _ordered
 from .scalars import (
     Scalar,
     log_ball_volume,
@@ -67,11 +66,10 @@ def _round_half_even(n: int, d: int) -> int:
     return q - 1 if not rem and q & 1 else q
 
 
-@dataclass(frozen=True)
 class EuclideanLattice:
-    """Z^r with a symmetric positive-definite rational Gram matrix."""
+    """Z^r with a symmetric positive-definite rational Gram matrix, compared by it."""
 
-    gram: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("gram", "_memo")
 
     def __init__(self, gram):
         rows = tuple(
@@ -93,8 +91,10 @@ class EuclideanLattice:
                 raise ValueError("Gram matrix must be positive definite")
         delta = [1] + [e.rows[i][i] for i in range(r)]
         lam = [[e.rows[j][i] for j in range(i)] for i in range(r)]
-        object.__setattr__(self, "gram", rows)
-        object.__setattr__(self, "_memo", {"gso": (den, delta, lam)})
+        self.gram, self._memo = rows, {"gso": (den, delta, lam)}
+
+    def __eq__(self, other):
+        return self.gram == other.gram if type(other) is EuclideanLattice else NotImplemented
 
     # -- basic invariants --------------------------------------------------
 
@@ -216,9 +216,9 @@ class EuclideanLattice:
         """:meth:`orthogonal_slopes` as an HN type.
 
         Aggregation happens on the exact rational diagonal before any log is
-        taken; the constructor still certifies the order of the logs.
+        taken, and the entries' exact order is the slopes' order: no log is compared.
         """
-        return HNType(self.orthogonal_slopes())
+        return _ordered(self.orthogonal_slopes())
 
     def rank2_mu_max(self) -> Scalar:
         """Maximal slope of a rank-2 lattice: max(lambda_1, deg/2).
@@ -396,24 +396,22 @@ def _level0_ranges(gso, weights, total: int):
         level = 1
 
 
-@dataclass(frozen=True)
 class NumberFieldData:
     """Degree, signature and absolute discriminant of a number field."""
 
-    degree: int
-    real_places: int
-    complex_places: int
-    abs_discriminant: int
+    __slots__ = ("degree", "real_places", "complex_places", "abs_discriminant")
 
-    def __post_init__(self):
-        if self.degree < 1:
+    def __init__(self, degree: int, real_places: int, complex_places: int, abs_discriminant: int):
+        if degree < 1:
             raise ValueError("degree must be >= 1")
-        if self.real_places < 0 or self.complex_places < 0:
+        if real_places < 0 or complex_places < 0:
             raise ValueError("place counts must be nonnegative")
-        if self.real_places + 2 * self.complex_places != self.degree:
+        if real_places + 2 * complex_places != degree:
             raise ValueError("signature must satisfy r1 + 2 r2 = degree")
-        if self.abs_discriminant < 1:
+        if abs_discriminant < 1:
             raise ValueError("absolute discriminant must be >= 1")
+        self.degree, self.real_places, self.complex_places = degree, real_places, complex_places
+        self.abs_discriminant = abs_discriminant
 
     def log_abs_discriminant(self) -> Scalar:
         return log_scalar(self.abs_discriminant)
@@ -433,9 +431,10 @@ def gillet_soule_constant(field: NumberFieldData, n: int) -> Scalar:
     ln Gamma(m + 1), so the cost does not grow with n.  C(K, n) grows like
     (d/2) n ln n, and its ratio to that term falls toward 1 from above,
     slowly: for K = Q it is 1.081 at n = 10^4 and stays within 5 % only
-    from n ~ 3 x 10^6 on.  Memoized per (field, n): the field data are
-    frozen and the result is an immutable Scalar, so a repeated call returns
-    the interval a fresh evaluation would compute.
+    from n ~ 3 x 10^6 on.  Memoized per (field, n), the field by identity:
+    its data are never changed after construction and the result is an
+    immutable Scalar, so a repeated call returns the interval a fresh
+    evaluation would compute.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

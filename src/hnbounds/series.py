@@ -16,7 +16,6 @@ Two concrete families:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
@@ -62,7 +61,6 @@ def _convex_hull_2d(points: list[tuple[Fraction, Fraction]]):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ToricSeries:
     """Graded series of a two-dimensional rational convex polygon.
 
@@ -70,7 +68,7 @@ class ToricSeries:
     rank growth is governed by the area: vol(series) = 2! * area(polygon).
     """
 
-    vertices: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("vertices",)
 
     def __init__(self, vertices):
         verts = tuple(tuple(Fraction(x) for x in v) for v in vertices)
@@ -78,7 +76,7 @@ class ToricSeries:
             raise ValueError("vertices must be points of the plane")
         if len(_convex_hull_2d(list(verts))) < 3:
             raise ValueError("polygon must be two-dimensional")
-        object.__setattr__(self, "vertices", verts)
+        self.vertices = verts
 
     def _edges(self):
         """Consecutive vertex pairs of the hull, counter-clockwise."""
@@ -131,7 +129,6 @@ class ToricSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FiberedSeries:
     """Total graded system of O(a f + b s) on the Hirzebruch surface F_e.
 
@@ -141,13 +138,10 @@ class FiberedSeries:
     a >= 0, b >= 1, e >= 0 and tolerate the rest.
     """
 
-    a: int
-    b: int
-    e: int
+    __slots__ = ("a", "b", "e")
 
-    def __post_init__(self):
-        for name in ("a", "b", "e"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+    def __init__(self, a: int, b: int, e: int):
+        self.a, self.b, self.e = operator.index(a), operator.index(b), operator.index(e)
         if self.a < 0 or self.b < 1 or self.e < 0:
             raise ValueError("need a >= 0, b >= 1, e >= 0")
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -43,11 +42,10 @@ class NegativeSlopeWarning(UserWarning):
     """A slope coordinate is negative; the bound is outside its proven range."""
 
 
-@dataclass(frozen=True)
 class Tower:
     """Genus vector (g_0, ..., g_d) of a tower of curve fibrations."""
 
-    genera: tuple[int, ...]
+    __slots__ = ("genera",)
 
     def __init__(self, genera):
         genera = tuple(map(operator.index, genera))
@@ -55,7 +53,7 @@ class Tower:
             raise ValueError("a tower has at least one level")
         if any(g < 0 for g in genera):
             raise ValueError("genera must be nonnegative")
-        object.__setattr__(self, "genera", genera)
+        self.genera = genera
 
     @property
     def depth(self) -> int:
@@ -63,12 +61,10 @@ class Tower:
         return len(self.genera) - 1
 
 
-@dataclass(frozen=True)
 class TowerData:
     """Slope vector mu and volume vector vol attached to a tower's levels."""
 
-    mu: tuple[Scalar, ...]
-    vol: tuple[Scalar, ...]
+    __slots__ = ("mu", "vol")
 
     def __init__(self, mu, vol):
         mu = tuple(map(Scalar.exact, mu))
@@ -77,23 +73,22 @@ class TowerData:
             raise ValueError("mu and vol must be nonempty vectors of equal length")
         if not all(v.certified_nonneg() for v in vol):
             raise ValueError("volumes must be nonnegative")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "vol", vol)
+        self.mu, self.vol = mu, vol
+
+    def __eq__(self, other):
+        return (self.mu, self.vol) == (other.mu, other.vol) if type(other) is TowerData else NotImplemented
 
     def __len__(self):
         return len(self.mu)
 
 
-@dataclass(frozen=True)
 class AffineFunction:
     """g |-> intercept + slope * g, evaluable at nonnegative integers."""
 
-    intercept: Scalar
-    slope: Scalar
+    __slots__ = ("intercept", "slope")
 
     def __init__(self, intercept, slope):
-        object.__setattr__(self, "intercept", Scalar.exact(intercept))
-        object.__setattr__(self, "slope", Scalar.exact(slope))
+        self.intercept, self.slope = Scalar.exact(intercept), Scalar.exact(slope)
 
     def __call__(self, g: int) -> Scalar:
         return self.intercept + self.slope * Scalar.exact(g)

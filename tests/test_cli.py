@@ -730,10 +730,9 @@ def test_cli_float_in_integer_field_exits_two(capsys, tmp_path, config):
 def test_pooled_lattice_suite_matches_string_payload_reference(monkeypatch):
     # the suite sends workers integer Grams and gets named reports back; the
     # reference rebuilds each lattice from the JSON strings the suite once sent
-    import dataclasses
     import random
 
-    from hnbounds.bounds import reports_to_json
+    from hnbounds.bounds import CheckReport, reports_to_json
     from hnbounds.lattices import EuclideanLattice, random_gram
 
     rng = random.Random(2024)
@@ -742,7 +741,8 @@ def test_pooled_lattice_suite_matches_string_payload_reference(monkeypatch):
         gram_json = [[str(x) for x in row] for row in random_gram(4, rng).gram]
         rows = [[cli._rational(x, "--gram", "Gram matrix") for x in row] for row in gram_json]
         for rep in cli._lattice_checks(EuclideanLattice(rows)):
-            reference.append(dataclasses.replace(rep, name=f"{rep.name} trial={i:04d}"))
+            named = f"{rep.name} trial={i:04d}"
+            reference.append(CheckReport(named, rep.lhs, rep.rhs, rep.margin, rep.context))
     reference.sort(key=lambda r: r.name)
     expected = json.dumps(reports_to_json(reference), indent=2, sort_keys=True)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -823,6 +823,40 @@ def test_mpmath_loads_with_the_first_interval(tmp_path):
         r = run_python(["-c", code, *last], env_extra={"HNBOUNDS_JOBS": "1"})
         assert r.returncode == 0, r.stderr
         assert r.stdout.startswith("suite=geometric seed=0\n")
+
+
+def test_no_suite_or_subcommand_imports_dataclasses(tmp_path):
+    # the value types are plain slotted classes, so a cold process never
+    # loads dataclasses, nor the inspect that dataclasses would pull in
+    configs = {
+        "geometric": {"a_max": 3, "b_max": 3, "e_max": 1},
+        "filtered": {"a_max": 3, "b_max": 3, "e_max": 1},
+        "lattice": {"rank": 2, "trials": 3},
+        "arithmetic": {"max_rank": 2},
+        "epsilon": {"trials": 3},
+        "polygon": {"hn": [[2, "3"], [1, "-1"]]},
+    }
+    argvs = []
+    for suite, params in configs.items():
+        config = tmp_path / f"{suite}.json"
+        output = {"path": str(tmp_path / f"{suite}.out.json")}
+        config.write_text(json.dumps({"suite": suite, "parameters": params, "output": output}))
+        argvs.append(["run", str(config)])
+    argvs += [
+        ["polygon", "--hn", '[[2,"3"],[1,{"lo":"-1","hi":"0"}]]'],
+        ["epsilon", "--tower", '{"genera":[0,0],"mu":["2","0"],"vol":["0","3"]}', "--ell", "[1, 1]"],
+        ["lattice", "--gram", '[["2","1"],["1","2"]]'],
+        ["p1z", "--degree", "2"],
+    ]
+    code = (
+        "import sys, hnbounds.cli as cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert not {'dataclasses', 'inspect'} & set(sys.modules), argv\n"
+    )
+    r = run_python(["-c", code], env_extra={"HNBOUNDS_JOBS": "1"})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("suite=geometric seed=0\n")
 
 
 def test_interval_reports_unpickle_without_mpmath(tmp_path):

@@ -309,6 +309,17 @@ def test_orthogonal_hn_examples():
         EuclideanLattice([[2, 1], [1, 2]]).orthogonal_hn()
 
 
+def test_orthogonal_hn_orders_a_tie_below_the_interval_precision():
+    # -(1/2) ln d of 1 and 1 + 2^-200 overlap at 120 bits; the exact entries
+    # order them, so the HN type has both segments, the smaller entry first
+    L = diagonal(1, 1 + Fraction(1, 2**200))
+    h = L.orthogonal_hn()
+    slopes = L.orthogonal_slopes()
+    assert [r for r, _ in h.segments] == [r for r, _ in slopes] == [1, 1]
+    assert [s.bounds() for _, s in h.segments] == [s.bounds() for _, s in slopes]
+    assert h.segments[0][1].bounds() == (0, 0)
+
+
 def test_orthogonal_minima_match_slopes():
     for diag in itertools.product([Fraction(1, 4), Fraction(1), Fraction(4)], repeat=3):
         L = diagonal(*diag)
