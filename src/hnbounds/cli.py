@@ -10,12 +10,12 @@ Subcommands:
 
 Exit status: 0 when every check passes, 1 on any failed check, 2 on invalid
 input, when a result cannot be certified within its budget
-(``EnumerationBudgetError``, ``CertificationError``, ``PrecisionBudgetError``)
-or when a worker process dies (``BrokenProcessPool``), with a one-line
-message on stderr.  Invalid input reads ``config error: invalid <flag or
-config>: …``, also when the input is well formed but a library constructor
-refuses it (``_build``): slopes that do not decrease, a negative genus, an
-asymmetric Gram matrix, a ``--degree`` past its budget.  Interval slopes
+(``EnumerationBudgetError``, ``CertificationError``) or when a worker
+process dies (``BrokenProcessPool``), with a one-line message on stderr.
+Invalid input reads ``config error: invalid <flag or config>: …``, also
+when the input is well formed but a library constructor refuses it
+(``_build``): slopes that do not decrease, a negative genus, an asymmetric
+Gram matrix, a ``--degree`` past its budget.  Interval slopes
 whose order ``HNType`` cannot certify are invalid slope data too.  A
 command line that argparse refuses reads ``config error: invalid
 arguments: …`` (``_Parser``), without the usage text.  A library warning
@@ -127,7 +127,7 @@ PARAMETER_SCHEMAS = {
     "arithmetic": {
         "type": "object",
         "properties": {
-            "max_rank": {"type": "integer", "minimum": 1, "maximum": 6},
+            "max_rank": {"type": "integer", "minimum": 1, "maximum": MAX_RANK},
             "entries": {"type": "array", "items": {"type": "string"}, "minItems": 1},
         },
         "additionalProperties": False,
@@ -679,13 +679,7 @@ def main(argv=None) -> int:
     except _broken_pool() as exc:
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 2
-    except (
-        ValueError,
-        KeyError,
-        EnumerationBudgetError,
-        CertificationError,
-        bounds.PrecisionBudgetError,
-    ) as exc:
+    except (ValueError, KeyError, EnumerationBudgetError, CertificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -40,18 +40,25 @@ on their first use, :func:`log_ball_volume` once per dimension, and
 process (a worker process fills its own).  A memoized value is the very
 interval a fresh call would compute, so sharing it changes no bound.
 
-mpmath is imported by this module only, and only when an interval operation
-first needs ``mpmath.libmp``: building an interval from a rational, interval
-arithmetic, or ``PI`` and ``LOG_PI``.  Rational arithmetic never loads it, nor
-does reading a finished interval's raw endpoints: its sign, :meth:`bounds`,
-:meth:`midpoint`, :meth:`to_json` and unpickling.  The rest of the package
-sees :class:`Scalar`.
+mpmath is loaded by this module only, and only its arithmetic kernel
+``mpmath.libmp``, when an interval operation first needs it: building an
+interval from a rational, interval arithmetic, or ``PI`` and ``LOG_PI``.
+Unless the process has imported mpmath already, ``libmp`` is loaded without
+mpmath's package ``__init__`` and kept private to this module, and no
+``mpmath`` module stays in ``sys.modules`` (:func:`_load_libmp`).  Rational
+arithmetic never loads it, nor does reading a finished interval's raw
+endpoints: its sign, :meth:`bounds`, :meth:`midpoint`, :meth:`to_json` and
+unpickling.  :meth:`to_json` prints an endpoint from its integers, and the
+midpoint is the float of an integer quotient.  The rest of the package sees
+:class:`Scalar`.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -61,14 +68,42 @@ PREC = 120
 
 class _LazyLibmp:
     """Stands in for ``mpmath.libmp`` until its first attribute is read, then
-    imports it and puts the module in its own place: each later read is a
+    loads it and puts the module in its own place: each later read is a
     plain module attribute."""
 
     def __getattr__(self, name):
         global _libmp
-        from mpmath import libmp as _libmp
-
+        _libmp = _load_libmp()
         return getattr(_libmp, name)
+
+
+def _load_libmp():
+    """``mpmath.libmp``, without running mpmath's package ``__init__``.
+
+    A process that has imported mpmath gets its ``libmp``.  Otherwise
+    ``libmp`` is imported under an unexecuted stand-in for the package, and
+    then the stand-in and every ``mpmath.*`` module the import added leave
+    ``sys.modules``: this module keeps a private ``libmp``, and a later
+    ``import mpmath`` builds the whole package afresh.  Both must go: a
+    ``libmp`` left behind would be picked up by that import, which would
+    then not set the package's ``libmp`` attribute.  The private copy stays
+    sound because the ``libmp`` functions called here import nothing when
+    called, and intervals are plain tuples of ints that either copy reads.
+    """
+    mpmath = sys.modules.get("mpmath")
+    if mpmath is not None:
+        return mpmath.libmp
+    spec = importlib.util.find_spec("mpmath")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'mpmath'", name="mpmath")
+    before = set(sys.modules)
+    sys.modules["mpmath"] = importlib.util.module_from_spec(spec)
+    try:
+        return importlib.import_module("mpmath.libmp")
+    finally:
+        for name in set(sys.modules) - before:
+            if name.partition(".")[0] == "mpmath":
+                del sys.modules[name]
 
 
 _libmp = _LazyLibmp()
@@ -79,12 +114,16 @@ _FLOAT_OVERFLOW = 2**1024 - 2**970
 RationalLike = Union[int, Fraction, str, "Scalar"]
 
 
-def _midpoint(lo: Fraction, hi: Fraction) -> float:
-    """The midpoint of [lo, hi] as a float; ``±inf`` past the float range."""
+def _midpoint(lo: int, hi: int, den: int) -> float:
+    """The midpoint of [lo/den, hi/den] as a float; ``±inf`` past the float range.
+
+    An int quotient is correctly rounded, as ``float`` of the reduced
+    ``Fraction`` is, so this is ``float(lo + hi) / 2`` of the exact bounds.
+    """
     try:
-        return float(lo + hi) / 2 if lo != hi else float(lo)
+        return (lo + hi) / den / 2 if lo != hi else lo / den
     except OverflowError:  # the sum, and perhaps the midpoint, is past the range
-        mid = (lo + hi) / 2
+        mid = Fraction(lo + hi, 2 * den)
         return float(mid) if abs(mid) < _FLOAT_OVERFLOW else math.inf if mid > 0 else -math.inf
 
 
@@ -114,6 +153,24 @@ def _finite(raw):
     if (not lo[1] and lo[2]) or (not hi[1] and hi[2]):
         raise CertificationError("interval endpoint is not finite")
     return raw
+
+
+def _aligned(raw) -> tuple[int, int, int]:
+    """A finite raw interval as ints ``(lo, hi, den)``: its exact bounds are
+    ``lo/den`` and ``hi/den``, with ``den`` the least common power of two."""
+    (slo, mlo, elo, _), (shi, mhi, ehi, _) = _finite(raw)
+    e = min(elo, ehi, 0)
+    lo, hi = int(mlo) << (elo - e), int(mhi) << (ehi - e)
+    return (-lo if slo else lo, -hi if shi else hi, 1 << -e)
+
+
+def _endpoint_str(raw) -> str:
+    """A finite raw endpoint's exact value as ``str`` of its ``Fraction``
+    prints it.  mpmath keeps the mantissa odd, so ``man/2^-exp`` is already
+    in lowest terms."""
+    sign, man, exp, _ = raw
+    text = str(int(man) << exp) if exp >= 0 else f"{int(man)}/{1 << -exp}"
+    return "-" + text if sign else text
 
 
 def _int_to_raw(n: int):
@@ -195,7 +252,10 @@ class Scalar:
 
     def midpoint(self) -> float:
         """The midpoint as a float; ``±inf`` past the float range."""
-        return _midpoint(*self.bounds())
+        if self._rat is not None:
+            n = self._rat.numerator
+            return _midpoint(n, n, self._rat.denominator)
+        return _midpoint(*_aligned(self._ivl))
 
     def _raw(self):
         """The raw interval (a rational is promoted with outward rounding)."""
@@ -399,9 +459,13 @@ class Scalar:
         intervals; ``approx`` is ``None`` past the float range."""
         if self._rat is not None:
             return str(self._rat)
-        lo, hi = self.bounds()
-        approx = _midpoint(lo, hi)
-        return {"lo": str(lo), "hi": str(hi), "approx": approx if math.isfinite(approx) else None}
+        approx = _midpoint(*_aligned(self._ivl))
+        lo, hi = self._ivl
+        return {
+            "lo": _endpoint_str(lo),
+            "hi": _endpoint_str(hi),
+            "approx": approx if math.isfinite(approx) else None,
+        }
 
 
 _new = object.__new__

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import hnbounds
 from hnbounds import bounds, cli, lattices
-from hnbounds.bounds import PrecisionBudgetError, reports_to_csv, reports_to_json
+from hnbounds.bounds import reports_to_csv, reports_to_json
 from hnbounds.cli import run_config, validate_config, ConfigError
+from hnbounds.lattices import EnumerationBudgetError
 from hnbounds.scalars import CertificationError
 from hnbounds.towers import NegativeSlopeWarning, Tower, TowerData, epsilon
 
@@ -110,11 +111,12 @@ def test_lattice_suite_deterministic(tmp_path):
 
 
 def test_lattice_suite_rank_cap_is_the_enumeration_budget():
-    # one rank cap: the schema refuses the ranks EuclideanLattice would not enumerate
-    assert cli.PARAMETER_SCHEMAS["lattice"]["properties"]["rank"]["maximum"] == lattices.MAX_RANK
-    validate_config({"suite": "lattice", "parameters": {"rank": lattices.MAX_RANK}})
-    with pytest.raises(ConfigError):
-        validate_config({"suite": "lattice", "parameters": {"rank": lattices.MAX_RANK + 1}})
+    # one rank cap: the schemas refuse the ranks EuclideanLattice would not enumerate
+    for suite, key in (("lattice", "rank"), ("arithmetic", "max_rank")):
+        assert cli.PARAMETER_SCHEMAS[suite]["properties"][key]["maximum"] == lattices.MAX_RANK
+        validate_config({"suite": suite, "parameters": {key: lattices.MAX_RANK}})
+        with pytest.raises(ConfigError):
+            validate_config({"suite": suite, "parameters": {key: lattices.MAX_RANK + 1}})
 
 
 def test_parallel_matches_serial(tmp_path):
@@ -367,7 +369,7 @@ def test_cli_budget_errors_exit_two():
     assert r.stderr == "error: enumeration node budget exceeded\n"
 
 
-@pytest.mark.parametrize("error", [CertificationError, PrecisionBudgetError])
+@pytest.mark.parametrize("error", [CertificationError, EnumerationBudgetError])
 def test_cli_uncertified_exit_two(monkeypatch, capsys, error):
     from hnbounds import cli
 
@@ -816,13 +818,33 @@ def test_mpmath_loads_with_the_first_interval(tmp_path):
         "    assert cli.main(argv) == 0, argv\n"
         "    assert 'mpmath' not in sys.modules, argv\n"
         "assert cli.main(sys.argv[1:]) == 0\n"
-        "assert 'mpmath' in sys.modules and scalars._libmp is sys.modules['mpmath.libmp']\n"
+        "assert scalars._libmp.__name__ == 'mpmath.libmp'\n"
+        "assert not [m for m in sys.modules if m.partition('.')[0] == 'mpmath']\n"
     )
-    # the interval commands load it
+    # the interval commands load mpmath's arithmetic kernel, privately
     for last in (["lattice", "--gram", '[["2","1"],["1","2"]]'], ["p1z", "--degree", "2"]):
         r = run_python(["-c", code, *last], env_extra={"HNBOUNDS_JOBS": "1"})
         assert r.returncode == 0, r.stderr
         assert r.stdout.startswith("suite=geometric seed=0\n")
+
+
+def test_mpmath_imports_whole_after_the_private_kernel():
+    # the kernel loaded for the first interval leaves no trace in sys.modules,
+    # so a later import builds the whole package, and both agree bit for bit
+    code = (
+        "import sys, hnbounds.cli as cli\n"
+        "from hnbounds import log_scalar\n"
+        "assert cli.main(['lattice', '--gram', '[[\"2\",\"1\"],[\"1\",\"2\"]]']) == 0\n"
+        "private = log_scalar(7)._ivl\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "import mpmath\n"
+        "assert mpmath.libmp is sys.modules['mpmath.libmp']\n"
+        "mpmath.iv.prec = 120\n"
+        "assert mpmath.iv.log(7)._mpi_ == private\n"
+        "assert mpmath.iv.log(11)._mpi_ == log_scalar(11)._ivl\n"
+    )
+    r = run_python(["-c", code], env_extra={"HNBOUNDS_JOBS": "1"})
+    assert r.returncode == 0, r.stderr
 
 
 def test_no_suite_or_subcommand_imports_dataclasses(tmp_path):

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import finf, fnan, fninf, mpf_neg, mpi_log, to_rational
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, mpf_neg, mpi_log, to_rational
 
 import hnbounds
 from hnbounds import CertificationError, Scalar, log_scalar
@@ -224,6 +224,45 @@ def test_approx_at_the_float_range_edges(lo, hi):
     s = Scalar.from_fraction_bounds(lo, hi)
     assert s.bounds() == (lo, hi)
     assert s.to_json()["approx"] == _approx_reference(lo, hi)
+
+
+@st.composite
+def _raw_intervals(draw):
+    """Finite raw intervals with endpoints of magnitude 2^-1200 to 2^1100 and
+    zero, equal ends among them, and ends whose sum is tiny or subnormal."""
+
+    def endpoint():
+        # a mantissa of up to PREC bits, its top bit in a range drawn first:
+        # below the subnormals, subnormal, normal, about 2^1024, past it
+        bits = draw(st.integers(0, PREC))
+        man = draw(st.integers(2**bits >> 1, 2**bits - 1))
+        regions = [(-1200, -1075), (-1074, -1022), (-1021, 1021), (1022, 1026), (1027, 1100)]
+        top = draw(st.integers(*draw(st.sampled_from(regions))))
+        return from_man_exp(-man if draw(st.booleans()) else man, top - bits)
+
+    lo = endpoint()
+    kind = draw(st.sampled_from(["any", "equal", "cancel"]))
+    if kind == "equal":
+        return (lo, lo)
+    if kind == "any":
+        hi = endpoint()
+    else:  # hi = -lo + k 2^j, with j about the least subnormal exponent
+        k, j = draw(st.integers(0, 2**60)), draw(st.integers(-1140, -1000))
+        p, q = to_rational(lo)  # q is a power of two
+        hi = from_man_exp(-p * (2**-j // q) + k if q <= 2**-j else k, j)
+    (lo_p, lo_q), (hi_p, hi_q) = to_rational(lo), to_rational(hi)
+    return (lo, hi) if Fraction(lo_p, lo_q) <= Fraction(hi_p, hi_q) else (hi, lo)
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(_raw_intervals())
+def test_to_json_prints_the_exact_bounds(raw):
+    # the endpoints printed from their integers, against str of the exact
+    # Fractions and float(lo + hi) / 2 with the exact midpoint past the range
+    lo, hi = (Fraction(*to_rational(end)) for end in raw)
+    s, approx = Scalar(ivl=raw), _approx_reference(lo, hi)
+    assert s.to_json() == {"lo": str(lo), "hi": str(hi), "approx": approx}
+    assert s.midpoint() == (approx if approx is not None else math.inf if lo + hi > 0 else -math.inf)
 
 
 def test_pickle_round_trip():
