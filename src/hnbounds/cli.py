@@ -11,7 +11,7 @@ Subcommands:
 Exit status: 0 when every check passes, 1 on any failed check, 2 on invalid
 input, when a result cannot be certified within its budget
 (``EnumerationBudgetError``, ``CertificationError``) or when a worker
-process dies (``BrokenProcessPool``), with a one-line message on stderr.
+process dies (``WorkerDiedError``), with a one-line message on stderr.
 Invalid input reads ``config error: invalid <flag or config>: …``, also
 when the input is well formed but a library constructor refuses it
 (``_build``): slopes that do not decrease, a negative genus, an asymmetric
@@ -24,17 +24,23 @@ one ``warning: …`` line and changes neither stdout nor the exit status.  Rando
 and print it, so every failure is replayable; identical config and seed
 produce byte-identical JSON.
 
-``HNBOUNDS_JOBS`` controls how many worker processes evaluate checks; it is
-clamped to the CPU count and to the number of tasks (the report list is
-assembled in a fixed order either way).  Workers receive plain data (a
-``FiberedSeries``, which is three integers, or a lattice trial's number and
-integer Gram matrix) and return finished reports.  The pool is built, and
-``concurrent.futures`` imported, on the first pooled suite, and kept warm
-for every later one in the process while the worker count stays the same;
-it is replaced when the count changes, when a worker dies, or in a forked
-child, and shut down at interpreter exit.  Workers are forked once, so they
-keep the module globals of that moment: a global changed later (say, a
-monkeypatched ``lattices.MAX_NODES``) is not seen by checks run in workers.
+``HNBOUNDS_JOBS`` sets how many processes evaluate checks, this one
+included; it is clamped to the CPU count and to the number of tasks, and
+where ``os.fork`` is missing the run is serial.  ``_run_checks`` splits the
+tasks in order into contiguous shares: this process runs the first, and
+each of the other processes, a forked worker, gets its share as one pickle
+on a plain pipe and sends its results back as one pickle.  Shares are plain
+data (a ``FiberedSeries``, which is three integers, or a lattice trial's
+number and integer Gram matrix) and results are finished reports, so the
+report list is assembled in a fixed order either way.  No thread is started
+and neither ``concurrent.futures`` nor ``multiprocessing`` is imported.  The
+workers are forked on the first pooled suite, and kept warm for every later
+one in the process while the count stays the same; they are replaced when
+the count changes or a worker dies, forgotten in a forked child, and closed
+and reaped at interpreter exit.  Workers are forked once, so they keep the
+module globals of that moment: a global changed later (say, a monkeypatched
+``lattices.MAX_NODES``) is seen by the first share, which runs here, but not
+by the shares run in workers.
 
 The JSON wire format is read here only.  ``_load`` parses a flag or a config
 file and checks it against the schemas below with ``_validate``, a small
@@ -347,7 +353,10 @@ def validate_config(config: dict) -> dict:
 
 
 def _jobs(tasks: int) -> int:
-    """Worker count: ``HNBOUNDS_JOBS``, at most the CPU count and ``tasks``."""
+    """Process count, this one included: ``HNBOUNDS_JOBS``, at most the CPU
+    count and ``tasks``; 1 where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         jobs = int(os.environ.get("HNBOUNDS_JOBS", "1"))
     except ValueError:
@@ -360,70 +369,128 @@ def _call(task):
     return func(arg)
 
 
-_pool = None  # (pid of the creating process, worker count, executor)
+class WorkerDiedError(RuntimeError):
+    """A worker process ended before it sent back its share's results."""
 
 
-def _executor(jobs: int):
-    """The warm pool of ``jobs`` workers, built on first use, when
-    ``concurrent.futures`` is first imported.
+_pool = None  # (pid of the creating process, [(worker pid, share pipe, reply pipe)])
 
-    A pool of another size is shut down and replaced.  A pool inherited by
-    a forked child is forgotten, not shut down: its workers are the
+
+def _workers(count: int):
+    """The ``count`` warm workers, forked on first use.
+
+    Workers of another count are closed and reaped, and replaced.  Workers
+    inherited by a forked child are forgotten, not reaped: they are the
     parent's.
     """
     global _pool
-    if _pool is not None and _pool[:2] != (os.getpid(), jobs):
+    if _pool is not None and (_pool[0] != os.getpid() or len(_pool[1]) != count):
         _drop_pool()
     if _pool is None:
-        from concurrent.futures import ProcessPoolExecutor
+        _pool = (os.getpid(), [])
+        while len(_pool[1]) < count:
+            share_r, share_w = os.pipe()
+            reply_r, reply_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    # a sibling sees EOF only once every copy of its share pipe is closed
+                    for _, shares, replies in _pool[1]:
+                        shares.close()
+                        replies.close()
+                    os.close(share_w)
+                    os.close(reply_r)
+                    _serve(os.fdopen(share_r, "rb"), os.fdopen(reply_w, "wb"))
+                finally:
+                    os._exit(0)
+            os.close(share_r)
+            os.close(reply_w)
+            _pool[1].append((pid, os.fdopen(share_w, "wb"), os.fdopen(reply_r, "rb")))
+    return _pool[1]
 
-        _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=jobs))
-    return _pool[2]
 
+def _serve(shares, replies) -> None:
+    """A worker's loop: read a share, send back ``(True, results)`` or
+    ``(False, first exception)``, until EOF."""
+    import pickle
 
-def _broken_pool():
-    """``BrokenProcessPool`` once the pool module is loaded; before that no
-    worker can have died, and ``()`` is a clause that ``except`` never matches."""
-    process = sys.modules.get("concurrent.futures.process")
-    return process.BrokenProcessPool if process else ()
+    while True:
+        try:
+            share = pickle.load(shares)
+        except EOFError:
+            return
+        try:
+            reply = pickle.dumps((True, [_call(task) for task in share]))
+        except Exception as exc:
+            reply = pickle.dumps((False, exc))
+        replies.write(reply)
+        replies.flush()
 
 
 @atexit.register
 def _drop_pool() -> None:
-    """Forget the warm pool, and shut it down if this process created it."""
+    """Forget the warm workers; close and reap them if this process forked them."""
     global _pool
     if _pool is not None:
-        pid, _, pool = _pool
+        pid, workers = _pool
         _pool = None
+        for _, shares, replies in workers:
+            replies.close()
+            try:
+                shares.close()
+            except OSError:  # the rest of a share that a dead worker never read
+                pass
         if pid == os.getpid():
-            pool.shutdown()
+            for worker, _, _ in workers:
+                os.waitpid(worker, 0)
 
 
 def _run_checks(tasks):
-    """Evaluate (func, arg) pairs, optionally in worker processes.
+    """Evaluate (func, arg) pairs, split over ``_jobs`` processes.
 
-    Workers receive the tasks in contiguous batches, about four per worker,
-    so that a cheap check does not cost a round trip of its own.  Results
-    keep submission order and the first error in that order is raised, so
-    the final report list is stable no matter how many workers run.
+    ``tasks`` is split in order into contiguous shares whose sizes differ by
+    at most one.  This process runs the first share itself and the warm
+    workers of ``_workers`` the others: each worker reads its share as one
+    pickle on a pipe and sends back its results as one pickle.  Every reply
+    is read, in order, also when the first share raised, so the pipes stay
+    in step.  The first error in task order is raised, and otherwise the
+    results are returned in task order, so the report list is the same no
+    matter how many processes run.
 
-    Pooled calls share one warm pool per process (see ``_executor``); a
-    ``jobs == 1`` call runs in this process and leaves the pool as it is.
-    The workers were forked when the pool was built, so a check run there
-    sees the module globals of that moment, not later changes to them.  A
-    worker that dies raises ``BrokenProcessPool`` and the pool is dropped,
-    so the next pooled call starts a fresh one.  The pool is shared without
-    a lock: call this from one thread at a time, as the CLI does.
+    A ``jobs == 1`` call runs here and leaves the workers as they are.  The
+    workers were forked at the first pooled call, so a task run there sees
+    the module globals of that moment, not later changes to them.  A reply
+    that ends early raises ``WorkerDiedError`` and drops the workers, so the
+    next pooled call forks fresh ones.  The workers are shared without a
+    lock: call this from one thread at a time, as the CLI does.
     """
     jobs = _jobs(len(tasks))
     if jobs == 1:
         return [_call(task) for task in tasks]
-    chunksize = -(-len(tasks) // (4 * jobs))
+    import pickle
+
+    cuts = [len(tasks) * k // jobs for k in range(jobs + 1)]
+    shares = [tasks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    payloads = [pickle.dumps(share) for share in shares[1:]]
+    workers = _workers(jobs - 1)
     try:
-        return list(_executor(jobs).map(_call, tasks, chunksize=chunksize))
-    except _broken_pool():
+        for (_, pipe, _), payload in zip(workers, payloads):
+            pipe.write(payload)
+            pipe.flush()
+        try:
+            replies = [(True, [_call(task) for task in shares[0]])]
+        except Exception as exc:
+            replies = [(False, exc)]
+        replies += [pickle.load(pipe) for _, _, pipe in workers]
+    except BaseException as exc:
         _drop_pool()
+        if isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
+            raise WorkerDiedError(f"{type(exc).__name__}: {exc}") from None
         raise
+    for ok, value in replies:
+        if not ok:
+            raise value
+    return [result for _, results in replies for result in results]
 
 
 # -- suites -------------------------------------------------------------------
@@ -676,7 +743,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _broken_pool() as exc:
+    except WorkerDiedError as exc:
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, EnumerationBudgetError, CertificationError) as exc:

@@ -24,10 +24,10 @@ def random_split_bundle(rng, max_rank=10, twist_range=10):
 
 @pytest.fixture(autouse=True)
 def no_warm_pool_across_tests():
-    """Shut down cli's warm worker pool after each test.
+    """Close and reap cli's warm workers after each test.
 
-    Its workers are forked once, so a pool left by one test would run the
-    next test's checks with the first test's monkeypatches in place.
+    They are forked once, so workers left by one test would run the next
+    test's checks with the first test's monkeypatches in place.
     """
     yield
     cli._drop_pool()

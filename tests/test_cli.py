@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -32,20 +33,26 @@ def run_cli(args, env_extra=None, timeout=None):
     return run_python(["-m", "hnbounds.cli", *args], env_extra, timeout)
 
 
-def _worker_pid(delay):
-    time.sleep(delay)
+def _worker_pid(_):
     return os.getpid()
 
 
 def pool_pids(jobs):
-    """The pids of the ``jobs`` workers that run a pooled ``_run_checks`` call.
+    """The pids of the ``jobs - 1`` workers of a pooled ``_run_checks`` call.
 
-    Each of the ``4 * jobs`` one-task batches sleeps long enough that every
-    worker takes one.
+    Its ``jobs`` one-task shares run in ``jobs`` processes: the first in
+    this one, the others each in its own worker.
     """
-    pids = set(cli._run_checks([(_worker_pid, 0.05)] * (4 * jobs)))
-    assert len(pids) == jobs and os.getpid() not in pids
-    return pids
+    pids = cli._run_checks([(_worker_pid, 0)] * jobs)
+    assert pids[0] == os.getpid() and len(set(pids)) == jobs
+    return set(pids[1:])
+
+
+def _die_in_a_worker(caller):
+    """Kill the process running this task, unless it is ``caller``."""
+    if os.getpid() != caller:
+        os._exit(3)
+    return caller
 
 
 def alive(pid):
@@ -144,13 +151,10 @@ def test_parallel_matches_serial(tmp_path):
 
 
 def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
-    import concurrent.futures
+    def no_fork():
+        raise AssertionError("a worker process was forked")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    # cli imports the executor from concurrent.futures when it builds a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setenv("HNBOUNDS_JOBS", "10000")
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert [cli._jobs(n) for n in (0, 1, 3, 4, 100)] == [1, 1, 3, 4, 4]
@@ -160,6 +164,12 @@ def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
     for value in ("0", "-3", "many"):
         monkeypatch.setenv("HNBOUNDS_JOBS", value)
         assert cli._jobs(100) == 1
+    # without os.fork every run is serial
+    monkeypatch.setenv("HNBOUNDS_JOBS", "4")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    assert cli._jobs(100) == 1
+    assert cli._run_checks([(abs, -1), (abs, -2)]) == [1, 2]
 
 
 def test_pool_batches_keep_order_and_first_error(monkeypatch):
@@ -168,15 +178,46 @@ def test_pool_batches_keep_order_and_first_error(monkeypatch):
     tasks = [(abs, -i) for i in range(50)]
     assert cli._run_checks(tasks) == list(range(50))
     pids = pool_pids(2)
-    # the error of task 30 is raised, not the later one of task 45
-    tasks = [(int, str(i)) for i in range(50)]
-    tasks[30] = (int, "first")
-    tasks[45] = (int, "second")
-    with pytest.raises(ValueError, match="first"):
-        cli._run_checks(tasks)
-    # the same workers then return the next call's results, in order
-    assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
-    assert pool_pids(2) == pids
+    # tasks 0-24 run here and 25-49 in the worker: the error of the earlier
+    # task is raised, in either share, and not the later one
+    for first, second in ((10, 45), (10, 20), (30, 45)):
+        tasks = [(int, str(i)) for i in range(50)]
+        tasks[first] = (int, "first")
+        tasks[second] = (int, "second")
+        with pytest.raises(ValueError, match="first"):
+            cli._run_checks(tasks)
+        # the same workers then return the next call's results, in order
+        assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
+        assert pool_pids(2) == pids
+
+
+def _huge_reply_in_a_worker(caller):
+    """Raise in ``caller``; elsewhere return more than a pipe buffer holds."""
+    if os.getpid() == caller:
+        raise ValueError("the caller's share")
+    return bytes(1 << 20)
+
+
+def test_first_share_error_still_reads_every_reply(monkeypatch):
+    # the worker's 1 MiB reply fills its pipe while this process's share
+    # raises; unless it is read, the next call would read it in place of its own
+    monkeypatch.setenv("HNBOUNDS_JOBS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pids = pool_pids(2)
+
+    def hung(signum, frame):
+        raise TimeoutError("a pooled call hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(ValueError, match="the caller's share"):
+            cli._run_checks([(_huge_reply_in_a_worker, os.getpid())] * 2)
+        assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
+        assert pool_pids(2) == pids
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_warm_pool_kept_until_the_worker_count_changes(monkeypatch):
@@ -190,7 +231,7 @@ def test_warm_pool_kept_until_the_worker_count_changes(monkeypatch):
     assert cli._run_checks([(_worker_pid, 0)] * 3) == [os.getpid()] * 3
     monkeypatch.setenv("HNBOUNDS_JOBS", "2")
     assert pool_pids(2) == pids
-    # another count replaces the pool, and the old workers are shut down
+    # another count replaces the workers, and the old ones are reaped
     monkeypatch.setenv("HNBOUNDS_JOBS", "3")
     replaced = pool_pids(3)
     assert not replaced & pids
@@ -249,7 +290,7 @@ def test_dead_worker_exits_two_with_one_line(monkeypatch, capsys, tmp_path):
     pids = pool_pids(2)
 
     def dying_suite(params, rng):
-        return cli._run_checks([(abs, -1), (os._exit, 3), (abs, -2), (abs, -3)])
+        return cli._run_checks([(_die_in_a_worker, os.getpid())] * 4)
 
     monkeypatch.setitem(cli.SUITE_RUNNERS, "geometric", dying_suite)
     config = tmp_path / "config.json"
@@ -257,22 +298,25 @@ def test_dead_worker_exits_two_with_one_line(monkeypatch, capsys, tmp_path):
     assert cli.main(["run", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: a worker process died: ") and len(err.splitlines()) == 1
-    # the dead pool is dropped: a fresh one returns the next results in order
+    # the workers are dropped: fresh ones return the next results in order
     assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
     assert not pool_pids(2) & pids
 
 
 def test_dead_worker_in_a_cold_process_exits_two(tmp_path):
-    # the pool is imported only when a pooled suite starts; a worker that dies
-    # there still ends the run with exit 2, one stderr line and no report
+    # the pool's pickle is imported only when a pooled suite starts; a worker
+    # that dies there still ends the run with exit 2, one stderr line and no report
     code = (
         "import os, sys\n"
         "from hnbounds import bounds, cli\n"
+        "caller, check = os.getpid(), bounds.check_toric_family\n"
         "def die(family):\n"
-        "    os._exit(3)\n"
+        "    if os.getpid() != caller:\n"
+        "        os._exit(3)\n"
+        "    return check(family)\n"
         "bounds.check_toric_family = die\n"
         "os.cpu_count = lambda: 2\n"
-        "assert 'concurrent.futures.process' not in sys.modules\n"
+        "assert 'pickle' not in sys.modules\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     config = tmp_path / "config.json"
@@ -755,7 +799,7 @@ def test_pooled_lattice_suite_matches_string_payload_reference(monkeypatch):
 
 
 def test_neither_jsonschema_nor_the_pool_is_loaded(tmp_path):
-    # schemas are checked in-house; concurrent.futures waits for a pooled call
+    # schemas are checked in-house; the pool's pickle waits for a pooled call
     configs = {
         "geometric": {"a_max": 3, "b_max": 3, "e_max": 1},
         "filtered": {"a_max": 3, "b_max": 3, "e_max": 1},
@@ -775,7 +819,7 @@ def test_neither_jsonschema_nor_the_pool_is_loaded(tmp_path):
     ]
     code = (
         "import json, sys, hnbounds.cli as cli\n"
-        "unloaded = lambda: not {'jsonschema', 'concurrent.futures.process'} & set(sys.modules)\n"
+        "unloaded = lambda: not {'jsonschema', 'pickle'} & set(sys.modules)\n"
         f"for suite, params in {configs!r}.items():\n"
         "    cli.validate_config({'suite': suite, 'parameters': params})\n"
         "    assert unloaded(), suite\n"
