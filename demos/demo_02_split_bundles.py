@@ -19,8 +19,8 @@ print("gap h0 - deg_plus =", B.h0() - h.deg_plus().as_fraction(),
       "= #nonnegative twists =", sum(1 for a in B.twists if a >= 0))
 
 print("\nsuccessive minima (sorted twists):",
-      [str(m.as_fraction()) for m in B.minima()])
-print("lambda_1 equals mu_max:", B.minima()[0].as_fraction(),
+      [str(m) for m in B.minima()])
+print("lambda_1 equals mu_max:", B.minima()[0],
       "=", h.slope_extremes()[0].as_fraction())
 
 print("\nRiemann-Roch check via duality (omega = O(-2)):")

@@ -16,8 +16,8 @@ for (a, b, e) in [(2, 3, 0), (3, 2, 1), (6, 3, 2)]:
     print(f"(a, b, e) = ({a}, {b}, {e})")
     print("  pushforward twists:", E1.twists)
     print("  h0 =", E1.h0(), " lattice points of the trapezoid:", trap.rank(1))
-    print("  normalized volume:", trap.volume().as_fraction(),
-          "= 2 * integral of filtered volumes:", F.volume_via_fibers().as_fraction())
+    print("  normalized volume:", trap.volume(),
+          "= 2 * integral of filtered volumes:", F.volume_via_fibers())
 
     rep = check_toric_family(F)
     print(f"  bound check: {rep.lhs.as_fraction()} <= {rep.rhs.as_fraction()}"

@@ -14,7 +14,6 @@ from hnbounds import (
     check_blichfeldt,
     check_gillet_soule,
     check_minkowski,
-    check_truncated_siegel,
     gillet_soule_constant,
     h0_minima_bound,
     random_gram,
@@ -49,8 +48,3 @@ for diag in [(Fraction(1, 4),), (Fraction(1), Fraction(4)), (Fraction(1, 4),) * 
     rep = check_gillet_soule(G)
     print(f"  diag {tuple(str(d) for d in diag)}: |h0_hat - deg_plus| ~ "
           f"{rep.lhs.midpoint():.4f} <= C(Q,{n}) ~ {rep.rhs.midpoint():.4f}  pass={rep.passed}")
-
-print("\ntruncated comparison of slopes against absolute minima (diagonal case):")
-G = EuclideanLattice([[Fraction(1, 4), 0, 0], [0, 1, 0], [0, 0, 4]])
-rep = check_truncated_siegel(G)
-print(f"  slack is exactly (r/2) ln r ~ {rep.margin.midpoint():.6f}, pass={rep.passed}")

@@ -48,7 +48,6 @@ from .bounds import (
     check_gillet_soule,
     check_minkowski,
     check_toric_family,
-    check_truncated_siegel,
     circle_sup_norm,
     geometric_hs_bound,
     h0_minima_bound,
@@ -79,7 +78,6 @@ __all__ = [
     "check_gillet_soule",
     "check_minkowski",
     "check_toric_family",
-    "check_truncated_siegel",
     "circle_sup_norm",
     "epsilon",
     "epsilon_tilde",

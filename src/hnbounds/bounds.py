@@ -46,7 +46,6 @@ __all__ = [
     "check_minkowski",
     "check_blichfeldt",
     "check_gillet_soule",
-    "check_truncated_siegel",
     "circle_sup_norm",
     "p1z_h0",
     "reports_to_json",
@@ -153,11 +152,7 @@ def check_toric_family(F: FiberedSeries) -> CheckReport:
         raise ValueError("family requires a >= e*b")
     lhs = Scalar.exact(F.pushforward(1).h0())
     volume = F.volume_via_fibers()
-    data = TowerData(
-        mu=(Scalar.exact(F.a), Scalar.exact(F.b)),
-        vol=(volume, Scalar.exact(F.b)),
-    )
-    eps = epsilon(Tower((0, 0)), data)
+    eps = epsilon(Tower((0, 0)), TowerData(mu=(F.a, F.b), vol=(volume, F.b)))
     rhs = geometric_hs_bound(volume, 2, eps)
     return CheckReport.compare(
         f"geometric a={F.a} b={F.b} e={F.e}",
@@ -166,7 +161,7 @@ def check_toric_family(F: FiberedSeries) -> CheckReport:
         {
             "volume": volume,
             "epsilon": eps,
-            "expected_margin": Scalar.exact(Fraction(F.e * F.b, 2)),
+            "expected_margin": Fraction(F.e * F.b, 2),
         },
     )
 
@@ -183,10 +178,8 @@ def check_filtered(F: FiberedSeries) -> CheckReport:
         raise ValueError("family requires a >= e*b")
     hn = F.pushforward(1).hn_type()
     lhs = hn.positive_rank_integral()
-    fiber_tower = Tower((0,))
-    fiber_data = TowerData(mu=(Scalar.exact(F.b),), vol=(Scalar.exact(F.b),))
-    eps = epsilon(fiber_tower, fiber_data)
-    volume_integral = F.volume_via_fibers() / Scalar.exact(2)
+    eps = epsilon(Tower((0,)), TowerData(mu=(F.b,), vol=(F.b,)))
+    volume_integral = F.volume_via_fibers() / 2
     rhs = volume_integral + F.mu_max_asy() * eps
     deg_plus = hn.deg_plus()
     return CheckReport.compare(
@@ -311,33 +304,6 @@ def check_gillet_soule(L: EuclideanLattice) -> CheckReport:
         rhs,
         margin,
         {"count": L.h0_count(), "deg_plus": deg_plus},
-    )
-
-
-def check_truncated_siegel(L: EuclideanLattice) -> CheckReport:
-    """Positive slopes vs positive absolute minima plus (1/2) r ln r.
-
-    For diagonal lattices the absolute minima coincide with the usual minima
-    and with the slopes, so the slack is exactly (1/2) r ln r.  That identity
-    is verified on the exact rationals (enumerated minima norms against the
-    Gram diagonal) before being used for the margin, so the report never
-    depends on interval cancellation.
-    """
-    if not L.is_diagonal():
-        raise ValueError("absolute minima are only computable here for diagonal lattices")
-    r = L.rank
-    diag = sorted(L.gram[i][i] for i in range(r))
-    if sorted(L.minima_norms_squared()) != diag:
-        raise AssertionError("orthogonal minima must match the Gram diagonal")
-    slopes_positive = positive_degree(L.orthogonal_slopes())
-    minima_positive = _positive_minima(L)
-    slack = Scalar.exact(Fraction(r, 2)) * log_scalar(r)
-    return CheckReport(
-        f"siegel-truncated rank={r}",
-        slopes_positive,
-        minima_positive + slack,
-        slack,
-        {"minima_positive": minima_positive, "slack_exact": True},
     )
 
 

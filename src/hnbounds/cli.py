@@ -40,7 +40,8 @@ the count changes or a worker dies, forgotten in a forked child, and closed
 and reaped at interpreter exit.  Workers are forked once, so they keep the
 module globals of that moment: a global changed later (say, a monkeypatched
 ``lattices.MAX_NODES``) is seen by the first share, which runs here, but not
-by the shares run in workers.
+by the shares run in workers, and a task function defined later cannot be
+read there at all: the call raises ``WorkerDiedError`` naming it.
 
 The JSON wire format is read here only.  ``_load`` parses a flag or a config
 file and checks it against the schemas below with ``_validate``, a small
@@ -411,13 +412,29 @@ def _workers(count: int):
 
 def _serve(shares, replies) -> None:
     """A worker's loop: read a share, send back ``(True, results)`` or
-    ``(False, first exception)``, until EOF."""
+    ``(False, first exception)``, until EOF.
+
+    A share that cannot be read here, say one naming a task function defined
+    after the fork, is answered with a ``WorkerDiedError`` naming the load
+    error.  The worker then reads the rest of the share, so that a share
+    larger than the pipe's buffer is still written in full, and leaves at
+    EOF, when the caller drops the workers.
+    """
     import pickle
 
     while True:
         try:
             share = pickle.load(shares)
         except EOFError:
+            return
+        except Exception as exc:
+            died = WorkerDiedError(
+                f"{type(exc).__name__}: {exc} (a worker keeps the module globals"
+                " of the moment it was forked)"
+            )
+            replies.write(pickle.dumps((False, died)))
+            replies.flush()
+            shares.read()
             return
         try:
             reply = pickle.dumps((True, [_call(task) for task in share]))
@@ -461,8 +478,10 @@ def _run_checks(tasks):
     workers were forked at the first pooled call, so a task run there sees
     the module globals of that moment, not later changes to them.  A reply
     that ends early raises ``WorkerDiedError`` and drops the workers, so the
-    next pooled call forks fresh ones.  The workers are shared without a
-    lock: call this from one thread at a time, as the CLI does.
+    next pooled call forks fresh ones, as does a reply holding a
+    ``WorkerDiedError`` from a worker that could not read its share.  The
+    workers are shared without a lock: call this from one thread at a time,
+    as the CLI does.
     """
     jobs = _jobs(len(tasks))
     if jobs == 1:
@@ -487,6 +506,8 @@ def _run_checks(tasks):
         if isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
             raise WorkerDiedError(f"{type(exc).__name__}: {exc}") from None
         raise
+    if any(not ok and isinstance(value, WorkerDiedError) for ok, value in replies):
+        _drop_pool()
     for ok, value in replies:
         if not ok:
             raise value
@@ -552,8 +573,8 @@ def suite_arithmetic(params, rng) -> list[CheckReport]:
 def _random_tower(rng):
     depth = rng.randint(0, 3)
     genera = tuple(rng.randint(0, 4) for _ in range(depth + 1))
-    mu = tuple(Scalar.exact(Fraction(rng.randint(0, 12), rng.randint(1, 4))) for _ in range(depth + 1))
-    vol = tuple(Scalar.exact(Fraction(rng.randint(0, 24), rng.randint(1, 4))) for _ in range(depth + 1))
+    mu = tuple(Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(depth + 1))
+    vol = tuple(Fraction(rng.randint(0, 24), rng.randint(1, 4)) for _ in range(depth + 1))
     return Tower(genera), TowerData(mu, vol)
 
 
@@ -567,7 +588,7 @@ def suite_epsilon(params, rng) -> list[CheckReport]:
         eps = epsilon(tower, data)
         p = rng.randint(1, p_max)
         eps_scaled = epsilon(tower, rescale(data, p))
-        bound = Scalar.exact(Fraction(p) ** d) * eps
+        bound = p**d * eps
         reports.append(
             CheckReport.compare(
                 f"epsilon-rescale trial={i:04d} p={p} d={d}",

@@ -4,7 +4,9 @@ A :class:`SplitBundle` is a direct sum of line bundles O(a_1) + ... + O(a_r)
 on P^1, recorded as the multiset of its twists.  On P^1 everything is exact:
 h^0 is a sum of monomial counts, the slope data is the sorted twist multiset,
 tensor products add twists pairwise, and the successive minima are the twists
-themselves.
+themselves.  Twists, ranks, degrees, h^0 and minima are ints; the slope data
+is an :class:`~hnbounds.hn.HNType`, which wraps the int slopes as rational
+Scalars.
 
 For curves of positive genus there is no h^0 engine here; the honest surface
 is :func:`h0_interval`, which returns the tightest interval guaranteed by the
@@ -51,9 +53,7 @@ class SplitBundle:
     def hn_type(self) -> HNType:
         """Slope data: twists aggregated by value, sorted decreasing."""
         counts = Counter(self.twists)
-        return HNType(
-            (counts[a], Scalar.exact(a)) for a in sorted(counts, reverse=True)
-        )
+        return HNType((counts[a], a) for a in sorted(counts, reverse=True))
 
     def tensor(self, other: "SplitBundle") -> "SplitBundle":
         return SplitBundle(a + b for a in self.twists for b in other.twists)
@@ -65,7 +65,7 @@ class SplitBundle:
         """Tensor with the line bundle O(c)."""
         return SplitBundle(a + c for a in self.twists)
 
-    def minima(self) -> list[Scalar]:
+    def minima(self) -> list[int]:
         """Successive minima of the height filtration, largest first.
 
         For a split bundle on P^1 the i-th minimum is the i-th largest twist:
@@ -73,7 +73,7 @@ class SplitBundle:
         better.  Consistency with the slope data is witnessed by
         sum(max(minima, 0)) == deg_plus(hn_type()).
         """
-        return [Scalar.exact(a) for a in self.twists]
+        return list(self.twists)
 
 
 def h0_interval(h: HNType, genus: int) -> tuple[Scalar, Scalar]:

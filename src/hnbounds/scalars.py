@@ -1,11 +1,14 @@
 """Exact scalars: rational numbers and certified real intervals.
 
-Every numeric quantity in this library is a :class:`Scalar`.  A scalar is
-either *rational* (an exact ``fractions.Fraction``, closed under +, -, *, /)
-or an *interval* (a pair of arbitrary-precision floats guaranteed to bracket
-the true real value).  Geometric quantities (slopes, degrees, volumes,
-error terms) stay rational; logarithmic quantities (log-counts, Arakelov
-degrees, Stirling-type constants) live in interval mode.
+Every numeric quantity in this library that an interval can reach is a
+:class:`Scalar`.  A scalar is either *rational* (an exact
+``fractions.Fraction``, closed under +, -, *, /) or an *interval* (a pair of
+arbitrary-precision floats guaranteed to bracket the true real value).
+Logarithmic quantities (log-counts, Arakelov degrees, Stirling-type
+constants) live in interval mode.  The geometric modules (``towers``,
+``series``, ``curves``) compute on ``Fraction`` and int, read through
+:func:`exact_fraction`, and a check wraps their values where it builds its
+report.
 
 An interval is held as the raw endpoint pair ``(lo, hi)`` of mpmath's
 ``libmpf`` tuples ``(sign, man, exp, bc)``, and every interval operation
@@ -209,17 +212,8 @@ class Scalar:
 
     @classmethod
     def exact(cls, value: RationalLike) -> "Scalar":
-        if isinstance(value, Scalar):
-            if not value.is_rational:
-                raise TypeError("Scalar.exact got an interval-mode scalar")
-            return value
-        if isinstance(value, Fraction):
-            return _rational(value)
-        if isinstance(value, int):
-            return _rational(Fraction(value))
-        if isinstance(value, str):
-            return _rational(Fraction(value))
-        raise TypeError(f"cannot build an exact Scalar from {type(value).__name__}")
+        """The rational Scalar of :func:`exact_fraction`'s value."""
+        return _rational(exact_fraction(value))
 
     @classmethod
     def from_fraction_bounds(cls, lo: Fraction, hi: Fraction) -> "Scalar":
@@ -468,6 +462,20 @@ class Scalar:
         }
 
 
+def exact_fraction(value: RationalLike) -> Fraction:
+    """The exact rational of an int, a ``Fraction``, a ``"p/q"`` string or a
+    rational Scalar.  An interval Scalar, a float or any other type is a
+    ``TypeError``: a float's binary value is not the rational it was meant
+    to be."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)):
+        return Fraction(value)
+    if isinstance(value, Scalar):
+        return value.as_fraction()
+    raise TypeError(f"cannot read an exact rational from {type(value).__name__}")
+
+
 _new = object.__new__
 
 
@@ -548,7 +556,7 @@ def log_scalar(x: RationalLike) -> Scalar:
     """Certified ln of a positive rational (or rational Scalar), memoized on
     its exact value: a repeated argument gets the interval a fresh call
     computes."""
-    return _log_fraction(Scalar.exact(x).as_fraction())
+    return _log_fraction(exact_fraction(x))
 
 
 @lru_cache(maxsize=256)
@@ -594,7 +602,7 @@ def exp_interval(x: Scalar) -> Scalar:
 
 def log_gamma(x: RationalLike) -> Scalar:
     """Certified ln Gamma(x) for positive rational x."""
-    x = Scalar.exact(x).as_fraction()
+    x = exact_fraction(x)
     if x <= 0:
         raise ValueError("log_gamma requires a positive argument")
     return _interval(_libmp.mpi_loggamma(_fraction_to_raw(x), PREC))

@@ -11,6 +11,10 @@ Two concrete families:
   P^1 x P^1).  Pushforwards split, so ranks, slopes, filtered pieces and
   volumes all have closed forms, and everything can be cross-checked against
   the lattice-point count of the associated trapezoid.
+
+Counts and asymptotic slopes are ints, areas and volumes Fractions; only a
+pushforward's slope data (an :class:`~hnbounds.hn.HNType`) and the integral
+read off it are rational Scalars.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .curves import SplitBundle
-from .scalars import Scalar
 
 __all__ = ["ToricSeries", "FiberedSeries"]
 
@@ -118,10 +121,10 @@ class ToricSeries:
                 total += max(0, hi - lo + 1)
         return total
 
-    def volume(self) -> Scalar:
-        """Normalized volume 2! * area, exact rational: the shoelace sum over
-        the counter-clockwise hull, which is twice the area."""
-        return Scalar.exact(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in self._edges()))
+    def volume(self) -> Fraction:
+        """Normalized volume 2! * area: the shoelace sum over the
+        counter-clockwise hull, which is twice the area."""
+        return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in self._edges())
 
 
 # ---------------------------------------------------------------------------
@@ -154,35 +157,37 @@ class FiberedSeries:
             raise ValueError("tensor power must be >= 1")
         return SplitBundle(n * self.a - self.e * j for j in range(n * self.b + 1))
 
-    def mu_max_asy(self) -> Scalar:
+    def mu_max_asy(self) -> int:
         """Limit of mu_max(pushforward(n)) / n; here exactly ``a``."""
-        return Scalar.exact(self.a)
+        return self.a
 
-    def filtered_rank_integral(self, n: int = 1) -> Scalar:
+    def filtered_rank_integral(self, n: int = 1):
         """Exact integral over t in [0, oo) of the rank of the slope->=t piece
         of pushforward(n) rescaled by 1/n.
 
         That filtration is the HN filtration of pushforward(n) at n*t, so
         this is its positive-rank integral over n; for n = 1 it is the
-        positive degree of the pushforward.
+        positive degree of the pushforward.  A rational Scalar, as the
+        integral of an HNType is.
         """
         integral = self.pushforward(n).hn_type().positive_rank_integral()
-        return integral / Scalar.exact(n)
+        return integral / n
 
-    def volume_via_fibers(self) -> Scalar:
+    def volume_via_fibers(self) -> Fraction:
         """(d+1) * integral over t in [0, mu_max_asy] of the filtered volume
         min(b, (a - t)/e), the limit of the slope->=t rank over n; d+1 = 2.
 
         Exact piecewise integration; agrees with the normalized volume of the
         associated trapezoid.  With knee = max(a - e*b, 0) the integral is
         b*knee + (a - knee)^2 / (2e), so the volume is
-        (2eb*knee + (a - knee)^2) / e, or 2ab when e = 0.
+        (2eb*knee + (a - knee)^2) / e, or 2ab when e = 0, a Fraction either
+        way.
         """
         a, b, e = self.a, self.b, self.e
         if e == 0:
-            return Scalar.exact(2 * a * b)
+            return Fraction(2 * a * b)
         knee = max(a - e * b, 0)
-        return Scalar.exact(Fraction(2 * e * b * knee + (a - knee) ** 2, e))
+        return Fraction(2 * e * b * knee + (a - knee) ** 2, e)
 
     def trapezoid(self) -> ToricSeries:
         """The polytope {0 <= y <= b, 0 <= x <= a - e y} (needs a >= e*b >= 0

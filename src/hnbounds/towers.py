@@ -13,8 +13,10 @@ The positive-characteristic variant replaces the genus factor by
 max(g_i - 1, 1) + ell(g_i) for a caller-supplied affine function ell (the
 Riemann-Roch-free constant of the minima filtration; default ell(g) = g + 1).
 
-All scalars here are rational mode: the recursion is a finite composition of
-+, *, / and must stay bit-exact.
+Everything here is a Fraction or an int, read by
+:func:`~hnbounds.scalars.exact_fraction` (which refuses intervals and floats):
+the recursion is a finite composition of +, *, / and must stay bit-exact.
+:func:`epsilon` and :func:`epsilon_tilde` return a rational Scalar.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import warnings
 from fractions import Fraction
 from math import factorial
 
-from .scalars import Scalar
+from .scalars import Scalar, exact_fraction
 
 __all__ = [
     "Tower",
@@ -62,16 +64,17 @@ class Tower:
 
 
 class TowerData:
-    """Slope vector mu and volume vector vol attached to a tower's levels."""
+    """Slope vector mu and volume vector vol attached to a tower's levels,
+    each a tuple of Fractions."""
 
     __slots__ = ("mu", "vol")
 
     def __init__(self, mu, vol):
-        mu = tuple(map(Scalar.exact, mu))
-        vol = tuple(map(Scalar.exact, vol))
+        mu = tuple(map(exact_fraction, mu))
+        vol = tuple(map(exact_fraction, vol))
         if len(mu) != len(vol) or not mu:
             raise ValueError("mu and vol must be nonempty vectors of equal length")
-        if not all(v.certified_nonneg() for v in vol):
+        if any(v < 0 for v in vol):
             raise ValueError("volumes must be nonnegative")
         self.mu, self.vol = mu, vol
 
@@ -83,15 +86,16 @@ class TowerData:
 
 
 class AffineFunction:
-    """g |-> intercept + slope * g, evaluable at nonnegative integers."""
+    """g |-> intercept + slope * g, evaluable at nonnegative integers; the
+    coefficients and values are Fractions."""
 
     __slots__ = ("intercept", "slope")
 
     def __init__(self, intercept, slope):
-        self.intercept, self.slope = Scalar.exact(intercept), Scalar.exact(slope)
+        self.intercept, self.slope = exact_fraction(intercept), exact_fraction(slope)
 
-    def __call__(self, g: int) -> Scalar:
-        return self.intercept + self.slope * Scalar.exact(g)
+    def __call__(self, g: int) -> Fraction:
+        return self.intercept + self.slope * g
 
 
 #: Documented default for the positive-characteristic constant.
@@ -99,31 +103,29 @@ DEFAULT_ELL = AffineFunction(1, 1)
 
 
 def _epsilon(tower: Tower, data: TowerData, ell) -> Scalar:
-    """The recursion of the module docstring, on the data's Fractions.
+    """The recursion of the module docstring, as a rational Scalar.
 
     ``ell`` is None or an affine function whose value at g_i is added to
     the genus factor of every non-base level.  A negative mu_i (i < d) is
     a ``NegativeSlopeWarning`` naming the caller of :func:`epsilon` or
     :func:`epsilon_tilde`.
     """
-    genera, d = tower.genera, tower.depth
+    genera, d, mu, vol = tower.genera, tower.depth, data.mu, data.vol
     if len(data) != len(genera):
         raise ValueError(f"data length {len(data)} does not match tower length {len(genera)}")
     for i in range(d):
-        if not data.mu[i].certified_nonneg():
+        if mu[i] < 0:
             warnings.warn(
                 f"mu[{i}] < 0: the error term is not asserted by any bound here",
                 NegativeSlopeWarning,
                 stacklevel=3,
             )
-    mu = [m.as_fraction() for m in data.mu]
-    vol = [v.as_fraction() for v in data.vol]
     eps = Fraction(max(genera[d] - 1, 1))
     for i in range(d - 1, -1, -1):
         g = genera[i]
         factor = max(g - 1, 1)
         if ell is not None:
-            factor += ell(g).as_fraction()
+            factor += ell(g)
         eps = mu[i] * eps + (vol[i + 1] / factorial(d - i) + eps) * factor
     return Scalar.exact(eps)
 
@@ -161,8 +163,6 @@ def rescale(data: TowerData, p: int) -> TowerData:
     if p < 1:
         raise ValueError("rescaling exponent must be >= 1")
     d = len(data) - 1
-    mu = tuple(Scalar.exact(p) * m for m in data.mu)
-    vol = tuple(
-        Scalar.exact(Fraction(p) ** (d + 1 - i)) * v for i, v in enumerate(data.vol)
-    )
+    mu = tuple(p * m for m in data.mu)
+    vol = tuple(p ** (d + 1 - i) * v for i, v in enumerate(data.vol))
     return TowerData(mu, vol)

@@ -16,7 +16,6 @@ from hnbounds import (
     check_gillet_soule,
     check_minkowski,
     check_toric_family,
-    check_truncated_siegel,
     circle_sup_norm,
     geometric_hs_bound,
     h0_minima_bound,
@@ -216,15 +215,6 @@ def test_gillet_soule_exact_tie():
     rep = check_gillet_soule(diagonal(1))
     assert rep.passed
     assert rep.margin.is_rational and rep.margin.as_fraction() == 0
-
-
-def test_truncated_siegel_slack():
-    for diag in [(1, 4), (Fraction(1, 4), 1, 4), (1, 1, 4, 4)]:
-        L = diagonal(*diag)
-        rep = check_truncated_siegel(L)
-        r = len(diag)
-        assert rep.passed
-        assert rep.margin.midpoint() == pytest.approx(r / 2 * math.log(r))
 
 
 # -- circle norms ----------------------------------------------------------------------

@@ -303,6 +303,37 @@ def test_dead_worker_exits_two_with_one_line(monkeypatch, capsys, tmp_path):
     assert not pool_pids(2) & pids
 
 
+def test_task_defined_after_the_fork_is_named(monkeypatch):
+    # the workers were forked before this module had the task, so they
+    # cannot unpickle it: the error names it, and the next call forks afresh;
+    # a 1 MiB share, more than a pipe buffer holds, is named too
+    monkeypatch.setenv("HNBOUNDS_JOBS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def hung(signum, frame):
+        raise TimeoutError("a pooled call hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        for name, arg in (("_late_task", 0), ("_late_task_huge", bytes(1 << 20))):
+            pids = pool_pids(2)
+
+            def late(x):
+                return x
+
+            late.__qualname__ = name
+            monkeypatch.setattr(sys.modules[__name__], name, late, raising=False)
+            with pytest.raises(cli.WorkerDiedError, match=rf"AttributeError: .*'{name}'.* forked"):
+                cli._run_checks([(late, arg)] * 4)
+            assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
+            assert not pool_pids(2) & pids
+            assert not any(alive(pid) for pid in pids)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_dead_worker_in_a_cold_process_exits_two(tmp_path):
     # the pool's pickle is imported only when a pooled suite starts; a worker
     # that dies there still ends the run with exit 2, one stderr line and no report

@@ -34,13 +34,13 @@ def test_tensor_hn_consistency(rng):
 
 
 def test_minima_examples(rng):
-    assert [m.as_fraction() for m in SplitBundle([2, 0, -3]).minima()] == [2, 0, -3]
+    assert SplitBundle([2, 0, -3]).minima() == [2, 0, -3]
     for _ in range(500):
         b = random_split_bundle(rng)
         minima = b.minima()
         h = b.hn_type()
-        assert minima[0].as_fraction() == h.slope_extremes()[0].as_fraction()
-        positive_sum = sum(m.max0().as_fraction() for m in minima)
+        assert minima[0] == h.slope_extremes()[0].as_fraction()
+        positive_sum = sum(max(m, 0) for m in minima)
         assert positive_sum == h.deg_plus().as_fraction()
 
 
@@ -52,9 +52,7 @@ def test_minima_twist_and_permutation(rng):
         b = random_split_bundle(rng, max_rank=6)
         c = rng.randint(-5, 5)
         shifted = b.tensor(SplitBundle([c]))
-        assert [m.as_fraction() for m in shifted.minima()] == [
-            m.as_fraction() + c for m in b.minima()
-        ]
+        assert shifted.minima() == [m + c for m in b.minima()]
 
 
 def test_riemann_roch_serre_duality(rng):

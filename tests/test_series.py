@@ -102,9 +102,9 @@ def test_rank_matches_brute_force():
 
 
 def test_volume_examples():
-    assert RECT.volume().as_fraction() == 12
-    assert TRAPEZOID.volume().as_fraction() == 8
-    assert UNIT_SQUARE.volume().as_fraction() == 2
+    assert RECT.volume() == 12
+    assert TRAPEZOID.volume() == 8
+    assert UNIT_SQUARE.volume() == 2 and type(UNIT_SQUARE.volume()) is Fraction
 
 
 def test_redundant_points_do_not_change_anything():
@@ -112,14 +112,14 @@ def test_redundant_points_do_not_change_anything():
     plain = ToricSeries(square)
     cluttered = ToricSeries(square + [(1, 1), (1, 0), (2, 1), (0, 1), (1, 2)])  # center, edge midpoints
     assert cluttered.facets() == plain.facets() and len(plain.facets()) == 4
-    assert cluttered.volume().as_fraction() == plain.volume().as_fraction() == 8
+    assert cluttered.volume() == plain.volume() == 8
     for n in range(4):
         assert cluttered.rank(n) == plain.rank(n) == (2 * n + 1) ** 2
 
 
 def test_rank_growth_approaches_volume():
     # |d! rank(n)/n^d - volume| <= C/n with C = 12 for this rectangle
-    vol = RECT.volume().as_fraction()
+    vol = RECT.volume()
     for n in range(1, 51):
         approx = Fraction(2 * RECT.rank(n), n * n)
         assert abs(approx - vol) <= Fraction(12, n)
@@ -155,12 +155,12 @@ def test_pushforward_matches_trapezoid_count():
 
 
 def test_mu_max_asy():
-    assert FiberedSeries(2, 3, 0).mu_max_asy().as_fraction() == 2
-    assert FiberedSeries(3, 2, 1).mu_max_asy().as_fraction() == 3
+    assert FiberedSeries(2, 3, 0).mu_max_asy() == 2
+    assert FiberedSeries(3, 2, 1).mu_max_asy() == 3
     F = FiberedSeries(5, 2, 2)
     for n in range(1, 21):
         mu_n = F.pushforward(n).hn_type().slope_extremes()[0]
-        assert mu_n.as_fraction() == n * F.mu_max_asy().as_fraction()
+        assert mu_n.as_fraction() == n * F.mu_max_asy()
 
 
 def test_mu_max_superadditivity_is_equality():
@@ -250,17 +250,14 @@ def test_filtered_volume_is_rank_limit():
 
 def test_volume_via_fibers_matches_trapezoid():
     # 2 * integral of filtered volumes = normalized polytope volume
-    assert FiberedSeries(3, 2, 1).volume_via_fibers().as_fraction() == 8
-    assert FiberedSeries(2, 3, 0).volume_via_fibers().as_fraction() == 12
+    assert FiberedSeries(3, 2, 1).volume_via_fibers() == 8
+    assert FiberedSeries(2, 3, 0).volume_via_fibers() == 12
     for e in range(3):
         for a in range(1, 7):
             for b in range(1, 7):
                 if a >= e * b:
                     F = FiberedSeries(a, b, e)
-                    assert (
-                        F.volume_via_fibers().as_fraction()
-                        == F.trapezoid().volume().as_fraction()
-                    )
+                    assert F.volume_via_fibers() == F.trapezoid().volume()
 
 
 def _volume_via_fibers_reference(a, b, e):
@@ -274,13 +271,14 @@ def _volume_via_fibers_reference(a, b, e):
 
 
 def test_volume_via_fibers_matches_fraction_integral():
-    # the integer closed form on the whole a, b <= 20, e <= 3 grid, a < e*b included
+    # the integer closed form on the whole a, b <= 20, e <= 3 grid, a < e*b included;
+    # a Fraction at e = 0 too, which a report prints as a string, not a number
     for e in range(4):
         for a in range(21):
             for b in range(1, 21):
                 got = FiberedSeries(a, b, e).volume_via_fibers()
-                assert type(got.as_fraction()) is Fraction
-                assert got.as_fraction() == _volume_via_fibers_reference(a, b, e)
+                assert type(got) is Fraction, (a, b, e)
+                assert got == _volume_via_fibers_reference(a, b, e)
 
 
 def test_filtered_rank_integral_is_deg_plus():
@@ -300,8 +298,8 @@ def test_bigness_criterion():
         for a in range(0, 5):
             for b in range(1, 5):
                 F = FiberedSeries(a, b, e)
-                vol_positive = F.volume_via_fibers().as_fraction() > 0
-                mu_positive = F.mu_max_asy().as_fraction() > 0
+                vol_positive = F.volume_via_fibers() > 0
+                mu_positive = F.mu_max_asy() > 0
                 assert vol_positive == mu_positive
 
 

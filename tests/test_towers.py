@@ -98,8 +98,7 @@ def _random_nonneg(rng, depth_max=3):
 def test_rescale_examples():
     d = data([2, 0], [0, 3])
     r = rescale(d, 2)
-    assert [m.as_fraction() for m in r.mu] == [4, 0]
-    assert [v.as_fraction() for v in r.vol] == [0, 6]
+    assert r.mu == (4, 0) and r.vol == (0, 6)
     t = Tower((0, 0))
     assert epsilon(t, r).as_fraction() == 11
     assert epsilon(t, r).as_fraction() <= 2 * epsilon(t, d).as_fraction()
@@ -127,12 +126,12 @@ def test_monotonicity_in_every_argument(rng):
         if depth >= 1:
             k = rng.randrange(depth)
             mu = list(d.mu)
-            mu[k] = mu[k] + Scalar.exact(bump)
+            mu[k] += bump
             assert epsilon(tower, TowerData(tuple(mu), d.vol)).as_fraction() >= base
         # volumes (only v_1..v_d enter)
         k = rng.randrange(len(d.vol))
         vol = list(d.vol)
-        vol[k] = vol[k] + Scalar.exact(bump)
+        vol[k] += bump
         assert epsilon(tower, TowerData(d.mu, tuple(vol))).as_fraction() >= base
         # genera
         k = rng.randrange(depth + 1)
@@ -169,16 +168,22 @@ def test_validation():
         data([1], [-1])
     with pytest.raises(ValueError):
         epsilon(Tower((0, 0)), data([1], [1]))
+    # an int, a Fraction, a "p/q" string and a rational Scalar are stored as Fractions
+    stored = TowerData((2, Fraction(1, 3), "5/2", Scalar.exact(Fraction(7, 4))), (0, 1, 2, 3))
+    assert stored.mu == (2, Fraction(1, 3), Fraction(5, 2), Fraction(7, 4))
+    assert {type(x) for x in stored.mu + stored.vol} == {Fraction}
     with pytest.raises(TypeError):
         from hnbounds import log_scalar
 
         TowerData((log_scalar(2),), (Scalar.exact(1),))
+    with pytest.raises(TypeError):
+        TowerData((0.5,), (1,))
 
 
 def test_affine_function():
     ell = AffineFunction(Fraction(1, 2), 3)
-    assert ell(0).as_fraction() == Fraction(1, 2)
-    assert ell(4).as_fraction() == Fraction(25, 2)
+    assert ell(0) == Fraction(1, 2) and type(ell(0)) is Fraction
+    assert ell(4) == Fraction(25, 2)
 
 
 def test_json_round_trip(capsys):
