@@ -25,7 +25,7 @@ from .hn import positive_degree
 from .lattices import EuclideanLattice, RATIONAL_FIELD, gillet_soule_constant
 from .scalars import (
     Scalar,
-    as_scalar,
+    exact_fraction,
     exp_interval,
     log_interval,
     log_scalar,
@@ -65,13 +65,15 @@ class CheckReport:
     access, not stored: it is true iff the margin's lower bound is
     certified nonnegative.  ``context`` carries check-specific details.
     :meth:`compare` builds the report whose margin is rhs - lhs; a check
-    with another margin calls the constructor.
+    with another margin calls the constructor.  The constructor keeps a
+    Scalar ``lhs``, ``rhs`` or ``margin`` and wraps an int or a Fraction as a
+    rational Scalar; any other type is a ``TypeError``.
     """
 
     __slots__ = ("name", "lhs", "rhs", "margin", "context")
 
-    def __init__(self, name: str, lhs: Scalar, rhs: Scalar, margin: Scalar, context=None):
-        self.name, self.lhs, self.rhs, self.margin = name, lhs, rhs, margin
+    def __init__(self, name: str, lhs, rhs, margin, context=None):
+        self.name, self.lhs, self.rhs, self.margin = name, *map(_report_scalar, (lhs, rhs, margin))
         self.context = {} if context is None else context
 
     @property
@@ -79,7 +81,7 @@ class CheckReport:
         return self.margin.certified_nonneg()
 
     @classmethod
-    def compare(cls, name: str, lhs: Scalar, rhs: Scalar, context=None) -> "CheckReport":
+    def compare(cls, name: str, lhs, rhs, context=None) -> "CheckReport":
         return cls(name, lhs, rhs, rhs - lhs, dict(context or {}))
 
     def to_json(self):
@@ -91,6 +93,14 @@ class CheckReport:
             "pass": self.passed,
             "context": {k: _context_value(v) for k, v in sorted(self.context.items())},
         }
+
+
+def _report_scalar(value) -> Scalar:
+    """A report's lhs, rhs or margin as a Scalar, by Scalar's own coercion."""
+    scalar = Scalar._coerce(value)
+    if scalar is NotImplemented:
+        raise TypeError(f"a report value is a Scalar, an int or a Fraction, not {type(value).__name__}")
+    return scalar
 
 
 def _context_value(v):
@@ -129,14 +139,15 @@ def _csv_scalar(s: Scalar) -> str:
 # ---------------------------------------------------------------------------
 
 
-def geometric_hs_bound(vol: Scalar, dim: int, eps: Scalar) -> Scalar:
-    """Degree-one rank bound vol / dim! + eps for a dim-dimensional scheme."""
+def geometric_hs_bound(vol, dim: int, eps) -> Fraction:
+    """Degree-one rank bound vol / dim! + eps for a dim-dimensional scheme, a
+    Fraction; ``exact_fraction`` reads both inputs, so an interval is a TypeError."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    vol, eps = as_scalar(vol), as_scalar(eps)
-    if not vol.certified_nonneg() or not eps.certified_nonneg():
+    vol, eps = exact_fraction(vol), exact_fraction(eps)
+    if vol < 0 or eps < 0:
         raise ValueError("volume and error term must be nonnegative")
-    return vol / Scalar.exact(factorial(dim)) + eps
+    return vol / factorial(dim) + eps
 
 
 def check_toric_family(F: FiberedSeries) -> CheckReport:
@@ -150,7 +161,7 @@ def check_toric_family(F: FiberedSeries) -> CheckReport:
     """
     if F.a < F.e * F.b:
         raise ValueError("family requires a >= e*b")
-    lhs = Scalar.exact(F.pushforward(1).h0())
+    lhs = F.pushforward(1).h0()
     volume = F.volume_via_fibers()
     eps = epsilon(Tower((0, 0)), TowerData(mu=(F.a, F.b), vol=(volume, F.b)))
     rhs = geometric_hs_bound(volume, 2, eps)
@@ -179,8 +190,7 @@ def check_filtered(F: FiberedSeries) -> CheckReport:
     hn = F.pushforward(1).hn_type()
     lhs = hn.positive_rank_integral()
     eps = epsilon(Tower((0,)), TowerData(mu=(F.b,), vol=(F.b,)))
-    volume_integral = F.volume_via_fibers() / 2
-    rhs = volume_integral + F.mu_max_asy() * eps
+    rhs = F.volume_via_fibers() / 2 + F.mu_max_asy() * eps
     deg_plus = hn.deg_plus()
     return CheckReport.compare(
         f"filtered a={F.a} b={F.b} e={F.e}",
@@ -201,10 +211,7 @@ def check_filtered(F: FiberedSeries) -> CheckReport:
 
 def _positive_minima(L: EuclideanLattice) -> Scalar:
     """sum max(lambda_i, 0) over the successive minima, added in order."""
-    total = Scalar.exact(0)
-    for lam in L.successive_minima():
-        total = total + lam.max0()
-    return total
+    return sum((lam.max0() for lam in L.successive_minima()), Scalar.exact(0))
 
 
 @lru_cache(maxsize=256)
@@ -241,9 +248,7 @@ def check_minkowski(L: EuclideanLattice) -> CheckReport:
     """
     r = L.rank
     chi = L.euler_char()
-    lam_sum = Scalar.exact(0)
-    for lam in L.successive_minima():
-        lam_sum = lam_sum + lam
+    lam_sum = sum(L.successive_minima(), Scalar.exact(0))
     sandwiched = chi - lam_sum
     upper, lower, _ = _rank_constants(r)
     margin = scalar_min(upper - sandwiched, sandwiched - lower)
@@ -295,7 +300,7 @@ def check_gillet_soule(L: EuclideanLattice) -> CheckReport:
         ratio = Fraction(L.h0_count()) ** 2 / q
         worst = max(ratio, 1 / ratio)
         if worst == 9:
-            margin = Scalar.exact(0)
+            margin = 0
         elif worst < 9:
             margin = margin.max0()
     return CheckReport(

@@ -84,6 +84,7 @@ CONFIG_SCHEMA = {
         "seed": {"type": "integer"},
         "output": {
             "type": "object",
+            "required": ["path"],
             "properties": {
                 "path": {"type": "string"},
                 "format": {"enum": ["json", "csv"]},
@@ -108,6 +109,7 @@ TOWER_SCHEMA = {
         "mu": {"type": "array", "items": _RATIONAL},
         "vol": {"type": "array", "items": _RATIONAL},
     },
+    "additionalProperties": False,
 }
 
 HIRZEBRUCH_GRID_SCHEMA = {
@@ -295,11 +297,11 @@ def _validate(value, schema, what: str):
 _MAX_BITS = 10_000
 
 
-def _load(text: str, schema: dict, what: str):
-    """The JSON ``text`` if it matches ``schema``; otherwise a one-line ConfigError."""
+def _load(text, schema: dict, what: str):
+    """The JSON ``text`` (str or bytes) if it matches ``schema``; otherwise a one-line ConfigError."""
     try:
         value = json.loads(text)
-    except ValueError as exc:  # malformed, or an int past CPython's digit limit
+    except ValueError as exc:  # malformed, undecodable, or an int past CPython's digit limit
         raise ConfigError(f"invalid {what}: {exc}") from None
     return _validate(value, schema, what)
 
@@ -721,7 +723,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
-            with open(args.config) as fh:
+            with open(args.config, "rb") as fh:
                 config = _load(fh.read(), CONFIG_SCHEMA, "config")
             status, _ = run_config(config)
             return status
@@ -748,7 +750,7 @@ def main(argv=None) -> int:
                     value = _build("--tower", epsilon_tilde, tower, data, AffineFunction(c, s))
             for warning in caught:
                 print(f"warning: {warning.message}", file=sys.stderr)
-            print(json.dumps({"epsilon": value.to_json()}))
+            print(json.dumps({"epsilon": str(value)}))
             return 0
         if args.command == "lattice":
             gram = _load(args.gram, GRAM_SCHEMA, "--gram")

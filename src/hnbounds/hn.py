@@ -39,10 +39,7 @@ def positive_degree(segments: Iterable[tuple[int, Scalar]]) -> Scalar:
 
     The sum needs no slope order, so the pairs need not be an HN type.
     """
-    total = Scalar.exact(0)
-    for r, s in segments:
-        total = total + Scalar.exact(r) * s.max0()
-    return total
+    return sum((Scalar.exact(r) * s.max0() for r, s in segments), Scalar.exact(0))
 
 
 class HNType:
@@ -90,10 +87,7 @@ class HNType:
 
     def degree(self) -> Scalar:
         """Total degree: sum of rank_i * slope_i."""
-        total = Scalar.exact(0)
-        for r, s in self.segments:
-            total = total + Scalar.exact(r) * s
-        return total
+        return sum((Scalar.exact(r) * s for r, s in self.segments), Scalar.exact(0))
 
     # -- operations -------------------------------------------------------
 

@@ -7,8 +7,8 @@ arbitrary-precision floats guaranteed to bracket the true real value).
 Logarithmic quantities (log-counts, Arakelov degrees, Stirling-type
 constants) live in interval mode.  The geometric modules (``towers``,
 ``series``, ``curves``) compute on ``Fraction`` and int, read through
-:func:`exact_fraction`, and a check wraps their values where it builds its
-report.
+:func:`exact_fraction`; :class:`~hnbounds.bounds.CheckReport` wraps an exact
+value as a rational Scalar when a report takes it.
 
 An interval is held as the raw endpoint pair ``(lo, hi)`` of mpmath's
 ``libmpf`` tuples ``(sign, man, exp, bc)``, and every interval operation

@@ -12,9 +12,9 @@ Two concrete families:
   volumes all have closed forms, and everything can be cross-checked against
   the lattice-point count of the associated trapezoid.
 
-Counts and asymptotic slopes are ints, areas and volumes Fractions; only a
-pushforward's slope data (an :class:`~hnbounds.hn.HNType`) and the integral
-read off it are rational Scalars.
+Counts and asymptotic slopes are ints, areas, volumes and filtered rank
+integrals Fractions; only a pushforward's slope data (an
+:class:`~hnbounds.hn.HNType`) holds rational Scalars.
 """
 
 from __future__ import annotations
@@ -161,17 +161,15 @@ class FiberedSeries:
         """Limit of mu_max(pushforward(n)) / n; here exactly ``a``."""
         return self.a
 
-    def filtered_rank_integral(self, n: int = 1):
+    def filtered_rank_integral(self, n: int = 1) -> Fraction:
         """Exact integral over t in [0, oo) of the rank of the slope->=t piece
-        of pushforward(n) rescaled by 1/n.
+        of pushforward(n) rescaled by 1/n, a Fraction.
 
         That filtration is the HN filtration of pushforward(n) at n*t, so
         this is its positive-rank integral over n; for n = 1 it is the
-        positive degree of the pushforward.  A rational Scalar, as the
-        integral of an HNType is.
+        positive degree of the pushforward.
         """
-        integral = self.pushforward(n).hn_type().positive_rank_integral()
-        return integral / n
+        return self.pushforward(n).hn_type().positive_rank_integral().as_fraction() / n
 
     def volume_via_fibers(self) -> Fraction:
         """(d+1) * integral over t in [0, mu_max_asy] of the filtered volume

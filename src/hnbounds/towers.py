@@ -16,7 +16,7 @@ Riemann-Roch-free constant of the minima filtration; default ell(g) = g + 1).
 Everything here is a Fraction or an int, read by
 :func:`~hnbounds.scalars.exact_fraction` (which refuses intervals and floats):
 the recursion is a finite composition of +, *, / and must stay bit-exact.
-:func:`epsilon` and :func:`epsilon_tilde` return a rational Scalar.
+:func:`epsilon` and :func:`epsilon_tilde` return a Fraction.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import warnings
 from fractions import Fraction
 from math import factorial
 
-from .scalars import Scalar, exact_fraction
+from .scalars import exact_fraction
 
 __all__ = [
     "Tower",
@@ -102,8 +102,8 @@ class AffineFunction:
 DEFAULT_ELL = AffineFunction(1, 1)
 
 
-def _epsilon(tower: Tower, data: TowerData, ell) -> Scalar:
-    """The recursion of the module docstring, as a rational Scalar.
+def _epsilon(tower: Tower, data: TowerData, ell) -> Fraction:
+    """The recursion of the module docstring, on Fractions.
 
     ``ell`` is None or an affine function whose value at g_i is added to
     the genus factor of every non-base level.  A negative mu_i (i < d) is
@@ -127,11 +127,11 @@ def _epsilon(tower: Tower, data: TowerData, ell) -> Scalar:
         if ell is not None:
             factor += ell(g)
         eps = mu[i] * eps + (vol[i + 1] / factorial(d - i) + eps) * factor
-    return Scalar.exact(eps)
+    return eps
 
 
-def epsilon(tower: Tower, data: TowerData) -> Scalar:
-    """Error term of the tower, exact rational.
+def epsilon(tower: Tower, data: TowerData) -> Fraction:
+    """Error term of the tower, a Fraction.
 
     Base case max(g_d - 1, 1); one recursion step per fibration level, using
     mu_0..mu_{d-1} and v_1..v_d (mu_d and v_0 never enter).
@@ -143,7 +143,7 @@ def epsilon(tower: Tower, data: TowerData) -> Scalar:
     return _epsilon(tower, data, None)
 
 
-def epsilon_tilde(tower: Tower, data: TowerData, ell: AffineFunction = DEFAULT_ELL) -> Scalar:
+def epsilon_tilde(tower: Tower, data: TowerData, ell: AffineFunction = DEFAULT_ELL) -> Fraction:
     """Positive-characteristic error term with affine correction ``ell``.
 
     Same recursion as :func:`epsilon` with genus factor

@@ -105,6 +105,13 @@ def test_lattice_suite_three_reports_per_trial():
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.xfail(strict=True, reason="rank-1 Minkowski and Blichfeldt margins of exactly 0 are not certified")
+def test_lattice_suite_rank_one_exits_zero(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": "lattice", "parameters": {"rank": 1, "trials": 20}, "seed": 3}))
+    assert cli.main(["run", str(config)]) == 0
+
+
 def test_lattice_suite_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     cfg = {
@@ -563,6 +570,11 @@ def test_lattice_subcommand():
         # a config file that is not JSON (a string here is the file's text)
         ["run", "{"],
         ["run", '{"suite": ' + "9" * 5000 + "}"],
+        # a config file that is not text (bytes here are the file's content)
+        ["run", b"\xff{}"],
+        # settings that nothing reads
+        ["run", {"suite": "lattice", "output": {"format": "csv"}}],
+        ["epsilon", "--tower", '{"genera":[0,0],"mu":["1","1"],"vol":["1","1"],"ell":[1,1]}'],
         # well-formed input that a library constructor refuses
         ["polygon", "--hn", '[[1,"1"],[1,"2"]]'],
         ["polygon", "--hn", '[[0,"1"]]'],
@@ -588,7 +600,10 @@ def test_cli_malformed_input_exits_two(capsys, tmp_path, argv):
     # stdout), not failed checks; the message names the flag, or the config for run
     if argv[0] == "run":
         config = tmp_path / "config.json"
-        config.write_text(argv[1] if isinstance(argv[1], str) else json.dumps(argv[1]))
+        if isinstance(argv[1], bytes):
+            config.write_bytes(argv[1])
+        else:
+            config.write_text(argv[1] if isinstance(argv[1], str) else json.dumps(argv[1]))
         argv = ["run", str(config)]
     what = "config" if argv[0] == "run" else argv[-2]
     assert cli.main(argv) == 2
@@ -982,7 +997,7 @@ def test_negative_slope_warning_is_one_line():
     assert r.returncode == 0
     with pytest.warns(NegativeSlopeWarning):
         value = epsilon(Tower([2, 2]), TowerData(["-1", "1"], ["1", "1"]))
-    assert r.stdout == json.dumps({"epsilon": value.to_json()}) + "\n"
+    assert r.stdout == json.dumps({"epsilon": str(value)}) + "\n"
     assert r.stderr == "warning: mu[0] < 0: the error term is not asserted by any bound here\n"
 
 
