@@ -49,9 +49,9 @@ class Echelon:
         """Reduce an integer row and keep it if it is independent of the
         pivot rows; return whether it was kept."""
         row = self.reduce(row)
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:
-            return False
-        self.rows.append(row)
-        self.cols.append(col)
-        return True
+        for col, x in enumerate(row):
+            if x:
+                self.rows.append(row)
+                self.cols.append(col)
+                return True
+        return False

@@ -25,23 +25,26 @@ and print it, so every failure is replayable; identical config and seed
 produce byte-identical JSON.
 
 ``HNBOUNDS_JOBS`` sets how many processes evaluate checks, this one
-included; it is clamped to the CPU count and to the number of tasks, and
-where ``os.fork`` is missing the run is serial.  ``_run_checks`` splits the
-tasks in order into contiguous shares: this process runs the first, and
-each of the other processes, a forked worker, gets its share as one pickle
-on a plain pipe and sends its results back as one pickle.  Shares are plain
-data (a ``FiberedSeries``, which is three integers, or a lattice trial's
-number and integer Gram matrix) and results are finished reports, so the
-report list is assembled in a fixed order either way.  No thread is started
-and neither ``concurrent.futures`` nor ``multiprocessing`` is imported.  The
-workers are forked on the first pooled suite, and kept warm for every later
-one in the process while the count stays the same; they are replaced when
-the count changes or a worker dies, forgotten in a forked child, and closed
-and reaped at interpreter exit.  Workers are forked once, so they keep the
-module globals of that moment: a global changed later (say, a monkeypatched
-``lattices.MAX_NODES``) is seen by the first share, which runs here, but not
-by the shares run in workers, and a task function defined later cannot be
-read there at all: the call raises ``WorkerDiedError`` naming it.
+included; it is clamped to the CPU count, to the CPUs this process may run
+on and to the number of tasks, and where ``os.fork`` is missing the run is
+serial.  ``_run_checks`` splits the tasks in order into contiguous shares:
+each of the first goes to a forked worker as one pickle on a plain pipe as
+soon as its tasks exist (the lattice suite draws its Gram matrices as they
+are taken), this process runs the last share meanwhile, and each worker
+sends its results back as one pickle that writes each distinct exact
+rational once.  Shares are plain data (a ``FiberedSeries``, which is three
+integers, or a lattice trial's number and integer Gram matrix) and results
+are finished reports, so the report list is assembled in a fixed order
+either way.  No thread is started and neither ``concurrent.futures`` nor
+``multiprocessing`` is imported.  The workers are forked on the first pooled
+suite, and kept warm for every later one in the process while the count
+stays the same; they are replaced when the count changes or a worker dies,
+forgotten in a forked child, and closed and reaped at interpreter exit.
+Workers are forked once, so they keep the module globals of that moment: a
+global changed later (say, a monkeypatched ``lattices.MAX_NODES``) reaches
+the last share, which runs here, but not the shares run in workers, and a
+task function defined later cannot be read there at all: the call raises
+``WorkerDiedError`` naming it.
 
 The JSON wire format is read here only.  ``_load`` parses a flag or a config
 file and checks it against the schemas below with ``_validate``, a small
@@ -357,14 +360,18 @@ def validate_config(config: dict) -> dict:
 
 def _jobs(tasks: int) -> int:
     """Process count, this one included: ``HNBOUNDS_JOBS``, at most the CPU
-    count and ``tasks``; 1 where ``os.fork`` is missing."""
+    count, the number of CPUs this process may run on (where ``os`` can
+    tell) and ``tasks``; 1 where ``os.fork`` is missing."""
     if not hasattr(os, "fork"):
         return 1
     try:
         jobs = int(os.environ.get("HNBOUNDS_JOBS", "1"))
     except ValueError:
         jobs = 1
-    return max(1, min(jobs, os.cpu_count() or 1, tasks))
+    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = min(cpus, len(os.sched_getaffinity(0)))
+    return max(1, min(jobs, cpus, tasks))
 
 
 def _call(task):
@@ -412,9 +419,21 @@ def _workers(count: int):
     return _pool[1]
 
 
+def _same(value):
+    """``value`` itself: a reply's repeat of an exact rational unpickles as
+    this call on the first one, so it is the same object."""
+    return value
+
+
 def _serve(shares, replies) -> None:
     """A worker's loop: read a share, send back ``(True, results)`` or
     ``(False, first exception)``, until EOF.
+
+    A reply writes each distinct exact rational once: a ``Fraction`` or a
+    rational ``Scalar`` equal in type, numerator and denominator to one
+    written before it in the same reply is written as ``_same`` of that
+    one.  The values are immutable, so sharing them changes nothing, and an
+    int, a ``Fraction`` and a rational ``Scalar`` of one value stay apart.
 
     A share that cannot be read here, say one naming a task function defined
     after the fork, is answered with a ``WorkerDiedError`` naming the load
@@ -422,7 +441,29 @@ def _serve(shares, replies) -> None:
     larger than the pipe's buffer is still written in full, and leaves at
     EOF, when the caller drops the workers.
     """
+    import io
     import pickle
+
+    class Reply(pickle.Pickler):
+        def __init__(self, file):
+            super().__init__(file)
+            self.firsts = {}
+
+        def reducer_override(self, obj):
+            cls = type(obj)
+            if cls is Fraction:
+                key = (cls, obj.numerator, obj.denominator)
+            elif cls is Scalar and obj._rat is not None:
+                key = (cls, obj._rat.numerator, obj._rat.denominator)
+            else:
+                return NotImplemented
+            first = self.firsts.setdefault(key, obj)
+            return NotImplemented if first is obj else (_same, (first,))
+
+    def dumps(reply) -> bytes:
+        out = io.BytesIO()
+        Reply(out).dump(reply)
+        return out.getvalue()
 
     while True:
         try:
@@ -439,9 +480,9 @@ def _serve(shares, replies) -> None:
             shares.read()
             return
         try:
-            reply = pickle.dumps((True, [_call(task) for task in share]))
+            reply = dumps((True, [_call(task) for task in share]))
         except Exception as exc:
-            reply = pickle.dumps((False, exc))
+            reply = dumps((False, exc))
         replies.write(reply)
         replies.flush()
 
@@ -464,17 +505,30 @@ def _drop_pool() -> None:
                 os.waitpid(worker, 0)
 
 
-def _run_checks(tasks):
+def _take(tasks, size: int, last: bool = False) -> list:
+    """The next ``size`` tasks of the iterator ``tasks``; ``ValueError`` if
+    fewer are left, or, for the ``last`` share, if more are."""
+    share = list(itertools.islice(tasks, size))
+    if len(share) < size or last and next(tasks, None) is not None:
+        raise ValueError(f"the tasks are {'fewer' if len(share) < size else 'more'} than their count")
+    return share
+
+
+def _run_checks(tasks, count=None):
     """Evaluate (func, arg) pairs, split over ``_jobs`` processes.
 
-    ``tasks`` is split in order into contiguous shares whose sizes differ by
-    at most one.  This process runs the first share itself and the warm
-    workers of ``_workers`` the others: each worker reads its share as one
-    pickle on a pipe and sends back its results as one pickle.  Every reply
-    is read, in order, also when the first share raised, so the pipes stay
-    in step.  The first error in task order is raised, and otherwise the
-    results are returned in task order, so the report list is the same no
-    matter how many processes run.
+    ``tasks`` is an iterable of ``count`` tasks (by default ``len(tasks)``);
+    one of another length is refused with ``ValueError``.  It is split in
+    order into contiguous shares whose sizes differ by at most one.  The warm
+    workers of ``_workers`` take the first shares and this process the last:
+    each worker's share is taken from the iterator and written to its pipe
+    as one pickle as soon as it is complete, and only then is this
+    process's share taken and run, while the workers compute.  A worker
+    sends back its results as one pickle (``_serve``).  Every reply is read,
+    in order, also when taking or running this process's share raised, so
+    the pipes stay in step.  The first error in task order is raised, and
+    otherwise the results are returned in task order, so the report list is
+    the same no matter how many processes run.
 
     A ``jobs == 1`` call runs here and leaves the workers as they are.  The
     workers were forked at the first pooled call, so a task run there sees
@@ -485,24 +539,33 @@ def _run_checks(tasks):
     workers are shared without a lock: call this from one thread at a time,
     as the CLI does.
     """
-    jobs = _jobs(len(tasks))
+    if count is None:
+        count = len(tasks)
+    tasks = iter(tasks)
+    jobs = _jobs(count)
     if jobs == 1:
-        return [_call(task) for task in tasks]
+        return [_call(task) for task in _take(tasks, count, last=True)]
     import pickle
 
-    cuts = [len(tasks) * k // jobs for k in range(jobs + 1)]
-    shares = [tasks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    payloads = [pickle.dumps(share) for share in shares[1:]]
+    cuts = [count * k // jobs for k in range(jobs + 1)]
     workers = _workers(jobs - 1)
+    sent = 0
     try:
-        for (_, pipe, _), payload in zip(workers, payloads):
+        for (_, pipe, _), lo, hi in zip(workers, cuts, cuts[1:]):
+            try:
+                payload = pickle.dumps(_take(tasks, hi - lo))
+            except Exception as exc:
+                mine = (False, exc)
+                break
             pipe.write(payload)
             pipe.flush()
-        try:
-            replies = [(True, [_call(task) for task in shares[0]])]
-        except Exception as exc:
-            replies = [(False, exc)]
-        replies += [pickle.load(pipe) for _, _, pipe in workers]
+            sent += 1
+        else:  # every worker has its share: take and run the last one here
+            try:
+                mine = (True, [_call(task) for task in _take(tasks, cuts[-1] - cuts[-2], last=True)])
+            except Exception as exc:
+                mine = (False, exc)
+        replies = [pickle.load(pipe) for _, _, pipe in workers[:sent]] + [mine]
     except BaseException as exc:
         _drop_pool()
         if isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
@@ -546,14 +609,16 @@ def _lattice_trial(task) -> list[CheckReport]:
 def suite_lattice(params, rng) -> list[CheckReport]:
     """Three checks on each of ``trials`` seeded ``random_gram`` lattices.
 
-    The parent draws the integer Gram matrices (the same draws as
-    ``random_gram``) and sends each worker ``(trial, Gram)``; the worker
-    builds the lattice and returns its three reports already named.
+    Each integer Gram matrix (the same draws as ``random_gram``) is drawn
+    when its task ``(trial, Gram)`` is taken, so a worker's share is sent
+    once its own trials are drawn, before the later ones; the process that
+    runs a task builds the lattice and returns its three reports already
+    named.
     """
     rank = params.get("rank", 3)
     trials = params.get("trials", 50)
-    grams = [_random_int_gram(rank, rng) for _ in range(trials)]
-    nested = _run_checks([(_lattice_trial, task) for task in enumerate(grams)])
+    tasks = ((_lattice_trial, (trial, _random_int_gram(rank, rng))) for trial in range(trials))
+    nested = _run_checks(tasks, trials)
     return [rep for triple in nested for rep in triple]
 
 

@@ -31,6 +31,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from operator import mul
 
 from ._exact import Echelon
 from .hn import HNType, _ordered
@@ -458,10 +459,8 @@ def _random_int_gram(rank: int, rng) -> tuple[tuple[int, ...], ...]:
         e = Echelon()
         if not all(e.add(row) for row in b):  # B is singular
             continue
-        return tuple(
-            tuple(sum(b[k][i] * b[k][j] for k in range(rank)) for j in range(rank))
-            for i in range(rank)
-        )
+        cols = list(zip(*b))
+        return tuple(tuple(sum(map(mul, ci, cj)) for cj in cols) for ci in cols)
 
 
 def random_gram(rank: int, rng) -> EuclideanLattice:

@@ -40,12 +40,18 @@ def _worker_pid(_):
 def pool_pids(jobs):
     """The pids of the ``jobs - 1`` workers of a pooled ``_run_checks`` call.
 
-    Its ``jobs`` one-task shares run in ``jobs`` processes: the first in
+    Its ``jobs`` one-task shares run in ``jobs`` processes: the last in
     this one, the others each in its own worker.
     """
     pids = cli._run_checks([(_worker_pid, 0)] * jobs)
-    assert pids[0] == os.getpid() and len(set(pids)) == jobs
-    return set(pids[1:])
+    assert pids[-1] == os.getpid() and len(set(pids)) == jobs
+    return set(pids[:-1])
+
+
+def patch_cpus(monkeypatch, cpus):
+    """Let ``_jobs`` see ``cpus`` CPUs, every one of them open to this process."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def _die_in_a_worker(caller):
@@ -163,7 +169,7 @@ def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setenv("HNBOUNDS_JOBS", "10000")
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    patch_cpus(monkeypatch, 4)
     assert [cli._jobs(n) for n in (0, 1, 3, 4, 100)] == [1, 1, 3, 4, 4]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli._jobs(100) == 1
@@ -173,19 +179,123 @@ def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
         assert cli._jobs(100) == 1
     # without os.fork every run is serial
     monkeypatch.setenv("HNBOUNDS_JOBS", "4")
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    patch_cpus(monkeypatch, 4)
     monkeypatch.delattr(os, "fork")
     assert cli._jobs(100) == 1
     assert cli._run_checks([(abs, -1), (abs, -2)]) == [1, 2]
 
 
+def test_jobs_clamped_to_the_cpus_this_process_may_run_on(monkeypatch):
+    # under `taskset -c 0` a second process would share the one core
+    monkeypatch.setenv("HNBOUNDS_JOBS", "4")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._jobs(100) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
+    assert cli._jobs(100) == 3
+
+
+def _pid_and(x):
+    return os.getpid(), x
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_lazy_shares_are_drawn_once_in_order(monkeypatch, jobs):
+    monkeypatch.setenv("HNBOUNDS_JOBS", str(jobs))
+    patch_cpus(monkeypatch, jobs)
+    drawn = []
+
+    def tasks(n):
+        for i in range(n):
+            drawn.append(i)
+            yield (_pid_and, i)
+
+    for count in range(8):
+        drawn.clear()
+        ran = cli._run_checks(tasks(count), count)
+        assert drawn == list(range(count))
+        assert [x for _, x in ran] == list(range(count))
+        if count:
+            # contiguous shares, each in one process: the workers' first, the last one here
+            procs = cli._jobs(count)
+            cuts = [count * k // procs for k in range(procs + 1)]
+            owners = [{pid for pid, _ in ran[lo:hi]} for lo, hi in zip(cuts, cuts[1:])]
+            assert all(len(o) == 1 for o in owners) and len(set.union(*owners)) == procs
+            assert owners[-1] == {os.getpid()}
+    # a count that differs from the number of tasks is refused, and the pool stays in step
+    pids = pool_pids(jobs)
+    for count, yielded in ((7, 6), (7, 1), (7, 8), (7, 30), (1, 2), (0, 1)):
+        with pytest.raises(ValueError, match="than their count"):
+            cli._run_checks(tasks(yielded), count)
+        assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
+        assert pool_pids(jobs) == pids
+
+
+def test_error_drawing_the_last_share_still_reads_every_reply(monkeypatch):
+    # the worker's share is sent before this process draws its own; the
+    # draw's error is raised once the worker's 2 MiB reply has been read
+    monkeypatch.setenv("HNBOUNDS_JOBS", "2")
+    patch_cpus(monkeypatch, 2)
+    pids = pool_pids(2)
+
+    def tasks():
+        yield (bytes, 1 << 20)
+        yield (bytes, 1 << 20)
+        raise LookupError("drawn here")
+
+    def hung(signum, frame):
+        raise TimeoutError("a pooled call hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(LookupError, match="drawn here"):
+            cli._run_checks(tasks(), 4)
+        assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
+        assert pool_pids(2) == pids
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _rationals_twice(_):
+    """This process's pid, then two equal but distinct copies of each value."""
+    from hnbounds.scalars import Scalar
+
+    def values():
+        return [
+            Fraction(1, 2),
+            Scalar.exact(Fraction(1, 2)),
+            Fraction(2),
+            2,
+            True,
+            Scalar.from_fraction_bounds(Fraction(1, 3), Fraction(1, 2)),
+        ]
+
+    return os.getpid(), values(), values()
+
+
+def test_reply_sends_equal_rationals_once_and_keeps_types(monkeypatch):
+    monkeypatch.setenv("HNBOUNDS_JOBS", "2")
+    patch_cpus(monkeypatch, 2)
+    (pid, first, second), _ = cli._run_checks([(_rationals_twice, 0)] * 2)
+    assert pid != os.getpid()
+    _, want, _ = _rationals_twice(0)
+    for got in (first, second):
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert got[:5] == want[:5] and got[1].is_rational and not got[5].is_rational
+        assert got[5].bounds() == want[5].bounds()
+    # the repeat of each rational is the first one
+    assert all(first[i] is second[i] for i in (0, 1, 2))
+
+
 def test_pool_batches_keep_order_and_first_error(monkeypatch):
     monkeypatch.setenv("HNBOUNDS_JOBS", "2")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    patch_cpus(monkeypatch, 2)
     tasks = [(abs, -i) for i in range(50)]
     assert cli._run_checks(tasks) == list(range(50))
     pids = pool_pids(2)
-    # tasks 0-24 run here and 25-49 in the worker: the error of the earlier
+    # tasks 0-24 run in the worker and 25-49 here: the error of the earlier
     # task is raised, in either share, and not the later one
     for first, second in ((10, 45), (10, 20), (30, 45)):
         tasks = [(int, str(i)) for i in range(50)]
@@ -209,7 +319,7 @@ def test_first_share_error_still_reads_every_reply(monkeypatch):
     # the worker's 1 MiB reply fills its pipe while this process's share
     # raises; unless it is read, the next call would read it in place of its own
     monkeypatch.setenv("HNBOUNDS_JOBS", "2")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    patch_cpus(monkeypatch, 2)
     pids = pool_pids(2)
 
     def hung(signum, frame):
@@ -228,7 +338,7 @@ def test_first_share_error_still_reads_every_reply(monkeypatch):
 
 
 def test_warm_pool_kept_until_the_worker_count_changes(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    patch_cpus(monkeypatch, 4)
     monkeypatch.setenv("HNBOUNDS_JOBS", "2")
     pids = pool_pids(2)
     assert pool_pids(2) == pids
@@ -248,7 +358,7 @@ def test_warm_pool_kept_until_the_worker_count_changes(monkeypatch):
 
 def test_forked_child_builds_its_own_pool(monkeypatch):
     monkeypatch.setenv("HNBOUNDS_JOBS", "2")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    patch_cpus(monkeypatch, 2)
     parent_pids = pool_pids(2)
     child = os.fork()
     if child == 0:
@@ -272,7 +382,7 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
 
 
 def test_alternating_pooled_suites_match_serial(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    patch_cpus(monkeypatch, 2)
     geometric = {"suite": "geometric", "parameters": {"a_max": 4, "b_max": 4, "e_max": 1}}
     lattice = {"suite": "lattice", "parameters": {"rank": 3, "trials": 20}, "seed": 3}
 
@@ -293,7 +403,7 @@ def test_alternating_pooled_suites_match_serial(monkeypatch):
 def test_dead_worker_exits_two_with_one_line(monkeypatch, capsys, tmp_path):
     # a worker killed mid-suite (say, by the OOM killer) is an error, not a failed check
     monkeypatch.setenv("HNBOUNDS_JOBS", "2")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    patch_cpus(monkeypatch, 2)
     pids = pool_pids(2)
 
     def dying_suite(params, rng):
@@ -315,7 +425,7 @@ def test_task_defined_after_the_fork_is_named(monkeypatch):
     # cannot unpickle it: the error names it, and the next call forks afresh;
     # a 1 MiB share, more than a pipe buffer holds, is named too
     monkeypatch.setenv("HNBOUNDS_JOBS", "2")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    patch_cpus(monkeypatch, 2)
 
     def hung(signum, frame):
         raise TimeoutError("a pooled call hung")
@@ -354,6 +464,7 @@ def test_dead_worker_in_a_cold_process_exits_two(tmp_path):
         "    return check(family)\n"
         "bounds.check_toric_family = die\n"
         "os.cpu_count = lambda: 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "assert 'pickle' not in sys.modules\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
@@ -837,7 +948,7 @@ def test_pooled_lattice_suite_matches_string_payload_reference(monkeypatch):
             reference.append(CheckReport(named, rep.lhs, rep.rhs, rep.margin, rep.context))
     reference.sort(key=lambda r: r.name)
     expected = json.dumps(reports_to_json(reference), indent=2, sort_keys=True)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    patch_cpus(monkeypatch, 2)
     for jobs in ("1", "2"):
         monkeypatch.setenv("HNBOUNDS_JOBS", jobs)
         _, reports = run_config({"suite": "lattice", "parameters": {"rank": 4, "trials": 12}, "seed": 2024})
