@@ -31,5 +31,5 @@ for (a, b, e) in [(2, 3, 0), (3, 2, 1), (6, 3, 2)]:
 print("asymptotic slope is read off the pushforwards exactly:")
 F = FiberedSeries(5, 2, 2)
 for n in (1, 2, 4, 8):
-    mu_n = F.pushforward(n).hn_type().slope_extremes()[0].as_fraction()
+    mu_n = F.pushforward(n).hn_type().slope_extremes()[0]
     print(f"  mu_max(E_{n})/{n} = {mu_n}/{n} = {mu_n // n}")

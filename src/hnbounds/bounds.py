@@ -24,11 +24,14 @@ from math import comb, factorial
 from .hn import positive_degree
 from .lattices import EuclideanLattice, RATIONAL_FIELD, gillet_soule_constant
 from .scalars import (
+    Exact,
     Scalar,
+    _exact,
     exact_fraction,
     exp_interval,
     log_interval,
     log_scalar,
+    max0,
     scalar_min,
     sqrt_interval,
 )
@@ -65,15 +68,15 @@ class CheckReport:
     access, not stored: it is true iff the margin's lower bound is
     certified nonnegative.  ``context`` carries check-specific details.
     :meth:`compare` builds the report whose margin is rhs - lhs; a check
-    with another margin calls the constructor.  The constructor keeps a
-    Scalar ``lhs``, ``rhs`` or ``margin`` and wraps an int or a Fraction as a
-    rational Scalar; any other type is a ``TypeError``.
+    with another margin calls the constructor.  It keeps an interval or an
+    :class:`Exact` ``lhs``, ``rhs`` or ``margin`` as it is and wraps an int or
+    a Fraction as an Exact; any other type is a ``TypeError``.
     """
 
     __slots__ = ("name", "lhs", "rhs", "margin", "context")
 
     def __init__(self, name: str, lhs, rhs, margin, context=None):
-        self.name, self.lhs, self.rhs, self.margin = name, *map(_report_scalar, (lhs, rhs, margin))
+        self.name, self.lhs, self.rhs, self.margin = name, *map(_report_value, (lhs, rhs, margin))
         self.context = {} if context is None else context
 
     @property
@@ -95,12 +98,14 @@ class CheckReport:
         }
 
 
-def _report_scalar(value) -> Scalar:
-    """A report's lhs, rhs or margin as a Scalar, by Scalar's own coercion."""
-    scalar = Scalar._coerce(value)
-    if scalar is NotImplemented:
+def _report_value(value):
+    """A report's lhs, rhs or margin: an interval or an Exact as it is, an
+    int or a Fraction as an Exact."""
+    if type(value) is Scalar or type(value) is Exact:
+        return value
+    if not isinstance(value, (int, Fraction)):
         raise TypeError(f"a report value is a Scalar, an int or a Fraction, not {type(value).__name__}")
-    return scalar
+    return _exact(value)
 
 
 def _context_value(v):
@@ -128,7 +133,7 @@ def reports_to_csv(reports) -> str:
     return buf.getvalue()
 
 
-def _csv_scalar(s: Scalar) -> str:
+def _csv_scalar(s) -> str:
     if s.is_rational:
         return str(s.as_fraction())
     return f"{s.midpoint():.15g}"
@@ -211,7 +216,7 @@ def check_filtered(F: FiberedSeries) -> CheckReport:
 
 def _positive_minima(L: EuclideanLattice) -> Scalar:
     """sum max(lambda_i, 0) over the successive minima, added in order."""
-    return sum((lam.max0() for lam in L.successive_minima()), Scalar.exact(0))
+    return sum(max0(lam) for lam in L.successive_minima())
 
 
 @lru_cache(maxsize=256)
@@ -219,11 +224,11 @@ def _rank_constants(r: int) -> tuple[Scalar, Scalar, Scalar]:
     """r ln 2, r ln 2 - ln r! and ln(2 r!): the rank-r constants of the lattice
     checks and p1z, built once per rank.  A memoized value is the interval a
     fresh evaluation computes."""
-    r_ln2 = Scalar.exact(r) * log_scalar(2)
+    r_ln2 = r * log_scalar(2)
     return r_ln2, r_ln2 - log_scalar(factorial(r)), log_scalar(2 * factorial(r))
 
 
-def _count_bound(positive_minima: Scalar, r: int) -> Scalar:
+def _count_bound(positive_minima, r: int) -> Scalar:
     """positive_minima + r ln 2 + ln(2 r!), the bound on a rank-r log-count."""
     r_ln2, _, ln_2r_fact = _rank_constants(r)
     return positive_minima + r_ln2 + ln_2r_fact
@@ -248,7 +253,7 @@ def check_minkowski(L: EuclideanLattice) -> CheckReport:
     """
     r = L.rank
     chi = L.euler_char()
-    lam_sum = sum(L.successive_minima(), Scalar.exact(0))
+    lam_sum = sum(L.successive_minima())
     sandwiched = chi - lam_sum
     upper, lower, _ = _rank_constants(r)
     margin = scalar_min(upper - sandwiched, sandwiched - lower)
@@ -266,7 +271,7 @@ def check_blichfeldt(L: EuclideanLattice) -> CheckReport:
     r = L.rank
     lhs = L.h0_hat()
     chi = L.euler_char()
-    rhs = log_interval(Scalar.exact(factorial(r)) * exp_interval(chi) + Scalar.exact(r))
+    rhs = log_interval(factorial(r) * exp_interval(chi) + r)
     return CheckReport.compare(
         f"blichfeldt rank={r}", lhs, rhs, {"count": L.h0_count(), "chi": chi}
     )
@@ -302,7 +307,7 @@ def check_gillet_soule(L: EuclideanLattice) -> CheckReport:
         if worst == 9:
             margin = 0
         elif worst < 9:
-            margin = margin.max0()
+            margin = max0(margin)
     return CheckReport(
         f"gillet-soule rank={r} diag={[str(L.gram[i][i]) for i in range(r)]}",
         lhs,
@@ -369,7 +374,7 @@ def circle_sup_norm(p: IntPolynomial, precision: Fraction) -> Scalar:
     :class:`PrecisionBudgetError` is raised after ``_MAX_SPLITS`` halvings,
     or at once when the square root of the best value alone is too wide.
     """
-    precision = Fraction(precision)
+    precision = exact_fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
     deg = p.degree
@@ -467,7 +472,7 @@ def p1z_h0(n: int) -> tuple[int, CheckReport]:
     report = CheckReport.compare(
         f"p1z degree<={n}",
         log_scalar(count),
-        _count_bound(Scalar.exact(0), r),
+        _count_bound(0, r),
         {
             "count": count,
             "rank": r,

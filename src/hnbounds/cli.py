@@ -71,7 +71,7 @@ from fractions import Fraction
 from . import bounds
 from .hn import HNType
 from .lattices import MAX_RANK, EnumerationBudgetError, EuclideanLattice, _random_int_gram
-from .scalars import CertificationError, Scalar
+from .scalars import CertificationError, Exact, Scalar, exact_bounds, max0
 from .series import FiberedSeries
 from .towers import Tower, TowerData, epsilon, epsilon_tilde, rescale, AffineFunction
 from .bounds import CheckReport, reports_to_csv, reports_to_json
@@ -429,11 +429,11 @@ def _serve(shares, replies) -> None:
     """A worker's loop: read a share, send back ``(True, results)`` or
     ``(False, first exception)``, until EOF.
 
-    A reply writes each distinct exact rational once: a ``Fraction`` or a
-    rational ``Scalar`` equal in type, numerator and denominator to one
-    written before it in the same reply is written as ``_same`` of that
-    one.  The values are immutable, so sharing them changes nothing, and an
-    int, a ``Fraction`` and a rational ``Scalar`` of one value stay apart.
+    A reply writes each distinct exact rational once: a ``Fraction`` or an
+    ``Exact`` equal in type, numerator and denominator to one written
+    before it in the same reply is written as ``_same`` of that one.  The
+    values are immutable, so sharing them changes nothing, and an int, a
+    ``Fraction`` and an ``Exact`` of one value stay apart.
 
     A share that cannot be read here, say one naming a task function defined
     after the fork, is answered with a ``WorkerDiedError`` naming the load
@@ -451,12 +451,9 @@ def _serve(shares, replies) -> None:
 
         def reducer_override(self, obj):
             cls = type(obj)
-            if cls is Fraction:
-                key = (cls, obj.numerator, obj.denominator)
-            elif cls is Scalar and obj._rat is not None:
-                key = (cls, obj._rat.numerator, obj._rat.denominator)
-            else:
+            if cls is not Fraction and cls is not Exact:
                 return NotImplemented
+            key = (cls, obj.numerator, obj.denominator)
             first = self.firsts.setdefault(key, obj)
             return NotImplemented if first is obj else (_same, (first,))
 
@@ -697,7 +694,7 @@ def _hn_type(pairs, what: str) -> HNType:
         h = _build(what, HNType, segments)
     except CertificationError as exc:  # interval slopes whose order no bound decides
         raise ConfigError(f"invalid {what}: {exc}") from None
-    ends = (q for _, s in h.segments for q in set(s.bounds()))
+    ends = (q for _, s in h.segments for q in set(exact_bounds(s)))
     _refuse_past_cap("slope data", what, ends, [r for r, _ in h.segments])
     return h
 
@@ -707,21 +704,21 @@ def suite_polygon(params, rng) -> list[CheckReport]:
     term is certified nonnegative, so a tie on interval slopes passes."""
     h = _hn_type(params["hn"], "config")
     deg_plus = h.deg_plus()
-    (ilo, ihi), (dlo, dhi) = h.positive_rank_integral().bounds(), deg_plus.bounds()
+    (ilo, ihi), (dlo, dhi) = exact_bounds(h.positive_rank_integral()), exact_bounds(deg_plus)
     mu_max, mu_min = h.slope_extremes()
-    top = mu_max.max0()
-    margin = sum((Scalar.exact(r) * (top - s.max0()) for r, s in h.segments[1:]), Scalar.exact(0))
+    top = max0(mu_max)
+    margin = sum((r * (top - max0(s)) for r, s in h.segments[1:]), Fraction(0))
     report = CheckReport(
         "polygon deg_plus<=max(rank,1)*mu_max_plus",
         deg_plus,
-        Scalar.exact(h.rank) * top,
+        h.rank * top,
         margin,
         {
             "deg_plus": deg_plus,
             "mu_max": mu_max,
             "mu_min": mu_min,
             "rank": h.rank,
-            "breakpoints": [[x.to_json(), y.to_json()] for x, y in h.polygon()],
+            "breakpoints": h.polygon(),
             # the two enclosures overlap: equality, for rational slopes
             "integral_identity": max(ilo, dlo) <= min(ihi, dhi),
         },

@@ -5,8 +5,8 @@ on P^1, recorded as the multiset of its twists.  On P^1 everything is exact:
 h^0 is a sum of monomial counts, the slope data is the sorted twist multiset,
 tensor products add twists pairwise, and the successive minima are the twists
 themselves.  Twists, ranks, degrees, h^0 and minima are ints; the slope data
-is an :class:`~hnbounds.hn.HNType`, which wraps the int slopes as rational
-Scalars.
+is an :class:`~hnbounds.hn.HNType`, which reads the int slopes as
+Fractions.
 
 For curves of positive genus there is no h^0 engine here; the honest surface
 is :func:`h0_interval`, which returns the tightest interval guaranteed by the
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from fractions import Fraction
 
 from .hn import HNType
-from .scalars import Scalar
 
 __all__ = ["SplitBundle", "h0_interval"]
 
@@ -76,10 +76,10 @@ class SplitBundle:
         return list(self.twists)
 
 
-def h0_interval(h: HNType, genus: int) -> tuple[Scalar, Scalar]:
+def h0_interval(h: HNType, genus: int):
     """Tightest interval guaranteed for h^0 of a bundle with slope data ``h``
     on a smooth projective curve of genus ``genus`` (a nonnegative integer;
-    ValueError otherwise).
+    ValueError otherwise), as its two ends: Fractions for exact slope data.
 
     Intersects, over the cases whose hypotheses hold:
 
@@ -95,21 +95,21 @@ def h0_interval(h: HNType, genus: int) -> tuple[Scalar, Scalar]:
     g = operator.index(genus)
     if g < 0:
         raise ValueError("genus must be a nonnegative integer")
-    rank = Scalar.exact(h.rank)
+    rank = h.rank
     deg = h.degree()
     deg_plus = h.deg_plus()
     mu_max, mu_min = h.slope_extremes()
-    base_pad = rank * Scalar.exact(max(g - 1, 1))
+    base_pad = rank * max(g - 1, 1)
     lo, hi = deg_plus - base_pad, deg_plus + base_pad
 
-    zero = Scalar.exact(0)
+    zero = Fraction(0)
     if mu_max < zero:
         lo, hi = _intersect(lo, hi, zero, zero)
-    if mu_min > Scalar.exact(2 * g - 2):
-        point = deg + rank * Scalar.exact(1 - g)
+    if mu_min > 2 * g - 2:
+        point = deg + rank * (1 - g)
         lo, hi = _intersect(lo, hi, point, point)
     if mu_min > zero:
-        pad = rank * Scalar.exact(abs(g - 1))
+        pad = rank * abs(g - 1)
         lo, hi = _intersect(lo, hi, deg - pad, deg + pad)
 
     if lo < zero:

@@ -1,16 +1,18 @@
 """Harder-Narasimhan types, polygons, R-filtrations and the positive degree.
 
 An :class:`HNType` records the slope data of a filtered object as a list of
-``(rank, slope)`` segments with strictly decreasing slopes.  It is the one
+``(rank, slope)`` segments with strictly decreasing slopes, each slope a
+``Fraction`` or an interval :class:`~hnbounds.scalars.Scalar`.  It is the one
 validated type here, and ``HNType(segments)`` its public constructor: in a
-single pass it checks each rank, coerces each slope and decides each
+single pass it checks each rank, reads each exact slope and decides each
 adjacent pair of slopes with one certified comparison, which merges equal
 slopes.  A diagonal lattice's segments, whose order its exact entries
 already prove, are wrapped as they are.  Everything downstream (the
 polygon's breakpoints, the positive degree deg+, the rank filtration F^t,
 the slope probability measure's atoms) is a plain value computed from this
 data alone, and none of it decides the slope order again; no sheaf-level
-input is ever required.  The positive degree needs no order at all:
+input is ever required.  Each is a ``Fraction`` when every slope it reads is
+exact, and an interval otherwise.  The positive degree needs no order at all:
 :func:`positive_degree` sums any ``(rank, slope)`` pairs.
 
 An HNType compares by value and, like a :class:`Scalar`, is never changed
@@ -23,50 +25,55 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import CertificationError, Scalar, as_scalar
+from .scalars import CertificationError, Scalar, exact_bounds, exact_fraction, max0, order
 
 __all__ = ["HNType", "positive_degree"]
 
 
-def _show(s: Scalar) -> str:
+def _slope(s) -> Fraction | Scalar:
+    """An interval slope as it is; any other read by ``exact_fraction``."""
+    return s if type(s) is Scalar else exact_fraction(s)
+
+
+def _show(s: Fraction | Scalar) -> str:
     """A slope as the CLI reads it: a rational, or its interval's bounds."""
-    lo, hi = s.bounds()
-    return str(lo) if s.is_rational else f"[{lo}, {hi}]"
+    lo, hi = exact_bounds(s)
+    return f"[{lo}, {hi}]" if type(s) is Scalar else str(lo)
 
 
-def positive_degree(segments: Iterable[tuple[int, Scalar]]) -> Scalar:
+def positive_degree(segments: Iterable[tuple[int, Fraction | Scalar]]) -> Fraction | Scalar:
     """Sum of rank * max(slope, 0) over ``(rank, slope)`` pairs, added in order.
 
     The sum needs no slope order, so the pairs need not be an HN type.
     """
-    return sum((Scalar.exact(r) * s.max0() for r, s in segments), Scalar.exact(0))
+    return sum((r * max0(s) for r, s in segments), Fraction(0))
 
 
 class HNType:
-    """Slope data: ``(rank, slope)`` segments with strictly decreasing slopes."""
+    """Fraction | Scalar data: ``(rank, slope)`` segments with strictly decreasing slopes."""
 
     __slots__ = ("segments",)
 
     def __init__(self, segments: Iterable[Sequence]):
-        """``(rank, slope)`` pairs, a slope a Scalar, int, Fraction or "p/q"
-        string, validated and merged in one pass.
+        """``(rank, slope)`` pairs, a slope an interval Scalar or what
+        ``exact_fraction`` reads, validated and merged in one pass.
 
         Refuses empty input and ranks that are not positive ints (bools
         included).  Each slope is compared once with the one before it:
         equal slopes merge, a larger one is a ``ValueError``, and bounds that
         overlap raise ``CertificationError`` naming both positions (from 1).
         """
-        merged: list[tuple[int, Scalar]] = []
+        merged: list[tuple[int, Fraction | Scalar]] = []
         for i, (rank, slope) in enumerate(segments, 1):
             if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
                 raise ValueError(f"segment ranks must be positive integers, got {rank!r}")
-            slope = as_scalar(slope)
-            order = merged[-1][1]._order(slope) if merged else 1
-            if order == 0:
+            slope = _slope(slope)
+            decided = order(merged[-1][1], slope) if merged else 1
+            if decided == 0:
                 merged[-1] = (merged[-1][0] + rank, merged[-1][1])
-            elif order == 1:
+            elif decided == 1:
                 merged.append((rank, slope))
-            elif order is None:
+            elif decided is None:
                 raise CertificationError(
                     f"cannot order slopes {i - 1} and {i}: {_show(merged[-1][1])} vs {_show(slope)}"
                 )
@@ -85,33 +92,33 @@ class HNType:
     def rank(self) -> int:
         return sum(r for r, _ in self.segments)
 
-    def degree(self) -> Scalar:
+    def degree(self) -> Fraction | Scalar:
         """Total degree: sum of rank_i * slope_i."""
-        return sum((Scalar.exact(r) * s for r, s in self.segments), Scalar.exact(0))
+        return sum((r * s for r, s in self.segments), Fraction(0))
 
     # -- operations -------------------------------------------------------
 
-    def polygon(self) -> tuple[tuple[Scalar, Scalar], ...]:
+    def polygon(self) -> tuple[tuple[Fraction, Fraction | Scalar], ...]:
         """Breakpoints ``((0, 0), (r_1, r_1 s_1), ...)`` of the HN polygon:
         the cumulative (rank, degree) points.  The polygon is concave because
         the slopes strictly decrease; its maximum is :meth:`deg_plus`.
         """
-        x = y = Scalar.exact(0)
+        x = y = Fraction(0)
         pts = [(x, y)]
         for r, s in self.segments:
-            x = x + Scalar.exact(r)
-            y = y + Scalar.exact(r) * s
+            x = x + r
+            y = y + r * s
             pts.append((x, y))
         return tuple(pts)
 
-    def deg_plus(self) -> Scalar:
+    def deg_plus(self) -> Fraction | Scalar:
         """Positive degree (:func:`positive_degree` of the segments).
 
         Equals the maximum of the polygon; 0 when every slope is negative.
         """
         return positive_degree(self.segments)
 
-    def slope_extremes(self) -> tuple[Scalar, Scalar]:
+    def slope_extremes(self) -> tuple[Fraction | Scalar, Fraction | Scalar]:
         """(mu_max, mu_min) = (first slope, last slope)."""
         return (self.segments[0][1], self.segments[-1][1])
 
@@ -127,7 +134,7 @@ class HNType:
         sorted on their exact values, so interval slopes raise ``TypeError``.
         """
         pairs = [(r1 * r2, s1 + s2) for r1, s1 in self.segments for r2, s2 in other.segments]
-        return HNType(sorted(pairs, key=lambda p: p[1].as_fraction(), reverse=True))
+        return HNType(sorted(pairs, key=lambda p: exact_fraction(p[1]), reverse=True))
 
     def filtration_rank(self, t) -> int:
         """Rank of F^t: total rank of segments with slope >= t.
@@ -135,36 +142,36 @@ class HNType:
         The filtration is closed at the slope: F^t jumps down only once t
         passes strictly beyond each slope.
         """
-        t = as_scalar(t)
+        t = _slope(t)
         total = 0
         for r, s in self.segments:
             if s >= t:
                 total += r
         return total
 
-    def positive_rank_integral(self) -> Scalar:
+    def positive_rank_integral(self) -> Fraction | Scalar:
         """Integral of rank(F^t) over t >= 0, evaluated piecewise.
 
         rank(F^t) is cumrank_i for t in (s_{i+1}, s_i], so the integral is
         sum cumrank_i * (max0(s_i) - max0(s_{i+1})), with the slope after the
-        last taken as 0.  Cross-checks deg_plus: the two agree exactly in
-        rational mode, and their enclosures overlap in interval mode.
+        last taken as 0.  Cross-checks deg_plus: the two agree exactly on
+        exact slopes, and their enclosures overlap on intervals.
         """
-        tops = [s.max0() for _, s in self.segments] + [Scalar.exact(0)]
-        total = Scalar.exact(0)
+        tops = [max0(s) for _, s in self.segments] + [Fraction(0)]
+        total = Fraction(0)
         cumrank = 0
         for (r, _), top, below in zip(self.segments, tops, tops[1:]):
             cumrank += r
-            total = total + Scalar.exact(cumrank) * (top - below)
+            total = total + cumrank * (top - below)
         return total
 
-    def slope_measure(self) -> tuple[tuple[Scalar, Fraction], ...]:
+    def slope_measure(self) -> tuple[tuple[Fraction | Scalar, Fraction], ...]:
         """Atoms ``(slope_i, rank_i / rank)`` of the slope probability measure."""
         n = self.rank
         return tuple((s, Fraction(r, n)) for r, s in self.segments)
 
 
-def _ordered(segments: Iterable[tuple[int, Scalar]]) -> HNType:
+def _ordered(segments: Iterable[tuple[int, Fraction | Scalar]]) -> HNType:
     """An HNType of ``(rank, slope)`` pairs whose strict order the caller has
     proven exactly (``__init__``'s checks and comparisons skipped)."""
     h = object.__new__(HNType)

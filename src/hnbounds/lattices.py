@@ -37,6 +37,7 @@ from ._exact import Echelon
 from .hn import HNType, _ordered
 from .scalars import (
     Scalar,
+    exact_fraction,
     log_ball_volume,
     log_gamma,
     log_scalar,
@@ -73,9 +74,7 @@ class EuclideanLattice:
     __slots__ = ("gram", "_memo")
 
     def __init__(self, gram):
-        rows = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in gram
-        )
+        rows = tuple(tuple(map(exact_fraction, row)) for row in gram)
         r = len(rows)
         if r < 1 or any(len(row) != r for row in rows):
             raise ValueError("Gram matrix must be square and nonempty")
@@ -115,9 +114,9 @@ class EuclideanLattice:
             if i != j
         )
 
-    def scale(self, c: Fraction) -> "EuclideanLattice":
-        """Gram scaled by c^2 (all vector lengths scaled by c)."""
-        c2 = Fraction(c) ** 2
+    def scale(self, c) -> "EuclideanLattice":
+        """Gram scaled by c^2 (all vector lengths scaled by c), c an exact rational."""
+        c2 = exact_fraction(c) ** 2
         return EuclideanLattice([[x * c2 for x in row] for row in self.gram])
 
     # -- counting and minima -------------------------------------------------
@@ -230,7 +229,7 @@ class EuclideanLattice:
         if self.rank != 2:
             raise ValueError("rank2_mu_max requires a rank-2 lattice")
         lam1 = neg_half_log(self.minima_norms_squared()[0])
-        return scalar_max(lam1, self.arakelov_degree() / Scalar.exact(2))
+        return scalar_max(lam1, self.arakelov_degree() / 2)
 
     # -- internals -----------------------------------------------------------
 
@@ -441,13 +440,13 @@ def gillet_soule_constant(field: NumberFieldData, n: int) -> Scalar:
         raise ValueError("n must be >= 1")
     d = field.degree
     r1, r2 = field.real_places, field.complex_places
-    total = Scalar.exact(n * d) * log_scalar(3)
-    total = total + Scalar.exact(n * (r1 + r2)) * log_scalar(2)
-    total = total + Scalar.exact(Fraction(n, 2)) * field.log_abs_discriminant()
+    total = n * d * log_scalar(3)
+    total = total + n * (r1 + r2) * log_scalar(2)
+    total = total + Fraction(n, 2) * field.log_abs_discriminant()
     if r1:
-        total = total - Scalar.exact(r1) * (log_ball_volume(n) + log_gamma(n + 1))
+        total = total - r1 * (log_ball_volume(n) + log_gamma(n + 1))
     if r2:
-        total = total - Scalar.exact(r2) * (log_ball_volume(2 * n) + log_gamma(2 * n + 1))
+        total = total - r2 * (log_ball_volume(2 * n) + log_gamma(2 * n + 1))
     total = total + log_gamma(d * n + 1)
     return total
 

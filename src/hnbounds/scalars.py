@@ -1,14 +1,16 @@
-"""Exact scalars: rational numbers and certified real intervals.
+"""Certified real intervals, and the exact value of a report.
 
-Every numeric quantity in this library that an interval can reach is a
-:class:`Scalar`.  A scalar is either *rational* (an exact
-``fractions.Fraction``, closed under +, -, *, /) or an *interval* (a pair of
-arbitrary-precision floats guaranteed to bracket the true real value).
-Logarithmic quantities (log-counts, Arakelov degrees, Stirling-type
-constants) live in interval mode.  The geometric modules (``towers``,
-``series``, ``curves``) compute on ``Fraction`` and int, read through
-:func:`exact_fraction`; :class:`~hnbounds.bounds.CheckReport` wraps an exact
-value as a rational Scalar when a report takes it.
+Every numeric quantity in this library is exact or an interval.  An exact
+value is an int or a ``fractions.Fraction`` from input to report, read by
+:func:`exact_fraction`, the one reader of exact input.  A :class:`Scalar` is
+a certified real interval: a pair of arbitrary-precision floats guaranteed
+to bracket the true real value, as logarithmic quantities (log-counts,
+Arakelov degrees, Stirling-type constants) are.  An exact value meets an
+interval in the interval's operators, reflected ones included
+(``Fraction``'s return ``NotImplemented`` for a type they do not know),
+which promote it with outward rounding; :func:`max0`, :func:`order` and
+:func:`exact_bounds` take either kind.  A report keeps an exact value as an
+:class:`Exact`, a ``Fraction`` that answers a report reader's reads.
 
 An interval is held as the raw endpoint pair ``(lo, hi)`` of mpmath's
 ``libmpf`` tuples ``(sign, man, exp, bc)``, and every interval operation
@@ -19,23 +21,21 @@ objects, so the endpoints are the ones that context computes; the tests keep
 it as the reference.  A rational enters interval arithmetic as the quotient
 of its numerator and denominator, each rounded outward to ``PREC`` bits.
 
-Interval endpoints are dyadic rationals, so mixed rational/interval
-comparisons are exact.  A comparison whose outcome is not determined by the
+Interval endpoints are dyadic rationals, so comparisons between exact values
+and intervals are exact.  A comparison whose outcome is not determined by the
 endpoints raises :class:`CertificationError` instead of guessing.
 
-The common operations avoid converting between representations.  A rational
-is a ``Fraction`` and its arithmetic, comparisons and sign tests work on that
-``Fraction`` directly; results are built by a private constructor that skips
-``__init__``.  An interval's sign tests, ``max0``, ``abs``, and comparisons,
+The common operations avoid converting between representations.  An
+interval's sign tests, :func:`max0`, ``abs``, and comparisons,
 ``scalar_min`` and ``scalar_max`` with another interval read the raw
 endpoints: the sign bit, and mpmath's ``mpf_lt`` between endpoints.  They
 give what the exact bounds would, and they too raise
-:class:`CertificationError` on a non-finite endpoint.  Only a rational
-against an interval converts the endpoints to ``Fraction``.
+:class:`CertificationError` on a non-finite endpoint.  Only an exact value
+against an interval converts the endpoints to ``Fraction``.  Results are
+built by one private constructor, :func:`_interval`.
 
-A Scalar pickles as integers: a rational as its numerator and denominator,
-an interval as its raw endpoint tuples, so a worker process gets back the
-very same value.
+A Scalar pickles as its raw endpoint tuples of integers, so a worker process
+gets back the very same interval.
 
 Scalars are immutable, so constants are computed once: ``PI`` and ``LOG_PI``
 on their first use, :func:`log_ball_volume` once per dimension, and
@@ -48,12 +48,11 @@ mpmath is loaded by this module only, and only its arithmetic kernel
 interval from a rational, interval arithmetic, or ``PI`` and ``LOG_PI``.
 Unless the process has imported mpmath already, ``libmp`` is loaded without
 mpmath's package ``__init__`` and kept private to this module, and no
-``mpmath`` module stays in ``sys.modules`` (:func:`_load_libmp`).  Rational
+``mpmath`` module stays in ``sys.modules`` (:func:`_load_libmp`).  Exact
 arithmetic never loads it, nor does reading a finished interval's raw
 endpoints: its sign, :meth:`bounds`, :meth:`midpoint`, :meth:`to_json` and
 unpickling.  :meth:`to_json` prints an endpoint from its integers, and the
-midpoint is the float of an integer quotient.  The rest of the package sees
-:class:`Scalar`.
+midpoint is the float of an integer quotient.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ _libmp = _LazyLibmp()
 # the least value a float rounds to infinity: the largest float plus half its ulp
 _FLOAT_OVERFLOW = 2**1024 - 2**970
 
-RationalLike = Union[int, Fraction, str, "Scalar"]
+RationalLike = Union[int, Fraction, str]
 
 
 def _midpoint(lo: int, hi: int, den: int) -> float:
@@ -158,6 +157,13 @@ def _finite(raw):
     return raw
 
 
+def _lower_sign(raw) -> int:
+    """Sign of a raw interval's lower bound (-1, 0, 1); CertificationError on
+    a non-finite endpoint, as :meth:`Scalar.bounds` raises."""
+    lo = _finite(raw)[0]
+    return -1 if lo[0] else int(bool(lo[1]))
+
+
 def _aligned(raw) -> tuple[int, int, int]:
     """A finite raw interval as ints ``(lo, hi, den)``: its exact bounds are
     ``lo/den`` and ``hi/den``, with ``den`` the least common power of two."""
@@ -192,51 +198,39 @@ def _fraction_to_raw(f: Fraction):
 
 
 class Scalar:
-    """An exact rational or a certified real interval.
+    """A certified real interval.
 
-    Use :meth:`Scalar.exact` for rational values and the ``log*`` helpers in
-    this module for interval-mode quantities.  Arithmetic between a rational
-    and an interval promotes the rational exactly (with outward rounding of
-    the conversion), so results always contain the true value.
+    Build one with :meth:`from_fraction_bounds` or the ``log*`` helpers in
+    this module.  An int or a ``Fraction`` operand, on either side, is
+    promoted with outward rounding, so results always contain the true
+    value.
     """
 
-    __slots__ = ("_rat", "_ivl")
+    __slots__ = ("_ivl",)
 
-    def __init__(self, rat=None, ivl=None):
-        if (rat is None) == (ivl is None):
-            raise ValueError("Scalar needs exactly one of a rational or an interval")
-        self._rat = rat
-        self._ivl = ivl
+    is_rational = False
 
     # -- construction --------------------------------------------------
 
-    @classmethod
-    def exact(cls, value: RationalLike) -> "Scalar":
-        """The rational Scalar of :func:`exact_fraction`'s value."""
-        return _rational(exact_fraction(value))
+    @staticmethod
+    def exact(value: RationalLike) -> "Exact":
+        """The :class:`Exact` of :func:`exact_fraction`'s value, for outside callers."""
+        return _exact(exact_fraction(value))
 
     @classmethod
     def from_fraction_bounds(cls, lo: Fraction, hi: Fraction) -> "Scalar":
-        """Interval-mode scalar containing [lo, hi] (outward rounding)."""
+        """The interval containing [lo, hi] (outward rounding)."""
         if lo > hi:
             raise ValueError("lower bound exceeds upper bound")
         return _interval((_fraction_to_raw(lo)[0], _fraction_to_raw(hi)[1]))
 
-    # -- mode and bounds -----------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self._rat is not None
+    # -- bounds --------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
-        if self._rat is None:
-            raise TypeError("interval-mode scalar has no exact rational value")
-        return self._rat
+        raise TypeError("an interval has no exact rational value")
 
     def bounds(self) -> tuple[Fraction, Fraction]:
-        """Exact lower and upper bounds (equal in rational mode)."""
-        if self._rat is not None:
-            return (self._rat, self._rat)
+        """Exact lower and upper bounds."""
         a_raw, b_raw = self._ivl
         return (_raw_to_fraction(a_raw), _raw_to_fraction(b_raw))
 
@@ -246,119 +240,62 @@ class Scalar:
 
     def midpoint(self) -> float:
         """The midpoint as a float; ``±inf`` past the float range."""
-        if self._rat is not None:
-            n = self._rat.numerator
-            return _midpoint(n, n, self._rat.denominator)
         return _midpoint(*_aligned(self._ivl))
-
-    def _raw(self):
-        """The raw interval (a rational is promoted with outward rounding)."""
-        if self._ivl is not None:
-            return self._ivl
-        return _fraction_to_raw(self._rat)
-
-    def _lower_sign(self) -> int:
-        """Sign of the lower bound (-1, 0, 1); CertificationError on a
-        non-finite endpoint, as :meth:`bounds` raises."""
-        if self._rat is not None:
-            n = self._rat.numerator
-            return (n > 0) - (n < 0)
-        lo = _finite(self._ivl)[0]
-        return -1 if lo[0] else int(bool(lo[1]))
 
     # -- arithmetic ----------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "Scalar":
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, Fraction):
-            return _rational(other)
-        if isinstance(other, int):
-            return _rational(Fraction(other))
-        return NotImplemented
-
-    # The ops are written out: handing each one its ``mpi_*`` function would
-    # read ``_libmp``, and so load mpmath, for a rational pair too, and a
-    # lookup by name would add a call to every interval op.
+    # The ops are written out: a lookup of the ``mpi_*`` function by name
+    # would add a call to every op.  ``_raw`` is None for an operand of
+    # another type.
 
     def __add__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        raw = _raw(other)
+        if raw is None:
             return NotImplemented
-        if self._rat is not None and other._rat is not None:
-            return _rational(self._rat + other._rat)
-        return _interval(_libmp.mpi_add(self._raw(), other._raw(), PREC))
+        return _interval(_libmp.mpi_add(self._ivl, raw, PREC))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        raw = _raw(other)
+        if raw is None:
             return NotImplemented
-        if self._rat is not None and other._rat is not None:
-            return _rational(self._rat - other._rat)
-        return _interval(_libmp.mpi_sub(self._raw(), other._raw(), PREC))
+        return _interval(_libmp.mpi_sub(self._ivl, raw, PREC))
 
     def __rsub__(self, other):
-        other = Scalar._coerce(other)
-        return other.__sub__(self) if other is not NotImplemented else NotImplemented
+        raw = _raw(other)
+        if raw is None:
+            return NotImplemented
+        return _interval(_libmp.mpi_sub(raw, self._ivl, PREC))
 
     def __mul__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        raw = _raw(other)
+        if raw is None:
             return NotImplemented
-        if self._rat is not None and other._rat is not None:
-            return _rational(self._rat * other._rat)
-        return _interval(_libmp.mpi_mul(self._raw(), other._raw(), PREC))
+        return _interval(_libmp.mpi_mul(self._ivl, raw, PREC))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        raw = _raw(other)
+        if raw is None:
             return NotImplemented
-        if other._rat is not None:
-            if not other._rat:
-                raise CertificationError("division by a scalar whose bounds straddle zero")
-            if self._rat is not None:
-                return _rational(self._rat / other._rat)
-        else:
-            lo, hi = _finite(other._ivl)
-            if (lo[0] or not lo[1]) and not hi[0]:  # lo <= 0 <= hi
-                raise CertificationError("division by a scalar whose bounds straddle zero")
-        return _interval(_libmp.mpi_div(self._raw(), other._raw(), PREC))
+        return _divide(self._ivl, raw)
 
     def __rtruediv__(self, other):
-        other = Scalar._coerce(other)
-        return other.__truediv__(self) if other is not NotImplemented else NotImplemented
+        raw = _raw(other)
+        if raw is None:
+            return NotImplemented
+        return _divide(raw, self._ivl)
 
     def __neg__(self):
-        if self._rat is not None:
-            return _rational(-self._rat)
         return _interval(_libmp.mpi_neg(self._ivl, PREC))
 
     def __pos__(self):
         return self
 
-    def max0(self) -> "Scalar":
-        """max(x, 0), computed as the exact interval extension (never fails).
-
-        An interval's endpoints stay as they are or become zero: they are
-        dyadic with at most PREC bits, so the outward rounding of the
-        bounds changes none of them.
-        """
-        if self._rat is not None:
-            return self if self._rat.numerator >= 0 else _rational(Fraction(0))
-        lo, hi = _finite(self._ivl)
-        if not lo[0]:
-            return self
-        return _interval((_libmp.fzero, _libmp.fzero if hi[0] else hi))
-
     def __abs__(self) -> "Scalar":
-        """Interval extension of |x|; exact in rational mode."""
-        if self._rat is not None:
-            return self if self._rat.numerator >= 0 else _rational(-self._rat)
+        """Interval extension of |x|."""
         lo, hi = _finite(self._ivl)
         if not lo[0]:
             return self
@@ -369,42 +306,18 @@ class Scalar:
 
     # -- certified comparisons ------------------------------------------
 
-    def _order(self, other: "Scalar"):
-        """-1, 0, +1 when the bounds decide self against other; None when
-        they overlap.  Two rationals cross-multiply (denominators are
-        positive), two intervals compare raw endpoints, and a rational
-        against an interval compares exact bounds."""
-        a, b = self._rat, other._rat
-        if a is not None and b is not None:
-            x, y = a.numerator * b.denominator, b.numerator * a.denominator
-            return (x > y) - (x < y)
-        if a is None and b is None:
-            (alo, ahi), (blo, bhi) = _finite(self._ivl), _finite(other._ivl)
-            lt = _libmp.mpf_lt
-        else:
-            (alo, ahi), (blo, bhi) = self.bounds(), other.bounds()
-            lt = operator.lt
-        if lt(ahi, blo):
-            return -1
-        if lt(bhi, alo):
-            return 1
-        if alo == ahi == blo == bhi:
-            return 0
-        return None
-
     def _cmp(self, other) -> int:
         """-1, 0, +1 when certified; raises CertificationError otherwise."""
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (Scalar, int, Fraction)):
             raise TypeError("cannot compare Scalar with that type")
-        order = self._order(other)
-        if order is None:
+        result = order(self, other)
+        if result is None:
             alo, ahi = self.bounds()
-            blo, bhi = other.bounds()
+            blo, bhi = exact_bounds(other)
             raise CertificationError(
                 f"cannot certify comparison of overlapping bounds [{alo},{ahi}] vs [{blo},{bhi}]"
             )
-        return order
+        return result
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -419,40 +332,31 @@ class Scalar:
         return self._cmp(other) >= 0
 
     def __eq__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
-        order = self._order(other)
-        if order is None:
+        result = order(self, other)
+        if result is None:
             raise CertificationError("cannot certify equality of overlapping intervals")
-        return order == 0
+        return result == 0
 
     def __hash__(self):
-        if self._rat is not None:
-            return hash(self._rat)
         return hash(self.bounds())
 
     def __reduce__(self):
-        if self._rat is not None:
-            return (_rational_from_ints, (self._rat.numerator, self._rat.denominator))
         return (_interval, (self._ivl,))
 
     def certified_nonneg(self) -> bool:
         """True iff the lower bound is >= 0 (the certifiable direction)."""
-        return self._lower_sign() >= 0
+        return _lower_sign(self._ivl) >= 0
 
     # -- display / serialization ----------------------------------------
 
     def __repr__(self):
-        if self._rat is not None:
-            return f"Scalar({self._rat})"
         return f"Scalar(~{self.midpoint():.12g}, width={float(self.width()):.3g})"
 
     def to_json(self):
-        """``"p/q"`` for rationals, ``{"lo": .., "hi": .., "approx": ..}`` for
-        intervals; ``approx`` is ``None`` past the float range."""
-        if self._rat is not None:
-            return str(self._rat)
+        """``{"lo": .., "hi": .., "approx": ..}``; ``approx`` is ``None`` past
+        the float range."""
         approx = _midpoint(*_aligned(self._ivl))
         lo, hi = self._ivl
         return {
@@ -462,42 +366,127 @@ class Scalar:
         }
 
 
+class Exact(Fraction):
+    """A report's exact lhs, rhs or margin: a ``Fraction`` that answers the
+    reads a report reader makes of an interval, :meth:`to_json` printing
+    ``"p/q"``.  Arithmetic on it gives plain ``Fraction``s."""
+
+    __slots__ = ()
+
+    is_rational = True
+    to_json = Fraction.__str__
+
+    def as_fraction(self) -> Fraction:
+        return self
+
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        return (self, self)
+
+    def midpoint(self) -> float:
+        """The value as a float; ``±inf`` past the float range."""
+        return _midpoint(self.numerator, self.numerator, self.denominator)
+
+    def certified_nonneg(self) -> bool:
+        return self.numerator >= 0
+
+
 def exact_fraction(value: RationalLike) -> Fraction:
-    """The exact rational of an int, a ``Fraction``, a ``"p/q"`` string or a
-    rational Scalar.  An interval Scalar, a float or any other type is a
-    ``TypeError``: a float's binary value is not the rational it was meant
-    to be."""
+    """The exact rational of an int, a ``Fraction`` (an :class:`Exact`
+    included, returned as it is) or a ``"p/q"`` string.  A Scalar, a float
+    or any other type is a ``TypeError``: an interval has no exact value,
+    and a float's binary value is not the rational it was meant to be."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
         return Fraction(value)
-    if isinstance(value, Scalar):
-        return value.as_fraction()
     raise TypeError(f"cannot read an exact rational from {type(value).__name__}")
 
 
 _new = object.__new__
 
 
-def _rational(f: Fraction) -> Scalar:
-    """A rational Scalar holding the Fraction f (``__init__``'s check skipped)."""
-    s = _new(Scalar)
-    s._rat = f
-    s._ivl = None
-    return s
-
-
 def _interval(raw) -> Scalar:
-    """An interval Scalar holding the raw endpoint pair (check skipped)."""
+    """The Scalar holding the raw endpoint pair: the one constructor."""
     s = _new(Scalar)
-    s._rat = None
     s._ivl = raw
     return s
 
 
-def _rational_from_ints(numerator: int, denominator: int) -> Scalar:
-    """Unpickle a rational from its numerator and denominator."""
-    return _rational(Fraction(numerator, denominator))
+def _exact(q) -> Exact:
+    """The Exact of an int or a Fraction, past ``Fraction.__new__``'s checks."""
+    e = _new(Exact)
+    e._numerator, e._denominator = q.numerator, q.denominator
+    return e
+
+
+def _raw(x):
+    """The raw interval of a Scalar, or of an int or a Fraction promoted with
+    outward rounding; None for any other type."""
+    if type(x) is Scalar:
+        return x._ivl
+    if isinstance(x, Fraction):
+        return _fraction_to_raw(x)
+    if isinstance(x, int):
+        return _int_to_raw(x)
+    return None
+
+
+def _divide(a, b) -> Scalar:
+    """a / b of raw intervals; CertificationError when b holds 0."""
+    lo, hi = _finite(b)
+    if (lo[0] or not lo[1]) and not hi[0]:  # lo <= 0 <= hi
+        raise CertificationError("division by a scalar whose bounds straddle zero")
+    return _interval(_libmp.mpi_div(a, b, PREC))
+
+
+def exact_bounds(x) -> tuple[Fraction, Fraction]:
+    """Exact lower and upper bounds of a Scalar, an int or a Fraction."""
+    if type(x) is Scalar:
+        return x.bounds()
+    x = Fraction(x)
+    return (x, x)
+
+
+def max0(x):
+    """max(x, 0) of an int or a Fraction, exact, or of a Scalar, as the exact
+    interval extension (never fails).
+
+    An interval's endpoints stay as they are or become zero: they are dyadic
+    with at most PREC bits, so the outward rounding of the bounds changes
+    none of them.
+    """
+    if type(x) is not Scalar:
+        return x if x.numerator >= 0 else Fraction(0)
+    lo, hi = _finite(x._ivl)
+    if not lo[0]:
+        return x
+    return _interval((_libmp.fzero, _libmp.fzero if hi[0] else hi))
+
+
+def order(a, b):
+    """-1, 0, +1 when the bounds decide a against b; None when they overlap.
+
+    Each of a and b is a Scalar, an int or a Fraction.  Two exact values
+    cross-multiply (denominators are positive), two intervals compare raw
+    endpoints, and an exact value against an interval compares exact
+    bounds.
+    """
+    if type(a) is Scalar and type(b) is Scalar:
+        (alo, ahi), (blo, bhi) = _finite(a._ivl), _finite(b._ivl)
+        lt = _libmp.mpf_lt
+    elif type(a) is Scalar or type(b) is Scalar:
+        (alo, ahi), (blo, bhi) = exact_bounds(a), exact_bounds(b)
+        lt = operator.lt
+    else:
+        x, y = a.numerator * b.denominator, b.numerator * a.denominator
+        return (x > y) - (x < y)
+    if lt(ahi, blo):
+        return -1
+    if lt(bhi, alo):
+        return 1
+    if alo == ahi == blo == bhi:
+        return 0
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -516,44 +505,41 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def as_scalar(x: RationalLike) -> Scalar:
-    """x itself if it is a Scalar (of either mode), else ``Scalar.exact(x)``."""
-    return x if isinstance(x, Scalar) else Scalar.exact(x)
-
-
-def _extreme(pick, a: Scalar, b: Scalar) -> Scalar:
-    """Interval extension of ``pick`` (max or min); exact for rationals.
+def _extreme(pick, a, b):
+    """Interval extension of ``pick`` (max or min); exact for exact values.
 
     Two intervals keep the picked raw endpoints: they are dyadic with at most
     PREC bits, so outward rounding of their exact values would change none
-    of them, and ``mpf_lt`` compares them exactly.  A rational against an
-    interval compares exact bounds and rounds the picked ones outward.
+    of them, and ``mpf_lt`` compares them exactly.  An exact value against
+    an interval compares exact bounds and rounds the picked ones outward.
     """
-    if a._rat is not None and b._rat is not None:
-        return a if pick(a._rat, b._rat) == a._rat else b
-    if a._rat is None and b._rat is None:
+    if type(a) is not Scalar and type(b) is not Scalar:
+        return pick(a, b)
+    if type(a) is Scalar and type(b) is Scalar:
         (alo, ahi), (blo, bhi) = _finite(a._ivl), _finite(b._ivl)
         larger = pick is max
         return _interval((
             alo if _libmp.mpf_lt(blo, alo) is larger else blo,
             ahi if _libmp.mpf_lt(bhi, ahi) is larger else bhi,
         ))
-    (alo, ahi), (blo, bhi) = a.bounds(), b.bounds()
+    (alo, ahi), (blo, bhi) = exact_bounds(a), exact_bounds(b)
     return Scalar.from_fraction_bounds(pick(alo, blo), pick(ahi, bhi))
 
 
-def scalar_max(a: Scalar, b: Scalar) -> Scalar:
-    """Interval extension of max; exact for rationals."""
+def scalar_max(a, b):
+    """Interval extension of max of Scalars, ints or Fractions; exact for
+    exact values."""
     return _extreme(max, a, b)
 
 
-def scalar_min(a: Scalar, b: Scalar) -> Scalar:
-    """Interval extension of min; exact for rationals."""
+def scalar_min(a, b):
+    """Interval extension of min of Scalars, ints or Fractions; exact for
+    exact values."""
     return _extreme(min, a, b)
 
 
 def log_scalar(x: RationalLike) -> Scalar:
-    """Certified ln of a positive rational (or rational Scalar), memoized on
+    """Certified ln of a positive rational, memoized on
     its exact value: a repeated argument gets the interval a fresh call
     computes."""
     return _log_fraction(exact_fraction(x))
@@ -577,27 +563,30 @@ def neg_half_log(x: RationalLike) -> Scalar:
 
     Negation and halving are exact in binary, so the endpoints of ln x are
     mapped without rounding, and the result is bit for bit the interval
-    ``Scalar.exact(0) - Scalar.exact(1/2) * log_scalar(x)``.
+    ``0 - Fraction(1, 2) * log_scalar(x)``.
     """
     lo, hi = log_scalar(x)._ivl
     return _interval((_neg_half(hi), _neg_half(lo)))
 
 
-def log_interval(x: Scalar) -> Scalar:
-    """Certified ln of any positive scalar."""
-    if x._lower_sign() <= 0:
+def log_interval(x) -> Scalar:
+    """Certified ln of a positive Scalar, int or Fraction (promoted as the
+    operators promote it; so are the arguments of the two below)."""
+    raw = _raw(x)
+    if _lower_sign(raw) <= 0:
         raise CertificationError("log requires certified positive bounds")
-    return _interval(_libmp.mpi_log(x._raw(), PREC))
+    return _interval(_libmp.mpi_log(raw, PREC))
 
 
-def sqrt_interval(x: Scalar) -> Scalar:
-    if x._lower_sign() < 0:
+def sqrt_interval(x) -> Scalar:
+    raw = _raw(x)
+    if _lower_sign(raw) < 0:
         raise CertificationError("sqrt requires certified nonnegative bounds")
-    return _interval(_libmp.mpi_sqrt(x._raw(), PREC))
+    return _interval(_libmp.mpi_sqrt(raw, PREC))
 
 
-def exp_interval(x: Scalar) -> Scalar:
-    return _interval(_libmp.mpi_exp(x._raw(), PREC))
+def exp_interval(x) -> Scalar:
+    return _interval(_libmp.mpi_exp(_raw(x), PREC))
 
 
 def log_gamma(x: RationalLike) -> Scalar:
@@ -617,10 +606,10 @@ def log_ball_volume(n: int) -> Scalar:
     if n < 1:
         raise ValueError("ball dimension must be >= 1")
     half_n = Fraction(n, 2)
-    return Scalar.exact(half_n) * _pi_constants()[1] - log_gamma(half_n + 1)
+    return half_n * _pi_constants()[1] - log_gamma(half_n + 1)
 
 
-def cos_2pi(frac: Fraction) -> Scalar:
-    """Certified cos(2*pi*frac)."""
-    angle = _libmp.mpi_mul(_pi_constants()[2], _fraction_to_raw(Fraction(frac)), PREC)
+def cos_2pi(frac: RationalLike) -> Scalar:
+    """Certified cos(2*pi*frac) of an exact rational."""
+    angle = _libmp.mpi_mul(_pi_constants()[2], _fraction_to_raw(exact_fraction(frac)), PREC)
     return _interval(_libmp.mpi_cos(angle, PREC))

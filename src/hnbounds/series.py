@@ -12,9 +12,9 @@ Two concrete families:
   volumes all have closed forms, and everything can be cross-checked against
   the lattice-point count of the associated trapezoid.
 
-Counts and asymptotic slopes are ints, areas, volumes and filtered rank
-integrals Fractions; only a pushforward's slope data (an
-:class:`~hnbounds.hn.HNType`) holds rational Scalars.
+Counts and asymptotic slopes are ints; areas, volumes, filtered rank
+integrals and a pushforward's slopes (an :class:`~hnbounds.hn.HNType`) are
+Fractions.  Vertices are read by :func:`~hnbounds.scalars.exact_fraction`.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .curves import SplitBundle
+from .scalars import exact_fraction
 
 __all__ = ["ToricSeries", "FiberedSeries"]
 
@@ -74,7 +75,7 @@ class ToricSeries:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices):
-        verts = tuple(tuple(Fraction(x) for x in v) for v in vertices)
+        verts = tuple(tuple(map(exact_fraction, v)) for v in vertices)
         if any(len(v) != 2 for v in verts):
             raise ValueError("vertices must be points of the plane")
         if len(_convex_hull_2d(list(verts))) < 3:
@@ -169,7 +170,7 @@ class FiberedSeries:
         this is its positive-rank integral over n; for n = 1 it is the
         positive degree of the pushforward.
         """
-        return self.pushforward(n).hn_type().positive_rank_integral().as_fraction() / n
+        return self.pushforward(n).hn_type().positive_rank_integral() / n
 
     def volume_via_fibers(self) -> Fraction:
         """(d+1) * integral over t in [0, mu_max_asy] of the filtered volume

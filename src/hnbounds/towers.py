@@ -136,9 +136,9 @@ def epsilon(tower: Tower, data: TowerData) -> Fraction:
     Base case max(g_d - 1, 1); one recursion step per fibration level, using
     mu_0..mu_{d-1} and v_1..v_d (mu_d and v_0 never enter).
 
-    ``tests/test_towers.py`` keeps an independent oracle, one Scalar loop
-    for this term and one for :func:`epsilon_tilde`, so the degeneration
-    ell == 0 stays a genuine cross-check.
+    ``tests/test_towers.py`` keeps an independent oracle, one loop for this
+    term and one for :func:`epsilon_tilde`, so the degeneration ell == 0
+    stays a genuine cross-check.
     """
     return _epsilon(tower, data, None)
 

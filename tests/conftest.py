@@ -4,17 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from hnbounds import HNType, Scalar, SplitBundle, cli
+from hnbounds import HNType, SplitBundle, cli
 
 
-def random_hn_type(rng, max_segments=4, rational=True):
+def random_hn_type(rng, max_segments=4):
     """Random valid slope data with strictly decreasing Fraction slopes."""
     k = rng.randint(1, max_segments)
     slopes = set()
     while len(slopes) < k:
         slopes.add(Fraction(rng.randint(-40, 40), rng.randint(1, 8)))
     slopes = sorted(slopes, reverse=True)
-    return HNType((rng.randint(1, 4), Scalar.exact(s)) for s in slopes)
+    return HNType((rng.randint(1, 4), s) for s in slopes)
 
 
 def random_split_bundle(rng, max_rank=10, twist_range=10):

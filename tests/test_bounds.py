@@ -33,7 +33,7 @@ from hnbounds.bounds import (
     reports_to_csv,
     reports_to_json,
 )
-from hnbounds.scalars import PI, cos_2pi, sqrt_interval
+from hnbounds.scalars import PI, Exact, cos_2pi, sqrt_interval
 from hnbounds.towers import Tower, TowerData, epsilon
 
 
@@ -49,9 +49,9 @@ def diagonal(*entries):
 
 
 def test_report_pass_iff_margin_certified():
-    good = CheckReport.compare("x", Scalar.exact(1), Scalar.exact(2))
+    good = CheckReport.compare("x", 1, 2)
     assert good.passed and good.margin.as_fraction() == 1
-    bad = CheckReport.compare("x", Scalar.exact(2), Scalar.exact(1))
+    bad = CheckReport.compare("x", 2, Fraction(1))
     assert not bad.passed
     from hnbounds import log_scalar
 
@@ -60,13 +60,19 @@ def test_report_pass_iff_margin_certified():
 
 
 def test_report_wraps_exact_values():
-    # an int or a Fraction field becomes the rational Scalar Scalar.exact builds
+    # an int or a Fraction field becomes the Exact that Scalar.exact builds: a
+    # Fraction that answers a reader's reads, and whose arithmetic is plain
     rep = CheckReport.compare("x", 3, Fraction(7, 2))
     fields = (rep.lhs, rep.rhs, rep.margin)
     assert fields == tuple(map(Scalar.exact, (3, Fraction(7, 2), Fraction(1, 2))))
-    assert all(type(s) is Scalar and s.is_rational for s in fields)
+    assert all(type(s) is Exact and s.is_rational for s in fields)
+    assert [s.bounds() for s in fields] == [(3, 3), (Fraction(7, 2),) * 2, (Fraction(1, 2),) * 2]
+    assert [s.to_json() for s in fields] == ["3", "7/2", "1/2"]
+    assert rep.margin.midpoint() == 0.5 and rep.margin.certified_nonneg()
+    assert type(rep.rhs - rep.lhs) is Fraction and type(-rep.margin) is Fraction
     wrapped = CheckReport.compare("x", Scalar.exact(3), Scalar.exact(Fraction(7, 2)))
     assert rep.to_json() == wrapped.to_json()
+    assert CheckReport("y", *fields).lhs is rep.lhs
     # a Scalar field is kept as it is, and an interval rhs coerces the exact lhs
     from hnbounds import log_scalar
 
@@ -82,7 +88,7 @@ def test_report_wraps_exact_values():
 
 
 def test_report_serialization():
-    reps = [CheckReport.compare("a", Scalar.exact(1), Scalar.exact(3))]
+    reps = [CheckReport.compare("a", 1, Fraction(3))]
     blob = reports_to_json(reps)
     assert blob[0]["pass"] is True and blob[0]["margin"] == "2"
     csv_text = reports_to_csv(reps)
@@ -94,12 +100,12 @@ def test_report_serialization():
 
 
 def test_geometric_hs_bound_examples():
-    assert geometric_hs_bound(Scalar.exact(12), 2, Scalar.exact(6)) == 12
+    assert geometric_hs_bound(Fraction(12), 2, "6") == 12
     assert geometric_hs_bound(8, 2, 6) == 10
     assert geometric_hs_bound(Fraction(0), 1, 1) == 1
     assert type(geometric_hs_bound(Fraction(3), 2, 1)) is Fraction
     with pytest.raises(ValueError):
-        geometric_hs_bound(Scalar.exact(-1), 2, Scalar.exact(0))
+        geometric_hs_bound(-1, 2, 0)
     with pytest.raises(ValueError):
         geometric_hs_bound(1, 2, Fraction(-1, 3))
     # the bound is exact: an interval or a float is refused
@@ -152,8 +158,8 @@ def test_positive_characteristic_bound_on_grid():
                     F = FiberedSeries(a, b, e)
                     tower = Tower((0, 0))
                     data = TowerData(
-                        (Scalar.exact(a), Scalar.exact(b)),
-                        (F.volume_via_fibers(), Scalar.exact(b)),
+                        (a, b),
+                        (F.volume_via_fibers(), b),
                     )
                     eps_p = epsilon_tilde(tower, data, DEFAULT_ELL)
                     rhs = geometric_hs_bound(F.trapezoid().volume(), 2, eps_p)
@@ -214,17 +220,17 @@ def test_log_constants_are_fresh_logs():
     from mpmath.libmp import mpi_log
 
     from hnbounds import log_scalar
-    from hnbounds.scalars import PREC, _fraction_to_raw
+    from hnbounds.scalars import PREC, _fraction_to_raw, _interval
 
     def fresh_log(n):
-        return Scalar(ivl=mpi_log(_fraction_to_raw(Fraction(n)), PREC))
+        return _interval(mpi_log(_fraction_to_raw(Fraction(n)), PREC))
 
     for r in range(1, 66):
         for n in (2, math.factorial(r), 2 * math.factorial(r)):
             first = log_scalar(n)
             assert first._ivl == fresh_log(n)._ivl
             assert log_scalar(n) is first
-        r_ln2 = Scalar.exact(r) * fresh_log(2)
+        r_ln2 = r * fresh_log(2)
         expected = (r_ln2, r_ln2 - fresh_log(math.factorial(r)), fresh_log(2 * math.factorial(r)))
         constants = _rank_constants(r)
         assert [c._ivl for c in constants] == [c._ivl for c in expected]
@@ -402,7 +408,7 @@ def _grid_bounds(squares, deg, n_grid):
     grid_max = sqrt_interval(
         Scalar.from_fraction_bounds(Fraction(sq_lo, _FIXED_ONE), Fraction(sq_hi, _FIXED_ONE))
     )
-    upper = grid_max / (Scalar.exact(1) - PI * Scalar.exact(Fraction(deg, n_grid)))
+    upper = grid_max / (1 - PI * Fraction(deg, n_grid))
     return grid_max.bounds()[0], upper.bounds()[1]
 
 

@@ -260,12 +260,12 @@ def test_error_drawing_the_last_share_still_reads_every_reply(monkeypatch):
 
 def _rationals_twice(_):
     """This process's pid, then two equal but distinct copies of each value."""
-    from hnbounds.scalars import Scalar
+    from hnbounds.scalars import Exact, Scalar
 
     def values():
         return [
             Fraction(1, 2),
-            Scalar.exact(Fraction(1, 2)),
+            Exact(1, 2),
             Fraction(2),
             2,
             True,
@@ -508,14 +508,46 @@ def test_epsilon_suite():
     assert status == 0 and len(reports) == 60
 
 
+def test_exact_suites_build_no_scalar(monkeypatch, capsys):
+    # exact values stay Fractions from input to report: the suites whose
+    # checks are all exact build no interval, and every report value is an
+    # Exact (scalars builds each Scalar through its module-level ``_new``)
+    from hnbounds import scalars
+
+    built = []
+    new = scalars._new
+
+    def counting_new(cls):
+        if cls is scalars.Scalar:
+            built.append(cls)
+        return new(cls)
+
+    monkeypatch.setattr(scalars, "_new", counting_new)
+    monkeypatch.setenv("HNBOUNDS_JOBS", "1")
+    configs = [
+        {"suite": "geometric", "parameters": {"a_max": 4, "b_max": 3, "e_max": 2}},
+        {"suite": "filtered", "parameters": {"a_max": 4, "b_max": 3, "e_max": 2}},
+        {"suite": "epsilon", "parameters": {"trials": 20}, "seed": 5},
+        {"suite": "polygon", "parameters": {"hn": [[2, "3"], [1, "-1/2"], [3, "-4"]]}},
+    ]
+    for config in configs:
+        status, reports = run_config(config)
+        assert status == 0 and reports
+        assert all(r.lhs.is_rational and r.rhs.is_rational and r.margin.is_rational for r in reports)
+    capsys.readouterr()
+    assert built == []
+    scalars.Scalar.from_fraction_bounds(Fraction(1), Fraction(2))  # the counter counts
+    assert built == [scalars.Scalar]
+
+
 def test_polygon_suite_echo():
     status, reports = run_config(
         {"suite": "polygon", "parameters": {"hn": [[2, "3"], [1, "-1"]]}}
     )
     assert status == 0
     ctx = reports[0].context
-    assert ctx["deg_plus"].as_fraction() == 6
-    assert ctx["mu_max"].as_fraction() == 3
+    assert ctx["deg_plus"] == 6 and type(ctx["deg_plus"]) is Fraction
+    assert ctx["mu_max"] == 3 and type(ctx["mu_max"]) is Fraction
     assert ctx["integral_identity"] is True
 
 
@@ -538,11 +570,10 @@ def test_cli_exit_codes(tmp_path):
 
 def test_run_exits_one_on_failing_check(monkeypatch):
     from hnbounds.bounds import CheckReport
-    from hnbounds.scalars import Scalar
     from hnbounds import cli
 
     def failing_suite(params, rng):
-        return [CheckReport.compare("forced", Scalar.exact(2), Scalar.exact(1))]
+        return [CheckReport.compare("forced", 2, 1)]
 
     monkeypatch.setitem(cli.SUITE_RUNNERS, "polygon", failing_suite)
     status, reports = run_config({"suite": "polygon", "parameters": {"hn": [[1, "0"]]}})

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hnbounds import CertificationError, HNType, Scalar, cli
+from hnbounds import hn as hn_module
 from hnbounds.hn import positive_degree
+from hnbounds.scalars import exact_bounds, max0
 
 from conftest import random_hn_type
 
@@ -21,7 +23,8 @@ def test_constructor_examples():
     assert len(h.segments) == 2 and h.rank == 3
 
     merged = hn((1, 2), (1, 2))
-    assert [(r, s.as_fraction()) for r, s in merged.segments] == [(2, Fraction(2))]
+    assert merged.segments == ((2, Fraction(2)),)
+    assert type(merged.segments[0][1]) is Fraction
 
     with pytest.raises(ValueError):
         hn((1, 0), (1, 1))
@@ -43,37 +46,33 @@ def test_constructor_idempotent(rng):
 
 def test_polygon_examples():
     pts = hn((2, 3), (1, -1)).polygon()
-    assert [(x.as_fraction(), y.as_fraction()) for x, y in pts] == [
-        (0, 0),
-        (2, 6),
-        (3, 5),
-    ]
-    pts = hn((1, 0)).polygon()
-    assert [(x.as_fraction(), y.as_fraction()) for x, y in pts] == [(0, 0), (1, 0)]
-    pts = hn((3, 1)).polygon()
-    assert [(x.as_fraction(), y.as_fraction()) for x, y in pts] == [(0, 0), (3, 3)]
+    assert pts == ((0, 0), (2, 6), (3, 5))
+    assert all(type(v) is Fraction for pt in pts for v in pt)
+    assert hn((1, 0)).polygon() == ((0, 0), (1, 0))
+    assert hn((3, 1)).polygon() == ((0, 0), (3, 3))
 
 
 def test_polygon_max_is_deg_plus(rng):
     for _ in range(200):
         h = random_hn_type(rng)
-        top = max(y.as_fraction() for _, y in h.polygon())
-        assert top == h.deg_plus().as_fraction()
+        top = max(y for _, y in h.polygon())
+        assert top == h.deg_plus()
 
 
 # -- deg_plus ---------------------------------------------------------------
 
 
 def test_deg_plus_examples():
-    assert hn((2, 3), (1, -1)).deg_plus().as_fraction() == 6
-    assert hn((1, -2)).deg_plus().as_fraction() == 0
-    assert hn((1, 5), (2, 0), (1, -1)).deg_plus().as_fraction() == 5
+    assert hn((2, 3), (1, -1)).deg_plus() == 6
+    assert hn((1, -2)).deg_plus() == 0
+    assert hn((1, 5), (2, 0), (1, -1)).deg_plus() == 5
+    assert type(hn((1, -2)).deg_plus()) is Fraction
 
 
 def test_slope_extremes_examples():
-    assert [s.as_fraction() for s in hn((2, 3), (1, -1)).slope_extremes()] == [3, -1]
-    assert [s.as_fraction() for s in hn((3, 1)).slope_extremes()] == [1, 1]
-    assert [s.as_fraction() for s in hn((1, 0), (1, -5)).slope_extremes()] == [0, -5]
+    assert hn((2, 3), (1, -1)).slope_extremes() == (3, -1)
+    assert hn((3, 1)).slope_extremes() == (1, 1)
+    assert hn((1, 0), (1, -5)).slope_extremes() == (0, -5)
 
 
 # -- dual ---------------------------------------------------------------------
@@ -81,13 +80,13 @@ def test_slope_extremes_examples():
 
 def test_dual_examples(rng):
     d = hn((2, 3), (1, -1)).dual()
-    assert [(r, s.as_fraction()) for r, s in d.segments] == [(1, 1), (2, -3)]
+    assert d.segments == ((1, 1), (2, -3))
     assert hn((3, 0)).dual() == hn((3, 0))
     for _ in range(100):
         h = random_hn_type(rng)
         assert h.dual().dual() == h
         # mu_max(h) + mu_min(dual) = 0
-        assert (h.slope_extremes()[0] + h.dual().slope_extremes()[1]).as_fraction() == 0
+        assert h.slope_extremes()[0] + h.dual().slope_extremes()[1] == 0
 
 
 # -- tensor ---------------------------------------------------------------------
@@ -98,16 +97,16 @@ def naive_tensor(h1: HNType, h2: HNType) -> HNType:
     pairs = []
     for r1, s1 in h1.segments:
         for r2, s2 in h2.segments:
-            pairs.extend([s1.as_fraction() + s2.as_fraction()] * (r1 * r2))
+            pairs.extend([s1 + s2] * (r1 * r2))
     pairs.sort(reverse=True)
-    return HNType((1, Scalar.exact(s)) for s in pairs)
+    return HNType((1, s) for s in pairs)
 
 
 def test_tensor_examples():
     t = hn((1, 1), (1, -1)).tensor(hn((1, 2)))
-    assert [(r, s.as_fraction()) for r, s in t.segments] == [(1, 3), (1, 1)]
+    assert t.segments == ((1, 3), (1, 1))
     t = hn((1, 1), (1, 0)).tensor(hn((1, 1), (1, 0)))
-    assert [(r, s.as_fraction()) for r, s in t.segments] == [(1, 2), (2, 1), (1, 0)]
+    assert t.segments == ((1, 2), (2, 1), (1, 0))
 
 
 def test_tensor_against_naive_oracle(rng):
@@ -123,15 +122,8 @@ def test_tensor_rank_and_additivity(rng):
         h2 = random_hn_type(rng)
         t = h1.tensor(h2)
         assert t.rank == h1.rank * h2.rank
-        assert (
-            t.slope_extremes()[0].as_fraction()
-            == (h1.slope_extremes()[0] + h2.slope_extremes()[0]).as_fraction()
-        )
-        lhs = t.degree().as_fraction()
-        rhs = (
-            h1.rank * h2.degree().as_fraction() + h2.rank * h1.degree().as_fraction()
-        )
-        assert lhs == rhs
+        assert t.slope_extremes()[0] == h1.slope_extremes()[0] + h2.slope_extremes()[0]
+        assert t.degree() == h1.rank * h2.degree() + h2.rank * h1.degree()
 
 
 # -- filtration -----------------------------------------------------------------
@@ -157,18 +149,19 @@ def test_filtration_rank_monotone(rng):
 
 
 def test_positive_rank_integral_examples():
-    assert hn((2, 3), (1, -1)).positive_rank_integral().as_fraction() == 6
-    assert hn((1, -2)).positive_rank_integral().as_fraction() == 0
+    assert hn((2, 3), (1, -1)).positive_rank_integral() == 6
+    assert hn((1, -2)).positive_rank_integral() == 0
+    assert type(hn((1, -2)).positive_rank_integral()) is Fraction
 
 
 def test_integral_identity_random(rng):
     for _ in range(500):
         h = random_hn_type(rng)
-        assert h.positive_rank_integral().as_fraction() == h.deg_plus().as_fraction()
+        assert h.positive_rank_integral() == h.deg_plus()
 
 
-def _overlap(a: Scalar, b: Scalar) -> bool:
-    (alo, ahi), (blo, bhi) = a.bounds(), b.bounds()
+def _overlap(a, b) -> bool:
+    (alo, ahi), (blo, bhi) = exact_bounds(a), exact_bounds(b)
     return max(alo, blo) <= min(ahi, bhi)
 
 
@@ -177,7 +170,7 @@ def test_interval_slopes_polygon_and_integral():
     # from a valid HNType decides their order again
     ivl = Scalar.from_fraction_bounds
     h = HNType([(1, ivl(Fraction(2), Fraction(3))), (1, ivl(Fraction(1), Fraction(3, 2)))])
-    pts = [tuple(v.bounds() for v in pt) for pt in h.polygon()]
+    pts = [tuple(map(exact_bounds, pt)) for pt in h.polygon()]
     assert pts[0] == ((0, 0), (0, 0)) and pts[2][0] == (2, 2)
     assert pts[1][1][0] <= 2 and pts[1][1][1] >= 3
     assert pts[2][1][0] <= 3 and pts[2][1][1] >= Fraction(9, 2)
@@ -195,12 +188,8 @@ def test_interval_slopes_polygon_and_integral():
 
 def test_slope_measure_examples():
     m = hn((2, 3), (1, -1)).slope_measure()
-    assert [(s.as_fraction(), mass) for s, mass in m] == [
-        (3, Fraction(2, 3)),
-        (-1, Fraction(1, 3)),
-    ]
-    m = hn((3, 1)).slope_measure()
-    assert [(s.as_fraction(), mass) for s, mass in m] == [(1, Fraction(1))]
+    assert m == ((3, Fraction(2, 3)), (-1, Fraction(1, 3)))
+    assert hn((3, 1)).slope_measure() == ((1, Fraction(1)),)
 
 
 def test_slope_measure_mass_and_mean(rng):
@@ -208,9 +197,8 @@ def test_slope_measure_mass_and_mean(rng):
         h = random_hn_type(rng)
         m = h.slope_measure()
         assert sum(mass for _, mass in m) == 1 and all(mass > 0 for _, mass in m)
-        positive_mean = sum((s.max0() * Scalar.exact(mass) for s, mass in m), Scalar.exact(0))
-        total = Scalar.exact(h.rank) * positive_mean
-        assert total.as_fraction() == h.deg_plus().as_fraction()
+        positive_mean = sum(max0(s) * mass for s, mass in m)
+        assert h.rank * positive_mean == h.deg_plus()
 
 
 # -- hypothesis property: structure survives arbitrary valid inputs -----------------
@@ -229,13 +217,13 @@ slope_lists = st.lists(
 def test_hypothesis_polygon_concavity(slopes, data):
     slopes = sorted(slopes, reverse=True)
     ranks = [data.draw(st.integers(min_value=1, max_value=5)) for _ in slopes]
-    h = HNType(zip(ranks, map(Scalar.exact, slopes)))
-    pts = [(x.as_fraction(), y.as_fraction()) for x, y in h.polygon()]
+    h = HNType(zip(ranks, slopes))
+    pts = h.polygon()
     assert pts[0] == (0, 0) and pts[-1][0] == h.rank
     assert all(xa < xb for (xa, _), (xb, _) in zip(pts, pts[1:]))
     edges = [(yb - ya) / (xb - xa) for (xa, ya), (xb, yb) in zip(pts, pts[1:])]
     assert all(s > t for s, t in zip(edges, edges[1:]))  # concave
-    assert h.positive_rank_integral().as_fraction() == h.deg_plus().as_fraction()
+    assert h.positive_rank_integral() == h.deg_plus()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -250,10 +238,10 @@ def test_positive_degree_of_the_pairs_is_deg_plus(pairs):
     segments = [
         (r, Scalar.from_fraction_bounds(Fraction(4 * k - 1, 32), Fraction(4 * k + 1, 32)))
         if interval
-        else (r, Scalar.exact(Fraction(k, 8)))
+        else (r, Fraction(k, 8))
         for r, k, interval in pairs
     ]
-    assert positive_degree(segments).bounds() == HNType(segments).deg_plus().bounds()
+    assert exact_bounds(positive_degree(segments)) == exact_bounds(HNType(segments).deg_plus())
 
 
 # -- serialization --------------------------------------------------------------------
@@ -263,7 +251,7 @@ def test_json_round_trip(rng):
     # the CLI reads back the slope data a report prints
     for _ in range(20):
         h = random_hn_type(rng)
-        assert cli._hn_type([[r, s.to_json()] for r, s in h.segments], "--hn") == h
+        assert cli._hn_type([[r, str(s)] for r, s in h.segments], "--hn") == h
 
 
 def test_hn_type_refuses_non_integer_ranks():
@@ -272,18 +260,19 @@ def test_hn_type_refuses_non_integer_ranks():
         with pytest.raises(ValueError, match="positive integers"):
             HNType([[rank, "3"]])
     with pytest.raises(ValueError, match="positive integers"):
-        HNType([(1, 3), (True, Scalar.exact(2))])
+        HNType([(1, 3), (True, Fraction(2))])
 
 
 def _counting_order(monkeypatch):
-    """Patch ``Scalar._order`` to count its calls; returns the list of calls."""
-    calls, order = [], Scalar._order
+    """Patch the order test ``HNType`` merges with to count its calls; returns
+    the list of calls."""
+    calls, order = [], hn_module.order
 
-    def counted(self, other):
-        calls.append((self, other))
-        return order(self, other)
+    def counted(a, b):
+        calls.append((a, b))
+        return order(a, b)
 
-    monkeypatch.setattr(Scalar, "_order", counted)
+    monkeypatch.setattr(hn_module, "order", counted)
     return calls
 
 
@@ -303,7 +292,7 @@ def test_hn_type_merges_keeps_refuses_and_cannot_order(monkeypatch):
     ivl = Scalar.from_fraction_bounds
     # merge (0): equal slopes add their ranks, a degenerate interval included
     h = HNType([(1, "2"), (2, Fraction(2)), (1, ivl(Fraction(2), Fraction(2))), (1, 0)])
-    assert [(r, s.as_fraction()) for r, s in h.segments] == [(4, 2), (1, 0)]
+    assert h.segments == ((4, 2), (1, 0))
     assert len(calls) == 3
     # keep (+1): a smaller slope starts a segment
     assert [r for r, _ in HNType([(1, ivl(Fraction(3), Fraction(4))), (2, "2")]).segments] == [1, 2]

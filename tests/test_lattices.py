@@ -15,13 +15,12 @@ from hnbounds import (
     EuclideanLattice,
     RATIONAL_FIELD,
     NumberFieldData,
-    Scalar,
     gillet_soule_constant,
     log_scalar,
     random_gram,
 )
 from hnbounds import cli, lattices
-from hnbounds.scalars import log_ball_volume, scalar_max
+from hnbounds.scalars import log_ball_volume, max0, scalar_max
 
 
 def diagonal(*entries):
@@ -272,7 +271,7 @@ def test_logs_taken_once_per_lattice(rng):
     # interval of a fresh evaluation of its formula
     for rank in (1, 3, 5):
         L = random_gram(rank, rng).scale(Fraction(1, 2))
-        degree = Scalar.exact(0) - Scalar.exact(Fraction(1, 2)) * log_scalar(L.determinant())
+        degree = 0 - Fraction(1, 2) * log_scalar(L.determinant())
         fresh = {
             "h0_hat": log_scalar(L.h0_count()),
             "arakelov_degree": degree,
@@ -347,8 +346,8 @@ def test_rank2_mu_max_dominates_both_branches(rng):
         L = random_gram(2, rng)
         mu_lo, mu_hi = L.rank2_mu_max().bounds()
         shortest = L.minima_norms_squared()[0]
-        lam1 = Scalar.exact(0) - Scalar.exact(Fraction(1, 2)) * log_scalar(shortest)
-        for branch in (lam1, L.arakelov_degree() / Scalar.exact(2)):
+        lam1 = 0 - Fraction(1, 2) * log_scalar(shortest)
+        for branch in (lam1, L.arakelov_degree() / 2):
             lo, hi = branch.bounds()
             assert mu_lo >= lo and mu_hi >= hi
 
@@ -375,14 +374,12 @@ def test_json_round_trip(rng):
 
 
 def test_interval_slope_measure_consistency():
-    # slope measure and polygon agree with deg_plus in interval mode too
+    # slope measure and polygon agree with deg_plus on interval slopes too
     L = diagonal(Fraction(1, 4), Fraction(1, 4), 1, 4)
     h = L.orthogonal_hn()
     dp = h.deg_plus()
     atoms = h.slope_measure()
-    via_measure = Scalar.exact(h.rank) * sum(
-        (s.max0() * Scalar.exact(mass) for s, mass in atoms), Scalar.exact(0)
-    )
+    via_measure = h.rank * sum(max0(s) * mass for s, mass in atoms)
     via_polygon = functools.reduce(scalar_max, (y for _, y in h.polygon()))
     for other in (via_measure, via_polygon):
         alo, ahi = dp.bounds()
@@ -433,7 +430,7 @@ def test_gillet_soule_growth_law():
     # C(Q,n) = (1/2) n ln n + O(n): the ratio drifts toward 1 from above,
     # decided on the exact endpoints of certified intervals
     def ratio(n):
-        return gillet_soule_constant(RATIONAL_FIELD, n) / (Scalar.exact(Fraction(n, 2)) * log_scalar(n))
+        return gillet_soule_constant(RATIONAL_FIELD, n) / (Fraction(n, 2) * log_scalar(n))
 
     lo, hi = ratio(10**4).bounds()
     assert Fraction(107, 100) < lo and hi < Fraction(109, 100)  # true value ~ 1.0811

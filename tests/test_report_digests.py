@@ -3,6 +3,10 @@
 Each case runs the CLI in-process at a small size and hashes what it writes:
 the JSON and CSV report files of ``hnbounds run`` for every suite, and the
 stdout of the ``lattice``, ``epsilon``, ``polygon`` and ``p1z`` subcommands.
+``MIXED_RUN_CONFIGS`` and ``MIXED_SUBCOMMANDS`` pin the reports where exact
+values and intervals meet: polygons with an interval or a point-interval
+slope, the arithmetic suite's near tie at ``1 + 2^-200``, and the rank-1
+lattice suite, whose exact-zero margins fail and exit 1.
 A change to any formula on the check paths that moves a single byte of a
 report changes a digest here.
 """
@@ -77,3 +81,54 @@ def test_run_report_digest(tmp_path, capsys, suite, fmt):
 def test_subcommand_stdout_digest(capsys, name):
     assert cli.main(SUBCOMMANDS[name]) == 0
     assert _sha(capsys.readouterr().out.encode()) == DIGESTS[name]
+
+
+TIE = (
+    "1606938044258990275541962092341162602522202993782792835301377"
+    "/1606938044258990275541962092341162602522202993782792835301376"
+)
+
+# name: (config, exit status)
+MIXED_RUN_CONFIGS = {
+    "polygon-interval": (
+        {"suite": "polygon", "parameters": {"hn": [[2, "3"], [1, {"lo": "-1", "hi": "0"}], [3, "-5/2"]]}},
+        0,
+    ),
+    "polygon-point": ({"suite": "polygon", "parameters": {"hn": [[1, {"lo": "1", "hi": "1"}], [2, "1/3"]]}}, 0),
+    "arithmetic-tie": ({"suite": "arithmetic", "parameters": {"entries": ["1", TIE], "max_rank": 2}}, 0),
+    "lattice-rank1": ({"suite": "lattice", "parameters": {"rank": 1, "trials": 6}, "seed": 11}, 1),
+}
+
+MIXED_SUBCOMMANDS = {
+    "polygon-interval": ["polygon", "--hn", '[[2,"3"],[1,{"lo":"-1","hi":"0"}],[3,"-5/2"]]'],
+}
+
+MIXED_DIGESTS = {
+    "run-polygon-interval.json": "aeb19efe81ac5bd3df2a7d72dfcfacb0aa470b616ac205edcaa152de2ef2e579",
+    "run-polygon-interval.csv": "59335ffdae5a57bca8511b4084f9ef6c4bb3d7fde4b43d9e8089a36272818af9",
+    "run-polygon-point.json": "ad7d82a9d6eb5f8b5332659658204fd4c0f26a478fb51994a4773c4e6a969f1b",
+    "run-polygon-point.csv": "0b291ea82dd31924428b2cf927b96288cf6de6e40e501af5fcf416c62a27ef5d",
+    "run-arithmetic-tie.json": "42f27b4526877c2efc108da2d1c0e6d853e844b5bc4be557fed66e6a1d7b03c0",
+    "run-arithmetic-tie.csv": "fd3aed5a7bf4100028fbb3ba7ac536b2e67dfa1613ad38ad513042a9bdd88f60",
+    "run-lattice-rank1.json": "c0d32393cda744ccf4446172684b64e3a075c751c832109f84a2d17afe2aa87b",
+    "run-lattice-rank1.csv": "00b11d53d635dfb7adafbe021a36f1b129807d45342f08263a69227091b41a35",
+    "polygon-interval": "b25ac66fe249e09425b74aef3735dd95ae7151706462b3bf402fffb3e0292ca1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_RUN_CONFIGS))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_mixed_run_report_digest(tmp_path, capsys, name, fmt):
+    config, status = MIXED_RUN_CONFIGS[name]
+    out = tmp_path / f"report.{fmt}"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "output": {"path": str(out), "format": fmt}}))
+    assert cli.main(["run", str(path)]) == status
+    capsys.readouterr()
+    assert _sha(out.read_bytes()) == MIXED_DIGESTS[f"run-{name}.{fmt}"]
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_SUBCOMMANDS))
+def test_mixed_subcommand_stdout_digest(capsys, name):
+    assert cli.main(MIXED_SUBCOMMANDS[name]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == MIXED_DIGESTS[name]

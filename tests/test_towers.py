@@ -4,13 +4,13 @@ from math import factorial
 
 import pytest
 
-from hnbounds import AffineFunction, Scalar, Tower, TowerData, epsilon, epsilon_tilde, rescale
+from hnbounds import AffineFunction, Tower, TowerData, epsilon, epsilon_tilde, rescale
 from hnbounds import cli
 from hnbounds.towers import NegativeSlopeWarning
 
 
 def data(mu, vol):
-    return TowerData(tuple(map(Scalar.exact, mu)), tuple(map(Scalar.exact, vol)))
+    return TowerData(mu, vol)
 
 
 def test_epsilon_base_case():
@@ -46,25 +46,25 @@ def test_epsilon_tilde_examples():
     assert type(epsilon_tilde(t, d)) is Fraction
 
 
-def _genus_factor(g: int) -> Scalar:
-    return Scalar.exact(max(g - 1, 1))
+def _genus_factor(g: int) -> Fraction:
+    return Fraction(max(g - 1, 1))
 
 
 def _reference_epsilon(tower, data, ell=None):
-    """The error term by two separate Scalar loops, one for epsilon (``ell``
-    None) and one for epsilon_tilde: an oracle independent of the package's
-    single recursion on Fractions."""
+    """The error term by two separate loops, one for epsilon (``ell`` None)
+    and one for epsilon_tilde: an oracle independent of the package's single
+    recursion."""
     genera = tower.genera
     d = tower.depth
     eps = _genus_factor(genera[d])
     if ell is None:
         for i in range(d - 1, -1, -1):
-            v_next = data.vol[i + 1] / Scalar.exact(factorial(d - i))
+            v_next = data.vol[i + 1] / factorial(d - i)
             eps = data.mu[i] * eps + (v_next + eps) * _genus_factor(genera[i])
         return eps
     for i in range(d - 1, -1, -1):
         level_factor = _genus_factor(genera[i]) + ell(genera[i])
-        v_next = data.vol[i + 1] / Scalar.exact(factorial(d - i))
+        v_next = data.vol[i + 1] / factorial(d - i)
         eps = data.mu[i] * eps + (v_next + eps) * level_factor
     return eps
 
@@ -75,7 +75,7 @@ def test_epsilon_tilde_zero_ell_equals_epsilon(rng):
     zero_ell = AffineFunction(0, 0)
     for _ in range(200):
         tower, d = _random_nonneg(rng)
-        expected = _reference_epsilon(tower, d).as_fraction()
+        expected = _reference_epsilon(tower, d)
         assert epsilon_tilde(tower, d, zero_ell) == expected
         assert epsilon(tower, d) == expected
 
@@ -85,8 +85,8 @@ def test_epsilon_tilde_dominates_epsilon(rng):
     for _ in range(200):
         tower, d = _random_nonneg(rng)
         value = epsilon_tilde(tower, d, ell)
-        assert value == _reference_epsilon(tower, d, ell).as_fraction()
-        assert value >= _reference_epsilon(tower, d).as_fraction()
+        assert value == _reference_epsilon(tower, d, ell)
+        assert value >= _reference_epsilon(tower, d)
 
 
 def _random_nonneg(rng, depth_max=3):
@@ -165,19 +165,19 @@ def test_validation():
     with pytest.raises(ValueError):
         Tower((0, -1))
     with pytest.raises(ValueError):
-        TowerData((Scalar.exact(1),), (Scalar.exact(1), Scalar.exact(2)))
+        TowerData((1,), (1, 2))
     with pytest.raises(ValueError):
         data([1], [-1])
     with pytest.raises(ValueError):
         epsilon(Tower((0, 0)), data([1], [1]))
-    # an int, a Fraction, a "p/q" string and a rational Scalar are stored as Fractions
-    stored = TowerData((2, Fraction(1, 3), "5/2", Scalar.exact(Fraction(7, 4))), (0, 1, 2, 3))
-    assert stored.mu == (2, Fraction(1, 3), Fraction(5, 2), Fraction(7, 4))
+    # an int, a Fraction and a "p/q" string are stored as Fractions
+    stored = TowerData((2, Fraction(1, 3), "5/2"), (0, 1, 2))
+    assert stored.mu == (2, Fraction(1, 3), Fraction(5, 2))
     assert {type(x) for x in stored.mu + stored.vol} == {Fraction}
     with pytest.raises(TypeError):
         from hnbounds import log_scalar
 
-        TowerData((log_scalar(2),), (Scalar.exact(1),))
+        TowerData((log_scalar(2),), (1,))
     with pytest.raises(TypeError):
         TowerData((0.5,), (1,))
 
