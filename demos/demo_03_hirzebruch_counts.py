@@ -15,7 +15,9 @@ for (a, b, e) in [(2, 3, 0), (3, 2, 1), (6, 3, 2)]:
     trap = F.trapezoid()
     print(f"(a, b, e) = ({a}, {b}, {e})")
     print("  pushforward twists:", E1.twists)
-    print("  h0 =", E1.h0(), " lattice points of the trapezoid:", trap.rank(1))
+    # columns y = 0..b of {0 <= x <= a - e y} hold a - e y + 1 points each
+    points = (b + 1) * (a + 1) - e * b * (b + 1) // 2
+    print("  h0 =", E1.h0(), " lattice points of the trapezoid:", points)
     print("  normalized volume:", trap.volume(),
           "= 2 * integral of filtered volumes:", F.volume_via_fibers())
 

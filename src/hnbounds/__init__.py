@@ -6,12 +6,12 @@ The library computes, in exact rational or certified interval arithmetic:
   (:mod:`hnbounds.hn`);
 * split vector bundles on the projective line with exact cohomology and
   successive minima (:mod:`hnbounds.curves`);
-* toric and Hirzebruch-fibered graded series with exact lattice-point
-  counts, volumes and pushforwards (:mod:`hnbounds.series`);
+* Hirzebruch-fibered graded series with exact pushforwards and volumes,
+  and the normalized area of a rational polygon (:mod:`hnbounds.series`);
 * recursive error terms attached to towers of curve fibrations
   (:mod:`hnbounds.towers`);
 * Euclidean lattices with enumeration-backed section counts, successive
-  minima and comparison constants (:mod:`hnbounds.lattices`);
+  minima and the comparison constant C(Q, n) (:mod:`hnbounds.lattices`);
 * inequality assemblies and machine-readable check reports
   (:mod:`hnbounds.bounds`).
 
@@ -34,7 +34,6 @@ from .towers import (
 from .lattices import (
     EnumerationBudgetError,
     EuclideanLattice,
-    NumberFieldData,
     RATIONAL_FIELD,
     gillet_soule_constant,
     random_gram,
@@ -65,7 +64,6 @@ __all__ = [
     "FiberedSeries",
     "HNType",
     "IntPolynomial",
-    "NumberFieldData",
     "PrecisionBudgetError",
     "RATIONAL_FIELD",
     "Scalar",

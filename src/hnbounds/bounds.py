@@ -280,10 +280,10 @@ def check_blichfeldt(L: EuclideanLattice) -> CheckReport:
 def check_gillet_soule(L: EuclideanLattice) -> CheckReport:
     """|h0_hat - positive degree| <= C(Q, r) for diagonal lattices.
 
-    Section counts are computed over Z, so the field is the rationals, whose
-    r ln|Delta| term is 0; C(K, n) itself is implemented for arbitrary
-    signatures.  The positive degree is summed over the orthogonal slopes,
-    which the exact diagonal orders, so no slope comparison is certified.
+    Section counts are computed over Z, so the field is the rationals, the
+    one field :func:`~hnbounds.lattices.gillet_soule_constant` takes.  The
+    positive degree is summed over the orthogonal slopes, which the exact
+    diagonal orders, so no slope comparison is certified.
 
     At rank 1 the inequality can hold with exact equality (for the unit
     lattice both sides are ln 3), which no interval can certify; that single

@@ -10,13 +10,14 @@ Fincke-Pohst enumeration over that data, so every count is a theorem, not a
 float: the count adds each level-0 range in O(1) without visiting its leaves,
 and the minima compare integer norms over one common denominator.  Each
 lattice is reduced once by the integral LLL of Cohen (Alg. 2.6.7), memoized
-and shared by the count and the minima; the reduction only shrinks the search
-region and never enters the certification path (the enumeration bound is
-taken from whichever basis is in use).
+and shared by the count and the minima; it keeps the reduced basis's
+Gram-Schmidt data alone, since the enumeration needs nothing else.  The
+reduction only shrinks the search region and never enters the certification
+path (the enumeration bound is taken from whichever basis is in use).
 
 Logarithmic invariants (log-counts, Euler characteristic, Arakelov degree,
-the rank-n comparison constant of Gillet-Soule type) are certified intervals,
-each taken once per lattice (or per argument) and memoized.
+the comparison constant C(Q, n) of Gillet and Soule) are certified
+intervals, each taken once per lattice (or per argument) and memoized.
 
 Out of scope: maximal slopes beyond rank 2 or off-diagonal (a genuine
 sublattice optimization), and absolute minima over the algebraic closure for
@@ -47,7 +48,6 @@ from .scalars import (
 
 __all__ = [
     "EuclideanLattice",
-    "NumberFieldData",
     "RATIONAL_FIELD",
     "EnumerationBudgetError",
     "gillet_soule_constant",
@@ -130,7 +130,7 @@ class EuclideanLattice:
         """
         if "h0_count" not in self._memo:
             self._check_budget()
-            gso, _ = self._lll()
+            gso = self._lll()
             weights, scale = _form(gso)
             leaves = sum(top - lo for _, lo, top, _, _ in _level0_ranges(gso, weights, scale))
             self._memo["h0_count"] = 1 + 2 * leaves
@@ -169,7 +169,7 @@ class EuclideanLattice:
         """
         if "minima" not in self._memo:
             self._check_budget()
-            gso, _ = self._lll()
+            gso = self._lll()
             _, delta, lam = gso
             weights, scale = _form(gso)
             top = max(
@@ -240,21 +240,20 @@ class EuclideanLattice:
             )
 
     def _lll(self):
-        """Integral LLL (Cohen, Alg. 2.6.7); returns (gso, transform rows),
-        memoized, where gso = (den, Delta, lambda) is the integer
-        Gram-Schmidt data of the reduced basis (:func:`_form`).
+        """Integral LLL (Cohen, Alg. 2.6.7), memoized: the integer
+        Gram-Schmidt data gso = (den, Delta, lambda) of the reduced basis
+        (:func:`_form`).
 
-        transform[i] is the coordinate vector of the i-th reduced basis
-        vector in the original basis.  The only other state is the integer
-        Gram-Schmidt data Delta and lambda, copied from the lattice and
-        updated in place, never recomputed: size reduction b_k -= q b_j, with
+        The only state is that data, copied from the lattice and updated in
+        place, never recomputed: size reduction b_k -= q b_j, with
         q = round(lambda_kj / Delta_(j+1)) (ties to even), leaves Delta
         unchanged, and a swap is Cohen's SWAPI with exact integer division.
         b_k is size-reduced against every j < k before the Lovasz test
         4 (Delta_(k+1) Delta_(k-1) + lambda^2) >= 3 Delta_k^2 (delta = 3/4).
-        The reduced basis's Gram T G T^T is never formed.  Heuristic only:
-        callers use the reduced basis to shrink enumeration regions, never to
-        certify.
+        Neither the transform to the reduced basis nor its Gram is formed:
+        the enumeration reads coordinates and norms off gso alone.  Heuristic
+        only: callers use the reduced basis to shrink enumeration regions,
+        never to certify.
         """
         if "lll" in self._memo:
             return self._memo["lll"]
@@ -262,7 +261,6 @@ class EuclideanLattice:
         den, delta, lam = self._memo["gso"]
         delta = list(delta)
         lam = [list(row) for row in lam]
-        basis = [[int(i == j) for j in range(r)] for i in range(r)]
         k = 1
         steps = 0
         while k < r:
@@ -273,7 +271,6 @@ class EuclideanLattice:
             for j in range(k - 1, -1, -1):
                 if 2 * abs(lk[j]) > delta[j + 1]:  # else round(lambda/Delta) == 0
                     q = _round_half_even(lk[j], delta[j + 1])
-                    basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
                     lk[j] -= q * delta[j + 1]
                     lj = lam[j]
                     for i in range(j):
@@ -283,7 +280,6 @@ class EuclideanLattice:
                 k += 1
                 continue
             # swap b_(k-1) and b_k
-            basis[k - 1], basis[k] = basis[k], basis[k - 1]
             lam[k - 1], lam[k] = lk[: k - 1], lam[k - 1] + [l]
             dk, dk1 = delta[k], delta[k + 1]
             big = (delta[k - 1] * dk1 + l * l) // dk
@@ -294,7 +290,7 @@ class EuclideanLattice:
                 li[k - 1] = (big * t + l * li[k]) // dk1
             delta[k] = big
             k = max(k - 1, 1)
-        self._memo["lll"] = (den, delta, lam), basis
+        self._memo["lll"] = den, delta, lam
         return self._memo["lll"]
 
 
@@ -396,59 +392,34 @@ def _level0_ranges(gso, weights, total: int):
         level = 1
 
 
-class NumberFieldData:
-    """Degree, signature and absolute discriminant of a number field."""
-
-    __slots__ = ("degree", "real_places", "complex_places", "abs_discriminant")
-
-    def __init__(self, degree: int, real_places: int, complex_places: int, abs_discriminant: int):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        if real_places < 0 or complex_places < 0:
-            raise ValueError("place counts must be nonnegative")
-        if real_places + 2 * complex_places != degree:
-            raise ValueError("signature must satisfy r1 + 2 r2 = degree")
-        if abs_discriminant < 1:
-            raise ValueError("absolute discriminant must be >= 1")
-        self.degree, self.real_places, self.complex_places = degree, real_places, complex_places
-        self.abs_discriminant = abs_discriminant
-
-    def log_abs_discriminant(self) -> Scalar:
-        return log_scalar(self.abs_discriminant)
-
-
-RATIONAL_FIELD = NumberFieldData(1, 1, 0, 1)
+RATIONAL_FIELD = "Q"  # the one field gillet_soule_constant takes
 
 
 @lru_cache(maxsize=256)
-def gillet_soule_constant(field: NumberFieldData, n: int) -> Scalar:
-    """Comparison constant C(K, n) between log-section-counts and degrees.
+def gillet_soule_constant(field, n: int) -> Scalar:
+    """Comparison constant C(Q, n) between log-section-counts and degrees.
 
-    C(K, n) = n d ln 3 + n (r1 + r2) ln 2 + (n/2) ln|Delta|
-              - r1 ln(V(B_n) n!) - r2 ln(V(B_2n) (2n)!) + ln((d n)!)
+    Gillet and Soule's C(K, n) at K = Q (degree 1, one real place, |Delta| = 1):
 
-    evaluated as a certified interval, with every ln m! taken as the certified
-    ln Gamma(m + 1), so the cost does not grow with n.  C(K, n) grows like
-    (d/2) n ln n, and its ratio to that term falls toward 1 from above,
-    slowly: for K = Q it is 1.081 at n = 10^4 and stays within 5 % only
-    from n ~ 3 x 10^6 on.  Memoized per (field, n), the field by identity:
-    its data are never changed after construction and the result is an
-    immutable Scalar, so a repeated call returns the interval a fresh
-    evaluation would compute.
+        C(Q, n) = n ln 3 + n ln 2 - ln(V(B_n) n!) + ln(n!)
+
+    evaluated as a certified interval, with ln n! taken as the certified
+    ln Gamma(n + 1), so the cost does not grow with n.  The two ln n! terms
+    are kept, not cancelled, so the interval is the one the general formula
+    gives.  C(Q, n) grows like (1/2) n ln n, and its ratio to that term falls
+    toward 1 from above, slowly: it is 1.081 at n = 10^4 and stays within
+    5 % only from n ~ 3 x 10^6 on.  ``field`` must be
+    :data:`RATIONAL_FIELD`; checks count sections over Z.  Memoized per
+    (field, n); the result is an immutable Scalar, so a repeated call
+    returns the interval a fresh evaluation would compute.
     """
+    if field != RATIONAL_FIELD:
+        raise ValueError("C(K, n) is implemented for K = Q only")
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = field.degree
-    r1, r2 = field.real_places, field.complex_places
-    total = n * d * log_scalar(3)
-    total = total + n * (r1 + r2) * log_scalar(2)
-    total = total + Fraction(n, 2) * field.log_abs_discriminant()
-    if r1:
-        total = total - r1 * (log_ball_volume(n) + log_gamma(n + 1))
-    if r2:
-        total = total - r2 * (log_ball_volume(2 * n) + log_gamma(2 * n + 1))
-    total = total + log_gamma(d * n + 1)
-    return total
+    log_factorial = log_gamma(n + 1)
+    total = n * log_scalar(3) + n * log_scalar(2) - (log_ball_volume(n) + log_factorial)
+    return total + log_factorial
 
 
 def _random_int_gram(rank: int, rng) -> tuple[tuple[int, ...], ...]:

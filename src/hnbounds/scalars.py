@@ -125,8 +125,12 @@ def _midpoint(lo: int, hi: int, den: int) -> float:
     try:
         return (lo + hi) / den / 2 if lo != hi else lo / den
     except OverflowError:  # the sum, and perhaps the midpoint, is past the range
-        mid = Fraction(lo + hi, 2 * den)
-        return float(mid) if abs(mid) < _FLOAT_OVERFLOW else math.inf if mid > 0 else -math.inf
+        return _float(Fraction(lo + hi, 2 * den))
+
+
+def _float(x: Fraction) -> float:
+    """``float(x)``, or ``±inf`` where that would overflow."""
+    return float(x) if abs(x) < _FLOAT_OVERFLOW else math.inf if x > 0 else -math.inf
 
 
 class CertificationError(ArithmeticError):
@@ -340,7 +344,9 @@ class Scalar:
         return result == 0
 
     def __hash__(self):
-        return hash(self.bounds())
+        # a point interval equals its exact value, so it hashes as that value
+        lo, hi = self.bounds()
+        return hash(lo) if lo == hi else hash((lo, hi))
 
     def __reduce__(self):
         return (_interval, (self._ivl,))
@@ -352,7 +358,7 @@ class Scalar:
     # -- display / serialization ----------------------------------------
 
     def __repr__(self):
-        return f"Scalar(~{self.midpoint():.12g}, width={float(self.width()):.3g})"
+        return f"Scalar(~{self.midpoint():.12g}, width={_float(self.width()):.3g})"
 
     def to_json(self):
         """``{"lo": .., "hi": .., "approx": ..}``; ``approx`` is ``None`` past

@@ -2,15 +2,14 @@
 
 Two concrete families:
 
-* :class:`ToricSeries` -- lattice-point counting and exact area for a
-  rational convex polygon.  Facets are the edges of its hull, counting runs
-  column by column, and the area is the shoelace sum.
+* :class:`ToricSeries` -- the normalized area of a rational convex polygon:
+  the shoelace sum over its hull.
 
 * :class:`FiberedSeries` -- the total graded system of the line bundle
   O(a f + b s) on the Hirzebruch surface F_e fibered over P^1 (e = 0 is
   P^1 x P^1).  Pushforwards split, so ranks, slopes, filtered pieces and
-  volumes all have closed forms, and everything can be cross-checked against
-  the lattice-point count of the associated trapezoid.
+  volumes all have closed forms; the volume agrees with the area of the
+  associated trapezoid.
 
 Counts and asymptotic slopes are ints; areas, volumes, filtered rank
 integrals and a pushforward's slopes (an :class:`~hnbounds.hn.HNType`) are
@@ -21,21 +20,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
 
 from .curves import SplitBundle
 from .scalars import exact_fraction
 
 __all__ = ["ToricSeries", "FiberedSeries"]
-
-
-def _integerize(normal, rhs):
-    """Scale a rational inequality a.x <= c to coprime integer coefficients."""
-    values = [*normal, rhs]
-    den = lcm(*(x.denominator for x in values))
-    ints = [int(x * den) for x in values]
-    g = gcd(*ints) or 1
-    return tuple(x // g for x in ints[:-1]), ints[-1] // g
 
 
 def _convex_hull_2d(points: list[tuple[Fraction, Fraction]]):
@@ -82,50 +71,11 @@ class ToricSeries:
             raise ValueError("polygon must be two-dimensional")
         self.vertices = verts
 
-    def _edges(self):
-        """Consecutive vertex pairs of the hull, counter-clockwise."""
-        hull = _convex_hull_2d(list(self.vertices))
-        return zip(hull, hull[1:] + hull[:1])
-
-    def facets(self) -> list[tuple[tuple[int, int], int]]:
-        """Integer inequalities a.x <= c cutting out the polygon, one per hull
-        edge; the polygon lies left of each edge, so a is its right normal."""
-        out = []
-        for (x1, y1), (x2, y2) in self._edges():
-            normal = (y2 - y1, x1 - x2)
-            out.append(_integerize(normal, normal[0] * x1 + normal[1] * y1))
-        return out
-
-    def rank(self, n: int) -> int:
-        """Number of lattice points of the n-th dilate (n >= 0).
-
-        Each integer column x of the bounding box contributes the length of
-        its y range, cut by every facet.
-        """
-        if n < 0:
-            raise ValueError("dilation factor must be >= 0")
-        facets = [(a, c * n) for a, c in self.facets()]
-        xs = [n * x for x, _ in self.vertices]
-        ys = [n * y for _, y in self.vertices]
-        total = 0
-        for x in range(ceil(min(xs)), floor(max(xs)) + 1):
-            lo, hi = ceil(min(ys)), floor(max(ys))
-            for (ax, ay), c in facets:
-                rest = c - ax * x
-                if ay > 0:
-                    hi = min(hi, rest // ay)
-                elif ay < 0:
-                    lo = max(lo, -(rest // -ay))
-                elif rest < 0:
-                    break
-            else:
-                total += max(0, hi - lo + 1)
-        return total
-
     def volume(self) -> Fraction:
         """Normalized volume 2! * area: the shoelace sum over the
         counter-clockwise hull, which is twice the area."""
-        return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in self._edges())
+        hull = _convex_hull_2d(list(self.vertices))
+        return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ from hnbounds import (
     EnumerationBudgetError,
     EuclideanLattice,
     RATIONAL_FIELD,
-    NumberFieldData,
     gillet_soule_constant,
     log_scalar,
     random_gram,
 )
 from hnbounds import cli, lattices
-from hnbounds.scalars import log_ball_volume, max0, scalar_max
+from hnbounds.scalars import log_ball_volume, log_gamma, max0, scalar_max
 
 
 def diagonal(*entries):
@@ -121,12 +120,16 @@ def integer_norm(a, v):
     return sum(x * sum(y * z for y, z in zip(row, v)) for x, row in zip(v, a) if x)
 
 
-def reduced_lattice(L):
-    """The lattice of L's LLL-reduced basis: Gram T G T^T, T from _lll."""
-    _, t = L._lll()
-    g = L.gram
+def transformed_gram(g, t):
+    """T G T^T: the Gram of the basis whose i-th vector has coordinates t[i]."""
     tg = [[sum(x * col for x, col in zip(u, cols)) for cols in zip(*g)] for u in t]
-    return EuclideanLattice([[sum(x * y for x, y in zip(row, u)) for u in t] for row in tg])
+    return [[sum(x * y for x, y in zip(row, u)) for u in t] for row in tg]
+
+
+def reduced_lattice(L):
+    """The lattice of L's LLL-reduced basis: Gram T G T^T, with T from
+    :func:`_rational_lll`, which takes the decisions of the integral _lll."""
+    return EuclideanLattice(transformed_gram(L.gram, _rational_lll(L.gram)))
 
 
 def _invert(g):
@@ -401,6 +404,47 @@ def test_interval_slope_data_serializes():
 # -- number field data and the comparison constant ------------------------------------
 
 
+class NumberFieldData:
+    """Degree, signature and absolute discriminant of a number field: the
+    reference's field, which the library takes only as K = Q."""
+
+    def __init__(self, degree, real_places, complex_places, abs_discriminant):
+        if degree < 1:
+            raise ValueError("degree must be >= 1")
+        if real_places < 0 or complex_places < 0:
+            raise ValueError("place counts must be nonnegative")
+        if real_places + 2 * complex_places != degree:
+            raise ValueError("signature must satisfy r1 + 2 r2 = degree")
+        if abs_discriminant < 1:
+            raise ValueError("absolute discriminant must be >= 1")
+        self.degree, self.real_places, self.complex_places = degree, real_places, complex_places
+        self.abs_discriminant = abs_discriminant
+
+    def log_abs_discriminant(self):
+        return log_scalar(self.abs_discriminant)
+
+
+def reference_gillet_soule_constant(field, n):
+    """C(K, n) of Gillet and Soule for every K, in certified intervals:
+
+    C(K, n) = n d ln 3 + n (r1 + r2) ln 2 + (n/2) ln|Delta|
+              - r1 ln(V(B_n) n!) - r2 ln(V(B_2n) (2n)!) + ln((d n)!)
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    d = field.degree
+    r1, r2 = field.real_places, field.complex_places
+    total = n * d * log_scalar(3)
+    total = total + n * (r1 + r2) * log_scalar(2)
+    total = total + Fraction(n, 2) * field.log_abs_discriminant()
+    if r1:
+        total = total - r1 * (log_ball_volume(n) + log_gamma(n + 1))
+    if r2:
+        total = total - r2 * (log_ball_volume(2 * n) + log_gamma(2 * n + 1))
+    total = total + log_gamma(d * n + 1)
+    return total
+
+
 def test_number_field_validation():
     with pytest.raises(ValueError):
         NumberFieldData(2, 1, 1, 1)  # r1 + 2 r2 != degree
@@ -408,6 +452,17 @@ def test_number_field_validation():
         NumberFieldData(1, 1, 0, 0)
     K = NumberFieldData(2, 0, 1, 4)
     assert K.log_abs_discriminant().midpoint() == pytest.approx(math.log(4))
+
+
+def test_gillet_soule_constant_is_the_general_form_at_q():
+    # the library's C(Q, n) is the very interval of the general C(K, n) at K = Q
+    q = NumberFieldData(1, 1, 0, 1)
+    for n in [*range(1, 201), 10**4, 10**5, 2 * 10**5, 10**7]:
+        expected = reference_gillet_soule_constant(q, n)
+        assert gillet_soule_constant(RATIONAL_FIELD, n)._ivl == expected._ivl, n
+    for field, n in ((q, 1), (NumberFieldData(2, 0, 1, 3), 1), (RATIONAL_FIELD, 0)):
+        with pytest.raises(ValueError):
+            gillet_soule_constant(field, n)
 
 
 def test_gillet_soule_small_values():
@@ -420,7 +475,7 @@ def test_gillet_soule_small_values():
 def test_gillet_soule_imaginary_quadratic():
     # degree 2, one complex place: only the r2 term and (dn)! survive vs 2n ln 6
     K = NumberFieldData(2, 0, 1, 3)
-    c = gillet_soule_constant(K, 1)
+    c = reference_gillet_soule_constant(K, 1)
     # n=1, d=2: 2 ln3 + ln2 + (1/2)ln3 - ln(V(B_2) 2!) + ln(2!), V(B_2) = pi
     expected = 2 * math.log(3) + math.log(2) + 0.5 * math.log(3) - math.log(math.pi * 2) + math.log(2)
     assert c.midpoint() == pytest.approx(expected)
@@ -533,13 +588,13 @@ def test_ldl_reconstructs_gram(rng):
                 assert rebuilt == a[i][j]
     for L, R in zip(lattices, reduced):
         # the data LLL hands over is what a fresh elimination of T G T^T gives
-        assert L._lll()[0] == R._memo["gso"]
+        assert L._lll() == R._memo["gso"]
 
 
 def _rational_lll(g):
     """Transform rows of LLL (delta = 3/4) run on the rational LDL data
     d, mu with Cohen's rational swap (Alg. 2.6.3): the reference for the
-    decisions of the integral _lll."""
+    decisions of the integral _lll, which keeps no transform."""
     r = len(g)
     d, u = _ldl(g)
     mu = [[u[j][i] for j in range(i)] for i in range(r)]
@@ -581,9 +636,8 @@ def test_lll_output_is_size_reduced_and_lovasz():
     lattices += _tie_grams()  # round(lambda/Delta) at exact ties
     for L in lattices:
         r = L.rank
-        _, t = L._lll()
-        assert t == _rational_lll(L.gram)  # the same decisions as in rationals
         reduced = reduced_lattice(L)
+        assert L._lll() == reduced._memo["gso"]  # the same decisions as in rationals
         g = reduced.gram
         assert reduced.determinant() == L.determinant()  # T is unimodular
         assert reduced.h0_count() == L.h0_count()
@@ -642,12 +696,15 @@ LLL_DIGESTS = {
 
 @pytest.mark.parametrize("kind", sorted(LLL_DIGESTS))
 def test_lll_output_pinned(kind):
-    # sha256 of every transform and reduced Gram, pinned: the integer
-    # rounding and swaps take the very decisions they took when recorded
+    # sha256 of every transform and reduced Gram, pinned: the rational
+    # reference takes the very decisions it took when recorded, and the
+    # integral _lll hands over the Gram-Schmidt data of that reduced Gram
     h = hashlib.sha256()
     for L in _lll_inputs(kind):
-        _, t = L._lll()
-        h.update(repr((t, [[str(x) for x in row] for row in reduced_lattice(L).gram])).encode())
+        t = _rational_lll(L.gram)
+        reduced = EuclideanLattice(transformed_gram(L.gram, t))
+        assert L._lll() == reduced._memo["gso"]
+        h.update(repr((t, [[str(x) for x in row] for row in reduced.gram])).encode())
     assert h.hexdigest() == LLL_DIGESTS[kind]
 
 
@@ -706,7 +763,7 @@ def test_short_vectors_match_rational_enumeration(L):
     # the original basis, and the reduced one through the data _lll hands over
     reduced = reduced_lattice(L)
     top = max(reduced.gram[i][i] for i in range(L.rank))  # all minima lie in this ball
-    for gso, M in ((L._memo["gso"], L), (L._lll()[0], reduced)):
+    for gso, M in ((L._memo["gso"], L), (L._lll(), reduced)):
         den, a = integer_gram(M.gram)
         for bound in (Fraction(1), Fraction(5, 2), top):
             got = sorted(exact_short_vectors(gso, bound))
@@ -717,8 +774,8 @@ def test_short_vectors_match_rational_enumeration(L):
 @PROPERTIES
 @given(grams())
 def test_lll_keeps_determinant_and_count(L):
-    _, t = L._lll()
-    reduced = reduced_lattice(L)
+    t = _rational_lll(L.gram)
+    reduced = EuclideanLattice(transformed_gram(L.gram, t))
     assert reduced.determinant() == L.determinant()
     assert reduced.h0_count() == L.h0_count()
     assert abs(leibniz_det(t)) == 1
@@ -727,7 +784,7 @@ def test_lll_keeps_determinant_and_count(L):
 @PROPERTIES
 @given(grams())
 def test_count_same_in_original_and_reduced_basis(L):
-    for gso in (L._memo["gso"], L._lll()[0]):
+    for gso in (L._memo["gso"], L._lll()):
         vectors = list(lattices._short_vectors(gso, Fraction(1)))
         assert 2 * len(vectors) - 1 == L.h0_count()
 

@@ -158,6 +158,27 @@ def test_certified_comparisons():
         _ = point < 2.5
 
 
+def test_point_interval_hashes_as_its_exact_value():
+    # equal values hash equal: a point interval is == its exact value
+    for value in (Fraction(2), Fraction(-7, 4), Fraction(0), Fraction(3, 2**200)):
+        point = Scalar.from_fraction_bounds(value, value)
+        assert point.bounds() == (value, value) and point == value
+        assert hash(point) == hash(value)
+        assert len({point, value}) == 1
+    point = Scalar.from_fraction_bounds(Fraction(2), Fraction(2))
+    assert len({point, Fraction(2), 2, Scalar.from_fraction_bounds(2, 2)}) == 1
+    assert {point: "two"}[2] == "two"
+    wide = log_scalar(2)
+    assert hash(wide) == hash(wide.bounds())
+
+
+def test_repr_past_the_float_range():
+    # the width, like the midpoint, reads inf where float() would overflow
+    wide = Scalar.from_fraction_bounds(Fraction(0), Fraction(10**400))
+    assert repr(wide) == "Scalar(~inf, width=inf)"
+    assert repr(Scalar.from_fraction_bounds(5, 5)) == "Scalar(~5, width=0)"
+
+
 def test_division_by_straddling_zero_refused():
     straddle = log_scalar(2) - log_scalar(2)
     with pytest.raises(CertificationError):

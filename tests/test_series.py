@@ -8,6 +8,7 @@ import pytest
 from conftest import leibniz_det
 from hnbounds import FiberedSeries, ToricSeries
 from hnbounds._exact import Echelon
+from hnbounds.series import _convex_hull_2d
 
 
 UNIT_SQUARE = ToricSeries([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -80,25 +81,80 @@ def _solve_affine(pts, target):
     return lam
 
 
+# -- the lattice-point oracle ---------------------------------------------------
+#
+# Column-by-column counting cut by integer facets: the oracle for the
+# section counts of the Hirzebruch pushforwards, which the library reads
+# off closed forms instead.
+
+
+def _integerize(normal, rhs):
+    """Scale a rational inequality a.x <= c to coprime integer coefficients."""
+    values = [*normal, rhs]
+    den = math.lcm(*(x.denominator for x in values))
+    ints = [int(x * den) for x in values]
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints[:-1]), ints[-1] // g
+
+
+def facets(series):
+    """Integer inequalities a.x <= c cutting out the polygon, one per hull
+    edge; the polygon lies left of each counter-clockwise edge, so a is its
+    right normal."""
+    hull = _convex_hull_2d(list(series.vertices))
+    out = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
+        normal = (y2 - y1, x1 - x2)
+        out.append(_integerize(normal, normal[0] * x1 + normal[1] * y1))
+    return out
+
+
+def toric_rank(series, n):
+    """Number of lattice points of the n-th dilate (n >= 0).
+
+    Each integer column x of the bounding box contributes the length of its
+    y range, cut by every facet.
+    """
+    if n < 0:
+        raise ValueError("dilation factor must be >= 0")
+    cuts = [(a, c * n) for a, c in facets(series)]
+    xs = [n * x for x, _ in series.vertices]
+    ys = [n * y for _, y in series.vertices]
+    total = 0
+    for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
+        lo, hi = math.ceil(min(ys)), math.floor(max(ys))
+        for (ax, ay), c in cuts:
+            rest = c - ax * x
+            if ay > 0:
+                hi = min(hi, rest // ay)
+            elif ay < 0:
+                lo = max(lo, -(rest // -ay))
+            elif rest < 0:
+                break
+        else:
+            total += max(0, hi - lo + 1)
+    return total
+
+
 # -- toric counting -----------------------------------------------------------
 
 
 def test_rank_examples():
-    assert UNIT_SQUARE.rank(1) == 4
-    assert RECT.rank(1) == 12
-    assert RECT.rank(0) == 1
-    assert TRAPEZOID.rank(1) == 9
+    assert toric_rank(UNIT_SQUARE, 1) == 4
+    assert toric_rank(RECT, 1) == 12
+    assert toric_rank(RECT, 0) == 1
+    assert toric_rank(TRAPEZOID, 1) == 9
     with pytest.raises(ValueError):
-        RECT.rank(-1)
+        toric_rank(RECT, -1)
 
 
 def test_rank_matches_brute_force():
     for series in (UNIT_SQUARE, RECT, TRAPEZOID):
         for n in range(4):
-            assert series.rank(n) == brute_count(series.vertices, n)
+            assert toric_rank(series, n) == brute_count(series.vertices, n)
     shifted = ToricSeries([(Fraction(1, 2), 0), (2, 0), (1, Fraction(3, 2))])
     for n in range(5):
-        assert shifted.rank(n) == brute_count(shifted.vertices, n)
+        assert toric_rank(shifted, n) == brute_count(shifted.vertices, n)
 
 
 def test_volume_examples():
@@ -111,17 +167,17 @@ def test_redundant_points_do_not_change_anything():
     square = [(x, y) for x in (0, 2) for y in (0, 2)]
     plain = ToricSeries(square)
     cluttered = ToricSeries(square + [(1, 1), (1, 0), (2, 1), (0, 1), (1, 2)])  # center, edge midpoints
-    assert cluttered.facets() == plain.facets() and len(plain.facets()) == 4
+    assert facets(cluttered) == facets(plain) and len(facets(plain)) == 4
     assert cluttered.volume() == plain.volume() == 8
     for n in range(4):
-        assert cluttered.rank(n) == plain.rank(n) == (2 * n + 1) ** 2
+        assert toric_rank(cluttered, n) == toric_rank(plain, n) == (2 * n + 1) ** 2
 
 
 def test_rank_growth_approaches_volume():
     # |d! rank(n)/n^d - volume| <= C/n with C = 12 for this rectangle
     vol = RECT.volume()
     for n in range(1, 51):
-        approx = Fraction(2 * RECT.rank(n), n * n)
+        approx = Fraction(2 * toric_rank(RECT, n), n * n)
         assert abs(approx - vol) <= Fraction(12, n)
 
 
@@ -151,7 +207,7 @@ def test_pushforward_matches_trapezoid_count():
         F = FiberedSeries(a, b, e)
         trap = F.trapezoid()
         for n in range(1, 21):
-            assert F.pushforward(n).h0() == trap.rank(n), (a, b, e, n)
+            assert F.pushforward(n).h0() == toric_rank(trap, n), (a, b, e, n)
 
 
 def test_mu_max_asy():
