@@ -7,8 +7,8 @@ the outcome in a :class:`CheckReport`.  A report passes only when the margin
 *lower* endpoint of the margin is >= 0.
 
 The desk-scale testbed at the bottom counts integer polynomials of bounded
-degree whose sup norm on the unit circle is at most 1, with every norm
-decision either exact or certified.
+degree whose sup norm on the unit circle is at most 1 by the closed form
+``2n + 3``, and decides no norm; only :func:`circle_sup_norm` brackets one.
 """
 
 from __future__ import annotations

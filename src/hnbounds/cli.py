@@ -304,7 +304,7 @@ def _load(text, schema: dict, what: str):
     """The JSON ``text`` (str or bytes) if it matches ``schema``; otherwise a one-line ConfigError."""
     try:
         value = json.loads(text)
-    except ValueError as exc:  # malformed, undecodable, or an int past CPython's digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, undecodable, too deep, or too long an int
         raise ConfigError(f"invalid {what}: {exc}") from None
     return _validate(value, schema, what)
 

@@ -9,8 +9,8 @@ is an :class:`~hnbounds.hn.HNType`, which reads the int slopes as
 Fractions.
 
 For curves of positive genus there is no h^0 engine here; the honest surface
-is :func:`h0_interval`, which returns the tightest interval guaranteed by the
-slope data alone.
+is :func:`h0_interval`, which returns the tightest interval guaranteed by
+exact slope data alone.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .hn import HNType
+from .scalars import exact_fraction
 
 __all__ = ["SplitBundle", "h0_interval"]
 
@@ -76,10 +77,11 @@ class SplitBundle:
         return list(self.twists)
 
 
-def h0_interval(h: HNType, genus: int):
+def h0_interval(h: HNType, genus: int) -> tuple[Fraction, Fraction]:
     """Tightest interval guaranteed for h^0 of a bundle with slope data ``h``
     on a smooth projective curve of genus ``genus`` (a nonnegative integer;
-    ValueError otherwise), as its two ends: Fractions for exact slope data.
+    ValueError otherwise), as its two ends, Fractions.  The slopes of a
+    bundle on a curve are rational: an interval slope is a ``TypeError``.
 
     Intersects, over the cases whose hypotheses hold:
 
@@ -96,7 +98,7 @@ def h0_interval(h: HNType, genus: int):
     if g < 0:
         raise ValueError("genus must be a nonnegative integer")
     rank = h.rank
-    deg = h.degree()
+    deg = exact_fraction(h.degree())  # a TypeError if any slope is an interval
     deg_plus = h.deg_plus()
     mu_max, mu_min = h.slope_extremes()
     base_pad = rank * max(g - 1, 1)

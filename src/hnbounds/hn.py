@@ -15,9 +15,9 @@ input is ever required.  Each is a ``Fraction`` when every slope it reads is
 exact, and an interval otherwise.  The positive degree needs no order at all:
 :func:`positive_degree` sums any ``(rank, slope)`` pairs.
 
-An HNType compares by value and, like a :class:`Scalar`, is never changed
-after construction, by convention; all operations are pure, so instances
-can be shared freely between threads.
+An HNType compares by value (an interval slope by identity) and, like a
+:class:`Scalar`, is never changed after construction, by convention; all
+operations are pure, so instances can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -140,12 +140,16 @@ class HNType:
         """Rank of F^t: total rank of segments with slope >= t.
 
         The filtration is closed at the slope: F^t jumps down only once t
-        passes strictly beyond each slope.
+        passes strictly beyond each slope.  Bounds that :func:`order` cannot
+        decide raise ``CertificationError`` naming both.
         """
         t = _slope(t)
         total = 0
         for r, s in self.segments:
-            if s >= t:
+            decided = order(s, t)
+            if decided is None:
+                raise CertificationError(f"cannot compare slope {_show(s)} with t = {_show(t)}")
+            if decided >= 0:
                 total += r
         return total
 

@@ -6,7 +6,7 @@ value is an int or a ``fractions.Fraction`` from input to report, read by
 a certified real interval: a pair of arbitrary-precision floats guaranteed
 to bracket the true real value, as logarithmic quantities (log-counts,
 Arakelov degrees, Stirling-type constants) are.  An exact value meets an
-interval in the interval's operators, reflected ones included
+interval in the interval's arithmetic operators, reflected ones included
 (``Fraction``'s return ``NotImplemented`` for a type they do not know),
 which promote it with outward rounding; :func:`max0`, :func:`order` and
 :func:`exact_bounds` take either kind.  A report keeps an exact value as an
@@ -21,12 +21,12 @@ objects, so the endpoints are the ones that context computes; the tests keep
 it as the reference.  A rational enters interval arithmetic as the quotient
 of its numerator and denominator, each rounded outward to ``PREC`` bits.
 
-Interval endpoints are dyadic rationals, so comparisons between exact values
-and intervals are exact.  A comparison whose outcome is not determined by the
-endpoints raises :class:`CertificationError` instead of guessing.
+Interval endpoints are dyadic rationals, so :func:`order`, the one certified
+comparison, is exact, and returns ``None`` instead of guessing when the
+bounds overlap.  An interval compares and hashes by identity.
 
 The common operations avoid converting between representations.  An
-interval's sign tests, :func:`max0`, ``abs``, and comparisons,
+interval's sign tests, :func:`max0`, ``abs``, and :func:`order`,
 ``scalar_min`` and ``scalar_max`` with another interval read the raw
 endpoints: the sign bit, and mpmath's ``mpf_lt`` between endpoints.  They
 give what the exact bounds would, and they too raise
@@ -207,7 +207,7 @@ class Scalar:
     Build one with :meth:`from_fraction_bounds` or the ``log*`` helpers in
     this module.  An int or a ``Fraction`` operand, on either side, is
     promoted with outward rounding, so results always contain the true
-    value.
+    value.  It compares and hashes by identity; :func:`order` decides it.
     """
 
     __slots__ = ("_ivl",)
@@ -230,9 +230,6 @@ class Scalar:
 
     # -- bounds --------------------------------------------------------
 
-    def as_fraction(self) -> Fraction:
-        raise TypeError("an interval has no exact rational value")
-
     def bounds(self) -> tuple[Fraction, Fraction]:
         """Exact lower and upper bounds."""
         a_raw, b_raw = self._ivl
@@ -245,6 +242,10 @@ class Scalar:
     def midpoint(self) -> float:
         """The midpoint as a float; ``±inf`` past the float range."""
         return _midpoint(*_aligned(self._ivl))
+
+    def certified_nonneg(self) -> bool:
+        """True iff the lower bound is >= 0 (the certifiable direction)."""
+        return _lower_sign(self._ivl) >= 0
 
     # -- arithmetic ----------------------------------------------------
 
@@ -295,9 +296,6 @@ class Scalar:
     def __neg__(self):
         return _interval(_libmp.mpi_neg(self._ivl, PREC))
 
-    def __pos__(self):
-        return self
-
     def __abs__(self) -> "Scalar":
         """Interval extension of |x|."""
         lo, hi = _finite(self._ivl)
@@ -308,54 +306,10 @@ class Scalar:
         neg_lo = _libmp.mpf_neg(lo)
         return _interval((_libmp.fzero, hi if _libmp.mpf_lt(neg_lo, hi) else neg_lo))
 
-    # -- certified comparisons ------------------------------------------
-
-    def _cmp(self, other) -> int:
-        """-1, 0, +1 when certified; raises CertificationError otherwise."""
-        if not isinstance(other, (Scalar, int, Fraction)):
-            raise TypeError("cannot compare Scalar with that type")
-        result = order(self, other)
-        if result is None:
-            alo, ahi = self.bounds()
-            blo, bhi = exact_bounds(other)
-            raise CertificationError(
-                f"cannot certify comparison of overlapping bounds [{alo},{ahi}] vs [{blo},{bhi}]"
-            )
-        return result
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __eq__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        result = order(self, other)
-        if result is None:
-            raise CertificationError("cannot certify equality of overlapping intervals")
-        return result == 0
-
-    def __hash__(self):
-        # a point interval equals its exact value, so it hashes as that value
-        lo, hi = self.bounds()
-        return hash(lo) if lo == hi else hash((lo, hi))
+    # -- display / serialization ----------------------------------------
 
     def __reduce__(self):
         return (_interval, (self._ivl,))
-
-    def certified_nonneg(self) -> bool:
-        """True iff the lower bound is >= 0 (the certifiable direction)."""
-        return _lower_sign(self._ivl) >= 0
-
-    # -- display / serialization ----------------------------------------
 
     def __repr__(self):
         return f"Scalar(~{self.midpoint():.12g}, width={_float(self.width()):.3g})"
@@ -446,10 +400,11 @@ def _divide(a, b) -> Scalar:
 
 
 def exact_bounds(x) -> tuple[Fraction, Fraction]:
-    """Exact lower and upper bounds of a Scalar, an int or a Fraction."""
+    """Exact lower and upper bounds of a Scalar, or of a value
+    :func:`exact_fraction` reads (a float is a ``TypeError``)."""
     if type(x) is Scalar:
         return x.bounds()
-    x = Fraction(x)
+    x = exact_fraction(x)
     return (x, x)
 
 

@@ -735,6 +735,10 @@ def test_lattice_subcommand():
         # a degree outside the circle norm's budget
         ["p1z", "--degree", "-1"],
         ["p1z", "--degree", "65"],
+        # arrays nested past the JSON decoder's recursion limit
+        ["polygon", "--hn", "[" * 1000 + "]" * 1000],
+        ["lattice", "--gram", "[" * 1000 + "]" * 1000],
+        ["run", "[" * 1000 + "]" * 1000],
     ],
 )
 def test_cli_malformed_input_exits_two(capsys, tmp_path, argv):

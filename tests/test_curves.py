@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hnbounds import HNType, SplitBundle, h0_interval
+from hnbounds import HNType, SplitBundle, h0_interval, log_scalar
 
 from conftest import random_split_bundle
 
@@ -107,6 +107,14 @@ def test_h0_interval_contains_true_h0(rng):
 def test_h0_interval_lower_clamped_at_zero():
     lo, hi = h0_interval(HNType([(1, 1), (1, Fraction(-1, 2))]), 4)
     assert lo >= 0
+
+
+def test_h0_interval_takes_exact_slope_data_only():
+    # a bundle's slopes on a curve are rational: an interval slope, at an
+    # end or in the middle, is a TypeError
+    for segments in ([(1, log_scalar(2))], [(1, 5), (1, log_scalar(2)), (1, -1)]):
+        with pytest.raises(TypeError):
+            h0_interval(HNType(segments), 1)
 
 
 def test_curve_context_validation():

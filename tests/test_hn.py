@@ -137,6 +137,15 @@ def test_filtration_rank_examples():
     assert h.filtration_rank(Fraction(-5)) == 3
 
 
+def test_filtration_rank_interval_slopes():
+    # each slope >= t is decided by order; bounds that overlap raise, naming both
+    h = hn((1, Scalar.from_fraction_bounds(Fraction(1), Fraction(2))), (2, Fraction(-1)))
+    assert h.filtration_rank(Fraction(1, 2)) == 1 and h.filtration_rank(3) == 0
+    assert h.filtration_rank(Scalar.from_fraction_bounds(Fraction(-3), Fraction(-2))) == 3
+    with pytest.raises(CertificationError, match=r"slope \[1, 2\] with t = 3/2"):
+        h.filtration_rank(Fraction(3, 2))
+
+
 def test_filtration_rank_monotone(rng):
     for _ in range(50):
         h = random_hn_type(rng)

@@ -1,4 +1,5 @@
 import ast
+import copy
 import importlib
 import math
 import operator
@@ -13,7 +14,7 @@ from mpmath.libmp import finf, fnan, fninf, from_man_exp, mpf_neg, mpi_log, to_r
 
 import hnbounds
 from hnbounds import CertificationError, EuclideanLattice, IntPolynomial, Scalar, ToricSeries, log_scalar
-from hnbounds import circle_sup_norm, cli, scalars
+from hnbounds import FiberedSeries, HNType, circle_sup_norm, cli, geometric_hs_bound, h0_interval, scalars
 from hnbounds.scalars import (
     LOG_PI,
     PI,
@@ -29,6 +30,7 @@ from hnbounds.scalars import (
     log_interval,
     max0,
     neg_half_log,
+    order,
     scalar_max,
     scalar_min,
     sqrt_interval,
@@ -64,6 +66,25 @@ def test_exact_fraction_reads_exact_values_only():
             exact_fraction(value)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: log_scalar(0), ValueError, "non-positive"),
+        (lambda: log_interval(log_scalar(2) - log_scalar(2)), CertificationError, "certified positive"),
+        (lambda: sqrt_interval(Fraction(-1)), CertificationError, "certified nonnegative"),
+        (lambda: log_gamma(0), ValueError, "positive argument"),
+        (lambda: log_ball_volume(0), ValueError, "ball dimension"),
+        (lambda: Scalar.from_fraction_bounds(Fraction(2), Fraction(1)), ValueError, "exceeds upper"),
+        (lambda: FiberedSeries(2, 1, 0).pushforward(0), ValueError, "tensor power"),
+        (lambda: geometric_hs_bound(1, 0, 1), ValueError, "dimension must be"),
+        (lambda: h0_interval(HNType([(1, Fraction(-1, 2))]), 0), ValueError, "not realizable"),
+    ],
+)
+def test_library_refuses_arguments_outside_its_domain(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_exact_inputs_refuse_floats():
     # each input below is read by exact_fraction: a float is refused (0.1
     # would read as 3602879701896397/36028797018963968), and an int, a
@@ -75,6 +96,8 @@ def test_exact_inputs_refuse_floats():
         "vertex": lambda x: ToricSeries([(0, 0), (2, 0), (0, 2), (x, 0)]).vertices[-1][0],
         "circle": lambda x: circle_sup_norm(p, x).bounds(),
         "cos": lambda x: cos_2pi(x).bounds(),
+        "exact_bounds": exact_bounds,
+        "order": lambda x: (order(log_scalar(2), x), order(x, log_scalar(2))),
     }
     for name, read in readers.items():
         for bad in (0.1, 0.5, 1.0):
@@ -86,6 +109,8 @@ def test_exact_inputs_refuse_floats():
             assert all(read(form) == want for form in forms), name
     assert readers["gram"]("1/2") == Fraction(1, 2) and readers["scale"]("1/2") == Fraction(1, 4)
     assert readers["vertex"]("1/2") == Fraction(1, 2)
+    half = Fraction(1, 2)
+    assert all(end is half for end in exact_bounds(half))
 
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
@@ -147,29 +172,21 @@ def test_mixed_arithmetic_promotes():
 
 
 def test_certified_comparisons():
-    assert log_scalar(2) < log_scalar(3)
-    assert log_scalar(3) > 1 and Fraction(1) < log_scalar(3)
-    with pytest.raises(CertificationError):
-        _ = log_scalar(2) < log_scalar(2)  # overlapping, not point-equal
+    # order is the one certified comparison: it decides, or answers None
+    assert order(log_scalar(2), log_scalar(3)) == -1
+    assert order(log_scalar(3), 1) == 1 and order(Fraction(1), log_scalar(3)) == -1
+    assert order(log_scalar(2), copy.copy(log_scalar(2))) is None  # overlapping, not point-equal
     point = Scalar.from_fraction_bounds(2, 2)
-    assert point == 2 and Fraction(2) == point and point <= 2 <= point
-    assert not point == Fraction(3)
+    assert order(point, 2) == 0 and order(Fraction(2), point) == 0
+    assert order(point, 3) == -1
     with pytest.raises(TypeError):
-        _ = point < 2.5
-
-
-def test_point_interval_hashes_as_its_exact_value():
-    # equal values hash equal: a point interval is == its exact value
-    for value in (Fraction(2), Fraction(-7, 4), Fraction(0), Fraction(3, 2**200)):
-        point = Scalar.from_fraction_bounds(value, value)
-        assert point.bounds() == (value, value) and point == value
-        assert hash(point) == hash(value)
-        assert len({point, value}) == 1
-    point = Scalar.from_fraction_bounds(Fraction(2), Fraction(2))
-    assert len({point, Fraction(2), 2, Scalar.from_fraction_bounds(2, 2)}) == 1
-    assert {point: "two"}[2] == "two"
-    wide = log_scalar(2)
-    assert hash(wide) == hash(wide.bounds())
+        order(point, 2.5)
+    # an interval has no order or value equality of its own
+    with pytest.raises(TypeError):
+        _ = log_scalar(2) < log_scalar(3)
+    s = log_scalar(2)
+    assert s == s and s != copy.copy(s) and s != Scalar.from_fraction_bounds(*s.bounds())
+    assert len({s, copy.copy(s)}) == 2
 
 
 def test_repr_past_the_float_range():
@@ -511,7 +528,7 @@ def _agree(fast, ref):
         assert got == expected
 
 
-def _ref_cmp(x, y):
+def _ref_order(x, y):
     alo, ahi = exact_bounds(x)
     blo, bhi = exact_bounds(y)
     if ahi < blo:
@@ -520,17 +537,7 @@ def _ref_cmp(x, y):
         return 1
     if alo == ahi == blo == bhi:
         return 0
-    raise CertificationError("overlap")
-
-
-def _ref_eq(x, y):
-    alo, ahi = exact_bounds(x)
-    blo, bhi = exact_bounds(y)
-    if alo == ahi == blo == bhi:
-        return True
-    if ahi < blo or alo > bhi:
-        return False
-    raise CertificationError("overlap")
+    return None
 
 
 def _ref_max0(x):
@@ -584,10 +591,8 @@ def test_fast_paths_match_bounds_reference(x, y):
             assert (-a)._ivl == (mpf_neg(a._ivl[1]), mpf_neg(a._ivl[0]))
     _agree(lambda: scalar_min(x, y), lambda: _ref_extreme(min, x, y))
     _agree(lambda: scalar_max(x, y), lambda: _ref_extreme(max, x, y))
-    _agree(lambda: x < y, lambda: _ref_cmp(x, y) < 0)
-    _agree(lambda: x <= y, lambda: _ref_cmp(x, y) <= 0)
-    _agree(lambda: x == y, lambda: _ref_eq(x, y))
-    _agree(lambda: y > x, lambda: _ref_cmp(x, y) < 0)
+    _agree(lambda: order(x, y), lambda: _ref_order(x, y))
+    _agree(lambda: order(y, x), lambda: _ref_order(y, x))
     if not _is_interval(x) and not _is_interval(y):
         return  # plain Fraction arithmetic
     results = [(x + y, operator.add), (x - y, operator.sub), (x * y, operator.mul)]
