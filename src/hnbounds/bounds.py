@@ -34,6 +34,7 @@ from .scalars import (
     max0,
     scalar_min,
     sqrt_interval,
+    verdict,
 )
 from .series import FiberedSeries
 from .towers import Tower, TowerData, epsilon
@@ -65,8 +66,9 @@ class CheckReport:
 
     ``margin`` is rhs - lhs (or, for composite checks, the minimum of the
     individual margins).  ``passed`` is derived from the margin on each
-    access, not stored: it is true iff the margin's lower bound is
-    certified nonnegative.  ``context`` carries check-specific details.
+    access, not stored: it is true iff the margin's ``verdict`` is ``True``,
+    its lower bound certified nonnegative; a disproved and an undecided
+    margin both fail.  ``context`` carries check-specific details.
     :meth:`compare` builds the report whose margin is rhs - lhs; a check
     with another margin calls the constructor.  It keeps an interval or an
     :class:`Exact` ``lhs``, ``rhs`` or ``margin`` as it is and wraps an int or
@@ -81,7 +83,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.margin.certified_nonneg()
+        return verdict(self.margin) is True
 
     @classmethod
     def compare(cls, name: str, lhs, rhs, context=None) -> "CheckReport":

@@ -26,20 +26,23 @@ produce byte-identical JSON.
 
 ``HNBOUNDS_JOBS`` sets how many processes evaluate checks, this one
 included; it is clamped to the CPU count, to the CPUs this process may run
-on and to the number of tasks, and where ``os.fork`` is missing the run is
-serial.  ``_run_checks`` splits the tasks in order into contiguous shares:
-each of the first goes to a forked worker as one pickle on a plain pipe as
-soon as its tasks exist (the lattice suite draws its Gram matrices as they
-are taken), this process runs the last share meanwhile, and each worker
-sends its results back as one pickle that writes each distinct exact
-rational once.  Shares are plain data (a ``FiberedSeries``, which is three
-integers, or a lattice trial's number and integer Gram matrix) and results
-are finished reports, so the report list is assembled in a fixed order
-either way.  No thread is started and neither ``concurrent.futures`` nor
-``multiprocessing`` is imported.  The workers are forked on the first pooled
-suite, and kept warm for every later one in the process while the count
-stays the same; they are replaced when the count changes or a worker dies,
-forgotten in a forked child, and closed and reaped at interpreter exit.
+on and to the number of tasks, and a value that is not a positive integer,
+or a missing ``os.fork``, makes the run serial.  Every suite evaluates its
+checks as tasks of ``_run_checks``, which splits them in order into
+contiguous shares: each of the first goes to a forked worker as one pickle
+on a plain pipe as soon as its tasks exist (the lattice suite draws its Gram
+matrices as they are taken), this process runs the last share meanwhile,
+and each worker sends its results back as one pickle that writes each
+distinct exact rational once.  A task's data is plain: a ``FiberedSeries``
+(three integers), a lattice trial's number and integer Gram matrix, one
+distinct sorted ``arithmetic`` diagonal's orderings, or an ``epsilon``
+trial's drawn towers and ``p``; ``polygon`` is one task, always run here.
+Results are finished reports, so the report list is assembled in a fixed
+order either way.  No thread is started and neither ``concurrent.futures``
+nor ``multiprocessing`` is imported.  The workers are forked on the first
+pooled suite, and kept warm for every later one in the process while the
+count stays the same; they are replaced when the count changes or a worker
+dies, forgotten in a forked child, and closed and reaped at interpreter exit.
 Workers are forked once, so they keep the module globals of that moment: a
 global changed later (say, a monkeypatched ``lattices.MAX_NODES``) reaches
 the last share, which runs here, but not the shares run in workers, and a
@@ -360,8 +363,8 @@ def validate_config(config: dict) -> dict:
 
 def _jobs(tasks: int) -> int:
     """Process count, this one included: ``HNBOUNDS_JOBS``, at most the CPU
-    count, the number of CPUs this process may run on (where ``os`` can
-    tell) and ``tasks``; 1 where ``os.fork`` is missing."""
+    count, the CPUs this process may run on (where ``os`` can tell) and
+    ``tasks``; 1 for a value not a positive integer or without ``os.fork``."""
     if not hasattr(os, "fork"):
         return 1
     try:
@@ -619,19 +622,27 @@ def suite_lattice(params, rng) -> list[CheckReport]:
     return [rep for triple in nested for rep in triple]
 
 
+def _gillet_soule(orderings) -> list[CheckReport]:
+    """The reports of one distinct diagonal, named for each of its
+    ``orderings`` in turn: one lattice and one ``check_gillet_soule``."""
+    diag = sorted(orderings[0])
+    gram = [[d if i == j else Fraction(0) for j in range(len(diag))] for i, d in enumerate(diag)]
+    rep = bounds.check_gillet_soule(_build("config", EuclideanLattice, gram))
+    names = (f"gillet-soule rank={len(diag)} diag={[str(d) for d in ordering]}" for ordering in orderings)
+    return [CheckReport(name, rep.lhs, rep.rhs, rep.margin, dict(rep.context)) for name in names]
+
+
 def suite_arithmetic(params, rng) -> list[CheckReport]:
+    """Gillet-Soule on every diagonal of ``entries``, one task per sorted diagonal."""
     max_rank = params.get("max_rank", 4)
     entries = [_rational(e, "config", "list of entries") for e in params.get("entries", ["1/4", "1", "4"])]
     _refuse_past_cap("list of entries", "config", entries)
-    reports = []
+    orderings = {}
     for rank in range(1, max_rank + 1):
         for diag in itertools.product(entries, repeat=rank):
-            gram = [
-                [diag[i] if i == j else Fraction(0) for j in range(rank)]
-                for i in range(rank)
-            ]
-            reports.append(bounds.check_gillet_soule(_build("config", EuclideanLattice, gram)))
-    return reports
+            orderings.setdefault(tuple(sorted(diag)), []).append(diag)
+    tasks = [(_gillet_soule, diags) for diags in orderings.values()]
+    return list(itertools.chain.from_iterable(_run_checks(tasks)))
 
 
 def _random_tower(rng):
@@ -642,40 +653,37 @@ def _random_tower(rng):
     return Tower(genera), TowerData(mu, vol)
 
 
+def _epsilon_trial(task) -> list[CheckReport]:
+    """The two reports of one trial ``(i, tower, data, p, which, bumped)`` that
+    ``suite_epsilon`` drew: rescaling ``data`` by ``p``, and the bump to ``bumped``."""
+    i, tower, data, p, which, bumped = task
+    d = tower.depth
+    eps = epsilon(tower, data)
+    rescale_name = f"epsilon-rescale trial={i:04d} p={p} d={d}"
+    return [
+        CheckReport.compare(rescale_name, epsilon(tower, rescale(data, p)), p**d * eps, {"epsilon": eps}),
+        CheckReport.compare(f"epsilon-monotone trial={i:04d} coord={which}", eps, epsilon(*bumped), {}),
+    ]
+
+
 def suite_epsilon(params, rng) -> list[CheckReport]:
+    """Each trial's tower, ``p`` and bumped coordinate are drawn here, in
+    order; its task computes the trial's two reports."""
     trials = params.get("trials", 100)
     p_max = params.get("p_max", 5)
-    reports = []
+    tasks = []
     for i in range(trials):
         tower, data = _random_tower(rng)
         d = tower.depth
-        eps = epsilon(tower, data)
         p = rng.randint(1, p_max)
-        eps_scaled = epsilon(tower, rescale(data, p))
-        bound = p**d * eps
-        reports.append(
-            CheckReport.compare(
-                f"epsilon-rescale trial={i:04d} p={p} d={d}",
-                eps_scaled,
-                bound,
-                {"epsilon": eps},
-            )
-        )
         # monotonicity: bump one coordinate upward; mu_d never enters, so at
         # depth 0 a draw of mu bumps a genus
         genera, mu, vol = list(tower.genera), list(data.mu), list(data.vol)
         which = rng.randrange(3)
         coords = (mu if d else genera, vol, genera)[which]
         coords[rng.randrange(d if coords is mu else d + 1)] += 1
-        reports.append(
-            CheckReport.compare(
-                f"epsilon-monotone trial={i:04d} coord={which}",
-                eps,
-                epsilon(Tower(genera), TowerData(mu, vol)),
-                {},
-            )
-        )
-    return reports
+        tasks.append((_epsilon_trial, (i, tower, data, p, which, (Tower(genera), TowerData(mu, vol)))))
+    return list(itertools.chain.from_iterable(_run_checks(tasks)))
 
 
 def _hn_type(pairs, what: str) -> HNType:
@@ -699,16 +707,15 @@ def _hn_type(pairs, what: str) -> HNType:
     return h
 
 
-def suite_polygon(params, rng) -> list[CheckReport]:
+def _polygon_check(h: HNType) -> CheckReport:
     """deg+ <= rank mu_max^+ with margin sum_(i>=2) r_i (mu_1^+ - mu_i^+): each
     term is certified nonnegative, so a tie on interval slopes passes."""
-    h = _hn_type(params["hn"], "config")
     deg_plus = h.deg_plus()
     (ilo, ihi), (dlo, dhi) = exact_bounds(h.positive_rank_integral()), exact_bounds(deg_plus)
     mu_max, mu_min = h.slope_extremes()
     top = max0(mu_max)
     margin = sum((r * (top - max0(s)) for r, s in h.segments[1:]), Fraction(0))
-    report = CheckReport(
+    return CheckReport(
         "polygon deg_plus<=max(rank,1)*mu_max_plus",
         deg_plus,
         h.rank * top,
@@ -723,7 +730,10 @@ def suite_polygon(params, rng) -> list[CheckReport]:
             "integral_identity": max(ilo, dlo) <= min(ihi, dhi),
         },
     )
-    return [report]
+
+
+def suite_polygon(params, rng) -> list[CheckReport]:
+    return _run_checks([(_polygon_check, _hn_type(params["hn"], "config"))])
 
 
 # the grid suites look their check up when they run, so a patched check is the one run

@@ -8,9 +8,10 @@ to bracket the true real value, as logarithmic quantities (log-counts,
 Arakelov degrees, Stirling-type constants) are.  An exact value meets an
 interval in the interval's arithmetic operators, reflected ones included
 (``Fraction``'s return ``NotImplemented`` for a type they do not know),
-which promote it with outward rounding; :func:`max0`, :func:`order` and
-:func:`exact_bounds` take either kind.  A report keeps an exact value as an
-:class:`Exact`, a ``Fraction`` that answers a report reader's reads.
+which promote it with outward rounding; :func:`max0`, :func:`order`,
+:func:`verdict` and :func:`exact_bounds` take either kind.  A report keeps an
+exact value as an :class:`Exact`, a ``Fraction`` that answers a report
+reader's reads.
 
 An interval is held as the raw endpoint pair ``(lo, hi)`` of mpmath's
 ``libmpf`` tuples ``(sign, man, exp, bc)``, and every interval operation
@@ -26,10 +27,10 @@ comparison, is exact, and returns ``None`` instead of guessing when the
 bounds overlap.  An interval compares and hashes by identity.
 
 The common operations avoid converting between representations.  An
-interval's sign tests, :func:`max0`, ``abs``, and :func:`order`,
-``scalar_min`` and ``scalar_max`` with another interval read the raw
-endpoints: the sign bit, and mpmath's ``mpf_lt`` between endpoints.  They
-give what the exact bounds would, and they too raise
+interval's sign tests, :func:`verdict`, :func:`max0`, ``abs``, and
+:func:`order`, ``scalar_min`` and ``scalar_max`` with another interval read
+the raw endpoints: the sign bit, and mpmath's ``mpf_lt`` between endpoints.
+They give what the exact bounds would, and they too raise
 :class:`CertificationError` on a non-finite endpoint.  Only an exact value
 against an interval converts the endpoints to ``Fraction``.  Results are
 built by one private constructor, :func:`_interval`.
@@ -243,10 +244,6 @@ class Scalar:
         """The midpoint as a float; ``±inf`` past the float range."""
         return _midpoint(*_aligned(self._ivl))
 
-    def certified_nonneg(self) -> bool:
-        """True iff the lower bound is >= 0 (the certifiable direction)."""
-        return _lower_sign(self._ivl) >= 0
-
     # -- arithmetic ----------------------------------------------------
 
     # The ops are written out: a lookup of the ``mpi_*`` function by name
@@ -346,9 +343,6 @@ class Exact(Fraction):
         """The value as a float; ``±inf`` past the float range."""
         return _midpoint(self.numerator, self.numerator, self.denominator)
 
-    def certified_nonneg(self) -> bool:
-        return self.numerator >= 0
-
 
 def exact_fraction(value: RationalLike) -> Fraction:
     """The exact rational of an int, a ``Fraction`` (an :class:`Exact`
@@ -409,14 +403,15 @@ def exact_bounds(x) -> tuple[Fraction, Fraction]:
 
 
 def max0(x):
-    """max(x, 0) of an int or a Fraction, exact, or of a Scalar, as the exact
-    interval extension (never fails).
+    """max(x, 0) of a value :func:`exact_fraction` reads, exact (a float is a
+    ``TypeError``), or of a Scalar, as the exact interval extension.
 
     An interval's endpoints stay as they are or become zero: they are dyadic
     with at most PREC bits, so the outward rounding of the bounds changes
     none of them.
     """
     if type(x) is not Scalar:
+        x = exact_fraction(x)
         return x if x.numerator >= 0 else Fraction(0)
     lo, hi = _finite(x._ivl)
     if not lo[0]:
@@ -427,10 +422,10 @@ def max0(x):
 def order(a, b):
     """-1, 0, +1 when the bounds decide a against b; None when they overlap.
 
-    Each of a and b is a Scalar, an int or a Fraction.  Two exact values
-    cross-multiply (denominators are positive), two intervals compare raw
-    endpoints, and an exact value against an interval compares exact
-    bounds.
+    Each of a and b is a Scalar or a value :func:`exact_fraction` reads (a
+    float is a ``TypeError``).  Two exact values cross-multiply (denominators
+    are positive), two intervals compare raw endpoints, and an exact value
+    against an interval compares exact bounds.
     """
     if type(a) is Scalar and type(b) is Scalar:
         (alo, ahi), (blo, bhi) = _finite(a._ivl), _finite(b._ivl)
@@ -439,6 +434,7 @@ def order(a, b):
         (alo, ahi), (blo, bhi) = exact_bounds(a), exact_bounds(b)
         lt = operator.lt
     else:
+        a, b = exact_fraction(a), exact_fraction(b)
         x, y = a.numerator * b.denominator, b.numerator * a.denominator
         return (x > y) - (x < y)
     if lt(ahi, blo):
@@ -448,6 +444,18 @@ def order(a, b):
     if alo == ahi == blo == bhi:
         return 0
     return None
+
+
+def verdict(margin):
+    """The verdict on a margin, a Scalar or a value :func:`exact_fraction`
+    reads: True when its lower end is >= 0, False when its upper end is < 0,
+    None when it straddles 0 and the bounds decide nothing."""
+    if type(margin) is not Scalar:
+        return exact_fraction(margin).numerator >= 0
+    lo, hi = _finite(margin._ivl)
+    if not lo[0]:
+        return True
+    return False if hi[0] else None
 
 
 @lru_cache(maxsize=None)

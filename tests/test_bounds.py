@@ -33,7 +33,7 @@ from hnbounds.bounds import (
     reports_to_csv,
     reports_to_json,
 )
-from hnbounds.scalars import PI, Exact, cos_2pi, sqrt_interval
+from hnbounds.scalars import PI, Exact, cos_2pi, sqrt_interval, verdict
 from hnbounds.towers import Tower, TowerData, epsilon
 
 
@@ -68,7 +68,7 @@ def test_report_wraps_exact_values():
     assert all(type(s) is Exact and s.is_rational for s in fields)
     assert [s.bounds() for s in fields] == [(3, 3), (Fraction(7, 2),) * 2, (Fraction(1, 2),) * 2]
     assert [s.to_json() for s in fields] == ["3", "7/2", "1/2"]
-    assert rep.margin.midpoint() == 0.5 and rep.margin.certified_nonneg()
+    assert rep.margin.midpoint() == 0.5 and verdict(rep.margin) is True
     assert type(rep.rhs - rep.lhs) is Fraction and type(-rep.margin) is Fraction
     wrapped = CheckReport.compare("x", Scalar.exact(3), Scalar.exact(Fraction(7, 2)))
     assert rep.to_json() == wrapped.to_json()
@@ -80,6 +80,9 @@ def test_report_wraps_exact_values():
     mixed = CheckReport.compare("x", 0, rhs)
     assert mixed.rhs is rhs and mixed.passed and not mixed.margin.is_rational
     assert CheckReport("x", 1, 1, 0).passed
+    # passed is a True verdict: a disproved (False) and an undecided (None) margin fail
+    assert verdict(rhs - rhs) is None and not CheckReport("x", 0, 0, rhs - rhs).passed
+    assert not CheckReport("x", 2, 1, -1).passed
     for bad in (0.5, "1/2", None):
         with pytest.raises(TypeError):
             CheckReport("x", bad, 1, 0)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pickle
@@ -17,6 +18,7 @@ from hnbounds.cli import run_config, validate_config, ConfigError
 from hnbounds.lattices import EnumerationBudgetError
 from hnbounds.scalars import CertificationError
 from hnbounds.towers import NegativeSlopeWarning, Tower, TowerData, epsilon
+from test_report_digests import MIXED_RUN_CONFIGS, RUN_CONFIGS
 
 
 def run_python(args, env_extra=None, timeout=None):
@@ -381,23 +383,32 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
     assert pool_pids(2) == parent_pids
 
 
-def test_alternating_pooled_suites_match_serial(monkeypatch):
-    patch_cpus(monkeypatch, 2)
+# every suite of the report digests, and the arithmetic suite's near tie
+POOLED_CONFIGS = {**RUN_CONFIGS, "arithmetic-tie": MIXED_RUN_CONFIGS["arithmetic-tie"][0]}
+
+
+@pytest.mark.parametrize("name", sorted(POOLED_CONFIGS))
+def test_alternating_pooled_suites_match_serial(monkeypatch, name):
+    # each suite, run between pooled ones, gives its serial reports at 2 and
+    # 3 jobs, and the warm workers stay (polygon's one task runs here)
+    patch_cpus(monkeypatch, 3)
     geometric = {"suite": "geometric", "parameters": {"a_max": 4, "b_max": 4, "e_max": 1}}
     lattice = {"suite": "lattice", "parameters": {"rank": 3, "trials": 20}, "seed": 3}
 
     def reports(jobs):
         monkeypatch.setenv("HNBOUNDS_JOBS", jobs)
-        return [
-            json.dumps(reports_to_json(run_config(config)[1]), indent=2, sort_keys=True)
-            for config in (geometric, lattice, geometric)
-        ]
+        texts = []
+        for config in (geometric, POOLED_CONFIGS[name], lattice, geometric):
+            reps = run_config(config)[1]
+            texts.append(json.dumps(reports_to_json(reps), indent=2, sort_keys=True) + reports_to_csv(reps))
+        return texts
 
     serial = reports("1")
-    monkeypatch.setenv("HNBOUNDS_JOBS", "2")
-    pids = pool_pids(2)
-    assert reports("2") == serial
-    assert pool_pids(2) == pids
+    for jobs in (2, 3):
+        monkeypatch.setenv("HNBOUNDS_JOBS", str(jobs))
+        pids = pool_pids(jobs)
+        assert reports(str(jobs)) == serial
+        assert pool_pids(jobs) == pids
 
 
 def test_dead_worker_exits_two_with_one_line(monkeypatch, capsys, tmp_path):
@@ -480,6 +491,43 @@ def test_arithmetic_suite():
     status, reports = run_config({"suite": "arithmetic", "parameters": {"max_rank": 3}})
     assert status == 0
     assert len(reports) == 3 + 9 + 27
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_arithmetic_suite_matches_a_lattice_per_ordering(monkeypatch, jobs):
+    # the oracle builds every ordered diagonal's lattice and checks it; the
+    # suite checks each distinct sorted diagonal once, a repeated entry too
+    monkeypatch.setenv("HNBOUNDS_JOBS", jobs)
+    patch_cpus(monkeypatch, 2)
+    entries = ["1/4", "1", "1", "4"]
+    _, reports = run_config({"suite": "arithmetic", "parameters": {"max_rank": 3, "entries": entries}})
+    oracle = []
+    for rank in range(1, 4):
+        for diag in itertools.product(map(Fraction, entries), repeat=rank):
+            gram = [[diag[i] if i == j else 0 for j in range(rank)] for i in range(rank)]
+            oracle.append(bounds.check_gillet_soule(lattices.EuclideanLattice(gram)))
+    oracle.sort(key=lambda r: r.name)
+    assert len(reports) == 4 + 16 + 64
+    assert json.dumps(reports_to_json(reports)) == json.dumps(reports_to_json(oracle))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "entry, err",
+    [
+        ("0", "config error: invalid config: Gram matrix must be positive definite\n"),
+        ("-1", "config error: invalid config: Gram matrix must be positive definite\n"),
+        ("1/1000000000000000000000", "error: enumeration node budget exceeded\n"),
+    ],
+)
+def test_arithmetic_refusal_from_a_task_keeps_its_one_line(monkeypatch, capsys, tmp_path, jobs, entry, err):
+    # the refused diagonals fall in a worker's share when two processes run
+    monkeypatch.setenv("HNBOUNDS_JOBS", jobs)
+    patch_cpus(monkeypatch, 2)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": "arithmetic", "parameters": {"entries": ["1", entry]}}))
+    assert cli.main(["run", str(config)]) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 def test_arithmetic_suite_orders_a_tie_below_the_interval_precision(tmp_path, capsys, monkeypatch):

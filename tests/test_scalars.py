@@ -34,6 +34,7 @@ from hnbounds.scalars import (
     scalar_max,
     scalar_min,
     sqrt_interval,
+    verdict,
 )
 
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=64)
@@ -45,7 +46,7 @@ def test_exact_arithmetic_is_plain_fraction_arithmetic(x, y):
     a, b = Scalar.exact(x), Scalar.exact(y)
     assert type(a) is Exact and a == x and a.is_rational and a.as_fraction() == x
     assert a.bounds() == (x, x) and a.midpoint() == float(x)
-    assert a.certified_nonneg() == (x >= 0) and a.to_json() == str(x)
+    assert verdict(a) == (x >= 0) and a.to_json() == str(x)
     results = [(a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x), (a + 1, x + 1)]
     if y != 0:
         results.append((a / b, x / y))
@@ -187,6 +188,37 @@ def test_certified_comparisons():
     s = log_scalar(2)
     assert s == s and s != copy.copy(s) and s != Scalar.from_fraction_bounds(*s.bounds())
     assert len({s, copy.copy(s)}) == 2
+
+
+def test_verdict_decides_or_answers_none():
+    # True on a nonnegative lower end, False on a negative upper end, None
+    # when the margin straddles 0; an exact margin is always decided
+    assert verdict(log_scalar(2)) is True and verdict(Scalar.from_fraction_bounds(0, 0)) is True
+    assert verdict(0 - log_scalar(2)) is False and verdict(Fraction(-1, 3)) is False
+    assert verdict(log_scalar(2) - copy.copy(log_scalar(2))) is None
+    assert verdict(Scalar.from_fraction_bounds(-1, 0)) is None
+    assert verdict(Scalar.exact(0)) is True and verdict("-1/2") is False
+    with pytest.raises(TypeError):
+        verdict(0.5)
+
+
+_EXACT_OPERAND_READS = {
+    "order": lambda x: order(x, Fraction(1)),
+    "order-reflected": lambda x: order(Fraction(1), x),
+    "max0": max0,
+}
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, "1/2", "-1/2", "3"])
+@pytest.mark.parametrize("name", sorted(_EXACT_OPERAND_READS))
+def test_order_and_max0_read_exact_operands_through_exact_fraction(name, x):
+    # as every exact reader: a float is a TypeError, a "p/q" string is read
+    read = _EXACT_OPERAND_READS[name]
+    if isinstance(x, float):
+        with pytest.raises(TypeError):
+            read(x)
+    else:
+        assert read(x) == read(Fraction(x))
 
 
 def test_repr_past_the_float_range():
@@ -540,6 +572,11 @@ def _ref_order(x, y):
     return None
 
 
+def _ref_verdict(x):
+    lo, hi = x.bounds()
+    return True if lo >= 0 else False if hi < 0 else None
+
+
 def _ref_max0(x):
     if not _is_interval(x):
         return max(x, Fraction(0))
@@ -583,7 +620,7 @@ def test_fast_paths_match_bounds_reference(x, y):
         _agree(lambda: max0(a), lambda: _ref_max0(a))
         if not _is_interval(a):
             continue
-        _agree(a.certified_nonneg, lambda: a.bounds()[0] >= 0)
+        _agree(lambda: verdict(a), lambda: _ref_verdict(a))
         _agree(a.__abs__, lambda: _ref_abs(a))
         if _finite(a):
             _agree(a.__neg__, lambda: _ref_neg(a))
