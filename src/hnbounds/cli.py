@@ -28,25 +28,27 @@ produce byte-identical JSON.
 included; it is clamped to the CPU count, to the CPUs this process may run
 on and to the number of tasks, and a value that is not a positive integer,
 or a missing ``os.fork``, makes the run serial.  Every suite evaluates its
-checks as tasks of ``_run_checks``, which splits them in order into
-contiguous shares: each of the first goes to a forked worker as one pickle
-on a plain pipe as soon as its tasks exist (the lattice suite draws its Gram
-matrices as they are taken), this process runs the last share meanwhile,
-and each worker sends its results back as one pickle that writes each
-distinct exact rational once.  A task's data is plain: a ``FiberedSeries``
+checks as tasks of ``_run_checks``, which hands them out in order by guided
+self-scheduling: each idle forked worker gets the next ``ceil(remaining /
+(2 N))`` tasks as one share, drawn as it is taken (the lattice and epsilon
+suites draw each trial when its task is taken), and this process runs the
+next single task between shares.  Shares and replies cross plain pipes as
+length-prefixed pickles of one wire (``_frame``) that builds reports and
+rationals from their fields and integers and writes each distinct exact
+rational of a message once.  A task's data is plain: a ``FiberedSeries``
 (three integers), a lattice trial's number and integer Gram matrix, one
 distinct sorted ``arithmetic`` diagonal's orderings, or an ``epsilon``
-trial's drawn towers and ``p``; ``polygon`` is one task, always run here.
-Results are finished reports, so the report list is assembled in a fixed
-order either way.  No thread is started and neither ``concurrent.futures``
+trial's drawn integers; ``polygon`` is one task, always run here.  Results
+are finished reports, placed by task index, so the report list is the same
+at any job count.  No thread is started and neither ``concurrent.futures``
 nor ``multiprocessing`` is imported.  The workers are forked on the first
 pooled suite, and kept warm for every later one in the process while the
 count stays the same; they are replaced when the count changes or a worker
 dies, forgotten in a forked child, and closed and reaped at interpreter exit.
 Workers are forked once, so they keep the module globals of that moment: a
 global changed later (say, a monkeypatched ``lattices.MAX_NODES``) reaches
-the last share, which runs here, but not the shares run in workers, and a
-task function defined later cannot be read there at all: the call raises
+the tasks run here, but not those run in workers, and a task function
+defined later cannot be read there at all: the call raises
 ``WorkerDiedError`` naming it.
 
 The JSON wire format is read here only.  ``_load`` parses a flag or a config
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import io
 import itertools
 import json
 import os
@@ -392,6 +395,9 @@ _pool = None  # (pid of the creating process, [(worker pid, share pipe, reply pi
 def _workers(count: int):
     """The ``count`` warm workers, forked on first use.
 
+    Each worker is ``(pid, share pipe, reply pipe)``: this process writes
+    shares to the first, buffered, and reads replies from the second, raw,
+    so that ``select.poll`` on its fd sees every reply not yet read.
     Workers of another count are closed and reaped, and replaced.  Workers
     inherited by a forked child are forgotten, not reaped: they are the
     parent's.
@@ -413,76 +419,132 @@ def _workers(count: int):
                         replies.close()
                     os.close(share_w)
                     os.close(reply_r)
-                    _serve(os.fdopen(share_r, "rb"), os.fdopen(reply_w, "wb"))
+                    _serve(os.fdopen(share_r, "rb", buffering=0), os.fdopen(reply_w, "wb"))
                 finally:
                     os._exit(0)
             os.close(share_r)
             os.close(reply_w)
-            _pool[1].append((pid, os.fdopen(share_w, "wb"), os.fdopen(reply_r, "rb")))
+            _pool[1].append((pid, os.fdopen(share_w, "wb"), os.fdopen(reply_r, "rb", buffering=0)))
     return _pool[1]
 
 
+# -- the pool's wire ------------------------------------------------------------
+
+
 def _same(value):
-    """``value`` itself: a reply's repeat of an exact rational unpickles as
+    """``value`` itself: a message's repeat of an exact rational unpickles as
     this call on the first one, so it is the same object."""
     return value
+
+
+def _ratio(cls, numerator: int, denominator: int):
+    """The ``Fraction`` or ``Exact`` of a numerator and a positive denominator
+    in lowest terms, built past ``Fraction.__new__``'s parsing and gcd."""
+    q = object.__new__(cls)
+    q._numerator, q._denominator = numerator, denominator
+    return q
+
+
+def _report(name, lhs, rhs, margin, context) -> CheckReport:
+    """The ``CheckReport`` of fields that one already held, past ``__init__``'s checks."""
+    rep = object.__new__(CheckReport)
+    rep.name, rep.lhs, rep.rhs, rep.margin, rep.context = name, lhs, rhs, margin, context
+    return rep
+
+
+_Wire = None  # the pool's pickle.Pickler, made by _frame on first use
+
+
+def _frame(message) -> memoryview:
+    """``message``, a share or a reply, pickled for a pipe after its length.
+
+    The length is 8 bytes, little-endian.  A ``CheckReport`` pickles as
+    ``_report`` of its fields, and a ``Fraction`` or an ``Exact`` as
+    ``_ratio`` of its type and lowest terms, so loading a message calls
+    neither ``__init__`` nor ``Fraction.__new__`` and sets no object state.
+    A message writes each distinct exact rational once: one equal in type,
+    numerator and denominator to one written before it in the same message
+    is written as ``_same`` of that one.  The values are immutable, so
+    sharing them changes nothing, and an int, a ``Fraction`` and an
+    ``Exact`` of one value stay apart.  The reductions are the pickler's
+    own ``dispatch_table``, not ``copyreg``'s, and ``pickle`` is imported
+    here, at the first pooled call, not with this module.
+    """
+    global _Wire
+    if _Wire is None:
+        import pickle
+
+        class Wire(pickle.Pickler):
+            def __init__(self, file):
+                firsts = {}
+
+                def rational(q):
+                    key = (type(q), q._numerator, q._denominator)
+                    first = firsts.setdefault(key, q)
+                    return (_ratio, key) if first is q else (_same, (first,))
+
+                def report(rep):
+                    return _report, (rep.name, rep.lhs, rep.rhs, rep.margin, rep.context)
+
+                # read by the pickler's __init__
+                self.dispatch_table = {Fraction: rational, Exact: rational, CheckReport: report}
+                super().__init__(file)
+
+        _Wire = Wire
+    out = io.BytesIO()
+    out.write(bytes(8))
+    _Wire(out).dump(message)
+    data = out.getbuffer()
+    data[:8] = (len(data) - 8).to_bytes(8, "little")
+    return data
+
+
+def _read_exactly(pipe, size: int) -> bytearray:
+    """The next ``size`` bytes of the raw ``pipe``; ``EOFError`` if it ends first."""
+    data = bytearray(size)
+    view = memoryview(data)
+    while view:
+        got = pipe.readinto(view)
+        if not got:
+            raise EOFError(f"a pipe ended {size - len(view)} bytes into a {size}-byte read")
+        view = view[got:]
+    return data
+
+
+def _read_frame(pipe) -> bytearray:
+    """The pickle of the next message on the raw ``pipe``; ``EOFError`` if it ends first."""
+    return _read_exactly(pipe, int.from_bytes(_read_exactly(pipe, 8), "little"))
 
 
 def _serve(shares, replies) -> None:
     """A worker's loop: read a share, send back ``(True, results)`` or
     ``(False, first exception)``, until EOF.
 
-    A reply writes each distinct exact rational once: a ``Fraction`` or an
-    ``Exact`` equal in type, numerator and denominator to one written
-    before it in the same reply is written as ``_same`` of that one.  The
-    values are immutable, so sharing them changes nothing, and an int, a
-    ``Fraction`` and an ``Exact`` of one value stay apart.
-
-    A share that cannot be read here, say one naming a task function defined
-    after the fork, is answered with a ``WorkerDiedError`` naming the load
-    error.  The worker then reads the rest of the share, so that a share
-    larger than the pipe's buffer is still written in full, and leaves at
-    EOF, when the caller drops the workers.
+    A share that cannot be loaded here, say one naming a task function
+    defined after the fork, is answered with a ``WorkerDiedError`` naming
+    the load error, and the worker leaves; the caller drops the workers.
     """
-    import io
     import pickle
-
-    class Reply(pickle.Pickler):
-        def __init__(self, file):
-            super().__init__(file)
-            self.firsts = {}
-
-        def reducer_override(self, obj):
-            cls = type(obj)
-            if cls is not Fraction and cls is not Exact:
-                return NotImplemented
-            key = (cls, obj.numerator, obj.denominator)
-            first = self.firsts.setdefault(key, obj)
-            return NotImplemented if first is obj else (_same, (first,))
-
-    def dumps(reply) -> bytes:
-        out = io.BytesIO()
-        Reply(out).dump(reply)
-        return out.getvalue()
 
     while True:
         try:
-            share = pickle.load(shares)
+            share = _read_frame(shares)
         except EOFError:
             return
+        try:
+            share = pickle.loads(share)
         except Exception as exc:
             died = WorkerDiedError(
                 f"{type(exc).__name__}: {exc} (a worker keeps the module globals"
                 " of the moment it was forked)"
             )
-            replies.write(pickle.dumps((False, died)))
+            replies.write(_frame((False, died)))
             replies.flush()
-            shares.read()
             return
         try:
-            reply = dumps((True, [_call(task) for task in share]))
+            reply = _frame((True, [_call(task) for task in share]))
         except Exception as exc:
-            reply = dumps((False, exc))
+            reply = _frame((False, exc))
         replies.write(reply)
         replies.flush()
 
@@ -515,27 +577,29 @@ def _take(tasks, size: int, last: bool = False) -> list:
 
 
 def _run_checks(tasks, count=None):
-    """Evaluate (func, arg) pairs, split over ``_jobs`` processes.
+    """Evaluate (func, arg) pairs, spread over ``_jobs`` processes.
 
     ``tasks`` is an iterable of ``count`` tasks (by default ``len(tasks)``);
-    one of another length is refused with ``ValueError``.  It is split in
-    order into contiguous shares whose sizes differ by at most one.  The warm
-    workers of ``_workers`` take the first shares and this process the last:
-    each worker's share is taken from the iterator and written to its pipe
-    as one pickle as soon as it is complete, and only then is this
-    process's share taken and run, while the workers compute.  A worker
-    sends back its results as one pickle (``_serve``).  Every reply is read,
-    in order, also when taking or running this process's share raised, so
-    the pipes stay in step.  The first error in task order is raised, and
-    otherwise the results are returned in task order, so the report list is
-    the same no matter how many processes run.
+    one of another length is refused with ``ValueError``.  It is drawn once,
+    in order, as the tasks are handed out, by guided self-scheduling
+    (Polychronopoulos and Kuck 1987): each idle warm worker of ``_workers``
+    is given the next ``ceil(remaining / (2 jobs))`` tasks as one share,
+    with at most one share outstanding per worker, and between shares this
+    process draws and runs the next single task, then polls the reply pipes
+    without waiting.  With ``count == jobs`` each worker runs one task and
+    this process the last.  Shares and replies cross the pipes as framed
+    pickles (``_frame``).  Once an error is known no task is handed out or
+    run; every outstanding reply is still read, so the pipes stay in step,
+    and then the first error in task order is raised.  Otherwise the
+    results are returned in task order, so the report list is the same no
+    matter how many processes run.
 
     A ``jobs == 1`` call runs here and leaves the workers as they are.  The
     workers were forked at the first pooled call, so a task run there sees
     the module globals of that moment, not later changes to them.  A reply
     that ends early raises ``WorkerDiedError`` and drops the workers, so the
     next pooled call forks fresh ones, as does a reply holding a
-    ``WorkerDiedError`` from a worker that could not read its share.  The
+    ``WorkerDiedError`` from a worker that could not load its share.  The
     workers are shared without a lock: call this from one thread at a time,
     as the CLI does.
     """
@@ -546,37 +610,65 @@ def _run_checks(tasks, count=None):
     if jobs == 1:
         return [_call(task) for task in _take(tasks, count, last=True)]
     import pickle
+    import select
 
-    cuts = [count * k // jobs for k in range(jobs + 1)]
-    workers = _workers(jobs - 1)
-    sent = 0
+    idle = list(_workers(jobs - 1))
+    busy = {}  # reply fd -> (worker, index of its share's first task)
+    replies = select.poll()
+    results = [None] * count
+    errors = {}  # index of a share's first task -> the share's first error
+    drawn = 0
     try:
-        for (_, pipe, _), lo, hi in zip(workers, cuts, cuts[1:]):
-            try:
-                payload = pickle.dumps(_take(tasks, hi - lo))
-            except Exception as exc:
-                mine = (False, exc)
+        while True:
+            while idle and drawn < count and not errors:
+                size = -(-(count - drawn) // (2 * jobs))
+                try:
+                    share = _frame(_take(tasks, size))
+                except Exception as exc:
+                    errors[drawn] = exc
+                    break
+                worker = idle.pop(0)
+                worker[1].write(share)
+                worker[1].flush()
+                busy[worker[2].fileno()] = worker, drawn
+                replies.register(worker[2], select.POLLIN)
+                drawn += size
+            if drawn < count and not errors:
+                try:
+                    (task,) = _take(tasks, 1)
+                    results[drawn] = _call(task)
+                except Exception as exc:
+                    errors[drawn] = exc
+                drawn += 1
+                timeout = 0
+            elif busy:
+                timeout = None
+            else:
                 break
-            pipe.write(payload)
-            pipe.flush()
-            sent += 1
-        else:  # every worker has its share: take and run the last one here
-            try:
-                mine = (True, [_call(task) for task in _take(tasks, cuts[-1] - cuts[-2], last=True)])
+            for fd, _ in replies.poll(timeout):
+                replies.unregister(fd)
+                worker, start = busy.pop(fd)
+                ok, value = pickle.loads(_read_frame(worker[2]))
+                idle.append(worker)
+                if ok:
+                    results[start : start + len(value)] = value
+                else:
+                    errors[start] = value
+        if not errors:
+            try:  # every task was drawn: the iterator must be done
+                _take(tasks, 0, last=True)
             except Exception as exc:
-                mine = (False, exc)
-        replies = [pickle.load(pipe) for _, _, pipe in workers[:sent]] + [mine]
+                errors[count] = exc
     except BaseException as exc:
         _drop_pool()
         if isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
             raise WorkerDiedError(f"{type(exc).__name__}: {exc}") from None
         raise
-    if any(not ok and isinstance(value, WorkerDiedError) for ok, value in replies):
+    if any(isinstance(error, WorkerDiedError) for error in errors.values()):
         _drop_pool()
-    for ok, value in replies:
-        if not ok:
-            raise value
-    return [result for _, results in replies for result in results]
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 # -- suites -------------------------------------------------------------------
@@ -645,21 +737,23 @@ def suite_arithmetic(params, rng) -> list[CheckReport]:
     return list(itertools.chain.from_iterable(_run_checks(tasks)))
 
 
-def _random_tower(rng):
-    depth = rng.randint(0, 3)
-    genera = tuple(rng.randint(0, 4) for _ in range(depth + 1))
-    mu = tuple(Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(depth + 1))
-    vol = tuple(Fraction(rng.randint(0, 24), rng.randint(1, 4)) for _ in range(depth + 1))
-    return Tower(genera), TowerData(mu, vol)
-
-
 def _epsilon_trial(task) -> list[CheckReport]:
-    """The two reports of one trial ``(i, tower, data, p, which, bumped)`` that
-    ``suite_epsilon`` drew: rescaling ``data`` by ``p``, and the bump to ``bumped``."""
-    i, tower, data, p, which, bumped = task
+    """The two reports of one trial that ``suite_epsilon`` drew,
+    ``task = (i, genera, mu, vol, p, which, at)``: rescaling the tower's data
+    by ``p``, and the bump of coordinate ``at`` of kind ``which``.  ``mu``
+    and ``vol`` are (numerator, denominator) pairs."""
+    i, genera, mu, vol, p, which, at = task
+    mu, vol = [Fraction(*q) for q in mu], [Fraction(*q) for q in vol]
+    tower, data = Tower(genera), TowerData(mu, vol)
     d = tower.depth
+    # monotonicity: bump one coordinate upward; mu_d never enters, so at
+    # depth 0 a draw of mu bumps a genus
+    genera = list(genera)
+    coords = (mu if d else genera, vol, genera)[which]
+    coords[at] += 1
     eps = epsilon(tower, data)
     rescale_name = f"epsilon-rescale trial={i:04d} p={p} d={d}"
+    bumped = Tower(genera), TowerData(mu, vol)
     return [
         CheckReport.compare(rescale_name, epsilon(tower, rescale(data, p)), p**d * eps, {"epsilon": eps}),
         CheckReport.compare(f"epsilon-monotone trial={i:04d} coord={which}", eps, epsilon(*bumped), {}),
@@ -667,23 +761,29 @@ def _epsilon_trial(task) -> list[CheckReport]:
 
 
 def suite_epsilon(params, rng) -> list[CheckReport]:
-    """Each trial's tower, ``p`` and bumped coordinate are drawn here, in
-    order; its task computes the trial's two reports."""
+    """Two checks on each of ``trials`` seeded towers.
+
+    Each trial's integers (depth, genera, the numerators and denominators of
+    mu and vol, ``p``, the coordinate kind and index of the bump) are drawn
+    when its task is taken, in seed order; no draw depends on a computed
+    value.  The task builds the tower and its data and computes the trial's
+    two reports.
+    """
     trials = params.get("trials", 100)
     p_max = params.get("p_max", 5)
-    tasks = []
-    for i in range(trials):
-        tower, data = _random_tower(rng)
-        d = tower.depth
+
+    def draw(i):
+        depth = rng.randint(0, 3)
+        genera = tuple(rng.randint(0, 4) for _ in range(depth + 1))
+        mu = tuple((rng.randint(0, 12), rng.randint(1, 4)) for _ in range(depth + 1))
+        vol = tuple((rng.randint(0, 24), rng.randint(1, 4)) for _ in range(depth + 1))
         p = rng.randint(1, p_max)
-        # monotonicity: bump one coordinate upward; mu_d never enters, so at
-        # depth 0 a draw of mu bumps a genus
-        genera, mu, vol = list(tower.genera), list(data.mu), list(data.vol)
         which = rng.randrange(3)
-        coords = (mu if d else genera, vol, genera)[which]
-        coords[rng.randrange(d if coords is mu else d + 1)] += 1
-        tasks.append((_epsilon_trial, (i, tower, data, p, which, (Tower(genera), TowerData(mu, vol)))))
-    return list(itertools.chain.from_iterable(_run_checks(tasks)))
+        at = rng.randrange(depth if which == 0 and depth else depth + 1)
+        return i, genera, mu, vol, p, which, at
+
+    tasks = ((_epsilon_trial, draw(i)) for i in range(trials))
+    return list(itertools.chain.from_iterable(_run_checks(tasks, trials)))
 
 
 def _hn_type(pairs, what: str) -> HNType:

@@ -423,14 +423,18 @@ def gillet_soule_constant(field, n: int) -> Scalar:
 
 
 def _random_int_gram(rank: int, rng) -> tuple[tuple[int, ...], ...]:
-    """The integer Gram matrix B^T B that :func:`random_gram` wraps."""
+    """The integer Gram matrix B^T B that :func:`random_gram` wraps, built
+    from its upper triangle: r(r+1)/2 dot products of columns, not r^2."""
     while True:
         b = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
         e = Echelon()
         if not all(e.add(row) for row in b):  # B is singular
             continue
         cols = list(zip(*b))
-        return tuple(tuple(sum(map(mul, ci, cj)) for cj in cols) for ci in cols)
+        gram = []
+        for i, ci in enumerate(cols):  # row i: column i of the rows above, then its own dot products
+            gram.append(tuple([row[i] for row in gram] + [sum(map(mul, ci, cj)) for cj in cols[i:]]))
+        return tuple(gram)
 
 
 def random_gram(rank: int, rng) -> EuclideanLattice:

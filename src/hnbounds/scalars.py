@@ -477,13 +477,15 @@ def __getattr__(name: str):
 def _extreme(pick, a, b):
     """Interval extension of ``pick`` (max or min); exact for exact values.
 
-    Two intervals keep the picked raw endpoints: they are dyadic with at most
+    Two exact values are read through :func:`exact_fraction` (a float is a
+    ``TypeError``, a string is read) and the picked one is returned.  Two
+    intervals keep the picked raw endpoints: they are dyadic with at most
     PREC bits, so outward rounding of their exact values would change none
     of them, and ``mpf_lt`` compares them exactly.  An exact value against
     an interval compares exact bounds and rounds the picked ones outward.
     """
     if type(a) is not Scalar and type(b) is not Scalar:
-        return pick(a, b)
+        return pick(exact_fraction(a), exact_fraction(b))
     if type(a) is Scalar and type(b) is Scalar:
         (alo, ahi), (blo, bhi) = _finite(a._ivl), _finite(b._ivl)
         larger = pick is max
@@ -496,14 +498,14 @@ def _extreme(pick, a, b):
 
 
 def scalar_max(a, b):
-    """Interval extension of max of Scalars, ints or Fractions; exact for
-    exact values."""
+    """Interval extension of max of Scalars and values
+    :func:`exact_fraction` reads; exact for exact values."""
     return _extreme(max, a, b)
 
 
 def scalar_min(a, b):
-    """Interval extension of min of Scalars, ints or Fractions; exact for
-    exact values."""
+    """Interval extension of min of Scalars and values
+    :func:`exact_fraction` reads; exact for exact values."""
     return _extreme(min, a, b)
 
 

@@ -99,6 +99,9 @@ class FiberedSeries:
         if self.a < 0 or self.b < 1 or self.e < 0:
             raise ValueError("need a >= 0, b >= 1, e >= 0")
 
+    def __reduce__(self):
+        return (FiberedSeries, (self.a, self.b, self.e))
+
     def pushforward(self, n: int) -> SplitBundle:
         """Direct image of the n-th power on the base P^1: twists n*a - e*j.
 

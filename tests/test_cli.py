@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import pickle
+import pickletools
 import signal
 import subprocess
 import sys
@@ -205,25 +206,46 @@ def _pid_and(x):
 def test_lazy_shares_are_drawn_once_in_order(monkeypatch, jobs):
     monkeypatch.setenv("HNBOUNDS_JOBS", str(jobs))
     patch_cpus(monkeypatch, jobs)
-    drawn = []
+    here, frame = os.getpid(), cli._frame
+    drawn, shares = [], []
+
+    def recording_frame(message):
+        # shares are framed here; replies only in the workers
+        if os.getpid() == here:
+            shares.append(([x for _, x in message], len(drawn)))
+        return frame(message)
+
+    monkeypatch.setattr(cli, "_frame", recording_frame)
 
     def tasks(n):
         for i in range(n):
             drawn.append(i)
             yield (_pid_and, i)
 
-    for count in range(8):
+    for count in [*range(8), 40]:
         drawn.clear()
+        shares.clear()
         ran = cli._run_checks(tasks(count), count)
         assert drawn == list(range(count))
         assert [x for _, x in ran] == list(range(count))
-        if count:
-            # contiguous shares, each in one process: the workers' first, the last one here
-            procs = cli._jobs(count)
-            cuts = [count * k // procs for k in range(procs + 1)]
-            owners = [{pid for pid, _ in ran[lo:hi]} for lo, hi in zip(cuts, cuts[1:])]
-            assert all(len(o) == 1 for o in owners) and len(set.union(*owners)) == procs
-            assert owners[-1] == {os.getpid()}
+        procs = cli._jobs(count)
+        assert len({pid for pid, _ in ran}) == min(procs, count)
+        if procs == 1:
+            assert not shares and all(pid == here for pid, _ in ran)
+            continue
+        # each share is a contiguous run of tasks, framed as soon as its last
+        # task is drawn, and runs in one worker; this process runs the rest
+        starts, sent = {}, set()
+        for xs, drawn_then in shares:
+            assert xs == list(range(xs[0], xs[0] + len(xs))) and drawn_then == xs[-1] + 1
+            (pid,) = {ran[x][0] for x in xs}
+            assert pid != here
+            starts.setdefault(pid, []).append(xs[0])
+            sent.update(xs)
+        # each worker's shares come in task order, and the first leaves before the last task is drawn
+        assert all(s == sorted(s) for s in starts.values())
+        assert shares[0][1] < count
+        assert all(pid == here for pid, x in ran if x not in sent)
     # a count that differs from the number of tasks is refused, and the pool stays in step
     pids = pool_pids(jobs)
     for count, yielded in ((7, 6), (7, 1), (7, 8), (7, 30), (1, 2), (0, 1)):
@@ -289,6 +311,51 @@ def test_reply_sends_equal_rationals_once_and_keeps_types(monkeypatch):
         assert got[5].bounds() == want[5].bounds()
     # the repeat of each rational is the first one
     assert all(first[i] is second[i] for i in (0, 1, 2))
+
+
+def _reports_of(results):
+    """The JSON of a list of task results, each a report or a list of reports."""
+    return [r.to_json() for x in results for r in (x if isinstance(x, list) else [x])]
+
+
+@pytest.mark.parametrize("name", sorted(set(RUN_CONFIGS) - {"polygon"}))
+def test_wire_loads_shares_and_replies_without_fraction_new_or_state(monkeypatch, name):
+    # a suite's first share at two jobs and the reply to it, as the pool
+    # pickles them: loading them builds no Fraction through Fraction.__new__
+    # and sets no object state (no BUILD), and gives back equal values
+    captured = []
+
+    def capture(tasks, count=None):
+        captured.append(list(tasks))
+        return [cli._call(task) for task in captured[-1]]
+
+    monkeypatch.setattr(cli, "_run_checks", capture)
+    run_config(RUN_CONFIGS[name])
+    (tasks,) = captured
+    share = tasks[: -(-len(tasks) // 4)]
+    results = [cli._call(task) for task in share]
+    new = Fraction.__new__
+    built = []
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    for message in (share, (True, results)):
+        data = bytes(cli._frame(message))
+        assert int.from_bytes(data[:8], "little") == len(data) - 8
+        assert "BUILD" not in {op.name for op, _, _ in pickletools.genops(data[8:])}
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counting_new)
+            loaded = pickle.loads(data[8:])
+            assert built == []
+            Fraction(1, 2)  # the counter counts
+            assert built == [Fraction]
+        built.clear()
+        if message is share:
+            assert _reports_of(cli._call(task) for task in loaded) == _reports_of(results)
+        else:
+            assert loaded[0] is True and _reports_of(loaded[1]) == _reports_of(results)
 
 
 def test_pool_batches_keep_order_and_first_error(monkeypatch):

@@ -506,6 +506,29 @@ def test_random_gram_properties(rng):
         assert all(L.gram[i][j] == L.gram[j][i] for i in range(3) for j in range(3))
 
 
+class _RecordingRandom(random.Random):
+    """A seeded Random that keeps every ``randint`` it returns."""
+
+    def randint(self, lo, hi):
+        x = super().randint(lo, hi)
+        self.drawn.append(x)
+        return x
+
+
+def test_random_int_gram_is_the_full_product():
+    # the Gram matrix built from its upper triangle is B^T B of the last
+    # (accepted) draw of B, row by row
+    for rank in range(1, 9):
+        rng = _RecordingRandom(rank)
+        for _ in range(6):
+            rng.drawn = []
+            gram = lattices._random_int_gram(rank, rng)
+            last = rng.drawn[-rank * rank:]
+            b = [last[i * rank:(i + 1) * rank] for i in range(rank)]
+            full = tuple(tuple(sum(row[i] * row[j] for row in b) for j in range(rank)) for i in range(rank))
+            assert gram == full
+
+
 # -- the memoized LDL and LLL ----------------------------------------------------------
 
 

@@ -221,6 +221,16 @@ def test_order_and_max0_read_exact_operands_through_exact_fraction(name, x):
         assert read(x) == read(Fraction(x))
 
 
+def test_scalar_max_and_min_read_exact_operands_through_exact_fraction():
+    # a string is read, not compared as a string; a float is refused
+    assert scalar_max("1/2", "1") == Fraction(1) and type(scalar_max("1/2", "1")) is Fraction
+    with pytest.raises(TypeError, match="float"):
+        scalar_min(0.5, Fraction(1))
+    assert scalar_max("3", 2) == Fraction(3) and type(scalar_max("3", 2)) is Fraction
+    # an Exact is returned as it is
+    assert type(scalar_min(Scalar.exact(1), "2")) is Exact
+
+
 def test_repr_past_the_float_range():
     # the width, like the midpoint, reads inf where float() would overflow
     wide = Scalar.from_fraction_bounds(Fraction(0), Fraction(10**400))
