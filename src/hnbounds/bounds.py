@@ -26,7 +26,7 @@ from .lattices import EuclideanLattice, RATIONAL_FIELD, gillet_soule_constant
 from .scalars import (
     Exact,
     Scalar,
-    _exact,
+    _ratio,
     exact_fraction,
     exp_interval,
     log_interval,
@@ -89,6 +89,9 @@ class CheckReport:
     def compare(cls, name: str, lhs, rhs, context=None) -> "CheckReport":
         return cls(name, lhs, rhs, rhs - lhs, dict(context or {}))
 
+    def __reduce__(self):
+        return (_report, (self.name, self.lhs, self.rhs, self.margin, self.context))
+
     def to_json(self):
         return {
             "name": self.name,
@@ -100,6 +103,13 @@ class CheckReport:
         }
 
 
+def _report(name, lhs, rhs, margin, context) -> CheckReport:
+    """The report of fields that one already held, past ``__init__``'s checks."""
+    rep = object.__new__(CheckReport)
+    rep.name, rep.lhs, rep.rhs, rep.margin, rep.context = name, lhs, rhs, margin, context
+    return rep
+
+
 def _report_value(value):
     """A report's lhs, rhs or margin: an interval or an Exact as it is, an
     int or a Fraction as an Exact."""
@@ -107,7 +117,7 @@ def _report_value(value):
         return value
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"a report value is a Scalar, an int or a Fraction, not {type(value).__name__}")
-    return _exact(value)
+    return _ratio(Exact, value.numerator, value.denominator)
 
 
 def _context_value(v):

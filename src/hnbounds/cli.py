@@ -12,39 +12,40 @@ Exit status: 0 when every check passes, 1 on any failed check, 2 on invalid
 input, when a result cannot be certified within its budget
 (``EnumerationBudgetError``, ``CertificationError``) or when a worker
 process dies (``WorkerDiedError``), with a one-line message on stderr.
-Invalid input reads ``config error: invalid <flag or config>: …``, also
-when the input is well formed but a library constructor refuses it
-(``_build``): slopes that do not decrease, a negative genus, an asymmetric
-Gram matrix, a ``--degree`` past its budget.  Interval slopes
-whose order ``HNType`` cannot certify are invalid slope data too.  A
-command line that argparse refuses reads ``config error: invalid
-arguments: …`` (``_Parser``), without the usage text.  A library warning
-on accepted input (a negative slope in an ``epsilon`` tower) is printed as
-one ``warning: …`` line and changes neither stdout nor the exit status.  Randomized suites take a seed
-and print it, so every failure is replayable; identical config and seed
-produce byte-identical JSON.
+Invalid input reads ``config error: invalid <flag or config>: …``, also when
+the input is well formed but a library constructor refuses it (``_build``):
+slopes that do not decrease, a negative genus, an asymmetric Gram matrix, a
+``--degree`` past its budget.  An interval slope with ``lo > hi``, and
+interval slopes whose order ``HNType`` cannot certify, are invalid slope
+data too.  A command line that argparse refuses reads ``config error:
+invalid arguments: …`` (``_Parser``), without the usage text.  A library
+warning on accepted input (a negative slope in an ``epsilon`` tower) is
+printed as one ``warning: …`` line and changes neither stdout nor the exit
+status.  Randomized suites take a seed and print it, so every failure is
+replayable; identical config and seed produce byte-identical JSON.
 
 ``HNBOUNDS_JOBS`` sets how many processes evaluate checks, this one
 included; it is clamped to the CPU count, to the CPUs this process may run
 on and to the number of tasks, and a value that is not a positive integer,
 or a missing ``os.fork``, makes the run serial.  Every suite evaluates its
 checks as tasks of ``_run_checks``, which hands them out in order by guided
-self-scheduling: each idle forked worker gets the next ``ceil(remaining /
-(2 N))`` tasks as one share, drawn as it is taken (the lattice and epsilon
-suites draw each trial when its task is taken), and this process runs the
-next single task between shares.  Shares and replies cross plain pipes as
-length-prefixed pickles of one wire (``_frame``) that builds reports and
-rationals from their fields and integers and writes each distinct exact
-rational of a message once.  A task's data is plain: a ``FiberedSeries``
-(three integers), a lattice trial's number and integer Gram matrix, one
-distinct sorted ``arithmetic`` diagonal's orderings, or an ``epsilon``
-trial's drawn integers; ``polygon`` is one task, always run here.  Results
-are finished reports, placed by task index, so the report list is the same
-at any job count.  No thread is started and neither ``concurrent.futures``
-nor ``multiprocessing`` is imported.  The workers are forked on the first
-pooled suite, and kept warm for every later one in the process while the
-count stays the same; they are replaced when the count changes or a worker
-dies, forgotten in a forked child, and closed and reaped at interpreter exit.
+self-scheduling: each idle forked worker gets the next
+``ceil(remaining / (2 N))`` tasks as one share, drawn as it is taken (the
+lattice and epsilon suites draw each trial when its task is taken), and this
+process runs the next single task between shares.  Shares and replies cross
+buffered pipes, each holding at most one message at a time, as
+length-prefixed pickles (``_frame``) that build reports and rationals from
+their fields and integers and write each distinct exact rational of a
+message once.  A task's data is plain: a ``FiberedSeries`` (three integers),
+a lattice trial's number and integer Gram matrix, one distinct sorted
+``arithmetic`` diagonal's orderings, or an ``epsilon`` trial's drawn
+integers; ``polygon`` is one task, always run here.  Results are finished
+reports, placed by task index, so the report list is the same at any job
+count.  No thread is started and neither ``concurrent.futures`` nor
+``multiprocessing`` is imported.  The workers are forked on the first pooled
+suite, and kept warm for every later one in the process while the count
+stays the same; they are replaced when the count changes or a worker dies,
+forgotten in a forked child, and closed and reaped at interpreter exit.
 Workers are forked once, so they keep the module globals of that moment: a
 global changed later (say, a monkeypatched ``lattices.MAX_NODES``) reaches
 the tasks run here, but not those run in workers, and a task function
@@ -77,7 +78,7 @@ from fractions import Fraction
 from . import bounds
 from .hn import HNType
 from .lattices import MAX_RANK, EnumerationBudgetError, EuclideanLattice, _random_int_gram
-from .scalars import CertificationError, Exact, Scalar, exact_bounds, max0
+from .scalars import CertificationError, Exact, Scalar, _ratio, exact_bounds, max0
 from .series import FiberedSeries
 from .towers import Tower, TowerData, epsilon, epsilon_tilde, rescale, AffineFunction
 from .bounds import CheckReport, reports_to_csv, reports_to_json
@@ -105,8 +106,12 @@ CONFIG_SCHEMA = {
 }
 
 _RATIONAL = {"type": ["string", "integer"]}
-_INTERVAL = {"type": "object", "required": ["lo", "hi"], "properties": {"lo": _RATIONAL, "hi": _RATIONAL}}
-_SCALAR = {"anyOf": [_RATIONAL, _INTERVAL]}
+# a rational or an interval: "required" and "properties" apply to an object only
+_SCALAR = {
+    "type": ["string", "integer", "object"],
+    "required": ["lo", "hi"],
+    "properties": {"lo": _RATIONAL, "hi": _RATIONAL},
+}
 _HN_PAIR = {"type": "array", "prefixItems": [{"type": "integer"}, _SCALAR], "minItems": 2, "maxItems": 2}
 _HN_SCHEMA = {"type": "array", "items": _HN_PAIR}
 
@@ -207,46 +212,36 @@ _TYPES = {
 def _errors(value, schema, path=()):
     """The errors of ``value`` under ``schema``, as ``jsonschema``'s Draft
     2020-12 validator yields them: in its order, with its messages, each as
-    ``(relevance, message, context)``.
+    ``(relevance, message)``.
 
     ``relevance`` is ``jsonschema.exceptions.relevance`` of the error, whose
-    ``path`` locates it in the outer value; an ``anyOf`` error's ``context``
-    holds its branches' errors, located in its own value.  Only the keywords
-    the schemas above use are read; any other raises ``ValueError``.
+    ``path`` locates it in the outer value.  Only the keywords the schemas
+    above use are read; any other, ``anyOf`` among them, raises ``ValueError``.
     """
     types = schema.get("type")
     types = [types] if isinstance(types, str) else types
     matched = types is not None and any(_TYPES[t](value) for t in types)
 
-    def error(keyword, message, context=()):
-        return (-len(path), path, keyword != "anyOf", not matched), message, context
+    def error(message):
+        return (-len(path), path, not matched), message
 
     is_object, is_array = isinstance(value, dict), isinstance(value, list)
     for keyword, arg in schema.items():
         if keyword == "type":
             if not matched:
-                yield error(keyword, f"{value!r} is not of type {', '.join(map(repr, types))}")
+                yield error(f"{value!r} is not of type {', '.join(map(repr, types))}")
         elif keyword == "enum":
             # JSON equality: true is not 1
             if not any(type(x) is type(value) and x == value for x in arg):
-                yield error(keyword, f"{value!r} is not one of {arg!r}")
-        elif keyword == "anyOf":
-            context = []
-            for branch in arg:
-                found = list(_errors(value, branch))
-                if not found:
-                    break
-                context += found
-            else:
-                yield error(keyword, f"{value!r} is not valid under any of the given schemas", context)
+                yield error(f"{value!r} is not one of {arg!r}")
         elif keyword in ("minimum", "maximum"):
             if _TYPES["number"](value) and (value < arg if keyword == "minimum" else value > arg):
                 side = "less" if keyword == "minimum" else "greater"
-                yield error(keyword, f"{value!r} is {side} than the {keyword} of {arg!r}")
+                yield error(f"{value!r} is {side} than the {keyword} of {arg!r}")
         elif keyword == "required":
             for key in arg if is_object else ():
                 if key not in value:
-                    yield error(keyword, f"{key!r} is a required property")
+                    yield error(f"{key!r} is a required property")
         elif keyword == "properties":
             for key, sub in arg.items() if is_object else ():
                 if key in value:
@@ -256,7 +251,7 @@ def _errors(value, schema, path=()):
             extra = sorted((k for k in value if k not in known), key=str) if is_object else []
             if extra:
                 names, verb = ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were"
-                yield error(keyword, f"Additional properties are not allowed ({names} {verb} unexpected)")
+                yield error(f"Additional properties are not allowed ({names} {verb} unexpected)")
         elif keyword == "prefixItems":
             for i, (item, sub) in enumerate(zip(value, arg) if is_array else ()):
                 yield from _errors(item, sub, (*path, i))
@@ -265,35 +260,24 @@ def _errors(value, schema, path=()):
                 yield from _errors(value[i], arg, (*path, i))
         elif keyword == "minItems":
             if is_array and len(value) < arg:
-                yield error(keyword, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}")
+                yield error(f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}")
         elif keyword == "maxItems":
             if is_array and len(value) > arg:
-                yield error(keyword, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}")
+                yield error(f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}")
         else:
             raise ValueError(f"unsupported schema keyword {keyword!r}: {arg!r}")
-
-
-def _relevance(error):
-    return error[0]
 
 
 def _validate(value, schema, what: str):
     """``value`` if it matches ``schema``; otherwise a one-line ConfigError.
 
     The message is that of ``jsonschema.validate``, its ``best_match``: the
-    most relevant error (the shallowest, an ``anyOf`` last), then, while
-    that is an ``anyOf``, its branches' least relevant error (the deepest)
-    unless two of them tie.
+    first of the most relevant errors (the shallowest).
     """
     errors = list(_errors(value, schema))
     if not errors:
         return value
-    _, message, context = max(errors, key=_relevance)
-    while context:
-        first, *rest = sorted(context, key=_relevance)
-        if rest and _relevance(rest[0]) == _relevance(first):
-            break
-        _, message, context = first
+    _, message = max(errors, key=lambda error: error[0])
     raise ConfigError(f"invalid {what}: {message}")
 
 
@@ -351,10 +335,12 @@ def _refuse_past_cap(data: str, what: str, rationals, ints=()) -> None:
 
 def _build(what: str, make, *args):
     """``make(*args)``, a library constructor or check run on parsed input; a
-    ``ValueError`` it raises on that input becomes a ConfigError naming ``what``."""
+    ``ValueError`` or a ``CertificationError`` (interval slopes whose order
+    ``HNType`` cannot decide) it raises on that input becomes a ConfigError
+    naming ``what``."""
     try:
         return make(*args)
-    except ValueError as exc:
+    except (ValueError, CertificationError) as exc:
         raise ConfigError(f"invalid {what}: {exc}") from None
 
 
@@ -395,9 +381,12 @@ _pool = None  # (pid of the creating process, [(worker pid, share pipe, reply pi
 def _workers(count: int):
     """The ``count`` warm workers, forked on first use.
 
-    Each worker is ``(pid, share pipe, reply pipe)``: this process writes
-    shares to the first, buffered, and reads replies from the second, raw,
-    so that ``select.poll`` on its fd sees every reply not yet read.
+    Each worker is ``(pid, share pipe, reply pipe)``, both buffered: this
+    process writes shares to the first and reads replies from the second.
+    A pipe never holds more than one message: a share goes only to an idle
+    worker, and a worker replies once per share.  So a buffered reader
+    holds no bytes past the message it reads, and ``select.poll`` on a
+    reply pipe's fd sees every reply not yet read.
     Workers of another count are closed and reaped, and replaced.  Workers
     inherited by a forked child are forgotten, not reaped: they are the
     parent's.
@@ -419,12 +408,12 @@ def _workers(count: int):
                         replies.close()
                     os.close(share_w)
                     os.close(reply_r)
-                    _serve(os.fdopen(share_r, "rb", buffering=0), os.fdopen(reply_w, "wb"))
+                    _serve(os.fdopen(share_r, "rb"), os.fdopen(reply_w, "wb"))
                 finally:
                     os._exit(0)
             os.close(share_r)
             os.close(reply_w)
-            _pool[1].append((pid, os.fdopen(share_w, "wb"), os.fdopen(reply_r, "rb", buffering=0)))
+            _pool[1].append((pid, os.fdopen(share_w, "wb"), os.fdopen(reply_r, "rb")))
     return _pool[1]
 
 
@@ -437,83 +426,52 @@ def _same(value):
     return value
 
 
-def _ratio(cls, numerator: int, denominator: int):
-    """The ``Fraction`` or ``Exact`` of a numerator and a positive denominator
-    in lowest terms, built past ``Fraction.__new__``'s parsing and gcd."""
-    q = object.__new__(cls)
-    q._numerator, q._denominator = numerator, denominator
-    return q
-
-
-def _report(name, lhs, rhs, margin, context) -> CheckReport:
-    """The ``CheckReport`` of fields that one already held, past ``__init__``'s checks."""
-    rep = object.__new__(CheckReport)
-    rep.name, rep.lhs, rep.rhs, rep.margin, rep.context = name, lhs, rhs, margin, context
-    return rep
-
-
-_Wire = None  # the pool's pickle.Pickler, made by _frame on first use
-
-
 def _frame(message) -> memoryview:
     """``message``, a share or a reply, pickled for a pipe after its length.
 
-    The length is 8 bytes, little-endian.  A ``CheckReport`` pickles as
-    ``_report`` of its fields, and a ``Fraction`` or an ``Exact`` as
-    ``_ratio`` of its type and lowest terms, so loading a message calls
-    neither ``__init__`` nor ``Fraction.__new__`` and sets no object state.
-    A message writes each distinct exact rational once: one equal in type,
-    numerator and denominator to one written before it in the same message
-    is written as ``_same`` of that one.  The values are immutable, so
-    sharing them changes nothing, and an int, a ``Fraction`` and an
-    ``Exact`` of one value stay apart.  The reductions are the pickler's
-    own ``dispatch_table``, not ``copyreg``'s, and ``pickle`` is imported
+    The length is 8 bytes, little-endian.  A ``Fraction`` or an ``Exact``
+    pickles as ``scalars._ratio`` of its type and lowest terms, and a
+    ``CheckReport`` reduces to ``bounds._report`` of its fields, so loading
+    a message calls neither a report's ``__init__`` nor ``Fraction.__new__``
+    and sets no object state.  A message writes each distinct exact rational once:
+    one equal in type, numerator and denominator to one written before it
+    in the same message is written as ``_same`` of that one.  The values
+    are immutable, so sharing them changes nothing, and an int, a
+    ``Fraction`` and an ``Exact`` of one value stay apart.  Each message
+    has its own pickler, whose ``dispatch_table`` holds the rational
+    reduction (``copyreg``'s is untouched), and ``pickle`` is imported
     here, at the first pooled call, not with this module.
     """
-    global _Wire
-    if _Wire is None:
-        import pickle
+    import pickle
 
-        class Wire(pickle.Pickler):
-            def __init__(self, file):
-                firsts = {}
+    firsts = {}
 
-                def rational(q):
-                    key = (type(q), q._numerator, q._denominator)
-                    first = firsts.setdefault(key, q)
-                    return (_ratio, key) if first is q else (_same, (first,))
+    def rational(q):
+        key = (type(q), q._numerator, q._denominator)
+        first = firsts.setdefault(key, q)
+        return (_ratio, key) if first is q else (_same, (first,))
 
-                def report(rep):
-                    return _report, (rep.name, rep.lhs, rep.rhs, rep.margin, rep.context)
-
-                # read by the pickler's __init__
-                self.dispatch_table = {Fraction: rational, Exact: rational, CheckReport: report}
-                super().__init__(file)
-
-        _Wire = Wire
     out = io.BytesIO()
     out.write(bytes(8))
-    _Wire(out).dump(message)
+    pickler = pickle.Pickler(out)
+    pickler.dispatch_table = {Fraction: rational, Exact: rational}
+    pickler.dump(message)
     data = out.getbuffer()
     data[:8] = (len(data) - 8).to_bytes(8, "little")
     return data
 
 
-def _read_exactly(pipe, size: int) -> bytearray:
-    """The next ``size`` bytes of the raw ``pipe``; ``EOFError`` if it ends first."""
-    data = bytearray(size)
-    view = memoryview(data)
-    while view:
-        got = pipe.readinto(view)
-        if not got:
-            raise EOFError(f"a pipe ended {size - len(view)} bytes into a {size}-byte read")
-        view = view[got:]
-    return data
-
-
-def _read_frame(pipe) -> bytearray:
-    """The pickle of the next message on the raw ``pipe``; ``EOFError`` if it ends first."""
-    return _read_exactly(pipe, int.from_bytes(_read_exactly(pipe, 8), "little"))
+def _read_frame(pipe) -> bytes:
+    """The pickle of the next message on the buffered ``pipe``; ``EOFError``
+    if it ends first.  The pipe holds no more than this one message (see
+    ``_workers``), so the reader keeps no bytes of the next."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        data = pipe.read(size)
+        if len(data) == size:
+            return data
+    raise EOFError("a pipe ended inside a message")
 
 
 def _serve(shares, replies) -> None:
@@ -793,15 +751,11 @@ def _hn_type(pairs, what: str) -> HNType:
     for rank, slope in pairs:
         if isinstance(slope, dict):
             lo, hi = (_rational(slope[end], what, "slope data") for end in ("lo", "hi"))
-            if lo > hi:
-                raise ConfigError(f"invalid {what}: an interval has lo > hi")
-            segments.append((rank, Scalar.from_fraction_bounds(lo, hi)))
+            slope = _build(what, Scalar.from_fraction_bounds, lo, hi)
         else:
-            segments.append((rank, _rational(slope, what, "slope data")))
-    try:
-        h = _build(what, HNType, segments)
-    except CertificationError as exc:  # interval slopes whose order no bound decides
-        raise ConfigError(f"invalid {what}: {exc}") from None
+            slope = _rational(slope, what, "slope data")
+        segments.append((rank, slope))
+    h = _build(what, HNType, segments)
     ends = (q for _, s in h.segments for q in set(exact_bounds(s)))
     _refuse_past_cap("slope data", what, ends, [r for r, _ in h.segments])
     return h
@@ -941,7 +895,7 @@ def main(argv=None) -> int:
     except WorkerDiedError as exc:
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, EnumerationBudgetError, CertificationError) as exc:
+    except (ValueError, EnumerationBudgetError, CertificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -220,7 +220,8 @@ class Scalar:
     @staticmethod
     def exact(value: RationalLike) -> "Exact":
         """The :class:`Exact` of :func:`exact_fraction`'s value, for outside callers."""
-        return _exact(exact_fraction(value))
+        q = exact_fraction(value)
+        return _ratio(Exact, q.numerator, q.denominator)
 
     @classmethod
     def from_fraction_bounds(cls, lo: Fraction, hi: Fraction) -> "Scalar":
@@ -366,11 +367,12 @@ def _interval(raw) -> Scalar:
     return s
 
 
-def _exact(q) -> Exact:
-    """The Exact of an int or a Fraction, past ``Fraction.__new__``'s checks."""
-    e = _new(Exact)
-    e._numerator, e._denominator = q.numerator, q.denominator
-    return e
+def _ratio(cls, numerator: int, denominator: int):
+    """The ``Fraction`` or ``Exact`` of a numerator and a positive denominator
+    in lowest terms, built past ``Fraction.__new__``'s parsing and gcd."""
+    q = _new(cls)
+    q._numerator, q._denominator = numerator, denominator
+    return q
 
 
 def _raw(x):

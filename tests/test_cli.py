@@ -364,8 +364,9 @@ def test_pool_batches_keep_order_and_first_error(monkeypatch):
     tasks = [(abs, -i) for i in range(50)]
     assert cli._run_checks(tasks) == list(range(50))
     pids = pool_pids(2)
-    # tasks 0-24 run in the worker and 25-49 here: the error of the earlier
-    # task is raised, in either share, and not the later one
+    # the worker's first share is tasks 0-12; later shares vary in size and
+    # in the process that runs them: the error of the earlier task is
+    # raised, wherever either runs, and not the later one
     for first, second in ((10, 45), (10, 20), (30, 45)):
         tasks = [(int, str(i)) for i in range(50)]
         tasks[first] = (int, "first")
@@ -375,6 +376,63 @@ def test_pool_batches_keep_order_and_first_error(monkeypatch):
         # the same workers then return the next call's results, in order
         assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
         assert pool_pids(2) == pids
+
+
+def _pid_after(task):
+    """This process's pid and the task's index, after the task's pause."""
+    i, pause = task
+    time.sleep(pause)
+    return os.getpid(), i
+
+
+def test_each_pipe_holds_one_message_at_a_time(monkeypatch):
+    # the buffered pipes rely on it: a worker is sent its next share only
+    # once its reply to the last one has been read
+    monkeypatch.setenv("HNBOUNDS_JOBS", "3")
+    patch_cpus(monkeypatch, 3)
+    here, frame, read_frame = os.getpid(), cli._frame, cli._read_frame
+    log = []
+
+    def logging_frame(message):
+        # this process frames only shares, and reads only replies
+        if os.getpid() == here:
+            log.append(("share", [i for _, (i, _) in message]))
+        return frame(message)
+
+    def logging_read_frame(pipe):
+        data = read_frame(pipe)
+        if os.getpid() == here:
+            log.append(("reply", pickle.loads(data)[1]))
+        return data
+
+    monkeypatch.setattr(cli, "_frame", logging_frame)
+    monkeypatch.setattr(cli, "_read_frame", logging_read_frame)
+    # 40 tasks of uneven cost, so that shares and replies interleave
+    tasks = [(_pid_after, (i, 0.004 if i % 7 == 3 else 0.0005 * (i % 3))) for i in range(40)]
+
+    def hung(signum, frame):
+        raise TimeoutError("a pooled call hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        ran = cli._run_checks(tasks)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [i for _, i in ran] == list(range(40))
+    owner = {i: pid for pid, i in ran}
+    events = {}  # worker pid -> its shares and replies, as task indices, in order
+    for kind, items in log:
+        indices = items if kind == "share" else [i for _, i in items]
+        (pid,) = {owner[i] for i in indices}
+        events.setdefault(pid, []).append((kind, indices))
+    assert len(events) == 2 and here not in events
+    for sequence in events.values():
+        # share, the reply to it, share, the reply to it, ...
+        assert [kind for kind, _ in sequence] == ["share", "reply"] * (len(sequence) // 2)
+        assert all(sequence[k][1] == sequence[k + 1][1] for k in range(0, len(sequence), 2))
+    assert max(map(len, events.values())) >= 4  # some worker was sent a second share
 
 
 def _huge_reply_in_a_worker(caller):
@@ -720,6 +778,18 @@ def test_cli_uncertified_exit_two(monkeypatch, capsys, error):
     assert capsys.readouterr().err == "error: cannot certify\n"
 
 
+def test_cli_lets_a_key_error_through(monkeypatch, tmp_path):
+    # no library path raises KeyError on purpose: one is a bug, not bad input
+    def broken(series):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(bounds, "check_toric_family", broken)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": "geometric", "parameters": {"a_max": 2, "b_max": 2, "e_max": 0}}))
+    with pytest.raises(KeyError, match="a bug"):
+        cli.main(["run", str(config)])
+
+
 def test_cli_summary_line_format():
     cfg = {"suite": "geometric", "parameters": {"a_max": 2, "b_max": 2, "e_max": 0}}
     import io
@@ -871,6 +941,25 @@ def test_cli_malformed_input_exits_two(capsys, tmp_path, argv):
     out, err = capsys.readouterr()
     assert err.startswith(f"config error: invalid {what}: ") and len(err.strip().splitlines()) == 1
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "hn, message",
+    [
+        # a slope is one node of three types; an interval needs both ends
+        ("[[1,null]]", "None is not of type 'string', 'integer', 'object'"),
+        ('[[1,{"lo":1.5}]]', "'hi' is a required property"),
+        # Scalar.from_fraction_bounds refuses the interval
+        ('[[1,{"lo":"3","hi":"2"}]]', "lower bound exceeds upper bound"),
+    ],
+)
+def test_bad_slope_messages(capsys, tmp_path, hn, message):
+    assert cli.main(["polygon", "--hn", hn]) == 2
+    assert capsys.readouterr() == ("", f"config error: invalid --hn: {message}\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": "polygon", "parameters": {"hn": json.loads(hn)}}))
+    assert cli.main(["run", str(config)]) == 2
+    assert capsys.readouterr() == ("", f"config error: invalid config: {message}\n")
 
 
 @pytest.mark.parametrize("hn", ["[]", '[[1,"1/0"]]'])

@@ -25,7 +25,7 @@ SCHEMAS = {
 
 SUPPORTED = {
     "type", "enum", "required", "properties", "additionalProperties",
-    "minimum", "maximum", "items", "prefixItems", "minItems", "maxItems", "anyOf",
+    "minimum", "maximum", "items", "prefixItems", "minItems", "maxItems",
 }
 
 Reference = extend(
@@ -84,9 +84,7 @@ def _typed(kind, schema):
 
 def near(schema):
     """Values that match ``schema`` and values that narrowly miss it."""
-    options = [near(branch) for branch in schema.get("anyOf", ())]
-    if "enum" in schema:
-        options.append(st.sampled_from(schema["enum"]))
+    options = [st.sampled_from(schema["enum"])] if "enum" in schema else []
     kinds = schema.get("type", [])
     options += [_typed(kind, schema) for kind in ([kinds] if isinstance(kinds, str) else kinds)]
     # a junk value at about one node in five, so that whole valid values are common too
@@ -96,15 +94,10 @@ def near(schema):
 CASES = st.one_of([st.tuples(st.just(name), near(schema)) for name, schema in SCHEMAS.items()])
 
 
-def _messages(errors):
-    for error in errors:
-        yield error.message
-        yield from _messages(error.context)
-
-
 @settings(deadline=None, derandomize=True, max_examples=800)
 @given(CASES)
-# an anyOf whose branches' errors tie, and one that descends to a branch's error
+# the rational-or-interval node: a value of none of its types, and an
+# interval with one end missing and the other of the wrong type
 @example(("hn", [[1, None]]))
 @example(("hn", [[1, {"lo": 1.5}]]))
 def test_validator_agrees_with_jsonschema(case):
@@ -122,7 +115,7 @@ def test_validator_agrees_with_jsonschema(case):
     elif errors:
         # several errors: best_match's choice among them is a heuristic that
         # may change between jsonschema versions
-        assert message in set(_messages(errors))
+        assert message in {error.message for error in errors}
 
 
 @pytest.mark.parametrize("name", SCHEMAS)
@@ -138,7 +131,7 @@ def _keywords(schema):
             subschemas = arg.values()
         elif keyword == "items":
             subschemas = [arg]
-        elif keyword in ("prefixItems", "anyOf"):
+        elif keyword == "prefixItems":
             subschemas = arg
         else:
             subschemas = []
@@ -159,7 +152,12 @@ def test_shipped_schemas_use_only_supported_keywords(name):
 
 @pytest.mark.parametrize(
     "schema",
-    [{"pattern": "^1"}, {"type": "object", "additionalProperties": True}, {"items": {"const": 1}}],
+    [
+        {"pattern": "^1"},
+        {"type": "object", "additionalProperties": True},
+        {"items": {"const": 1}},
+        {"anyOf": [{"type": "string"}, {"type": "array"}]},
+    ],
 )
 def test_unsupported_keywords_raise(schema):
     with pytest.raises(ValueError, match="unsupported schema keyword") as raised:
