@@ -27,21 +27,21 @@ replayable; identical config and seed produce byte-identical JSON.
 ``HNBOUNDS_JOBS`` sets how many processes evaluate checks, this one
 included; it is clamped to the CPU count, to the CPUs this process may run
 on and to the number of tasks, and a value that is not a positive integer,
-or a missing ``os.fork``, makes the run serial.  Every suite evaluates its
-checks as tasks of ``_run_checks``, which hands them out in order by guided
-self-scheduling: each idle forked worker gets the next
-``ceil(remaining / (2 N))`` tasks as one share, drawn as it is taken (the
-lattice and epsilon suites draw each trial when its task is taken), and this
-process runs the next single task between shares.  Shares and replies cross
-buffered pipes, each holding at most one message at a time, as
-length-prefixed pickles (``_frame``) that build reports and rationals from
-their fields and integers and write each distinct exact rational of a
-message once.  A task's data is plain: a ``FiberedSeries`` (three integers),
-a lattice trial's number and integer Gram matrix, one distinct sorted
-``arithmetic`` diagonal's orderings, or an ``epsilon`` trial's drawn
-integers; ``polygon`` is one task, always run here.  Results are finished
-reports, placed by task index, so the report list is the same at any job
-count.  No thread is started and neither ``concurrent.futures`` nor
+or a missing ``os.fork``, makes the run serial.  Every suite maps one
+function over its task data with ``_run_checks``, which hands the data out
+in order by guided self-scheduling: each idle forked worker gets the
+function and the next ``ceil(remaining / (2 N))`` tasks as one share, drawn
+as it is taken (the lattice and epsilon suites draw each trial when its
+task is taken), and this process runs the next single task between shares.
+Shares and replies cross buffered pipes, each holding at most one message
+at a time, as length-prefixed pickles (``_frame``) that build reports and
+rationals from their fields and integers and write each distinct exact
+rational of a message once.  A task's data is plain: a ``FiberedSeries``
+(three integers), a lattice trial's number and integer Gram matrix, one
+distinct sorted ``arithmetic`` diagonal's orderings, or an ``epsilon``
+trial's drawn integers; ``polygon`` is one task, always run here.  Results
+are finished reports, placed by task index, so the report list is the same
+at any job count.  No thread is started and neither ``concurrent.futures`` nor
 ``multiprocessing`` is imported.  The workers are forked on the first pooled
 suite, and kept warm for every later one in the process while the count
 stays the same; they are replaced when the count changes or a worker dies,
@@ -366,11 +366,6 @@ def _jobs(tasks: int) -> int:
     return max(1, min(jobs, cpus, tasks))
 
 
-def _call(task):
-    func, arg = task
-    return func(arg)
-
-
 class WorkerDiedError(RuntimeError):
     """A worker process ended before it sent back its share's results."""
 
@@ -408,7 +403,9 @@ def _workers(count: int):
                         replies.close()
                     os.close(share_w)
                     os.close(reply_r)
-                    _serve(os.fdopen(share_r, "rb"), os.fdopen(reply_w, "wb"))
+                    # closed here: a file freed unclosed warns on stderr under -X dev
+                    with os.fdopen(share_r, "rb") as shares, os.fdopen(reply_w, "wb") as replies:
+                        _serve(shares, replies)
                 finally:
                     os._exit(0)
             os.close(share_r)
@@ -426,7 +423,7 @@ def _same(value):
     return value
 
 
-def _frame(message) -> memoryview:
+def _frame(message) -> bytes:
     """``message``, a share or a reply, pickled for a pipe after its length.
 
     The length is 8 bytes, little-endian.  A ``Fraction`` or an ``Exact``
@@ -456,9 +453,9 @@ def _frame(message) -> memoryview:
     pickler = pickle.Pickler(out)
     pickler.dispatch_table = {Fraction: rational, Exact: rational}
     pickler.dump(message)
-    data = out.getbuffer()
-    data[:8] = (len(data) - 8).to_bytes(8, "little")
-    return data
+    with out.getbuffer() as data:  # a view left open makes freeing the BytesIO raise BufferError
+        data[:8] = (len(data) - 8).to_bytes(8, "little")
+    return out.getvalue()
 
 
 def _read_frame(pipe) -> bytes:
@@ -475,8 +472,8 @@ def _read_frame(pipe) -> bytes:
 
 
 def _serve(shares, replies) -> None:
-    """A worker's loop: read a share, send back ``(True, results)`` or
-    ``(False, first exception)``, until EOF.
+    """A worker's loop: read a share ``(func, args)``, send back ``(True,
+    [func(arg) for arg in args])`` or ``(False, first exception)``, until EOF.
 
     A share that cannot be loaded here, say one naming a task function
     defined after the fork, is answered with a ``WorkerDiedError`` naming
@@ -490,7 +487,7 @@ def _serve(shares, replies) -> None:
         except EOFError:
             return
         try:
-            share = pickle.loads(share)
+            func, args = pickle.loads(share)
         except Exception as exc:
             died = WorkerDiedError(
                 f"{type(exc).__name__}: {exc} (a worker keeps the module globals"
@@ -500,7 +497,7 @@ def _serve(shares, replies) -> None:
             replies.flush()
             return
         try:
-            reply = _frame((True, [_call(task) for task in share]))
+            reply = _frame((True, [func(arg) for arg in args]))
         except Exception as exc:
             reply = _frame((False, exc))
         replies.write(reply)
@@ -525,26 +522,17 @@ def _drop_pool() -> None:
                 os.waitpid(worker, 0)
 
 
-def _take(tasks, size: int, last: bool = False) -> list:
-    """The next ``size`` tasks of the iterator ``tasks``; ``ValueError`` if
-    fewer are left, or, for the ``last`` share, if more are."""
-    share = list(itertools.islice(tasks, size))
-    if len(share) < size or last and next(tasks, None) is not None:
-        raise ValueError(f"the tasks are {'fewer' if len(share) < size else 'more'} than their count")
-    return share
+def _run_checks(func, args, count=None):
+    """``[func(arg) for arg in args]``, spread over ``_jobs`` processes.
 
-
-def _run_checks(tasks, count=None):
-    """Evaluate (func, arg) pairs, spread over ``_jobs`` processes.
-
-    ``tasks`` is an iterable of ``count`` tasks (by default ``len(tasks)``);
-    one of another length is refused with ``ValueError``.  It is drawn once,
-    in order, as the tasks are handed out, by guided self-scheduling
-    (Polychronopoulos and Kuck 1987): each idle warm worker of ``_workers``
-    is given the next ``ceil(remaining / (2 jobs))`` tasks as one share,
-    with at most one share outstanding per worker, and between shares this
-    process draws and runs the next single task, then polls the reply pipes
-    without waiting.  With ``count == jobs`` each worker runs one task and
+    ``args`` is an iterable of ``count`` tasks, each a plain value (by
+    default ``count`` is ``len(args)``).  It is drawn once, in order, as the
+    tasks are handed out, by guided self-scheduling (Polychronopoulos and
+    Kuck 1987): each idle warm worker of ``_workers`` is given ``func`` and
+    the next ``ceil(remaining / (2 jobs))`` tasks as one share, with at most
+    one share outstanding per worker, and between shares this process draws
+    and runs the next single task, then polls the reply pipes without
+    waiting.  With ``count == jobs`` each worker runs one task and
     this process the last.  Shares and replies cross the pipes as framed
     pickles (``_frame``).  Once an error is known no task is handed out or
     run; every outstanding reply is still read, so the pipes stay in step,
@@ -562,11 +550,11 @@ def _run_checks(tasks, count=None):
     as the CLI does.
     """
     if count is None:
-        count = len(tasks)
-    tasks = iter(tasks)
+        count = len(args)
+    args = iter(args)
     jobs = _jobs(count)
     if jobs == 1:
-        return [_call(task) for task in _take(tasks, count, last=True)]
+        return [func(arg) for arg in args]
     import pickle
     import select
 
@@ -581,7 +569,7 @@ def _run_checks(tasks, count=None):
             while idle and drawn < count and not errors:
                 size = -(-(count - drawn) // (2 * jobs))
                 try:
-                    share = _frame(_take(tasks, size))
+                    share = _frame((func, list(itertools.islice(args, size))))
                 except Exception as exc:
                     errors[drawn] = exc
                     break
@@ -593,8 +581,7 @@ def _run_checks(tasks, count=None):
                 drawn += size
             if drawn < count and not errors:
                 try:
-                    (task,) = _take(tasks, 1)
-                    results[drawn] = _call(task)
+                    results[drawn] = func(next(args))
                 except Exception as exc:
                     errors[drawn] = exc
                 drawn += 1
@@ -612,11 +599,6 @@ def _run_checks(tasks, count=None):
                     results[start : start + len(value)] = value
                 else:
                     errors[start] = value
-        if not errors:
-            try:  # every task was drawn: the iterator must be done
-                _take(tasks, 0, last=True)
-            except Exception as exc:
-                errors[count] = exc
     except BaseException as exc:
         _drop_pool()
         if isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
@@ -636,7 +618,7 @@ def suite_grid(check, params) -> list[CheckReport]:
     """``check`` on each Hirzebruch family F(a, b, e) of the grid with a >= e b."""
     a_max, b_max, e_max = params.get("a_max", 6), params.get("b_max", 6), params.get("e_max", 2)
     grid = itertools.product(range(e_max + 1), range(1, a_max + 1), range(1, b_max + 1))
-    return _run_checks([(check, FiberedSeries(a, b, e)) for e, a, b in grid if a >= e * b])
+    return _run_checks(check, [FiberedSeries(a, b, e) for e, a, b in grid if a >= e * b])
 
 
 def _lattice_checks(L: EuclideanLattice) -> list[CheckReport]:
@@ -667,8 +649,8 @@ def suite_lattice(params, rng) -> list[CheckReport]:
     """
     rank = params.get("rank", 3)
     trials = params.get("trials", 50)
-    tasks = ((_lattice_trial, (trial, _random_int_gram(rank, rng))) for trial in range(trials))
-    nested = _run_checks(tasks, trials)
+    grams = ((trial, _random_int_gram(rank, rng)) for trial in range(trials))
+    nested = _run_checks(_lattice_trial, grams, trials)
     return [rep for triple in nested for rep in triple]
 
 
@@ -691,8 +673,7 @@ def suite_arithmetic(params, rng) -> list[CheckReport]:
     for rank in range(1, max_rank + 1):
         for diag in itertools.product(entries, repeat=rank):
             orderings.setdefault(tuple(sorted(diag)), []).append(diag)
-    tasks = [(_gillet_soule, diags) for diags in orderings.values()]
-    return list(itertools.chain.from_iterable(_run_checks(tasks)))
+    return list(itertools.chain.from_iterable(_run_checks(_gillet_soule, list(orderings.values()))))
 
 
 def _epsilon_trial(task) -> list[CheckReport]:
@@ -740,8 +721,8 @@ def suite_epsilon(params, rng) -> list[CheckReport]:
         at = rng.randrange(depth if which == 0 and depth else depth + 1)
         return i, genera, mu, vol, p, which, at
 
-    tasks = ((_epsilon_trial, draw(i)) for i in range(trials))
-    return list(itertools.chain.from_iterable(_run_checks(tasks, trials)))
+    nested = _run_checks(_epsilon_trial, map(draw, range(trials)), trials)
+    return list(itertools.chain.from_iterable(nested))
 
 
 def _hn_type(pairs, what: str) -> HNType:
@@ -787,7 +768,7 @@ def _polygon_check(h: HNType) -> CheckReport:
 
 
 def suite_polygon(params, rng) -> list[CheckReport]:
-    return _run_checks([(_polygon_check, _hn_type(params["hn"], "config"))])
+    return _run_checks(_polygon_check, [_hn_type(params["hn"], "config")])
 
 
 # the grid suites look their check up when they run, so a patched check is the one run
@@ -808,15 +789,13 @@ def run_config(config: dict) -> tuple[int, list[CheckReport]]:
     reports = SUITE_RUNNERS[config["suite"]](config.get("parameters", {}), rng)
     reports = sorted(reports, key=lambda r: r.name)
     passed = sum(1 for r in reports if r.passed)
-    output = config.get("output", {})
-    path = output.get("path")
-    fmt = output.get("format", "json")
-    if path:
-        if fmt == "csv":
+    output = config.get("output")
+    if output is not None:  # an empty path fails to open, as an unwritable one does
+        if output.get("format") == "csv":
             text = reports_to_csv(reports)
         else:
             text = json.dumps(reports_to_json(reports), indent=2, sort_keys=True) + "\n"
-        with open(path, "w") as fh:
+        with open(output["path"], "w") as fh:
             fh.write(text)
     # nothing reaches stdout until the suite has run and its report is written
     print(f"suite={config['suite']} seed={seed}")

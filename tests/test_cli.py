@@ -46,7 +46,7 @@ def pool_pids(jobs):
     Its ``jobs`` one-task shares run in ``jobs`` processes: the last in
     this one, the others each in its own worker.
     """
-    pids = cli._run_checks([(_worker_pid, 0)] * jobs)
+    pids = cli._run_checks(_worker_pid, [0] * jobs)
     assert pids[-1] == os.getpid() and len(set(pids)) == jobs
     return set(pids[:-1])
 
@@ -176,7 +176,7 @@ def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
     assert [cli._jobs(n) for n in (0, 1, 3, 4, 100)] == [1, 1, 3, 4, 4]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli._jobs(100) == 1
-    assert cli._run_checks([(abs, -1), (abs, -2)]) == [1, 2]
+    assert cli._run_checks(abs, [-1, -2]) == [1, 2]
     for value in ("0", "-3", "many"):
         monkeypatch.setenv("HNBOUNDS_JOBS", value)
         assert cli._jobs(100) == 1
@@ -185,7 +185,7 @@ def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
     patch_cpus(monkeypatch, 4)
     monkeypatch.delattr(os, "fork")
     assert cli._jobs(100) == 1
-    assert cli._run_checks([(abs, -1), (abs, -2)]) == [1, 2]
+    assert cli._run_checks(abs, [-1, -2]) == [1, 2]
 
 
 def test_jobs_clamped_to_the_cpus_this_process_may_run_on(monkeypatch):
@@ -212,7 +212,7 @@ def test_lazy_shares_are_drawn_once_in_order(monkeypatch, jobs):
     def recording_frame(message):
         # shares are framed here; replies only in the workers
         if os.getpid() == here:
-            shares.append(([x for _, x in message], len(drawn)))
+            shares.append((message[1], len(drawn)))
         return frame(message)
 
     monkeypatch.setattr(cli, "_frame", recording_frame)
@@ -220,12 +220,12 @@ def test_lazy_shares_are_drawn_once_in_order(monkeypatch, jobs):
     def tasks(n):
         for i in range(n):
             drawn.append(i)
-            yield (_pid_and, i)
+            yield i
 
     for count in [*range(8), 40]:
         drawn.clear()
         shares.clear()
-        ran = cli._run_checks(tasks(count), count)
+        ran = cli._run_checks(_pid_and, tasks(count), count)
         assert drawn == list(range(count))
         assert [x for _, x in ran] == list(range(count))
         procs = cli._jobs(count)
@@ -246,13 +246,6 @@ def test_lazy_shares_are_drawn_once_in_order(monkeypatch, jobs):
         assert all(s == sorted(s) for s in starts.values())
         assert shares[0][1] < count
         assert all(pid == here for pid, x in ran if x not in sent)
-    # a count that differs from the number of tasks is refused, and the pool stays in step
-    pids = pool_pids(jobs)
-    for count, yielded in ((7, 6), (7, 1), (7, 8), (7, 30), (1, 2), (0, 1)):
-        with pytest.raises(ValueError, match="than their count"):
-            cli._run_checks(tasks(yielded), count)
-        assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
-        assert pool_pids(jobs) == pids
 
 
 def test_error_drawing_the_last_share_still_reads_every_reply(monkeypatch):
@@ -262,9 +255,9 @@ def test_error_drawing_the_last_share_still_reads_every_reply(monkeypatch):
     patch_cpus(monkeypatch, 2)
     pids = pool_pids(2)
 
-    def tasks():
-        yield (bytes, 1 << 20)
-        yield (bytes, 1 << 20)
+    def sizes():
+        yield 1 << 20
+        yield 1 << 20
         raise LookupError("drawn here")
 
     def hung(signum, frame):
@@ -274,8 +267,8 @@ def test_error_drawing_the_last_share_still_reads_every_reply(monkeypatch):
     signal.alarm(30)
     try:
         with pytest.raises(LookupError, match="drawn here"):
-            cli._run_checks(tasks(), 4)
-        assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
+            cli._run_checks(bytes, sizes(), 4)
+        assert cli._run_checks(abs, [-i for i in range(50)]) == list(range(50))
         assert pool_pids(2) == pids
     finally:
         signal.alarm(0)
@@ -302,7 +295,7 @@ def _rationals_twice(_):
 def test_reply_sends_equal_rationals_once_and_keeps_types(monkeypatch):
     monkeypatch.setenv("HNBOUNDS_JOBS", "2")
     patch_cpus(monkeypatch, 2)
-    (pid, first, second), _ = cli._run_checks([(_rationals_twice, 0)] * 2)
+    (pid, first, second), _ = cli._run_checks(_rationals_twice, [0] * 2)
     assert pid != os.getpid()
     _, want, _ = _rationals_twice(0)
     for got in (first, second):
@@ -325,15 +318,15 @@ def test_wire_loads_shares_and_replies_without_fraction_new_or_state(monkeypatch
     # and sets no object state (no BUILD), and gives back equal values
     captured = []
 
-    def capture(tasks, count=None):
-        captured.append(list(tasks))
-        return [cli._call(task) for task in captured[-1]]
+    def capture(func, args, count=None):
+        captured.append((func, list(args)))
+        return [func(arg) for arg in captured[-1][1]]
 
     monkeypatch.setattr(cli, "_run_checks", capture)
     run_config(RUN_CONFIGS[name])
-    (tasks,) = captured
-    share = tasks[: -(-len(tasks) // 4)]
-    results = [cli._call(task) for task in share]
+    ((func, args),) = captured
+    share = func, args[: -(-len(args) // 4)]
+    results = [func(arg) for arg in share[1]]
     new = Fraction.__new__
     built = []
 
@@ -353,7 +346,7 @@ def test_wire_loads_shares_and_replies_without_fraction_new_or_state(monkeypatch
             assert built == [Fraction]
         built.clear()
         if message is share:
-            assert _reports_of(cli._call(task) for task in loaded) == _reports_of(results)
+            assert _reports_of(loaded[0](arg) for arg in loaded[1]) == _reports_of(results)
         else:
             assert loaded[0] is True and _reports_of(loaded[1]) == _reports_of(results)
 
@@ -361,20 +354,19 @@ def test_wire_loads_shares_and_replies_without_fraction_new_or_state(monkeypatch
 def test_pool_batches_keep_order_and_first_error(monkeypatch):
     monkeypatch.setenv("HNBOUNDS_JOBS", "2")
     patch_cpus(monkeypatch, 2)
-    tasks = [(abs, -i) for i in range(50)]
-    assert cli._run_checks(tasks) == list(range(50))
+    assert cli._run_checks(abs, [-i for i in range(50)]) == list(range(50))
     pids = pool_pids(2)
     # the worker's first share is tasks 0-12; later shares vary in size and
     # in the process that runs them: the error of the earlier task is
     # raised, wherever either runs, and not the later one
     for first, second in ((10, 45), (10, 20), (30, 45)):
-        tasks = [(int, str(i)) for i in range(50)]
-        tasks[first] = (int, "first")
-        tasks[second] = (int, "second")
+        texts = [str(i) for i in range(50)]
+        texts[first] = "first"
+        texts[second] = "second"
         with pytest.raises(ValueError, match="first"):
-            cli._run_checks(tasks)
+            cli._run_checks(int, texts)
         # the same workers then return the next call's results, in order
-        assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
+        assert cli._run_checks(abs, [-i for i in range(50)]) == list(range(50))
         assert pool_pids(2) == pids
 
 
@@ -396,7 +388,7 @@ def test_each_pipe_holds_one_message_at_a_time(monkeypatch):
     def logging_frame(message):
         # this process frames only shares, and reads only replies
         if os.getpid() == here:
-            log.append(("share", [i for _, (i, _) in message]))
+            log.append(("share", [i for i, _ in message[1]]))
         return frame(message)
 
     def logging_read_frame(pipe):
@@ -408,7 +400,7 @@ def test_each_pipe_holds_one_message_at_a_time(monkeypatch):
     monkeypatch.setattr(cli, "_frame", logging_frame)
     monkeypatch.setattr(cli, "_read_frame", logging_read_frame)
     # 40 tasks of uneven cost, so that shares and replies interleave
-    tasks = [(_pid_after, (i, 0.004 if i % 7 == 3 else 0.0005 * (i % 3))) for i in range(40)]
+    tasks = [(i, 0.004 if i % 7 == 3 else 0.0005 * (i % 3)) for i in range(40)]
 
     def hung(signum, frame):
         raise TimeoutError("a pooled call hung")
@@ -416,7 +408,7 @@ def test_each_pipe_holds_one_message_at_a_time(monkeypatch):
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(30)
     try:
-        ran = cli._run_checks(tasks)
+        ran = cli._run_checks(_pid_after, tasks)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -456,8 +448,8 @@ def test_first_share_error_still_reads_every_reply(monkeypatch):
     signal.alarm(30)
     try:
         with pytest.raises(ValueError, match="the caller's share"):
-            cli._run_checks([(_huge_reply_in_a_worker, os.getpid())] * 2)
-        assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
+            cli._run_checks(_huge_reply_in_a_worker, [os.getpid()] * 2)
+        assert cli._run_checks(abs, [-i for i in range(50)]) == list(range(50))
         assert pool_pids(2) == pids
     finally:
         signal.alarm(0)
@@ -470,9 +462,9 @@ def test_warm_pool_kept_until_the_worker_count_changes(monkeypatch):
     pids = pool_pids(2)
     assert pool_pids(2) == pids
     # serial calls, by a single task or by the setting, run here and keep the pool
-    assert cli._run_checks([(_worker_pid, 0)]) == [os.getpid()]
+    assert cli._run_checks(_worker_pid, [0]) == [os.getpid()]
     monkeypatch.setenv("HNBOUNDS_JOBS", "1")
-    assert cli._run_checks([(_worker_pid, 0)] * 3) == [os.getpid()] * 3
+    assert cli._run_checks(_worker_pid, [0] * 3) == [os.getpid()] * 3
     monkeypatch.setenv("HNBOUNDS_JOBS", "2")
     assert pool_pids(2) == pids
     # another count replaces the workers, and the old ones are reaped
@@ -491,8 +483,8 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
     if child == 0:
         status = 1
         try:
-            tasks = [(abs, -i) for i in range(50)]
-            if cli._run_checks(tasks) == list(range(50)) and not pool_pids(2) & parent_pids:
+            ran = cli._run_checks(abs, [-i for i in range(50)])
+            if ran == list(range(50)) and not pool_pids(2) & parent_pids:
                 status = 0
             cli._drop_pool()
         finally:
@@ -543,7 +535,7 @@ def test_dead_worker_exits_two_with_one_line(monkeypatch, capsys, tmp_path):
     pids = pool_pids(2)
 
     def dying_suite(params, rng):
-        return cli._run_checks([(_die_in_a_worker, os.getpid())] * 4)
+        return cli._run_checks(_die_in_a_worker, [os.getpid()] * 4)
 
     monkeypatch.setitem(cli.SUITE_RUNNERS, "geometric", dying_suite)
     config = tmp_path / "config.json"
@@ -552,7 +544,7 @@ def test_dead_worker_exits_two_with_one_line(monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: a worker process died: ") and len(err.splitlines()) == 1
     # the workers are dropped: fresh ones return the next results in order
-    assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
+    assert cli._run_checks(abs, [-i for i in range(50)]) == list(range(50))
     assert not pool_pids(2) & pids
 
 
@@ -578,8 +570,8 @@ def test_task_defined_after_the_fork_is_named(monkeypatch):
             late.__qualname__ = name
             monkeypatch.setattr(sys.modules[__name__], name, late, raising=False)
             with pytest.raises(cli.WorkerDiedError, match=rf"AttributeError: .*'{name}'.* forked"):
-                cli._run_checks([(late, arg)] * 4)
-            assert cli._run_checks([(abs, -i) for i in range(50)]) == list(range(50))
+                cli._run_checks(late, [arg] * 4)
+            assert cli._run_checks(abs, [-i for i in range(50)]) == list(range(50))
             assert not pool_pids(2) & pids
             assert not any(alive(pid) for pid in pids)
     finally:
@@ -610,6 +602,28 @@ def test_dead_worker_in_a_cold_process_exits_two(tmp_path):
     assert r.returncode == 2, r.stderr
     assert r.stdout == ""
     assert r.stderr.startswith("error: a worker process died: ") and len(r.stderr.splitlines()) == 1
+
+
+def test_pooled_run_in_dev_mode_prints_only_its_own_stderr(tmp_path):
+    # -X dev prints a file left unclosed (a worker's pipes) and an error
+    # raised while freeing an object (a BytesIO with a live buffer export)
+    code = (
+        "import os, sys\n"
+        "from hnbounds import cli\n"
+        "os.cpu_count = lambda: 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    refused = "config error: invalid config: Gram matrix must be positive definite\n"
+    runs = (
+        ({"suite": "geometric", "parameters": {"a_max": 4, "b_max": 4, "e_max": 1}}, 0, ""),
+        ({"suite": "arithmetic", "parameters": {"entries": ["1", "0"]}}, 2, refused),
+    )
+    config = tmp_path / "config.json"
+    for settings, status, err in runs:
+        config.write_text(json.dumps(settings))
+        r = run_python(["-X", "dev", "-c", code, "run", str(config)], env_extra={"HNBOUNDS_JOBS": "2"})
+        assert (r.returncode, r.stderr) == (status, err)
 
 
 def test_arithmetic_suite():
@@ -739,6 +753,17 @@ def test_cli_exit_codes(tmp_path):
     r = run_cli(["run", str(good)])
     assert r.returncode == 0
     assert r.stdout.strip().splitlines()[-1] == "4/4"
+
+
+def test_empty_output_path_exits_two(capsys, monkeypatch, tmp_path):
+    # an output names the file to write, and "" names none
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": "polygon", "parameters": {"hn": [[1, "1"]]}, "output": {"path": ""}}))
+    assert cli.main(["run", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_run_exits_one_on_failing_check(monkeypatch):
