@@ -22,11 +22,11 @@ for (a, b, e) in [(2, 3, 0), (3, 2, 1), (6, 3, 2)]:
           "= 2 * integral of filtered volumes:", F.volume_via_fibers())
 
     rep = check_toric_family(F)
-    print(f"  bound check: {rep.lhs.as_fraction()} <= {rep.rhs.as_fraction()}"
-          f"  margin = {rep.margin.as_fraction()} (= e*b/2)")
+    print(f"  bound check: {rep.lhs} <= {rep.rhs}"
+          f"  margin = {rep.margin} (= e*b/2)")
 
     filt = check_filtered(F)
-    print(f"  filtered check: {filt.lhs.as_fraction()} <= {filt.rhs.as_fraction()}"
+    print(f"  filtered check: {filt.lhs} <= {filt.rhs}"
           f"  (lhs equals deg_plus: {filt.context['lhs_equals_deg_plus']})")
     print()
 

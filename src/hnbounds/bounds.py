@@ -95,9 +95,9 @@ class CheckReport:
     def to_json(self):
         return {
             "name": self.name,
-            "lhs": self.lhs.to_json(),
-            "rhs": self.rhs.to_json(),
-            "margin": self.margin.to_json(),
+            "lhs": _context_value(self.lhs),
+            "rhs": _context_value(self.rhs),
+            "margin": _context_value(self.margin),
             "pass": self.passed,
             "context": {k: _context_value(v) for k, v in sorted(self.context.items())},
         }
@@ -121,6 +121,8 @@ def _report_value(value):
 
 
 def _context_value(v):
+    """The JSON of a report value or a context entry: an interval's object, a
+    rational's ``"p/q"`` (an Exact's too), a list's or a tuple's entries."""
     if isinstance(v, Scalar):
         return v.to_json()
     if isinstance(v, Fraction):
@@ -146,9 +148,7 @@ def reports_to_csv(reports) -> str:
 
 
 def _csv_scalar(s) -> str:
-    if s.is_rational:
-        return str(s.as_fraction())
-    return f"{s.midpoint():.15g}"
+    return f"{s.midpoint():.15g}" if type(s) is Scalar else str(s)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +298,9 @@ def check_gillet_soule(L: EuclideanLattice) -> CheckReport:
     diagonal orders, so no slope comparison is certified.
 
     At rank 1 the inequality can hold with exact equality (for the unit
-    lattice both sides are ln 3), which no interval can certify; that single
-    tie is resolved by exact rational comparison: with q the product of the
+    lattice both sides are ln 3), which no interval can certify; when the
+    margin's verdict is undecided (``None``), that single tie is resolved by
+    exact rational comparison: with q the product of the
     reciprocals of the sub-1 diagonal entries, the margin is nonnegative iff
     max(count^2/q, q/count^2) <= 9 = exp(2 C(Q, 1)), as C(Q, 1) = ln 3.
     """
@@ -308,8 +309,7 @@ def check_gillet_soule(L: EuclideanLattice) -> CheckReport:
     lhs = abs(L.h0_hat() - deg_plus)
     rhs = gillet_soule_constant(RATIONAL_FIELD, r)
     margin = rhs - lhs
-    lo, hi = margin.bounds()
-    if lo < 0 <= hi and r == 1:
+    if verdict(margin) is None and r == 1:
         # C(Q, 1) = ln 3 exactly; decide 2*margin = ln 9 - |ln(count^2/q)| on
         # exact rationals (q as in the docstring).
         d = L.gram[0][0]

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import io
 import itertools
 import json
@@ -78,7 +79,7 @@ from fractions import Fraction
 from . import bounds
 from .hn import HNType
 from .lattices import MAX_RANK, EnumerationBudgetError, EuclideanLattice, _random_int_gram
-from .scalars import CertificationError, Exact, Scalar, _ratio, exact_bounds, max0
+from .scalars import CertificationError, Exact, Scalar, _ratio, exact_bounds, max0, order
 from .series import FiberedSeries
 from .towers import Tower, TowerData, epsilon, epsilon_tilde, rescale, AffineFunction
 from .bounds import CheckReport, reports_to_csv, reports_to_json
@@ -746,7 +747,6 @@ def _polygon_check(h: HNType) -> CheckReport:
     """deg+ <= rank mu_max^+ with margin sum_(i>=2) r_i (mu_1^+ - mu_i^+): each
     term is certified nonnegative, so a tie on interval slopes passes."""
     deg_plus = h.deg_plus()
-    (ilo, ihi), (dlo, dhi) = exact_bounds(h.positive_rank_integral()), exact_bounds(deg_plus)
     mu_max, mu_min = h.slope_extremes()
     top = max0(mu_max)
     margin = sum((r * (top - max0(s)) for r, s in h.segments[1:]), Fraction(0))
@@ -762,7 +762,7 @@ def _polygon_check(h: HNType) -> CheckReport:
             "rank": h.rank,
             "breakpoints": h.polygon(),
             # the two enclosures overlap: equality, for rational slopes
-            "integral_identity": max(ilo, dlo) <= min(ihi, dhi),
+            "integral_identity": order(h.positive_rank_integral(), deg_plus) in (0, None),
         },
     )
 
@@ -785,18 +785,22 @@ SUITE_RUNNERS = {
 def run_config(config: dict) -> tuple[int, list[CheckReport]]:
     config = validate_config(config)
     seed = config.get("seed", 0)
-    rng = random.Random(seed)
-    reports = SUITE_RUNNERS[config["suite"]](config.get("parameters", {}), rng)
-    reports = sorted(reports, key=lambda r: r.name)
-    passed = sum(1 for r in reports if r.passed)
     output = config.get("output")
-    if output is not None:  # an empty path fails to open, as an unwritable one does
-        if output.get("format") == "csv":
-            text = reports_to_csv(reports)
-        else:
-            text = json.dumps(reports_to_json(reports), indent=2, sort_keys=True) + "\n"
-        with open(output["path"], "w") as fh:
+    # opened before any check runs, and emptied only once the reports are
+    # rendered: a path that cannot be opened (an empty one included) exits 2
+    # at once, and a later exit 2 leaves an existing file's bytes as they
+    # were; in append mode the write lands at the truncated end, offset 0
+    with open(output["path"], "a") if output is not None else contextlib.nullcontext() as fh:
+        reports = SUITE_RUNNERS[config["suite"]](config.get("parameters", {}), random.Random(seed))
+        reports = sorted(reports, key=lambda r: r.name)
+        if output is not None:
+            if output.get("format") == "csv":
+                text = reports_to_csv(reports)
+            else:
+                text = json.dumps(reports_to_json(reports), indent=2, sort_keys=True) + "\n"
+            fh.truncate(0)
             fh.write(text)
+    passed = sum(1 for r in reports if r.passed)
     # nothing reaches stdout until the suite has run and its report is written
     print(f"suite={config['suite']} seed={seed}")
     print(f"{passed}/{len(reports)}")

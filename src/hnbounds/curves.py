@@ -106,24 +106,16 @@ def h0_interval(h: HNType, genus: int) -> tuple[Fraction, Fraction]:
 
     zero = Fraction(0)
     if mu_max < zero:
-        lo, hi = _intersect(lo, hi, zero, zero)
+        lo, hi = max(lo, zero), min(hi, zero)
     if mu_min > 2 * g - 2:
         point = deg + rank * (1 - g)
-        lo, hi = _intersect(lo, hi, point, point)
+        lo, hi = max(lo, point), min(hi, point)
     if mu_min > zero:
         pad = rank * abs(g - 1)
-        lo, hi = _intersect(lo, hi, deg - pad, deg + pad)
+        lo, hi = max(lo, deg - pad), min(hi, deg + pad)
 
     if lo < zero:
         lo = zero
     if lo > hi:
         raise ValueError("slope data is not realizable by a bundle of this genus")
     return (lo, hi)
-
-
-def _intersect(lo, hi, lo2, hi2):
-    if lo2 > lo:
-        lo = lo2
-    if hi2 < hi:
-        hi = hi2
-    return lo, hi

@@ -17,7 +17,9 @@ path (the enumeration bound is taken from whichever basis is in use).
 
 Logarithmic invariants (log-counts, Euler characteristic, Arakelov degree,
 the comparison constant C(Q, n) of Gillet and Soule) are certified
-intervals, each taken once per lattice (or per argument) and memoized.
+intervals.  Each log is memoized once, by ``log_scalar`` on its exact
+argument; C(Q, n) is memoized per argument, and a lattice memoizes only its
+exact data, its Euler characteristic and its log minima.
 
 Out of scope: maximal slopes beyond rank 2 or off-diagonal (a genuine
 sublattice optimization), and absolute minima over the algebraic closure for
@@ -137,10 +139,8 @@ class EuclideanLattice:
         return self._memo["h0_count"]
 
     def h0_hat(self) -> Scalar:
-        """ln of the count of norm <= 1 vectors, as a certified interval (memoized)."""
-        if "h0_hat" not in self._memo:
-            self._memo["h0_hat"] = log_scalar(self.h0_count())
-        return self._memo["h0_hat"]
+        """ln of the count of norm <= 1 vectors, as a certified interval."""
+        return log_scalar(self.h0_count())
 
     def successive_minima(self) -> list[Scalar]:
         """Log minima lambda_1 >= ... >= lambda_r, lambda_i = -ln(norm_i).
@@ -197,10 +197,8 @@ class EuclideanLattice:
         return self._memo["chi"]
 
     def arakelov_degree(self) -> Scalar:
-        """-(1/2) ln det(Gram), the hermitian Arakelov degree over Z (memoized)."""
-        if "degree" not in self._memo:
-            self._memo["degree"] = neg_half_log(self.determinant())
-        return self._memo["degree"]
+        """-(1/2) ln det(Gram), the hermitian Arakelov degree over Z."""
+        return neg_half_log(self.determinant())
 
     def orthogonal_slopes(self) -> list[tuple[int, Scalar]]:
         """Slope data of a diagonal lattice: one ``(count, -(1/2) ln d)`` per
@@ -228,8 +226,7 @@ class EuclideanLattice:
         """
         if self.rank != 2:
             raise ValueError("rank2_mu_max requires a rank-2 lattice")
-        lam1 = neg_half_log(self.minima_norms_squared()[0])
-        return scalar_max(lam1, self.arakelov_degree() / 2)
+        return scalar_max(self.successive_minima()[0], self.arakelov_degree() / 2)
 
     # -- internals -----------------------------------------------------------
 

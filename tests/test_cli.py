@@ -17,7 +17,7 @@ from hnbounds import bounds, cli, lattices
 from hnbounds.bounds import reports_to_csv, reports_to_json
 from hnbounds.cli import run_config, validate_config, ConfigError
 from hnbounds.lattices import EnumerationBudgetError
-from hnbounds.scalars import CertificationError
+from hnbounds.scalars import CertificationError, Exact, Scalar
 from hnbounds.towers import NegativeSlopeWarning, Tower, TowerData, epsilon
 from test_report_digests import MIXED_RUN_CONFIGS, RUN_CONFIGS
 
@@ -277,8 +277,6 @@ def test_error_drawing_the_last_share_still_reads_every_reply(monkeypatch):
 
 def _rationals_twice(_):
     """This process's pid, then two equal but distinct copies of each value."""
-    from hnbounds.scalars import Exact, Scalar
-
     def values():
         return [
             Fraction(1, 2),
@@ -300,7 +298,7 @@ def test_reply_sends_equal_rationals_once_and_keeps_types(monkeypatch):
     _, want, _ = _rationals_twice(0)
     for got in (first, second):
         assert [type(x) for x in got] == [type(x) for x in want]
-        assert got[:5] == want[:5] and got[1].is_rational and not got[5].is_rational
+        assert got[:5] == want[:5] and type(got[1]) is Exact and type(got[5]) is Scalar
         assert got[5].bounds() == want[5].bounds()
     # the repeat of each rational is the first one
     assert all(first[i] is second[i] for i in (0, 1, 2))
@@ -695,6 +693,23 @@ def test_epsilon_suite():
     assert status == 0 and len(reports) == 60
 
 
+def test_reports_render_without_exact_reader_methods(monkeypatch, capsys):
+    # the JSON and CSV writers tell an exact report value from an interval by
+    # type, so none of Exact's reader methods is read
+    reports = [r for config in RUN_CONFIGS.values() for r in run_config(config)[1]]
+    capsys.readouterr()
+    assert any(type(r.margin) is Exact for r in reports) and any(type(r.margin) is Scalar for r in reports)
+    want = reports_to_json(reports), reports_to_csv(reports)
+
+    def refuse(*args):
+        raise AssertionError("a report value was read through an Exact reader method")
+
+    for name in ("as_fraction", "bounds", "midpoint", "to_json"):
+        monkeypatch.setattr(Exact, name, refuse)
+    monkeypatch.setattr(Exact, "is_rational", property(refuse))
+    assert (reports_to_json(reports), reports_to_csv(reports)) == want
+
+
 def test_exact_suites_build_no_scalar(monkeypatch, capsys):
     # exact values stay Fractions from input to report: the suites whose
     # checks are all exact build no interval, and every report value is an
@@ -720,7 +735,7 @@ def test_exact_suites_build_no_scalar(monkeypatch, capsys):
     for config in configs:
         status, reports = run_config(config)
         assert status == 0 and reports
-        assert all(r.lhs.is_rational and r.rhs.is_rational and r.margin.is_rational for r in reports)
+        assert all(type(v) is Exact for r in reports for v in (r.lhs, r.rhs, r.margin))
     capsys.readouterr()
     assert built == []
     scalars.Scalar.from_fraction_bounds(Fraction(1), Fraction(2))  # the counter counts
@@ -764,6 +779,41 @@ def test_empty_output_path_exits_two(capsys, monkeypatch, tmp_path):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error: ") and len(err.splitlines()) == 1
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_unwritable_output_path_exits_two_before_any_check(capsys, monkeypatch, tmp_path):
+    # the path is opened before the suite runs: a missing directory costs no check
+    calls = []
+    monkeypatch.setitem(cli.SUITE_RUNNERS, "lattice", lambda params, rng: calls.append(params) or [])
+    config = tmp_path / "config.json"
+    output = {"path": str(tmp_path / "missing" / "x.json")}
+    config.write_text(json.dumps({"suite": "lattice", "parameters": {"rank": 4, "trials": 2000}, "output": output}))
+    assert cli.main(["run", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: [Errno ") and len(err.splitlines()) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_refused_run_leaves_an_existing_report_unchanged(capsys, tmp_path, fmt):
+    # the early open does not truncate: a refusal raised by the suite keeps the old bytes
+    report = tmp_path / f"report.{fmt}"
+    config = tmp_path / "config.json"
+    output = {"path": str(report), "format": fmt}
+    config.write_text(json.dumps({**RUN_CONFIGS["polygon"], "output": output}))
+    assert cli.main(["run", str(config)]) == 0
+    before = report.read_bytes()
+    config.write_text(json.dumps({"suite": "arithmetic", "parameters": {"entries": ["1", "0"]}, "output": output}))
+    assert cli.main(["run", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: invalid config: ") and len(err.splitlines()) == 1
+    assert report.read_bytes() == before
+    # a later run rewrites the file whole, over a longer old report
+    short = {"suite": "polygon", "parameters": {"hn": [[1, "1"]]}}
+    for path in (report, tmp_path / f"fresh.{fmt}"):
+        config.write_text(json.dumps({**short, "output": {**output, "path": str(path)}}))
+        assert cli.main(["run", str(config)]) == 0
+    assert len(before) > len(report.read_bytes()) and report.read_bytes() == (tmp_path / f"fresh.{fmt}").read_bytes()
 
 
 def test_run_exits_one_on_failing_check(monkeypatch):
@@ -1351,7 +1401,7 @@ def test_interval_reports_unpickle_without_mpmath(tmp_path):
     _, reports = run_config({"suite": "lattice", "parameters": {"rank": 3, "trials": 4}, "seed": 5})
     reports += run_config({"suite": "arithmetic", "parameters": {"max_rank": 2}})[1]
     reports.append(bounds.p1z_h0(2)[1])
-    assert any(not r.margin.is_rational for r in reports)
+    assert any(type(r.margin) is Scalar for r in reports)
     (tmp_path / "reports.pickle").write_bytes(pickle.dumps(reports))
     code = (
         "import json, pickle, sys\n"

@@ -270,8 +270,10 @@ def test_euler_char_examples():
 
 
 def test_logs_taken_once_per_lattice(rng):
-    # h0_hat, arakelov_degree and euler_char are memoized; each is the very
-    # interval of a fresh evaluation of its formula
+    # h0_hat, arakelov_degree and euler_char are each the very interval of a
+    # fresh evaluation of their formula; only euler_char and the log minima,
+    # which cost interval arithmetic, are memoized on the lattice (the logs
+    # themselves are memoized by log_scalar)
     for rank in (1, 3, 5):
         L = random_gram(rank, rng).scale(Fraction(1, 2))
         degree = 0 - Fraction(1, 2) * log_scalar(L.determinant())
@@ -281,9 +283,14 @@ def test_logs_taken_once_per_lattice(rng):
             "euler_char": log_ball_volume(rank) + degree,
         }
         for name, expected in fresh.items():
-            value = getattr(L, name)()
-            assert value._ivl == expected._ivl
-            assert getattr(L, name)() is value
+            assert getattr(L, name)()._ivl == expected._ivl
+        assert L.euler_char() is L.euler_char()
+        minima = L.successive_minima()
+        assert [m._ivl for m in minima] == [
+            (0 - Fraction(1, 2) * log_scalar(q))._ivl for q in L.minima_norms_squared()
+        ]
+        assert all(a is b for a, b in zip(L.successive_minima(), minima))
+        assert set(L._memo) == {"gso", "lll", "h0_count", "minima", "log_minima", "chi"}
 
 
 def test_arakelov_degree_examples(rng):

@@ -410,8 +410,8 @@ def test_pickle_round_trip():
     ]
     for s in values:
         t = pickle.loads(pickle.dumps(s))
-        assert type(t) is type(s) and t.is_rational == s.is_rational
-        if s.is_rational:
+        assert type(t) is type(s)
+        if type(s) is Exact:
             assert (t.numerator, t.denominator) == (s.numerator, s.denominator)
         else:
             assert t._ivl == s._ivl
