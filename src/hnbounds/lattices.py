@@ -1,19 +1,28 @@
-"""Euclidean lattices over Z with exact enumeration-backed invariants.
+"""Euclidean lattices over Z with exact, integer-counted invariants.
 
 A lattice is Z^r equipped with a symmetric positive-definite rational Gram
 matrix G.  The constructor clears denominators once, A = den G with den the
 lcm of the entry denominators, and keeps A's Gram-Schmidt data in integers:
 the leading minors Delta_0 = 1, ..., Delta_r and lambda_ij = Delta_(j+1) mu_ij,
 read off the pivot rows of the package's one fraction-free (Bareiss)
-elimination.  Short-vector counts and successive minima come from an integer
-Fincke-Pohst enumeration over that data, so every count is a theorem, not a
-float: the count adds each level-0 range in O(1) without visiting its leaves,
-and the minima compare integer norms over one common denominator.  Each
-lattice is reduced once by the integral LLL of Cohen (Alg. 2.6.7), memoized
-and shared by the count and the minima; it keeps the reduced basis's
-Gram-Schmidt data alone, since the enumeration needs nothing else.  The
-reduction only shrinks the search region and never enters the certification
-path (the enumeration bound is taken from whichever basis is in use).
+elimination.  G is diagonal exactly when every lambda_ij is 0, which the
+constructor records once.  Every count is a theorem in integers, not a
+float, made on one of two paths.  A diagonal Gram's count is a convolution
+of its coordinates' squares: with a_i = den G_ii, the sums sum a_i x_i^2 <=
+den are folded in one coordinate at a time as a dict {sum: multiplicity},
+with no reduction and no enumeration.  Any other Gram's count, and the
+successive minima of every Gram, come from an integer Fincke-Pohst
+enumeration over the Gram-Schmidt data: the count adds each level-0 range in
+O(1) without visiting its leaves, and the minima compare integer norms over
+one common denominator.  Both paths refuse work past ``MAX_NODES``, read at
+call time: the enumeration charges its nodes and leaves, and the convolution
+charges each coordinate the (sum, x) pairs it folds in, before it builds
+them.  Each enumerated lattice is reduced once by the integral LLL of Cohen
+(Alg. 2.6.7), memoized and shared by the count and the minima; it keeps the
+reduced basis's Gram-Schmidt data alone, since the enumeration needs nothing
+else.  The reduction only shrinks the search region and never enters the
+certification path (the enumeration bound is taken from whichever basis is
+in use).
 
 Logarithmic invariants (log-counts, Euler characteristic, Arakelov degree,
 the comparison constant C(Q, n) of Gillet and Soule) are certified
@@ -73,7 +82,7 @@ def _round_half_even(n: int, d: int) -> int:
 class EuclideanLattice:
     """Z^r with a symmetric positive-definite rational Gram matrix, compared by it."""
 
-    __slots__ = ("gram", "_memo")
+    __slots__ = ("gram", "_memo", "_diagonal")
 
     def __init__(self, gram):
         rows = tuple(tuple(map(exact_fraction, row)) for row in gram)
@@ -94,6 +103,8 @@ class EuclideanLattice:
         delta = [1] + [e.rows[i][i] for i in range(r)]
         lam = [[e.rows[j][i] for j in range(i)] for i in range(r)]
         self.gram, self._memo = rows, {"gso": (den, delta, lam)}
+        # G is diagonal iff its basis is orthogonal, iff every lambda_ij is 0
+        self._diagonal = not any(map(any, lam))
 
     def __eq__(self, other):
         return self.gram == other.gram if type(other) is EuclideanLattice else NotImplemented
@@ -109,12 +120,7 @@ class EuclideanLattice:
         return Fraction(delta[-1], den**self.rank)
 
     def is_diagonal(self) -> bool:
-        return all(
-            self.gram[i][j] == 0
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if i != j
-        )
+        return self._diagonal
 
     def scale(self, c) -> "EuclideanLattice":
         """Gram scaled by c^2 (all vector lengths scaled by c), c an exact rational."""
@@ -126,16 +132,27 @@ class EuclideanLattice:
     def h0_count(self) -> int:
         """Number of lattice vectors with norm <= 1 (the origin included).
 
-        Counted without visiting the leaves: each level-0 range of the
-        enumeration adds its length in O(1), and the count is 1 + 2 #leaves
-        (the origin, and each +-v pair once).
+        A diagonal Gram is counted by :func:`_diagonal_count`, an integer
+        convolution of its coordinates' squares, with no reduction and no
+        enumeration.  Any other Gram is enumerated in its reduced basis,
+        without visiting the leaves: each level-0 range of the enumeration
+        adds its length in O(1), and the count is 1 + 2 #leaves (the
+        origin, and each +-v pair once).  Both paths refuse a count past
+        ``MAX_NODES`` with :class:`EnumerationBudgetError`: the enumeration
+        charges its nodes and leaves, the convolution the (sum, x) pairs of
+        each coordinate it folds in, before they are built.
         """
         if "h0_count" not in self._memo:
             self._check_budget()
-            gso = self._lll()
-            weights, scale = _form(gso)
-            leaves = sum(top - lo for _, lo, top, _, _ in _level0_ranges(gso, weights, scale))
-            self._memo["h0_count"] = 1 + 2 * leaves
+            if self._diagonal:
+                den, delta, _ = self._memo["gso"]
+                count = _diagonal_count(den, [delta[i + 1] // delta[i] for i in range(self.rank)])
+            else:
+                gso = self._lll()
+                weights, scale = _form(gso)
+                leaves = sum(top - lo for _, lo, top, _, _ in _level0_ranges(gso, weights, scale))
+                count = 1 + 2 * leaves
+            self._memo["h0_count"] = count
         return self._memo["h0_count"]
 
     def h0_hat(self) -> Scalar:
@@ -205,7 +222,7 @@ class EuclideanLattice:
         distinct diagonal entry d, in increasing order of the exact d, so in
         decreasing order of slope without comparing a log.
         """
-        if not self.is_diagonal():
+        if not self._diagonal:
             raise ValueError("orthogonal slopes require a diagonal Gram matrix")
         counts = Counter(self.gram[i][i] for i in range(self.rank))
         return [(counts[d], neg_half_log(d)) for d in sorted(counts)]
@@ -289,6 +306,40 @@ class EuclideanLattice:
             k = max(k - 1, 1)
         self._memo["lll"] = den, delta, lam
         return self._memo["lll"]
+
+
+def _diagonal_count(den: int, entries) -> int:
+    """#{x in Z^r : sum_i a_i x_i^2 <= den}, the a_i positive integers.
+
+    For a diagonal Gram G, with a_i = den G_ii (Delta_(i+1) / Delta_i),
+    this is the count of vectors of norm <= 1.  The coordinates are folded
+    in one at a time, those with the fewest values first, into
+    {partial sum <= den: number of partial vectors}: each sum s spreads to
+    s + a x^2 for 0 <= x <= isqrt((den - s) // a), and each x != 0
+    counts twice, for +-x.  The last coordinate's ranges are added by
+    their lengths instead of being built.  Each coordinate is charged
+    its (s, x) pairs against ``MAX_NODES`` before they are visited, so a
+    ball too big for the budget is refused before it is built.  At rank 1
+    the charge is the enumeration's, 1 + isqrt(den // a); folded in this
+    order, it stayed at or below the enumeration's node count on every
+    diagonal Gram tested.
+    """
+    sums = {0: 1}
+    nodes = 0
+    entries = sorted(entries, reverse=True)
+    for i, a in enumerate(entries, 1):
+        tops = [isqrt((den - s) // a) for s in sums]
+        nodes += len(tops) + sum(tops)
+        if nodes > MAX_NODES:
+            raise EnumerationBudgetError("enumeration node budget exceeded")
+        if i == len(entries):
+            return sum(m * (2 * t + 1) for m, t in zip(sums.values(), tops))
+        folded = dict(sums)  # x = 0
+        for (s, m), t in zip(sums.items(), tops):
+            for x in range(1, t + 1):
+                key = s + a * x * x
+                folded[key] = folded.get(key, 0) + 2 * m
+        sums = folded
 
 
 def _form(gso):

@@ -841,6 +841,22 @@ def test_cli_budget_errors_exit_two():
     assert r.stderr == "error: enumeration node budget exceeded\n"
 
 
+def test_diagonal_ball_past_the_enumeration_budget_gets_a_report():
+    # (3/4)^14 I_8 holds 41,527,105 points, more than MAX_NODES enumeration
+    # nodes; its count is a convolution and is reported
+    c = str(Fraction(3, 4) ** 14)
+    gram = [[c if i == j else "0" for j in range(8)] for i in range(8)]
+    r = run_cli(["lattice", "--gram", json.dumps(gram)], timeout=60)
+    assert r.returncode == 0 and r.stderr == ""
+    reports = json.loads(r.stdout)
+    assert len(reports) == 3 and all(rep["pass"] for rep in reports)
+    assert {rep["context"]["count"] for rep in reports if "count" in rep["context"]} == {41_527_105}
+    # a rank-1 ball too big for the convolution's charge is still refused at once
+    r = run_cli(["lattice", "--gram", json.dumps([[str(Fraction(1, 10**21))]])], timeout=10)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: enumeration node budget exceeded\n"
+
+
 @pytest.mark.parametrize("error", [CertificationError, EnumerationBudgetError])
 def test_cli_uncertified_exit_two(monkeypatch, capsys, error):
     from hnbounds import cli

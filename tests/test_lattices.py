@@ -819,6 +819,117 @@ def test_count_same_in_original_and_reduced_basis(L):
         assert 2 * len(vectors) - 1 == L.h0_count()
 
 
+# -- diagonal counts: the convolution against the enumeration and closed forms ------------
+
+
+@st.composite
+def diagonal_grams(draw):
+    """Diagonal Grams of rank 1-6 with entries p/q, 1 <= p, q <= 6."""
+    r = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
+    return diagonal(*draw(st.lists(entry, min_size=r, max_size=r)))
+
+
+@PROPERTIES
+@given(diagonal_grams())
+def test_diagonal_count_matches_walk_and_box_sweep(L):
+    # the leaves walked one by one on the lattice's own Gram-Schmidt data,
+    # and the integer box sweep; the count itself reduces nothing
+    assert L.is_diagonal()
+    walked = sum(1 for _ in lattices._short_vectors(L._memo["gso"], Fraction(1)))
+    assert L.h0_count() == 2 * walked - 1 == brute_count_norm_le(L, Fraction(1))
+    assert "lll" not in L._memo
+
+
+def _enumeration_count(L):
+    """h0_count through the reduced basis's enumeration, whatever the Gram."""
+    gso = L._lll()
+    weights, scale = lattices._form(gso)
+    return 1 + 2 * sum(top - lo for _, lo, top, _, _ in lattices._level0_ranges(gso, weights, scale))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(diagonal_grams())
+def test_diagonal_count_needs_no_more_budget_than_the_enumeration(L):
+    # the least MAX_NODES at which the enumeration finishes lets the
+    # convolution finish too, so no count the enumeration makes is refused
+    lo, hi = 1, lattices.MAX_NODES
+    with pytest.MonkeyPatch.context() as mp:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            mp.setattr(lattices, "MAX_NODES", mid)
+            try:
+                _enumeration_count(EuclideanLattice(L.gram))
+                hi = mid
+            except EnumerationBudgetError:
+                lo = mid + 1
+        mp.setattr(lattices, "MAX_NODES", lo)
+        assert EuclideanLattice(L.gram).h0_count() == _enumeration_count(L)
+
+
+def test_diagonality_is_read_off_the_gram_schmidt_data(rng):
+    assert diagonal(Fraction(1, 3)).is_diagonal() and diagonal(2, 1, 5).is_diagonal()
+    # zeros off the diagonal, but not all of them
+    assert not EuclideanLattice([[2, 0, 1], [0, 3, 0], [1, 0, 2]]).is_diagonal()
+    for rank in (2, 3, 4):
+        for _ in range(20):
+            L = random_gram(rank, rng)
+            off = any(L.gram[i][j] for i in range(rank) for j in range(rank) if i != j)
+            assert L.is_diagonal() is not off
+
+
+def r4(m):
+    """Jacobi: the representations of m as a sum of four squares."""
+    return 8 * sum(d for d in range(1, m + 1) if m % d == 0 and d % 4) if m else 1
+
+
+def r8(m):
+    """Jacobi: the representations of m as a sum of eight squares."""
+    return 16 * sum((-1) ** (m + d) * d**3 for d in range(1, m + 1) if m % d == 0) if m else 1
+
+
+def test_equal_entries_against_jacobi():
+    # at G = I/m the count is #{x : sum x_i^2 <= m}, so its steps are r_k(m)
+    counts4 = [diagonal(*[Fraction(1, m)] * 4).h0_count() for m in range(1, 41)]
+    assert counts4 == list(itertools.accumulate(map(r4, range(41))))[1:]
+    counts8 = [diagonal(*[Fraction(1, m)] * 8).h0_count() for m in range(1, 25)]
+    assert counts8 == list(itertools.accumulate(map(r8, range(25))))[1:]
+
+
+def p1z_lattice(c, n):
+    """E_n = Z[x] of degree <= n with the Gram c^(2n) I_(n+1)."""
+    return diagonal(*[c ** (2 * n)] * (n + 1))
+
+
+@pytest.mark.parametrize(
+    "c, n, count",
+    [(Fraction(4, 5), n, count) for n, count in enumerate([5, 19, 65, 333, 4197, 53203, 1025649], 1)]
+    + [(Fraction(3, 4), 6, 828259), (Fraction(2, 3), 5, 975505)],
+)
+def test_p1z_family_counts(c, n, count):
+    assert p1z_lattice(c, n).h0_count() == count
+
+
+def sum_of_squares_counts(r, m):
+    """ways[k] = #{x in Z^r : sum x_i^2 = k} for k <= m, one coordinate at a time."""
+    ways = [1] + [0] * m
+    for _ in range(r):
+        new = [0] * (m + 1)
+        for k, w in enumerate(ways):
+            for x in range(math.isqrt(m - k) + 1):
+                new[k + x * x] += w if x == 0 else 2 * w
+        ways = new
+    return ways
+
+
+def test_counts_past_the_enumeration_budget():
+    # both balls need more than MAX_NODES enumeration nodes; their norms
+    # are sum x_i^2 over c^(-2n), so they hold the points with sum x_i^2 <= m
+    assert math.floor(Fraction(4, 3) ** 14) == 56 and math.floor(Fraction(3, 2) ** 12) == 129
+    assert p1z_lattice(Fraction(3, 4), 7).h0_count() == sum(map(r8, range(57))) == 41_527_105
+    assert p1z_lattice(Fraction(2, 3), 6).h0_count() == sum(sum_of_squares_counts(7, 129)) == 116_840_579
+
+
 # -- the node budget ----------------------------------------------------------------------
 
 
